@@ -14,6 +14,7 @@ FAIL or MIXED (or numerical breakdown), 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -31,8 +32,6 @@ _CONFIG_KEYS = {
     "samples": int,
     "seed": int,
     "fd_step": float,
-    "tol_algebraic": float,
-    "tol_geometric": float,
     "tol_verdict": float,
     "profile": str,
     "fiber": str,
@@ -60,6 +59,24 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+# argparse takes a token that starts with '-' and is not a plain number for an
+# option, so "--fiber -2;0;1.5" would lose its value.  No twistcal option
+# starts with '-' and a digit or '.', so such a token is always a value.
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+_FLAG = re.compile(r"--[^=]+$")
+
+
+def _attach_negative_values(argv) -> list:
+    """Rewrite "--flag -2;0;1.5" as "--flag=-2;0;1.5"."""
+    out: list = []
+    for arg in argv:
+        if out and _FLAG.match(out[-1]) and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="twistcal", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -73,8 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=int)
     verify.add_argument("--seed", type=int)
     verify.add_argument("--fd-step", type=float, dest="fd_step")
-    verify.add_argument("--tol-algebraic", type=float, dest="tol_algebraic")
-    verify.add_argument("--tol-geometric", type=float, dest="tol_geometric")
     verify.add_argument("--tol-verdict", type=float, dest="tol_verdict")
     verify.add_argument("--profile")
     verify.add_argument("--fiber", help="semicolon-separated fibre tuples, e.g. -2;0;1.5")
@@ -159,7 +174,7 @@ def _cmd_list() -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     if args.command is None:
         parser.print_help()
         return 2

@@ -12,11 +12,14 @@ The Hodge star follows the convention ``b ^ *a = <b, a> vol`` with
 ``**a = (-1)^{k(dim-k)} a`` and the star is an isometry.
 
 Everything is immutable and pure; the identity-metric path is the hot path
-and is special-cased.
+and is special-cased.  :func:`dense_tensor` converts a homogeneous form to
+its fully antisymmetric coefficient array, the representation in which the
+calibration residuals are contracted by numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -32,6 +35,7 @@ __all__ = [
     "hodge",
     "form_inner",
     "asd_sd_split",
+    "dense_tensor",
 ]
 
 
@@ -435,3 +439,20 @@ def asd_sd_split(a: Multivector) -> tuple[Multivector, Multivector]:
     sd = (a + star) * 0.5
     asd = (a - star) * 0.5
     return sd, asd
+
+
+def dense_tensor(a: Multivector) -> np.ndarray:
+    """The k-form ``a`` as a fully antisymmetric array of shape ``(dim,)*k``.
+
+    ``T[i1, .., ik]`` is ``a(e_{i1+1}, .., e_{ik+1})``, so contracting the
+    first axis with a vector agrees with :func:`contract`.
+    """
+    k = a.grade_of()
+    dim = a.space.dim
+    out = np.zeros((dim,) * k)
+    for m in np.nonzero(a.coeffs)[0]:
+        idx = [i - 1 for i in _indices_of(int(m))]
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+            out[tuple(idx[p] for p in perm)] = -a.coeffs[m] if inversions & 1 else a.coeffs[m]
+    return out

@@ -25,10 +25,17 @@ dual ``psi`` exactly as in
 With the 7-metric u^2 on the horizontal block and v^2 on the vertical block
 (and the orientation below) psi is the Hodge dual of phi; every verdict-level
 residual only changes by positive factors when the profile changes.
+
+Every monomial with h horizontal indices carries the weight u^h v^(k-h), so
+the form at weights (u, v) is the unit-weight form pulled back by
+D = diag(u, u, u, u, v, v, v).  The residuals contract the dense unit tensors
+(built once from ``phi_form(1, 1)``/``psi_form(1, 1)``) with D-scaled tangent
+vectors and scale any free index of the result by D.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -36,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .exterior import InnerSpace, Multivector, contract, form_inner, hodge
+from .exterior import InnerSpace, Multivector, dense_tensor, hodge
 from .numerics import DEFAULT_FD_STEP, directional_derivative
 from .submanifold import AdaptedFramePoint, ImmersionChart, adapted_frame
 
@@ -46,7 +53,6 @@ __all__ = [
     "coframe_space",
     "total_space",
     "asd_frame",
-    "asd_frame_ambient",
     "nabla_f_coeffs",
     "phi_form",
     "psi_form",
@@ -108,16 +114,6 @@ def asd_frame(space: InnerSpace | None = None) -> tuple[Multivector, Multivector
     f2 = space.monomial((1, 3)) + space.monomial((2, 4))
     f3 = space.monomial((1, 4)) - space.monomial((2, 3))
     return f1, f2, f3
-
-
-def asd_frame_ambient(point: AdaptedFramePoint) -> np.ndarray:
-    """f^1, f^2, f^3 as ambient bivector matrices built from frame vectors."""
-    e1, e2, nu3, nu4 = point.frame
-
-    def w(a, b):
-        return np.outer(a, b) - np.outer(b, a)
-
-    return np.array([w(e1, e2) - w(nu3, nu4), w(e1, nu3) + w(e2, nu4), w(e1, nu4) - w(e2, nu3)])
 
 
 def nabla_f_coeffs(gamma: np.ndarray) -> np.ndarray:
@@ -239,31 +235,42 @@ def tangent_basis_eta_f(
     return es[0], es[1], f2, f3
 
 
+@lru_cache(maxsize=1)
+def _unit_tensors() -> tuple[np.ndarray, np.ndarray]:
+    """Dense unit-weight phi (7, 7, 7) and psi (7, 7, 7, 7), read-only."""
+    out = (dense_tensor(phi_form(1.0, 1.0)), dense_tensor(psi_form(1.0, 1.0)))
+    for t in out:
+        t.flags.writeable = False
+    return out
+
+
+def _weights(profile: BSProfile, fiber) -> np.ndarray:
+    """Diagonal of D at the fibre point: (u, u, u, u, v, v, v)."""
+    u, v = profile.at(_fiber_radius(*fiber))
+    return np.array([u, u, u, u, v, v, v])
+
+
 def associative_residual(
     e1, e2, f1, profile: BSProfile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)
 ) -> float:
     """|E_2 ⌟ E_1 ⌟ F_1 ⌟ psi| with the displayed psi."""
-    r = _fiber_radius(*fiber)
-    u, v = profile.at(r)
-    psi = psi_form(u, v)
-    one_form = contract(contract(contract(psi, np.asarray(f1, float)), np.asarray(e1, float)), np.asarray(e2, float))
-    return float(np.sqrt(form_inner(one_form, one_form)))
+    d = _weights(profile, fiber)
+    psi = _unit_tensors()[1].reshape(7, -1)
+    one_form = (d * np.asarray(f1, float)) @ psi
+    one_form = (d * np.asarray(e1, float)) @ one_form.reshape(7, -1)
+    one_form = (d * np.asarray(e2, float)) @ one_form.reshape(7, -1)
+    return float(np.linalg.norm(d * one_form))
 
 
 def coassociative_residual(
     e1, e2, f2, f3, profile: BSProfile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)
 ) -> float:
     """max |phi| over the four triples of the tangent basis (E_1, E_2, F_2, F_3)."""
-    r = _fiber_radius(*fiber)
-    u, v = profile.at(r)
-    phi = phi_form(u, v)
-    vecs = [np.asarray(x, dtype=float) for x in (e1, e2, f2, f3)]
-    worst = 0.0
-    for skip in range(4):
-        triple = [vecs[m] for m in range(4) if m != skip]
-        val = contract(contract(contract(phi, triple[0]), triple[1]), triple[2])
-        worst = max(worst, abs(float(val.coeffs[0])))
-    return worst
+    d = _weights(profile, fiber)
+    vecs = d * np.array([e1, e2, f2, f3], dtype=float)
+    # values[a, b, c] = phi(vecs[a], vecs[b], vecs[c])
+    values = vecs @ (vecs @ _unit_tensors()[0].reshape(7, -1)).reshape(4, 7, 7) @ vecs.T
+    return float(max(abs(values[a, b, c]) for a, b, c in itertools.combinations(range(4), 3)))
 
 
 def dbar_f_residual(gamma: np.ndarray, sec: SectionData) -> tuple[float, float]:

@@ -34,8 +34,6 @@ class SuiteConfig:
     samples: int = 50
     seed: int = 0
     fd_step: float = 1e-5
-    tol_algebraic: float = 1e-10
-    tol_geometric: float = 1e-6
     tol_verdict: float = 1e-4
     profile: str = "unit"
     fiber: str = ""
@@ -45,7 +43,7 @@ class SuiteConfig:
     def validate(self) -> "SuiteConfig":
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
-        for name in ("tol_algebraic", "tol_geometric", "tol_verdict", "fd_step"):
+        for name in ("tol_verdict", "fd_step"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.fmt not in ("json", "csv"):

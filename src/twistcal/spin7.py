@@ -32,6 +32,12 @@ characterisation: the 2-form-valued expression
 
 with X(a,b,c) the metric-sharp of c . b . a . Phi, which vanishes exactly on
 Cayley 4-planes.
+
+Every monomial of Phi with h horizontal indices carries u^h v^(4-h), so Phi
+at weights (u, v) is the unit-weight Phi pulled back by
+D = diag(u, u, u, u, v, v, v, v).  The residuals contract one dense unit
+tensor, built once from ``phi_form(1, 1)``, with D-scaled tangent vectors and
+scale the free indices of the result by D.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .exterior import InnerSpace, Multivector, contract, wedge
+from .exterior import InnerSpace, Multivector, dense_tensor, wedge
 from .numerics import DEFAULT_FD_STEP
 from .octonion import Octonion, standard_pinor_context
 from .submanifold import AdaptedFramePoint, ImmersionChart, adapted_frame
@@ -73,6 +79,7 @@ _GF = (
     2.0 * (_G[0] @ _G[2]) - 2.0 * (_G[1] @ _G[3]),
     2.0 * (_G[0] @ _G[3]) + 2.0 * (_G[1] @ _G[2]),
 )
+_GG = np.array([[gk @ gl for gl in _G] for gk in _G])  # _GG[k, l] = gamma^k gamma^l
 _GAMMA_OP = _G[0] @ _G[1]  # = gamma(nu^3)gamma(nu^4) on S_-
 _P_MINUS = _CTX.projectors()[1]
 
@@ -143,26 +150,14 @@ def spin_connection_ops(gamma: np.ndarray) -> np.ndarray:
     In the frame trivialisation a spinor field s(u) differentiates as
     nabla_{e_i} s = d s(e_i) + omega_i s.
     """
-    out = np.zeros((2, 8, 8))
-    for i in range(2):
-        acc = np.zeros((8, 8))
-        for k in range(4):
-            for l in range(4):
-                c = gamma[i, k, l]
-                if c:
-                    acc += c * (_G[k] @ _G[l])
-        out[i] = 0.25 * acc
-    return out
+    return 0.25 * np.einsum("ikl,klac->iac", gamma[:2, :4, :4], _GG)
 
 
 def nabla_gamma_ops(gamma: np.ndarray) -> np.ndarray:
     """nabla_{e_i} Gamma = gamma(nabla e^1) gamma(e^2) + gamma(e^1) gamma(nabla e^2)."""
-    out = np.zeros((2, 8, 8))
-    for i in range(2):
-        d1 = sum(gamma[i, 0, m] * _G[m] for m in range(4))
-        d2 = sum(gamma[i, 1, m] * _G[m] for m in range(4))
-        out[i] = d1 @ _G[1] + _G[0] @ d2
-    return out
+    return np.einsum("im,mac->iac", gamma[:2, 0, :4], _GG[:, 1]) + np.einsum(
+        "im,mac->iac", gamma[:2, 1, :4], _GG[0]
+    )
 
 
 def lemma_residual(gamma: np.ndarray, spinor: np.ndarray, bundle_sign: int) -> float:
@@ -193,51 +188,50 @@ def total_space() -> InnerSpace:
     return InnerSpace(8)
 
 
+_PAIRINGS = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
+
+
+def _mixed_block(space: InnerSpace, signs) -> Multivector:
+    """sum_k (e_{a_k} + eps_k e_{b_k}) ^ (s_{a_k} + eps_k s_{b_k}) over the
+    pairings (a_k, b_k) of {12, 34}, {13, 24}, {14, 23} with eps = signs."""
+    m = space.monomial
+    out = space.zero()
+    for (a, b), sign in zip(_PAIRINGS, signs):
+        h = m(a) + sign * m(b)
+        vert = m(tuple(i + 4 for i in a)) + sign * m(tuple(i + 4 for i in b))
+        out = out + wedge(h, vert)
+    return out
+
+
 def phi_form(u: float, v: float, space: InnerSpace | None = None) -> Multivector:
     space = space or total_space()
     m = space.monomial
-
-    def block(h_terms, v_terms):
-        h = sum((c * m(idx) for idx, c in h_terms[1:]), h_terms[0][1] * m(h_terms[0][0]))
-        vv = sum((c * m(idx) for idx, c in v_terms[1:]), v_terms[0][1] * m(v_terms[0][0]))
-        return wedge(h, vv)
-
     u2v2 = u * u * v * v
     out = u**4 * m((1, 2, 3, 4)) + v**4 * m((5, 6, 7, 8))
-    out = out - u2v2 * block(
-        [((1, 2), 1.0), ((3, 4), 1.0)], [((5, 6), 1.0), ((7, 8), 1.0)]
-    )
-    out = out - u2v2 * block(
-        [((1, 3), 1.0), ((2, 4), -1.0)], [((5, 7), 1.0), ((6, 8), -1.0)]
-    )
-    out = out - u2v2 * block(
-        [((1, 4), 1.0), ((2, 3), 1.0)], [((5, 8), 1.0), ((6, 7), 1.0)]
-    )
-    return out
+    return out - u2v2 * _mixed_block(space, (1.0, -1.0, 1.0))
 
 
 def phi_plus_form(u: float, v: float, space: InnerSpace | None = None) -> Multivector:
     """The positive-bundle variant; differs from phi_form in the mixed block."""
     space = space or total_space()
     m = space.monomial
-
-    def block(h_terms, v_terms):
-        h = sum((c * m(idx) for idx, c in h_terms[1:]), h_terms[0][1] * m(h_terms[0][0]))
-        vv = sum((c * m(idx) for idx, c in v_terms[1:]), v_terms[0][1] * m(v_terms[0][0]))
-        return wedge(h, vv)
-
     u2v2 = u * u * v * v
     out = u**4 * m((1, 2, 3, 4)) + v**4 * m((5, 6, 7, 8))
-    out = out + u2v2 * block(
-        [((1, 2), 1.0), ((3, 4), -1.0)], [((5, 6), 1.0), ((7, 8), -1.0)]
-    )
-    out = out + u2v2 * block(
-        [((1, 3), 1.0), ((2, 4), 1.0)], [((5, 7), 1.0), ((6, 8), 1.0)]
-    )
-    out = out + u2v2 * block(
-        [((1, 4), 1.0), ((2, 3), -1.0)], [((5, 8), 1.0), ((6, 7), -1.0)]
-    )
+    return out + u2v2 * _mixed_block(space, (-1.0, 1.0, -1.0))
+
+
+@lru_cache(maxsize=1)
+def _unit_phi() -> np.ndarray:
+    """Dense unit-weight Phi of shape (8, 8, 8, 8), read-only."""
+    out = dense_tensor(phi_form(1.0, 1.0))
+    out.flags.writeable = False
     return out
+
+
+def _weights(profile: BSProfile, fiber_r: float) -> np.ndarray:
+    """Diagonal of D: Phi at weights (u, v) is the unit Phi pulled back by D."""
+    u, v = profile.at(fiber_r)
+    return np.array([u, u, u, u, v, v, v, v])
 
 
 def _fiber_radius(t: np.ndarray, a: float, b: float) -> float:
@@ -279,68 +273,51 @@ def tangent_basis_v_plus(
     return es[0], es[1], f1, f2
 
 
-def _flat(vec: np.ndarray, u: float, v: float) -> np.ndarray:
-    out = vec.copy()
-    out[:4] *= u * u
-    out[4:] *= v * v
-    return out
-
-
-def _sharp(one_form: Multivector, u: float, v: float) -> np.ndarray:
-    comps = np.array([one_form.coeffs[1 << i] for i in range(8)])
-    comps[:4] /= u * u
-    comps[4:] /= v * v
-    return comps
-
-
-def _cross3(phi: Multivector, a, b, c, u: float, v: float) -> np.ndarray:
-    one_form = contract(contract(contract(phi, a), b), c)
-    return _sharp(one_form, u, v)
+# summand pair p of eta has head vector p and the cross product of the other
+# three vectors taken in the order (_A[p], _B[p], _C[p])
+_A, _B, _C = np.array([(1, 2, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2)]).T
 
 
 def cayley_eta(e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r: float = 0.0):
-    """The 2-form eta(E_1, E_2, F_1, F_2), evaluated termwise."""
-    u, v = profile.at(fiber_r)
-    space = total_space()
-    phi = phi_form(u, v, space)
-    vecs = [np.asarray(x, dtype=float) for x in (e1, e2, f1, f2)]
+    """The 2-form eta(E_1, E_2, F_1, F_2) as its (8, 8) antisymmetric
+    coefficient matrix, evaluated termwise.
 
-    def x3(p, q, r):
-        return _cross3(phi, vecs[p], vecs[q], vecs[r], u, v)
-
-    # argument patterns of the eight summands
-    wedge_args = [(0, (1, 2, 3)), (1, (2, 0, 3)), (2, (0, 1, 3)), (3, (1, 0, 2))]
-    out = space.zero()
-    for head, (p, q, r) in wedge_args:
-        xv = x3(p, q, r)
-        out = out + wedge(
-            space.covector(_flat(vecs[head], u, v)), space.covector(_flat(xv, u, v))
-        )
-        out = out + contract(contract(phi, xv), vecs[head])
-    return out
+    Write h = D head and t = Phi_1(D a, D b, D c, .) with the unit Phi_1.
+    The sharp of the cross product is X = D^-1 t, the flats of head and X
+    are D h and D t, and Phi(X, head, ., .) = D Phi_1(t, h, ., .) D, so
+    eta = D [sum (h ^ t) + Phi_1(t, h, ., .)] D.
+    """
+    d = _weights(profile, fiber_r)
+    vecs = d * np.array([e1, e2, f1, f2], dtype=float)
+    phi = _unit_phi()
+    cross = (vecs[_A] @ phi.reshape(8, -1)).reshape(4, 8, 64)
+    cross = (vecs[_B, None, :] @ cross).reshape(4, 8, 8)
+    cross = (vecs[_C, None, :] @ cross).reshape(4, 8)
+    # pairs[i, j] = sum_p t_p[i] h_p[j]
+    pairs = cross.T @ vecs
+    eta = pairs.T - pairs + (pairs.reshape(64) @ phi.reshape(64, 64)).reshape(8, 8)
+    return d[:, None] * eta * d[None, :]
 
 
 def cayley_residual(
     e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r: float = 0.0
 ) -> float:
+    """Norm of eta over the basis 2-forms e^{ij}, i < j."""
     eta = cayley_eta(e1, e2, f1, f2, profile, fiber_r)
-    return float(np.linalg.norm(eta.coeffs))
+    return float(np.linalg.norm(eta) / np.sqrt(2.0))
 
 
 def calibration_gap(
     e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r: float = 0.0
 ) -> float:
     """| |Phi(E_1, E_2, F_1, F_2)| - vol(E_1, E_2, F_1, F_2) | (metric volume)."""
-    u, v = profile.at(fiber_r)
-    phi = phi_form(u, v)
-    vecs = [np.asarray(x, dtype=float) for x in (e1, e2, f1, f2)]
-    val = phi
+    d = _weights(profile, fiber_r)
+    vecs = d * np.array([e1, e2, f1, f2], dtype=float)
+    val = _unit_phi()
     for w in vecs:
-        val = contract(val, w)
-    phi_val = float(val.coeffs[0])
-    metric = np.diag([u * u] * 4 + [v * v] * 4)
-    gram = np.array([[a @ metric @ b for b in vecs] for a in vecs])
-    vol = float(np.sqrt(max(np.linalg.det(gram), 0.0)))
+        val = w @ val.reshape(8, -1)
+    phi_val = float(val[0])
+    vol = float(np.sqrt(max(np.linalg.det(vecs @ vecs.T), 0.0)))
     return abs(abs(phi_val) - vol)
 
 

@@ -9,12 +9,21 @@ with.
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 
-from twistcal.exterior import Multivector
+from twistcal import g2, spin7
+from twistcal.exterior import Multivector, contract, form_inner, wedge
 from twistcal.numerics import directional_derivative
+from twistcal.octonion import standard_pinor_context
 from twistcal.submanifold import adapted_frame
+
+# pyproject's pytest ``pythonpath`` puts src/ on sys.path of this process only;
+# the CLI tests spawn ``python -m twistcal`` and need it too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def rng_for(seed: int = 0) -> np.random.Generator:
@@ -175,4 +184,75 @@ def g2_vertical_fd_oracle(chart, family, u, t1: float, fd_step: float = 1e-5) ->
         covariant = proj @ dbiv @ proj
         for m in range(3):
             out[j, m] = np.tensordot(covariant, fs[m]) / 4.0
+    return out
+
+
+# -- bitmask calibration oracles ------------------------------------------------
+# The calibration residuals evaluated on the weighted Multivector forms built
+# at (u, v), contracted slot by slot with the bitmask ``contract``; the library
+# contracts dense unit-weight tensors instead.
+
+
+def bitmask_associative_residual(e1, e2, f1, u: float, v: float) -> float:
+    one_form = contract(contract(contract(g2.psi_form(u, v), f1), e1), e2)
+    return float(np.sqrt(form_inner(one_form, one_form)))
+
+
+def bitmask_coassociative_residual(e1, e2, f2, f3, u: float, v: float) -> float:
+    phi = g2.phi_form(u, v)
+    return max(abs(phi.evaluate(*triple)) for triple in itertools.combinations((e1, e2, f2, f3), 3))
+
+
+def bitmask_cayley_eta(e1, e2, f1, f2, u: float, v: float) -> Multivector:
+    """eta(E_1, E_2, F_1, F_2) summand by summand in the weighted 8-metric."""
+    space = spin7.total_space()
+    phi = spin7.phi_form(u, v, space)
+    metric = np.array([u * u] * 4 + [v * v] * 4)
+    vecs = [np.asarray(x, dtype=float) for x in (e1, e2, f1, f2)]
+
+    def cross(p, q, r):
+        one_form = contract(contract(contract(phi, vecs[p]), vecs[q]), vecs[r])
+        return np.array([one_form.coeffs[1 << i] for i in range(8)]) / metric
+
+    out = space.zero()
+    for head, (p, q, r) in [(0, (1, 2, 3)), (1, (2, 0, 3)), (2, (0, 1, 3)), (3, (1, 0, 2))]:
+        x = cross(p, q, r)
+        out = out + wedge(space.covector(metric * vecs[head]), space.covector(metric * x))
+        out = out + contract(contract(phi, x), vecs[head])
+    return out
+
+
+def bitmask_cayley_residual(e1, e2, f1, f2, u: float, v: float) -> float:
+    return float(np.linalg.norm(bitmask_cayley_eta(e1, e2, f1, f2, u, v).coeffs))
+
+
+def bitmask_calibration_gap(e1, e2, f1, f2, u: float, v: float) -> float:
+    vecs = [np.asarray(x, dtype=float) for x in (e1, e2, f1, f2)]
+    phi_val = spin7.phi_form(u, v).evaluate(*vecs)
+    metric = np.diag([u * u] * 4 + [v * v] * 4)
+    gram = np.array([[a @ metric @ b for b in vecs] for a in vecs])
+    return abs(abs(phi_val) - float(np.sqrt(max(np.linalg.det(gram), 0.0))))
+
+
+# -- spin connection loop oracles --------------------------------------------------
+
+
+def spin_connection_ops_loop(gamma: np.ndarray) -> np.ndarray:
+    """omega_i = 1/4 sum_{k,l} Gamma^l_{ik} gamma^k gamma^l, term by term."""
+    g = standard_pinor_context().gammas
+    out = np.zeros((2, 8, 8))
+    for i in range(2):
+        for k in range(4):
+            for l in range(4):
+                out[i] += 0.25 * gamma[i, k, l] * (g[k] @ g[l])
+    return out
+
+
+def nabla_gamma_ops_loop(gamma: np.ndarray) -> np.ndarray:
+    g = standard_pinor_context().gammas
+    out = np.zeros((2, 8, 8))
+    for i in range(2):
+        d1 = sum(gamma[i, 0, m] * g[m] for m in range(4))
+        d2 = sum(gamma[i, 1, m] * g[m] for m in range(4))
+        out[i] = d1 @ g[1] + g[0] @ d2
     return out

@@ -280,3 +280,27 @@ def test_stenzel_suite_reports_closed_form_diagnostics():
         1.0, rep.aggregates["residual.omega_max.max"]
     )
     assert rep.aggregates["diagnostic.bracket_factor.min"] > 0.0
+
+
+def test_cli_fiber_list_may_start_with_minus(tmp_path):
+    # the form the --fiber help text shows, a separate token starting with '-'
+    base = ["verify", "g2-associative", "--chart", "veronese", "--section", "sinphi:C=1,D=0",
+            "--samples", "2", "--seed", "4"]
+    out = tmp_path / "r.json"
+    assert main(base + ["--fiber", "-2;0;1.5", "--out", str(out)]) == 0
+    split = out.read_bytes()
+    assert main(base + ["--fiber=-2;0;1.5", "--out", str(out)]) == 0
+    assert split == out.read_bytes()
+    raw = json.loads(split)
+    assert [p["t"] for p in raw["points"]] == [[-2.0], [0.0], [1.5]] * 2
+
+
+def test_cli_rejects_removed_tolerance_knobs(tmp_path):
+    # only tol_verdict decides a point's status, so no other tolerance is
+    # accepted that would look as if it did
+    cfg_file = tmp_path / "suite.cfg"
+    for key in ("tol_algebraic", "tol_geometric"):
+        with pytest.raises(SystemExit):
+            main(["verify", "g2-associative", "--samples", "1", "--" + key.replace("_", "-"), "1e-30"])
+        cfg_file.write_text(f"{key}=1e-30\n")
+        assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
