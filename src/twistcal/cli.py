@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ConfigError, TwistcalError
-from .report import SuiteConfig, emit
+from .report import SuiteConfig, check_positive, check_samples, emit
 from .suites import run_suite, suite_names
 
 _CONFIG_KEYS = {
@@ -53,7 +53,10 @@ def _read_config_file(path: str) -> dict:
                 key, val = (part.strip() for part in line.split("=", 1))
                 if key not in _CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _CONFIG_KEYS[key](val)
+                try:
+                    values[key] = _CONFIG_KEYS[key](val)
+                except ValueError:
+                    raise ConfigError(f"{path}:{lineno}: bad value {val!r} for {key}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     return values
@@ -143,14 +146,17 @@ def _cmd_table(args) -> int:
     from .examples import golden_residuals, golden_table
     from .submanifold import get_chart
 
-    table = golden_table(args.name)
+    check_samples(args.samples)
+    check_positive("fd_step", args.fd_step)
+    try:
+        table = golden_table(args.name)
+    except TwistcalError as exc:
+        raise ConfigError(str(exc)) from None
     chart = get_chart(table["chart"])
     tol = float(table["tolerance"])
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for u in chart.sample(rng, args.samples):
-        res = golden_residuals(args.name, u, args.fd_step)
-        worst = max(worst, res["max"])
+    res = golden_residuals(args.name, chart.sample(rng, args.samples), args.fd_step)
+    worst = float(np.max(res["max"]))
     status = "PASS" if worst < tol else "FAIL"
     print(f"table {args.name}: worst residual {worst:.3e} over {args.samples} points -> {status}")
     return 0 if status == "PASS" else 1

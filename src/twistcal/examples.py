@@ -8,9 +8,11 @@ natural adapted frame is the Veronese one with the two normals swapped).
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable
@@ -56,24 +58,26 @@ def equatorial_chart(q: int = 2, n: int = 4) -> ImmersionChart:
 
     def xmap(u):
         u = np.asarray(u, dtype=float)
-        r2 = float(u @ u)
-        out = np.zeros(n + 1)
-        out[0] = (r2 - 1.0) / (r2 + 1.0)
-        out[1 : q + 1] = 2.0 * u / (r2 + 1.0)
+        r2 = (u[..., None, :] @ u[..., :, None])[..., 0]
+        out = np.zeros(u.shape[:-1] + (n + 1,))
+        out[..., :1] = (r2 - 1.0) / (r2 + 1.0)
+        out[..., 1 : q + 1] = 2.0 * u / (r2 + 1.0)
         return out
 
     frame_field = None
     if (q, n) == (2, 4):
 
         def frame_field(u):
-            u1, u2 = float(u[0]), float(u[1])
-            r2 = u1 * u1 + u2 * u2
-            d = r2 + 1.0
-            e1 = np.array([2 * u1, 1 - u1 * u1 + u2 * u2, -2 * u1 * u2, 0.0, 0.0]) / d
-            e2 = np.array([2 * u2, -2 * u1 * u2, 1 + u1 * u1 - u2 * u2, 0.0, 0.0]) / d
-            nu3 = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-            nu4 = np.array([0.0, 0.0, 0.0, 0.0, -1.0])
-            return np.vstack([e1, e2, nu3, nu4])
+            u = np.asarray(u, dtype=float)
+            u1, u2 = u[..., 0], u[..., 1]
+            d = u1 * u1 + u2 * u2 + 1.0
+            out = np.zeros(u.shape[:-1] + (4, 5))
+            out[..., 0, :3] = np.stack([2 * u1, 1 - u1 * u1 + u2 * u2, -2 * u1 * u2], axis=-1)
+            out[..., 1, :3] = np.stack([2 * u2, -2 * u1 * u2, 1 + u1 * u1 - u2 * u2], axis=-1)
+            out[..., :2, :3] /= d[..., None, None]
+            out[..., 2, 3] = 1.0
+            out[..., 3, 4] = -1.0
+            return out
 
     box = np.array([[-2.5, 2.5]] * q)
     return ImmersionChart(
@@ -87,45 +91,58 @@ def equatorial_chart(q: int = 2, n: int = 4) -> ImmersionChart:
 
 
 # -- Veronese immersion ------------------------------------------------------
+# Every chart function below maps u of shape (..., 2) to (..., 5) points or
+# (..., 4, 5) frames; vectors are stacked on the last axis and scalar fields
+# carry a trailing axis of length 1 so that they broadcast against them.
+
+_SQ3 = math.sqrt(3.0)
 
 
-def _veronese_point(p):
+def _vec(like, *components):
+    """Stack per-point components (arrays shaped like ``like``, or constants)
+    on a new last axis."""
+    out = np.empty(np.shape(like) + (len(components),))
+    for i, c in enumerate(components):
+        out[..., i] = c
+    return out
+
+
+def _veronese_point(x, y, z):
     """The degree-two immersion of the radius-sqrt(3) sphere into S^4."""
-    x, y, z = p
-    return np.array(
-        [
-            x * y,
-            x * z,
-            y * z,
-            (x * x - y * y) / 2.0,
-            (x * x + y * y - 2.0 * z * z) / (2.0 * math.sqrt(3.0)),
-        ]
-    ) / math.sqrt(3.0)
+    return _vec(
+        x, x * y, x * z, y * z, (x * x - y * y) / 2.0, (x * x + y * y - 2.0 * z * z) / (2.0 * _SQ3)
+    ) / _SQ3
 
 
 def _y_vectors(theta):
-    s2, c2 = math.sin(2 * theta), math.cos(2 * theta)
-    s, c = math.sin(theta), math.cos(theta)
-    y1 = np.array([s2, 0.0, 0.0, c2, 0.0])
-    y2 = np.array([0.0, c, s, 0.0, 0.0])
-    y3 = np.array([c2, 0.0, 0.0, -s2, 0.0])
-    y4 = np.array([0.0, -s, c, 0.0, 0.0])
+    s2, c2 = np.sin(2 * theta), np.cos(2 * theta)
+    s, c = np.sin(theta), np.cos(theta)
+    y1 = _vec(theta, s2, 0.0, 0.0, c2, 0.0)
+    y2 = _vec(theta, 0.0, c, s, 0.0, 0.0)
+    y3 = _vec(theta, c2, 0.0, 0.0, -s2, 0.0)
+    y4 = _vec(theta, 0.0, -s, c, 0.0, 0.0)
     return y1, y2, y3, y4
 
 
 def _y_hat_vectors(theta):
-    s, c = math.sin(theta), math.cos(theta)
-    s2, c2 = math.sin(2 * theta), math.cos(2 * theta)
-    sq3 = math.sqrt(3.0)
-    y1 = np.array([s, 0.0, c, 0.0, 0.0])
-    y2 = np.array([0.0, sq3 * s * c, 0.0, sq3 / 2.0 * s * s, 0.5 * (1 - 3 * c * c)])
-    y3 = np.array([c, 0.0, -s, 0.0, 0.0])
-    y4 = np.array([0.0, c2, 0.0, 0.5 * s2, sq3 / 2.0 * s2])
+    s, c = np.sin(theta), np.cos(theta)
+    s2, c2 = np.sin(2 * theta), np.cos(2 * theta)
+    y1 = _vec(theta, s, 0.0, c, 0.0, 0.0)
+    y2 = _vec(theta, 0.0, _SQ3 * s * c, 0.0, _SQ3 / 2.0 * s * s, 0.5 * (1 - 3 * c * c))
+    y3 = _vec(theta, c, 0.0, -s, 0.0, 0.0)
+    y4 = _vec(theta, 0.0, c2, 0.0, 0.5 * s2, _SQ3 / 2.0 * s2)
     return y1, y2, y3, y4
 
 
 _E5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-_W_HAT = np.array([0.0, 0.0, 0.0, -math.sqrt(3.0) / 2.0, 0.5])
+_W_HAT = np.array([0.0, 0.0, 0.0, -_SQ3 / 2.0, 0.5])
+
+
+def _angles(u):
+    """phi and theta of chart points (..., 2), and the sine and cosine of phi."""
+    u = np.asarray(u, dtype=float)
+    phi, theta = u[..., 0], u[..., 1]
+    return phi, theta, np.sin(phi), np.cos(phi)
 
 
 def veronese_chart(which: str = "psi") -> ImmersionChart:
@@ -135,48 +152,45 @@ def veronese_chart(which: str = "psi") -> ImmersionChart:
     rotated coordinates (phi_hat, theta_hat) with the y-axis pole.  Both carry
     the classical positively oriented adapted frames.
     """
-    sq3 = math.sqrt(3.0)
     if which == "psi":
 
         def xmap(u):
-            phi, theta = float(u[0]), float(u[1])
-            p = sq3 * np.array(
-                [math.sin(phi) * math.cos(theta), math.sin(phi) * math.sin(theta), math.cos(phi)]
+            _, theta, sp, cp = _angles(u)
+            return _veronese_point(
+                _SQ3 * (sp * np.cos(theta)), _SQ3 * (sp * np.sin(theta)), _SQ3 * cp
             )
-            return _veronese_point(p)
 
         def frame_field(u):
-            phi, theta = float(u[0]), float(u[1])
+            phi, theta, s, c = _angles(u)
+            s, c = s[..., None], c[..., None]
             y1, y2, y3, y4 = _y_vectors(theta)
-            s, c = math.sin(phi), math.cos(phi)
-            s2, c2 = math.sin(2 * phi), math.cos(2 * phi)
-            e1 = 0.5 * s2 * y1 + c2 * y2 + (sq3 / 2.0) * s2 * _E5
+            s2, c2 = np.sin(2 * phi)[..., None], np.cos(2 * phi)[..., None]
+            e1 = 0.5 * s2 * y1 + c2 * y2 + (_SQ3 / 2.0) * s2 * _E5
             e2 = s * y3 + c * y4
             nu3 = -c * y3 + s * y4
-            nu4 = 0.5 * ((1 + c * c) * y1 - s2 * y2 - sq3 * s * s * _E5)
-            return np.vstack([e1, e2, nu3, nu4])
+            nu4 = 0.5 * ((1 + c * c) * y1 - s2 * y2 - _SQ3 * s * s * _E5)
+            return np.stack([e1, e2, nu3, nu4], axis=-2)
 
         box = np.array([[0.35, math.pi - 0.35], [0.35, 2 * math.pi - 0.35]])
         name = "veronese"
     elif which == "psi_hat":
 
         def xmap(u):
-            phi, theta = float(u[0]), float(u[1])
-            p = sq3 * np.array(
-                [math.sin(phi) * math.sin(theta), math.cos(phi), math.sin(phi) * math.cos(theta)]
+            _, theta, sp, cp = _angles(u)
+            return _veronese_point(
+                _SQ3 * (sp * np.sin(theta)), _SQ3 * cp, _SQ3 * (sp * np.cos(theta))
             )
-            return _veronese_point(p)
 
         def frame_field(u):
-            phi, theta = float(u[0]), float(u[1])
+            phi, theta, s, c = _angles(u)
+            s, c = s[..., None], c[..., None]
             y1, y2, y3, y4 = _y_hat_vectors(theta)
-            s, c = math.sin(phi), math.cos(phi)
-            s2, c2 = math.sin(2 * phi), math.cos(2 * phi)
-            e1 = c2 * y1 + (s2 / sq3) * y2 - (s2 / sq3) * _W_HAT
+            s2, c2 = np.sin(2 * phi)[..., None], np.cos(2 * phi)[..., None]
+            e1 = c2 * y1 + (s2 / _SQ3) * y2 - (s2 / _SQ3) * _W_HAT
             e2 = c * y3 + s * y4
             nu3 = s * y3 - c * y4
-            nu4 = -s * c * y1 + ((1 + c * c) / sq3) * y2 + ((1 + s * s) / sq3) * _W_HAT
-            return np.vstack([e1, e2, nu3, nu4])
+            nu4 = -s * c * y1 + ((1 + c * c) / _SQ3) * y2 + ((1 + s * s) / _SQ3) * _W_HAT
+            return np.stack([e1, e2, nu3, nu4], axis=-2)
 
         box = np.array([[0.35, math.pi - 0.35], [-math.pi / 2 + 0.35, 3 * math.pi / 2 - 0.35]])
         name = "veronese-hat"
@@ -201,8 +215,7 @@ def compose_antipodal(chart: ImmersionChart) -> ImmersionChart:
         return -inner_map(u)
 
     def frame_field(u):
-        f = inner_frame(u)
-        return np.vstack([f[0], f[1], f[3], f[2]])
+        return inner_frame(u)[..., [0, 1, 3, 2], :]
 
     return dataclasses.replace(
         chart, name=f"{chart.name}-antipodal", xmap=xmap, frame_field=frame_field
@@ -492,14 +505,26 @@ def frame_change_check(
 
 
 # -- golden tables -----------------------------------------------------------
+# Table entries are arithmetic expressions in the chart variables.  They are
+# evaluated by walking their syntax tree over numpy arrays, never by eval:
+# only numeric literals, the table's variables, pi, the functions below, unary
+# +/- and binary + - * / ** are accepted.
 
-_SAFE_EVAL_NAMES = {
-    "sqrt": math.sqrt,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "cot": lambda x: math.cos(x) / math.sin(x),
-    "pi": math.pi,
+_EXPR_FUNCTIONS = {
+    "sqrt": np.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "cot": lambda x: np.cos(x) / np.sin(x),
+}
+_EXPR_CONSTANTS = {"pi": math.pi}
+_EXPR_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_EXPR_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
 }
 
 
@@ -520,29 +545,72 @@ def golden_table(name: str) -> dict:
     return tables[name]
 
 
-def _eval_expr(expr: str, variables: dict) -> float:
-    return float(eval(expr, {"__builtins__": {}}, {**_SAFE_EVAL_NAMES, **variables}))
+def _eval_expr(expr: str, variables: dict):
+    """Value of a table expression; variables may be numbers or arrays."""
+
+    def walk(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return node.value
+        if isinstance(node, ast.Name):
+            if node.id in variables:
+                return variables[node.id]
+            if node.id in _EXPR_CONSTANTS:
+                return _EXPR_CONSTANTS[node.id]
+            raise DomainError(f"unknown name {node.id!r} in table expression {expr!r}")
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNARY:
+            return _EXPR_UNARY[type(node.op)](walk(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINARY:
+            return _EXPR_BINARY[type(node.op)](walk(node.left), walk(node.right))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_FUNCTIONS
+            and len(node.args) == 1
+            and not node.keywords
+        ):
+            return _EXPR_FUNCTIONS[node.func.id](walk(node.args[0]))
+        raise DomainError(
+            f"{type(node).__name__} is not allowed in table expression {expr!r}"
+        )
+
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError:
+        raise DomainError(f"table expression {expr!r} does not parse") from None
+    return walk(tree.body)
 
 
 def golden_residuals(name: str, u, fd_step: float = DEFAULT_FD_STEP) -> dict:
-    """Compare the FD frame data against the reference coefficient table."""
+    """Compare the FD frame data against the reference coefficient table.
+
+    ``u`` is one chart point (q,) or a stack (P, q); each table expression
+    is evaluated once over the stack, and every residual has one value per
+    point.
+    """
     table = golden_table(name)
     chart = get_registered(table["chart"])
     point = adapted_frame(chart, u, fd_step)
-    variables = {v: float(point.u[i]) for i, v in enumerate(table["variables"])}
+    variables = {v: point.u[..., i] for i, v in enumerate(table["variables"])}
 
     expected = np.zeros_like(point.gamma)
     for entry in table["gamma"]:
         j, k, l = entry["j"] - 1, entry["k"] - 1, entry["l"] - 1
-        expected[j, k, l] = _eval_expr(entry["expr"], variables)
-    gamma_res = float(np.max(np.abs(point.gamma - expected)))
+        expected[..., j, k, l] = _eval_expr(entry["expr"], variables)
+    gamma_res = np.max(np.abs(point.gamma - expected), axis=(-3, -2, -1))
 
-    a_res = 0.0
+    a_res = np.zeros_like(gamma_res)
     for key, mat in table.get("second_fund", {}).items():
         k = int(key) - (chart.q + 1)
-        exp_mat = np.array([[_eval_expr(e, variables) for e in row] for row in mat])
-        a_res = max(a_res, float(np.max(np.abs(point.second_fund[k] - exp_mat))))
-    return {"gamma": gamma_res, "second_fund": a_res, "max": max(gamma_res, a_res)}
+        exp_mat = np.zeros_like(point.second_fund[..., k, :, :])
+        for i, row in enumerate(mat):
+            for j, e in enumerate(row):
+                exp_mat[..., i, j] = _eval_expr(e, variables)
+        a_res = np.maximum(a_res, np.max(np.abs(point.second_fund[..., k, :, :] - exp_mat), axis=(-2, -1)))
+    return {
+        "gamma": gamma_res[()],
+        "second_fund": a_res[()],
+        "max": np.maximum(gamma_res, a_res)[()],
+    }
 
 
 # -- registration -------------------------------------------------------------

@@ -15,42 +15,58 @@ from .errors import ImmersionDegenerateError
 DEFAULT_FD_STEP = 1e-5
 
 
-def directional_derivative(f, u, w, step: float = DEFAULT_FD_STEP):
-    """d/ds f(u + s w) at s = 0 via central differences plus Richardson."""
+def row_norms(u) -> np.ndarray:
+    """|u| over the last axis; bit-identical to np.linalg.norm on one row."""
     u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    h = step * (1.0 + float(np.linalg.norm(u)))
+    return np.sqrt((u[..., None, :] @ u[..., :, None])[..., 0, 0])
+
+
+def directional_derivative(f, u, w, step: float = DEFAULT_FD_STEP):
+    """d/ds f(u + s w) at s = 0 via central differences plus Richardson.
+
+    ``u`` and ``w`` are points and directions of shape (..., d), broadcast
+    against each other; ``f`` is called on the stacked stencil points and
+    must map (..., d) to (..., *out).  The step h = step (1 + |u|) is taken
+    per row.
+    """
+    u, w = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
+    h = step * (1.0 + row_norms(u))
 
     def central(hh):
-        return (np.asarray(f(u + hh * w)) - np.asarray(f(u - hh * w))) / (2.0 * hh)
+        hu = hh[..., None]
+        diff = np.asarray(f(u + hu * w)) - np.asarray(f(u - hu * w))
+        return diff / (2.0 * hh).reshape(hh.shape + (1,) * (diff.ndim - hh.ndim))
 
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
 def jacobian(f, u, step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Columns are derivatives of f along the coordinate directions."""
+    """Columns are derivatives of f along the coordinate directions.
+
+    ``u`` of shape (..., d) gives (..., *out, d); all d directions of all
+    rows go through one stacked ``directional_derivative`` call.
+    """
     u = np.asarray(u, dtype=float)
-    cols = []
-    for i in range(u.size):
-        w = np.zeros(u.size)
-        w[i] = 1.0
-        cols.append(directional_derivative(f, u, w, step))
-    return np.stack(cols, axis=-1)
+    d = u.shape[-1]
+    cols = directional_derivative(f, u[..., None, :], np.eye(d), step)
+    return np.moveaxis(cols, u.ndim - 1, -1)
 
 
 def gram_schmidt(rows, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormalise the rows (in order); raises if they are dependent."""
+    """Orthonormalise the rows (in order) of each (k, d) matrix of a stack
+    (..., k, d); raises if they are dependent."""
     rows = np.asarray(rows, dtype=float)
-    out = []
-    for r in rows:
-        v = r.copy()
-        for q in out:
-            v -= (v @ q) * q
-        n = np.linalg.norm(v)
-        if n < tol:
+    out = np.empty_like(rows)
+    for i in range(rows.shape[-2]):
+        v = rows[..., i, :].copy()
+        for j in range(i):
+            q = out[..., j, :]
+            v -= (v[..., None, :] @ q[..., :, None])[..., 0] * q
+        n = row_norms(v)
+        if np.any(n < tol):
             raise ImmersionDegenerateError("vectors are numerically dependent")
-        out.append(v / n)
-    return np.array(out)
+        out[..., i, :] = v / n[..., None]
+    return out
 
 
 def complete_orthonormal(existing, ambient_dim: int, count: int, accept: float = 0.3) -> np.ndarray:

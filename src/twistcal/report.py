@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -13,6 +14,8 @@ from .errors import ConfigError
 
 __all__ = [
     "SuiteConfig",
+    "check_positive",
+    "check_samples",
     "PointRecord",
     "VerificationReport",
     "emit",
@@ -24,6 +27,16 @@ __all__ = [
 # well-separated failure; verdicts between the pass tolerance and this level
 # are flagged as MIXED.
 SEPARATION = 1e-3
+
+
+def check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
+
+
+def check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,11 +54,9 @@ class SuiteConfig:
     out: str = ""
 
     def validate(self) -> "SuiteConfig":
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
-        for name in ("tol_verdict", "fd_step"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        check_samples(self.samples)
+        check_positive("tol_verdict", self.tol_verdict)
+        check_positive("fd_step", self.fd_step)
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
         return self

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ChartError, DomainError
-from .numerics import DEFAULT_FD_STEP, directional_derivative
+from .numerics import DEFAULT_FD_STEP, directional_derivative, row_norms
 from .submanifold import AdaptedFramePoint, ImmersionChart, adapted_frame, with_normal_frame
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "psi_map",
     "stenzel_coeffs",
     "omega_value",
+    "omega_matrix",
     "TwistedConormalPoint",
     "twisted_conormal_point",
     "closed_form_tangents",
@@ -53,10 +54,12 @@ class StenzelProfile:
     vprime: Callable[[float], float]
     vprimeprime: Callable[[float], float]
 
-    def at(self, r: float) -> tuple[float, float]:
-        vp = float(self.vprime(r))
-        vpp = float(self.vprimeprime(r))
-        if vp <= 0 or vpp <= 0:
+    def at(self, r):
+        """(v', v'') at a radius, or elementwise over an array of radii."""
+        shape = np.shape(r)
+        vp = np.broadcast_to(np.asarray(self.vprime(r), dtype=float), shape)[()]
+        vpp = np.broadcast_to(np.asarray(self.vprimeprime(r), dtype=float), shape)[()]
+        if np.any(vp <= 0) or np.any(vpp <= 0):
             raise DomainError("profile derivatives must be positive")
         return vp, vpp
 
@@ -85,48 +88,65 @@ def constant_mu(coeffs) -> MuForm:
     return MuForm(kind="const", coeffs=np.asarray(coeffs, dtype=float))
 
 
-def _sinhc(x: float) -> float:
-    if abs(x) < 1e-6:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return math.sinh(x) / x
+def _sinhc(x):
+    """sinh(x)/x, elementwise."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-6
+    x2 = x * x
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 1.0 + x2 / 6.0 + x2 * x2 / 120.0, np.sinh(safe) / safe)[()]
 
 
 def psi_map(x, xi) -> np.ndarray:
-    """Map (x, xi) with <x, xi> = 0 to the quadric sum z_k^2 = 1."""
+    """Map (x, xi) with <x, xi> = 0 to the quadric sum z_k^2 = 1.
+
+    Broadcasts over leading axes: (..., n+1) points and covectors give
+    (..., n+1) quadric points.
+    """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if abs(float(x @ xi)) > 1e-9 * (1.0 + float(np.linalg.norm(xi))):
+    r = row_norms(xi)
+    if np.any(np.abs((x[..., None, :] @ xi[..., :, None])[..., 0, 0]) > 1e-9 * (1.0 + r)):
         raise DomainError("cotangent vector must be orthogonal to the base point")
-    r = float(np.linalg.norm(xi))
-    return x * math.cosh(r) + 1j * xi * _sinhc(r)
+    return x * np.cosh(r)[..., None] + 1j * xi * _sinhc(r)[..., None]
 
 
 def stenzel_coeffs(z, profile: StenzelProfile = DEFAULT_PROFILE, eps0: float = 0.1) -> np.ndarray:
-    """Hermitian coefficient matrix a_jk (j, k = 1..n) at a quadric point."""
+    """Hermitian coefficient matrix a_jk (j, k = 1..n) at a quadric point;
+    (..., n+1) points give (..., n, n) matrices."""
     z = np.asarray(z, dtype=complex)
-    z0 = z[0]
-    if abs(z0) <= eps0:
+    z0 = z[..., 0, None, None]
+    if np.any(np.abs(z0) <= eps0):
         raise ChartError("coefficient chart needs |z_0| above the guard; re-base first")
-    r = float(np.linalg.norm(z))
-    vp, vpp = profile.at(r)
-    w = z[1:]
-    n = w.size
-    delta = np.eye(n)
-    herm = (delta + np.outer(w, w.conjugate()) / (abs(z0) ** 2)) * vp
-    sym = 2.0 * np.real(
-        np.outer(w.conjugate(), w) - (z0.conjugate() / z0) * np.outer(w, w)
-    ) * vpp
+    vp, vpp = profile.at(np.linalg.norm(z, axis=-1))
+    vp, vpp = np.asarray(vp)[..., None, None], np.asarray(vpp)[..., None, None]
+    w = z[..., 1:]
+    col, row = w[..., :, None], w[..., None, :]
+    herm = (np.eye(w.shape[-1]) + col * row.conjugate() / (np.abs(z0) ** 2)) * vp
+    sym = 2.0 * np.real(col.conjugate() * row - (z0.conjugate() / z0) * (col * row)) * vpp
     return herm + sym
 
 
-def omega_value(z, v, w, profile: StenzelProfile = DEFAULT_PROFILE) -> float:
-    """omega(v, w) for tangent vectors given in the re-based coordinates."""
+def omega_value(z, v, w, profile: StenzelProfile = DEFAULT_PROFILE):
+    """omega(v, w) for tangent vectors given in the re-based coordinates;
+    broadcasts over leading axes."""
     a = stenzel_coeffs(z, profile)
-    vv = np.asarray(v, dtype=complex)[1:]
-    ww = np.asarray(w, dtype=complex)[1:]
-    val = 0.5j * np.sum(a * (np.outer(vv, ww.conjugate()) - np.outer(ww, vv.conjugate())))
-    return float(val.real)
+    vv = np.asarray(v, dtype=complex)[..., 1:]
+    ww = np.asarray(w, dtype=complex)[..., 1:]
+    pair = vv[..., :, None] * ww[..., None, :].conjugate() - ww[..., :, None] * vv[..., None, :].conjugate()
+    return (0.5j * np.sum(a * pair, axis=(-2, -1))).real[()]
+
+
+def omega_matrix(z, tangents, profile: StenzelProfile = DEFAULT_PROFILE) -> np.ndarray:
+    """omega(V_i, V_l) for every pair of tangent rows V of shape (..., m, n+1).
+
+    With S = V' a V'^H (V' the rows without slot 0), the pairing matrix is
+    Re((i/2)(S - S^T)); z has shape (..., n+1).
+    """
+    a = stenzel_coeffs(z, profile)
+    v = np.asarray(tangents, dtype=complex)[..., 1:]
+    s = v @ a @ np.swapaxes(v, -1, -2).conjugate()
+    return (0.5j * (s - np.swapaxes(s, -1, -2))).real
 
 
 # -- twisted conormal bundle ---------------------------------------------------
@@ -138,7 +158,9 @@ class TwistedConormalPoint:
 
     Everything is expressed in the rotated coordinates in which the adapted
     frame at the base point is the standard basis, so z = (cosh sqrt(y), ...)
-    and the coefficient chart is always valid.
+    and the coefficient chart is always valid.  Built over a stack of P
+    points, every array gains a leading P axis and ``point[i]`` is the i-th
+    point.
     """
 
     frame_point: AdaptedFramePoint
@@ -150,12 +172,28 @@ class TwistedConormalPoint:
     tangents_f: np.ndarray  # (n-q, n+1) complex, rotated
 
     def all_tangents(self) -> np.ndarray:
-        return np.vstack([self.tangents_e, self.tangents_f])
+        return np.concatenate([self.tangents_e, self.tangents_f], axis=-2)
+
+    def __getitem__(self, i) -> "TwistedConormalPoint":
+        return TwistedConormalPoint(
+            frame_point=self.frame_point[i],
+            t=self.t[i],
+            mu_coeffs=self.mu_coeffs[i],
+            y=float(self.y[i]),
+            z=self.z[i],
+            tangents_e=self.tangents_e[i],
+            tangents_f=self.tangents_f[i],
+        )
 
 
 def _rotation(point: AdaptedFramePoint) -> np.ndarray:
     """Orthogonal matrix sending (x, e, nu) to the standard basis rows."""
-    return np.vstack([point.x[None, :], point.frame])
+    return np.concatenate([point.x[..., None, :], point.frame], axis=-2)
+
+
+def _rows_times(coeffs, vectors):
+    """sum_l coeffs[..., l] vectors[..., l, :], broadcasting the leading axes."""
+    return (np.asarray(coeffs)[..., None, :] @ vectors)[..., 0, :]
 
 
 def twisted_conormal_point(
@@ -168,52 +206,52 @@ def twisted_conormal_point(
 ) -> TwistedConormalPoint:
     """Assemble the point and its FD tangent basis, re-based at the frame.
 
+    ``u`` and ``t`` are one chart point (q,) and fibre coordinate (n-q,), or
+    stacks (P, q) and (P, n-q); the whole FD stencil of every point goes
+    through one stacked call of the total-space map.
+
     ``mu_frame`` is the frame field against which the mu coefficients are
     read (defaults to the chart's own); passing the native frame keeps mu
     the same geometric 1-form when the fiber is parametrised by another
     frame, e.g. one synthesised to be normal at u.
     """
     point = adapted_frame(chart, u, fd_step)
+    q, n = chart.q, chart.n
     t = np.asarray(t, dtype=float)
-    if t.shape != (chart.n - chart.q,):
+    if t.shape != point.u.shape[:-1] + (n - q,):
         raise DomainError("fiber coordinate count must be n - q")
     frame_fn = chart.frame_field
     if frame_fn is None:
         raise DomainError("twisted conormal construction needs a framed chart")
-    mu_frame = mu_frame or frame_fn
 
     def total_map(params):
-        uu, tt = params[: chart.q], params[chart.q :]
+        uu, tt = params[..., :q], params[..., q:]
         frame = frame_fn(uu)
-        a = mu.value(uu)
-        xi = tt @ frame[chart.q :] + a @ mu_frame(uu)[: chart.q]
+        native = frame if mu_frame is None else mu_frame(uu)
+        xi = _rows_times(tt, frame[..., q:, :]) + _rows_times(mu.value(uu), native[..., :q, :])
         return psi_map(chart.xmap(uu), xi)
 
-    params0 = np.concatenate([point.u, t])
+    params0 = np.concatenate([point.u, t], axis=-1)
     rot = _rotation(point)
-    z = rot @ total_map(params0)
+    z = (rot @ total_map(params0)[..., None])[..., 0]
 
-    tangents = []
-    for idx in range(chart.q):
-        w = np.zeros(params0.size)
-        w[: chart.q] = point.velocities[idx]
-        tangents.append(rot @ directional_derivative(total_map, params0, w, fd_step))
-    for idx in range(chart.n - chart.q):
-        w = np.zeros(params0.size)
-        w[chart.q + idx] = 1.0
-        tangents.append(rot @ directional_derivative(total_map, params0, w, fd_step))
-    tangents = np.array(tangents)
+    # stencil directions: (velocity_i, 0) for the base, (0, unit_k) for the fibre
+    dirs = np.zeros(point.u.shape[:-1] + (n, n))
+    dirs[..., :q, :q] = point.velocities
+    dirs[..., q:, q:] = np.eye(n - q)
+    dz = directional_derivative(total_map, params0[..., None, :], dirs, fd_step)
+    tangents = dz @ np.swapaxes(rot, -1, -2)
 
-    a = mu.value(point.u)
-    y = float(t @ t + a @ a)
+    a = np.broadcast_to(np.asarray(mu.value(point.u), dtype=float), point.u.shape)
+    y = ((t[..., None, :] @ t[..., :, None]) + (a[..., None, :] @ a[..., :, None]))[..., 0, 0]
     return TwistedConormalPoint(
         frame_point=point,
         t=t,
-        mu_coeffs=np.asarray(a, dtype=float),
-        y=y,
+        mu_coeffs=a,
+        y=y[()],
         z=z,
-        tangents_e=tangents[: chart.q],
-        tangents_f=tangents[chart.q :],
+        tangents_e=tangents[..., :q, :],
+        tangents_f=tangents[..., q:, :],
     )
 
 
@@ -242,16 +280,12 @@ def closed_form_tangents(
     frame_fn = normal_chart.frame_field
 
     def mu_coeff(uu):
-        frame = frame_fn(uu)
-        native = mu.value(uu)
-        native_frame = chart.frame_field(uu)
-        covector = native @ native_frame[:q]
-        return frame[:q] @ covector
+        covector = _rows_times(mu.value(uu), chart.frame_field(uu)[..., :q, :])
+        return (frame_fn(uu)[..., :q, :] @ covector[..., None])[..., 0]
 
     a = mu_coeff(point.u)
-    da = np.stack(
-        [directional_derivative(mu_coeff, point.u, w, fd_step) for w in point.velocities]
-    )  # da[i, l] = partial a_l along e_i
+    # da[i, l] = partial a_l along e_i, all q directions in one stencil
+    da = directional_derivative(mu_coeff, point.u, point.velocities, fd_step)
 
     y = float(t @ t + a @ a)
     ry = math.sqrt(y)
@@ -323,20 +357,20 @@ def lagrangian_samples(
 ):
     """Per-sample maximal |omega| over all tangent pairs, plus the mu size.
 
-    Yields dicts with the chart point, fiber coordinates, the residual and
-    the criterion value |mu(u)|.
+    All samples go through one stacked ``twisted_conormal_point`` and one
+    ``omega_matrix`` contraction.  Yields dicts with the chart point, fiber
+    coordinates, the residual and the criterion value |mu(u)|.
     """
-    for u, t in zip(samples, fiber_values):
-        pt = twisted_conormal_point(chart, mu, u, t, fd_step)
-        basis = pt.all_tangents()
-        worst = 0.0
-        for ii in range(basis.shape[0]):
-            for jj in range(ii + 1, basis.shape[0]):
-                worst = max(worst, abs(omega_value(pt.z, basis[ii], basis[jj], profile)))
+    samples = np.asarray(samples, dtype=float)
+    fiber_values = np.asarray(fiber_values, dtype=float)
+    pts = twisted_conormal_point(chart, mu, samples, fiber_values, fd_step)
+    worst = np.max(np.abs(omega_matrix(pts.z, pts.all_tangents(), profile)), axis=(-2, -1))
+    mu_norm = row_norms(pts.mu_coeffs)
+    for i, (u, t) in enumerate(zip(samples, fiber_values)):
         yield {
-            "u": np.asarray(u, dtype=float),
-            "t": np.asarray(t, dtype=float),
-            "residuals": {"omega_max": worst},
-            "criteria": {"mu_norm": float(np.linalg.norm(pt.mu_coeffs))},
-            "point": pt,
+            "u": u,
+            "t": t,
+            "residuals": {"omega_max": float(worst[i])},
+            "criteria": {"mu_norm": float(mu_norm[i])},
+            "point": pts[i],
         }

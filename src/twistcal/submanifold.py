@@ -23,13 +23,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ImmersionDegenerateError
+from .errors import DomainError, ImmersionDegenerateError, TwistcalError
 from .numerics import (
     DEFAULT_FD_STEP,
     complete_orthonormal,
     directional_derivative,
     gram_schmidt,
     jacobian,
+    row_norms,
 )
 
 __all__ = [
@@ -40,6 +41,8 @@ __all__ = [
     "connection_coeffs",
     "classify",
     "classify_matrices",
+    "superminimal_residual",
+    "trace_residual",
     "normal_frame_field",
     "with_normal_frame",
     "rotate_frame_field",
@@ -51,7 +54,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ImmersionChart:
-    """A chart of an immersed L^q inside the unit sphere S^n."""
+    """A chart of an immersed L^q inside the unit sphere S^n.
+
+    ``xmap`` and ``frame_field`` map chart points of shape (..., q) to
+    points (..., n+1) and frames (..., n, n+1).  A function written for one
+    point at a time is accepted too: it is lifted by ``_pointwise_fallback``.
+    """
 
     name: str
     q: int
@@ -60,11 +68,22 @@ class ImmersionChart:
     sample_box: np.ndarray  # (q, 2) safe sampling box [lo, hi] per coordinate
     frame_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def contains(self, u, slack: float = 0.0) -> bool:
+    def __post_init__(self):
+        object.__setattr__(
+            self, "xmap", _pointwise_fallback(self.xmap, self.q, (self.n + 1,))
+        )
+        object.__setattr__(
+            self,
+            "frame_field",
+            _pointwise_fallback(self.frame_field, self.q, (self.n, self.n + 1)),
+        )
+
+    def contains(self, u, slack: float = 0.0):
+        """Whether u lies in the sample box; one bool per row of a stack."""
         u = np.asarray(u, dtype=float)
         lo = self.sample_box[:, 0] - slack
         hi = self.sample_box[:, 1] + slack
-        return bool(np.all(u >= lo) and np.all(u <= hi))
+        return np.all((u >= lo) & (u <= hi), axis=-1)[()]
 
     def with_frame_field(self, frame_field) -> "ImmersionChart":
         return dataclasses.replace(self, frame_field=frame_field)
@@ -77,13 +96,14 @@ class ImmersionChart:
 
 @dataclass(frozen=True)
 class AdaptedFramePoint:
-    """Frame data at a single chart point.
+    """Frame data at a chart point, or at a stack of P chart points.
 
     ``frame`` rows are (e_1..e_q, nu_{q+1}..nu_n); ``gamma[j, k, l]`` is
     <nabla_{e_j} frame_k, frame_l> for tangent directions j; ``second_fund[k]``
     is the q x q matrix of A^{nu_k}; ``velocities`` rows w_j solve
     (d xmap) w_j = e_j, so scalar fields differentiate along e_j via
-    w_j . grad.
+    w_j . grad.  For a stack every array gains a leading P axis and
+    ``frames[i]`` is the data at the i-th point.
     """
 
     u: np.ndarray
@@ -98,11 +118,31 @@ class AdaptedFramePoint:
 
     @property
     def e(self) -> np.ndarray:
-        return self.frame[: self.q]
+        return self.frame[..., : self.q, :]
 
     @property
     def nu(self) -> np.ndarray:
-        return self.frame[self.q :]
+        return self.frame[..., self.q :, :]
+
+    def __len__(self) -> int:
+        if self.u.ndim == 1:
+            raise TypeError("a single frame point has no rows")
+        return self.u.shape[0]
+
+    def __getitem__(self, i) -> "AdaptedFramePoint":
+        if self.u.ndim == 1:
+            raise TypeError("a single frame point has no rows")
+        return AdaptedFramePoint(
+            u=self.u[i],
+            x=self.x[i],
+            q=self.q,
+            n=self.n,
+            frame=self.frame[i],
+            gamma=self.gamma[i],
+            second_fund=self.second_fund[i],
+            velocities=self.velocities[i],
+            fd_step=self.fd_step,
+        )
 
     def scalar_derivatives(self, field, step: float | None = None) -> np.ndarray:
         """d(field)(e_j) for a scalar or small-array chart function."""
@@ -115,68 +155,123 @@ class AdaptedFramePoint:
         )
 
 
+def _pointwise_fallback(fn, q: int, shape: tuple):
+    """``fn`` on stacks, evaluating row by row when a stacked call fails.
+
+    A chart function written for one point raises, or returns the wrong
+    shape, when given a stack (..., q); its rows are then evaluated one at a
+    time.  Broadcasting functions pay one shape check per call.
+    """
+    if fn is None or getattr(fn, "pointwise_fallback", False):
+        return fn
+
+    def looped(u):
+        rows = [fn(row) for row in u.reshape(-1, q)]
+        return np.array(rows).reshape(u.shape[:-1] + shape)
+
+    def stacked(u):
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 1:
+            return fn(u)
+        try:
+            out = fn(u)
+        except TwistcalError:
+            raise
+        except (ValueError, TypeError, IndexError):
+            return looped(u)
+        return out if np.shape(out) == u.shape[:-1] + shape else looped(u)
+
+    stacked.pointwise_fallback = True
+    return stacked
+
+
 def _auto_frame_field(chart: ImmersionChart, fd_step: float):
     """Tangent frame from Gram-Schmidt of the Jacobian, normals by
-    deterministic completion, oriented."""
+    deterministic completion (row by row: its choice of basis vectors
+    depends on the point), oriented."""
+    q, n = chart.q, chart.n
 
     def frame_at(u):
         u = np.asarray(u, dtype=float)
-        x = chart.xmap(u)
-        jac = jacobian(chart.xmap, u, fd_step)
-        sing = np.linalg.svd(jac, compute_uv=False)
-        if sing.min() < 1e-8:
+        rows = u.reshape(-1, q)
+        x = chart.xmap(rows)
+        jac = jacobian(chart.xmap, rows, fd_step)
+        degenerate = np.linalg.svd(jac, compute_uv=False).min(axis=-1) < 1e-8
+        if degenerate.any():
             raise ImmersionDegenerateError(
-                f"chart {chart.name!r} is degenerate at u={u.tolist()}"
+                f"chart {chart.name!r} is degenerate at u={_first(rows, degenerate, True)}"
             )
-        e_rows = gram_schmidt(jac.T)
-        normals = complete_orthonormal(
-            [x, *e_rows], chart.n + 1, chart.n - chart.q
-        )
-        frame = np.vstack([e_rows, normals])
-        if np.linalg.det(np.vstack([x[None, :], frame])) < 0:
-            frame[-1] = -frame[-1]
-        return frame
+        e_rows = gram_schmidt(np.swapaxes(jac, -1, -2))
+        normals = [complete_orthonormal([xi, *ei], n + 1, n - q) for xi, ei in zip(x, e_rows)]
+        frame = np.concatenate([e_rows, np.array(normals)], axis=-2)
+        flip = np.linalg.det(np.concatenate([x[:, None, :], frame], axis=-2)) < 0
+        frame[flip, -1] = -frame[flip, -1]
+        return frame.reshape(u.shape[:-1] + (n, n + 1))
 
     return frame_at
+
+
+def _first(rows: np.ndarray, bad: np.ndarray, single: bool) -> str:
+    """The first flagged chart point, with its row index inside a stack."""
+    i = int(np.argmax(bad))
+    return f"{rows[i].tolist()}" if single else f"{rows[i].tolist()} (row {i})"
 
 
 def adapted_frame(
     chart: ImmersionChart, u, fd_step: float = DEFAULT_FD_STEP
 ) -> AdaptedFramePoint:
-    """Evaluate the adapted frame and its first-order data at a chart point."""
+    """Evaluate the adapted frame and its first-order data at a chart point
+    u of shape (q,), or at every row of a stack of shape (P, q).
+
+    Every FD stencil of every row goes through one stacked call of the chart
+    functions.  A row outside the safe domain, off the sphere or at a
+    degenerate point raises, naming the first such row.
+    """
     u = np.asarray(u, dtype=float)
-    if not chart.contains(u, slack=1e-9):
-        raise DomainError(f"point {u.tolist()} outside the safe domain of {chart.name!r}")
-    x = chart.xmap(u)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-        raise DomainError(f"chart {chart.name!r} does not map into the unit sphere")
-    jac = jacobian(chart.xmap, u, fd_step)
-    sing = np.linalg.svd(jac, compute_uv=False)
-    if sing.min() < 1e-8:
+    q, n = chart.q, chart.n
+    if u.ndim not in (1, 2) or u.shape[-1] != q:
+        raise DomainError(f"chart points of {chart.name!r} must have shape (q,) or (P, q), q={q}")
+    single = u.ndim == 1
+    rows = u.reshape(-1, q)
+    outside = ~chart.contains(rows, slack=1e-9)
+    if outside.any():
+        raise DomainError(
+            f"point {_first(rows, outside, single)} outside the safe domain of {chart.name!r}"
+        )
+    x = chart.xmap(rows)
+    off_sphere = np.abs(row_norms(x) - 1.0) > 1e-9
+    if off_sphere.any():
+        raise DomainError(
+            f"chart {chart.name!r} does not map into the unit sphere "
+            f"at u={_first(rows, off_sphere, single)}"
+        )
+    jac = jacobian(chart.xmap, rows, fd_step)  # (P, n+1, q)
+    degenerate = np.linalg.svd(jac, compute_uv=False).min(axis=-1) < 1e-8
+    if degenerate.any():
         raise ImmersionDegenerateError(
-            f"chart {chart.name!r} is degenerate at u={u.tolist()}"
+            f"chart {chart.name!r} is degenerate at u={_first(rows, degenerate, single)}"
         )
     frame_fn = chart.frame_field or _auto_frame_field(chart, fd_step)
-    frame = np.asarray(frame_fn(u), dtype=float)
-    q, n = chart.q, chart.n
-    if frame.shape != (n, n + 1):
-        raise DomainError("frame field must return an (n, n+1) array")
+    frame = np.asarray(frame_fn(rows), dtype=float)
+    if frame.shape != (rows.shape[0], n, n + 1):
+        raise DomainError("frame field must return an (n, n+1) array per point")
 
-    # chart velocities: (d xmap) w_j = e_j
-    velocities = np.linalg.lstsq(jac, frame[:q].T, rcond=None)[0].T
+    # chart velocities: (d xmap) w_j = e_j, by the normal equations (the
+    # e_j lie in the image of d xmap, so this is the least-squares solution)
+    jac_t = np.swapaxes(jac, -1, -2)
+    e_cols = np.swapaxes(frame[:, :q, :], -1, -2)
+    velocities = np.swapaxes(np.linalg.solve(jac_t @ jac, jac_t @ e_cols), -1, -2)
 
-    gamma = np.empty((q, n, n))
-    for j in range(q):
-        dframe = directional_derivative(frame_fn, u, velocities[j], fd_step)
-        dframe = dframe - np.outer(dframe @ x, x)  # project onto T S^n
-        gamma[j] = dframe @ frame.T
+    # derivatives of the frame along every e_j: (P, q, n, n+1), projected
+    # onto T S^n, then paired with the frame
+    dframe = directional_derivative(frame_fn, rows[:, None, :], velocities, fd_step)
+    xs = x[:, None, None, :]
+    dframe = dframe - (dframe @ np.swapaxes(xs, -1, -2)) * xs
+    gamma = dframe @ np.swapaxes(frame, -1, -2)[:, None]
+    second_fund = np.swapaxes(gamma[:, :, q:, :q], 1, 2)
 
-    second_fund = np.empty((n - q, q, q))
-    for k in range(n - q):
-        second_fund[k] = gamma[:, q + k, :q]
-
-    return AdaptedFramePoint(
-        u=u,
+    point = AdaptedFramePoint(
+        u=rows,
         x=x,
         q=q,
         n=n,
@@ -186,6 +281,7 @@ def adapted_frame(
         velocities=velocities,
         fd_step=fd_step,
     )
+    return point[0] if single else point
 
 
 def connection_coeffs(
@@ -218,6 +314,30 @@ class Classification:
 
 
 _JT = np.array([[0.0, -1.0], [1.0, 0.0]])  # J_T e1 = e2, J_T e2 = -e1
+_SUPERMINIMAL_ANGLES = np.linspace(0.0, np.pi, 9)
+
+
+def trace_residual(second_fund) -> np.ndarray:
+    """max_k |tr A^k| over the normals, per leading index; zero exactly on
+    minimal immersions."""
+    return np.max(np.abs(np.trace(second_fund, axis1=-2, axis2=-1)), axis=-1)
+
+
+def superminimal_residual(matrices, sign: float) -> np.ndarray:
+    """Deviation of a surface in S^4 from superminimality of sign ``sign``.
+
+    ``matrices`` holds the shape operators (A^3, A^4), shape (..., 2, 2, 2).
+    The residual is the largest entry of A^{J_N nu} - sign J_T A^nu over the
+    unit normals nu = cos(theta) nu_3 + sin(theta) nu_4 at nine angles in
+    [0, pi], per leading index.
+    """
+    m = np.asarray(matrices, dtype=float)
+    c = np.cos(_SUPERMINIMAL_ANGLES)[:, None, None]
+    s = np.sin(_SUPERMINIMAL_ANGLES)[:, None, None]
+    a3, a4 = m[..., None, 0, :, :], m[..., None, 1, :, :]
+    a_nu = c * a3 + s * a4
+    a_jn = c * a4 - s * a3  # A^{J_N nu}
+    return np.max(np.abs(a_jn - sign * _JT @ a_nu), axis=(-3, -2, -1))
 
 
 def _austere_residual(matrices: np.ndarray, directions: np.ndarray) -> float:
@@ -249,7 +369,7 @@ def classify_matrices(
     """Classify from raw shape-operator matrices A^{q+1..n} (each q x q)."""
     matrices = np.asarray(matrices, dtype=float)
     m, q, _ = matrices.shape
-    trace_res = float(np.max(np.abs(np.trace(matrices, axis1=1, axis2=2))))
+    trace_res = float(trace_residual(matrices))
     minimal = trace_res < tol
 
     if m == 1:
@@ -266,18 +386,10 @@ def classify_matrices(
     residuals = {"trace": trace_res, "austere": austere_res}
     sm_plus = sm_minus = False
     if q == 2 and m == 2:
-        a3, a4 = matrices
-        res = {}
-        for sign, key in ((+1.0, "superminimal_plus"), (-1.0, "superminimal_minus")):
-            worst = 0.0
-            for theta in np.linspace(0.0, np.pi, 9):
-                a_nu = np.cos(theta) * a3 + np.sin(theta) * a4
-                a_jn = np.cos(theta) * a4 - np.sin(theta) * a3  # A^{J_N nu}
-                worst = max(worst, float(np.max(np.abs(a_jn - sign * _JT @ a_nu))))
-            res[key] = worst
-        residuals.update(res)
-        sm_plus = res["superminimal_plus"] < tol
-        sm_minus = res["superminimal_minus"] < tol
+        residuals["superminimal_plus"] = float(superminimal_residual(matrices, +1.0))
+        residuals["superminimal_minus"] = float(superminimal_residual(matrices, -1.0))
+        sm_plus = residuals["superminimal_plus"] < tol
+        sm_minus = residuals["superminimal_minus"] < tol
 
     return Classification(
         minimal=minimal,
@@ -306,34 +418,35 @@ def normal_frame_field(
 
     The frame at u is obtained by transporting the frame at u0 along the
     straight chart ray: project onto the tangent/normal spaces at each step
-    and re-orthonormalise.  For the infinitesimal arcs used by the FD
+    and re-orthonormalise.  The step count grows with the arc length; a
+    stack of points is transported together, each row for its own count.  For the infinitesimal arcs used by the FD
     machinery this collapses to a single projection, which reproduces
     parallel transport to first order - all that the centre-point data needs.
     """
     u0 = np.asarray(u0, dtype=float)
     base = adapted_frame(chart, u0, fd_step)
     e0, nu0 = base.e.copy(), base.nu.copy()
-    q = chart.q
-
-    def tangent_basis(u):
-        jac = jacobian(chart.xmap, u, fd_step)
-        return gram_schmidt(jac.T)
+    q, n = chart.q, chart.n
 
     def transport_to(u):
+        # every row of the stack moves along its own ray; rows whose ray
+        # needs fewer steps stop early
         u = np.asarray(u, dtype=float)
-        arc = float(np.linalg.norm(u - u0))
-        nsteps = max(1, int(np.ceil(steps_per_unit * arc)))
-        e_cur, nu_cur = e0, nu0
-        for s in range(1, nsteps + 1):
-            us = u0 + (u - u0) * (s / nsteps)
-            x = chart.xmap(us)
-            tb = tangent_basis(us)
-            proj_t = tb.T @ tb
-            e_cur = gram_schmidt(e_cur @ proj_t)
-            nu_proj = nu_cur - (nu_cur @ x)[:, None] * x[None, :]
-            nu_proj = nu_proj - (nu_proj @ tb.T) @ tb
-            nu_cur = gram_schmidt(nu_proj)
-        return np.vstack([e_cur, nu_cur])
+        rows = u.reshape(-1, q)
+        nsteps = np.maximum(1, np.ceil(steps_per_unit * row_norms(rows - u0)).astype(int))
+        e_cur = np.broadcast_to(e0, (rows.shape[0],) + e0.shape).copy()
+        nu_cur = np.broadcast_to(nu0, (rows.shape[0],) + nu0.shape).copy()
+        for s in range(1, int(nsteps.max(initial=0)) + 1):
+            moving = s <= nsteps
+            us = u0 + (rows[moving] - u0) * (s / nsteps[moving])[:, None]
+            x = chart.xmap(us)[:, None, :]
+            tb = gram_schmidt(np.swapaxes(jacobian(chart.xmap, us, fd_step), -1, -2))
+            tb_t = np.swapaxes(tb, -1, -2)
+            e_cur[moving] = gram_schmidt(e_cur[moving] @ (tb_t @ tb))
+            nu_proj = nu_cur[moving] - (nu_cur[moving] @ np.swapaxes(x, -1, -2)) * x
+            nu_proj = nu_proj - (nu_proj @ tb_t) @ tb
+            nu_cur[moving] = gram_schmidt(nu_proj)
+        return np.concatenate([e_cur, nu_cur], axis=-2).reshape(u.shape[:-1] + (n, n + 1))
 
     return transport_to
 

@@ -19,7 +19,7 @@ from . import g2, spin7, stenzel
 from .errors import ConfigError, TwistcalError
 from .examples import make_eta_family, make_section_family
 from .report import PointRecord, SuiteConfig, VerificationReport
-from .submanifold import adapted_frame, get_chart
+from .submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
 from .g2 import BSProfile, UNIT_PROFILE
 from .stenzel import DEFAULT_PROFILE, StenzelProfile, constant_mu
 
@@ -195,12 +195,17 @@ def _run_stenzel(config: SuiteConfig) -> VerificationReport:
     return report
 
 
+def _sample_frames(chart, config: SuiteConfig):
+    """The sampled chart points and their adapted frames, as one stack."""
+    rng = np.random.default_rng(config.seed)
+    samples = chart.sample(rng, config.samples)
+    return samples, adapted_frame(chart, samples, config.fd_step)
+
+
 def _holomorphy_criteria(point, family, fd_step):
     sec = g2.section_data(family, point, fd_step)
     r2, r3 = g2.dbar_f_residual(point.gamma, sec)
-    trace = float(
-        np.max(np.abs(np.trace(point.second_fund, axis1=1, axis2=2)))
-    )
+    trace = float(trace_residual(point.second_fund))
     return sec, {"trace_a": trace, "dbar_f": float(np.hypot(r2, r3))}
 
 
@@ -209,11 +214,9 @@ def _run_g2_associative(config: SuiteConfig) -> VerificationReport:
     bs_profile, _ = parse_profile_spec(config.profile)
     family = _section_family_for(config)
     fibers = _parse_fiber_list(config.fiber, 1, default=[-2.0, 0.0, 1.5])
-    rng = np.random.default_rng(config.seed)
-    samples = chart.sample(rng, config.samples)
+    samples, frames = _sample_frames(chart, config)
     points = []
-    for u in samples:
-        point = adapted_frame(chart, u, config.fd_step)
+    for u, point in zip(samples, frames):
         sec, criteria = _holomorphy_criteria(point, family, config.fd_step)
         for t1 in fibers:
             e1, e2, f1 = g2.tangent_basis_e_sigma(point, sec, float(t1[0]))
@@ -236,14 +239,12 @@ def _run_g2_coassociative(config: SuiteConfig) -> VerificationReport:
     bs_profile, _ = parse_profile_spec(config.profile)
     eta = _eta_family_for(config)
     fibers = _parse_fiber_list(config.fiber, 2, default=[(0.7, -1.2), (1.5, 0.4), (0.3, 0.9)])
-    rng = np.random.default_rng(config.seed)
-    samples = chart.sample(rng, config.samples)
+    samples, frames = _sample_frames(chart, config)
     points = []
-    for u in samples:
-        point = adapted_frame(chart, u, config.fd_step)
+    for u, point in zip(samples, frames):
         gval = eta.value(point.u)
         dgamma = point.scalar_derivatives(eta.value)
-        cls_res = _neg_superminimal_residual(point.second_fund)
+        cls_res = float(superminimal_residual(point.second_fund, -1.0))
         parallel = g2.parallel_e_residual(dgamma)
         for t in fibers:
             e1, e2, f2, f3 = g2.tangent_basis_eta_f(point, gval, dgamma, t)
@@ -261,31 +262,18 @@ def _run_g2_coassociative(config: SuiteConfig) -> VerificationReport:
     return VerificationReport.build(config, points)
 
 
-def _neg_superminimal_residual(second_fund) -> float:
-    a3, a4 = second_fund
-    jt = np.array([[0.0, -1.0], [1.0, 0.0]])
-    worst = 0.0
-    for theta in np.linspace(0.0, np.pi, 9):
-        a_nu = np.cos(theta) * a3 + np.sin(theta) * a4
-        a_jn = np.cos(theta) * a4 - np.sin(theta) * a3
-        worst = max(worst, float(np.max(np.abs(a_jn + jt @ a_nu))))
-    return worst
-
-
 def _run_spin7(config: SuiteConfig) -> VerificationReport:
     chart = get_chart(config.chart)
     bs_profile, _ = parse_profile_spec(config.profile)
     family = _section_family_for(config)
     fibers = _parse_fiber_list(config.fiber, 2, default=[(0.0, 0.0), (1.0, -2.0), (0.8, 0.5)])
-    rng = np.random.default_rng(config.seed)
-    samples = chart.sample(rng, config.samples)
+    samples, frames = _sample_frames(chart, config)
     sframe = spin7.spinor_frames()
     points = []
-    for u in samples:
-        point = adapted_frame(chart, u, config.fd_step)
+    for u, point in zip(samples, frames):
         sec = g2.section_data(family, point, config.fd_step)
         c3, c4 = spin7.dbar_vminus_residual(point.gamma, sframe, sec)
-        trace = float(np.max(np.abs(np.trace(point.second_fund, axis1=1, axis2=2))))
+        trace = float(trace_residual(point.second_fund))
         criteria = {"trace_a": trace, "dbar_vminus": float(np.hypot(c3, c4))}
         for t in fibers:
             e1, e2, f1, f2 = spin7.tangent_basis_v_plus(point, sframe, sec, t)

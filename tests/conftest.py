@@ -9,6 +9,7 @@ with.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from twistcal import g2, spin7
 from twistcal.exterior import Multivector, contract, form_inner, wedge
 from twistcal.numerics import directional_derivative
 from twistcal.octonion import standard_pinor_context
+from twistcal.stenzel import DEFAULT_PROFILE
 from twistcal.submanifold import adapted_frame
 
 # pyproject's pytest ``pythonpath`` puts src/ on sys.path of this process only;
@@ -256,3 +258,73 @@ def nabla_gamma_ops_loop(gamma: np.ndarray) -> np.ndarray:
         d2 = sum(gamma[i, 1, m] * g[m] for m in range(4))
         out[i] = d1 @ g[1] + g[0] @ d2
     return out
+
+
+# -- per-point Stenzel omega oracle ------------------------------------------------
+# The Lagrangian residual one sample at a time: FD tangents of the total-space
+# map direction by direction, the coefficient matrix rebuilt from scalar math,
+# and omega summed pair by pair.  The library runs all samples through one
+# stacked FD stencil and one V a V^H contraction instead.
+
+
+def _pointwise_psi_map(x, xi):
+    r = float(np.linalg.norm(xi))
+    sinhc = math.sinh(r) / r if r > 1e-6 else 1.0 + r * r / 6.0
+    return x * math.cosh(r) + 1j * xi * sinhc
+
+
+def _pointwise_omega(z, v, w, profile):
+    z0, rest = z[0], z[1:]
+    vp, vpp = profile.at(float(np.linalg.norm(z)))
+    herm = (np.eye(rest.size) + np.outer(rest, rest.conjugate()) / abs(z0) ** 2) * vp
+    sym = 2.0 * np.real(
+        np.outer(rest.conjugate(), rest) - (z0.conjugate() / z0) * np.outer(rest, rest)
+    ) * vpp
+    a = herm + sym
+    vv, ww = v[1:], w[1:]
+    pair = np.outer(vv, ww.conjugate()) - np.outer(ww, vv.conjugate())
+    return float((0.5j * np.sum(a * pair)).real)
+
+
+def pointwise_omega_max(chart, mu_coeffs, u, t, profile=DEFAULT_PROFILE, fd_step=1e-5):
+    """max |omega(V_i, V_j)| over the FD tangent basis at one sample."""
+    q, n = chart.q, chart.n
+    point = adapted_frame(chart, u, fd_step)
+    mu_coeffs = np.asarray(mu_coeffs, dtype=float)
+
+    def total_map(params):
+        uu, tt = params[:q], params[q:]
+        frame = chart.frame_field(uu)
+        xi = tt @ frame[q:] + mu_coeffs @ frame[:q]
+        return _pointwise_psi_map(chart.xmap(uu), xi)
+
+    params0 = np.concatenate([point.u, t])
+    rot = np.vstack([point.x[None, :], point.frame])
+    z = rot @ total_map(params0)
+    basis = []
+    for idx in range(n):
+        w = np.zeros(n)
+        if idx < q:
+            w[:q] = point.velocities[idx]
+        else:
+            w[idx] = 1.0
+        basis.append(rot @ directional_derivative(total_map, params0, w, fd_step))
+    return max(
+        abs(_pointwise_omega(z, basis[i], basis[j], profile))
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
+def legacy_eval_expr(expr: str, variables: dict) -> float:
+    """Golden-table expressions as evaluated before the AST walker: Python
+    eval over math functions (trusted repository data only)."""
+    names = {
+        "sqrt": math.sqrt,
+        "sin": math.sin,
+        "cos": math.cos,
+        "tan": math.tan,
+        "cot": lambda x: math.cos(x) / math.sin(x),
+        "pi": math.pi,
+    }
+    return float(eval(expr, {"__builtins__": {}}, {**names, **variables}))

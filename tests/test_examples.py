@@ -234,3 +234,61 @@ def test_report_only_nonconstant_strip_coefficients(capsys):
             f"flag={rep.growth_flag} slope={rep.log_slope:.3f}"
         )
     assert True
+
+
+# -- golden-table expressions are parsed, never eval'd --------------------------------------
+
+
+def test_every_table_expression_matches_the_eval_route():
+    from twistcal.examples import _eval_expr
+
+    from conftest import legacy_eval_expr
+
+    rng = rng_for(21)
+    for name in golden_table_names():
+        table = golden_table(name)
+        chart = get_chart(table["chart"])
+        exprs = [entry["expr"] for entry in table["gamma"]]
+        exprs += [e for mat in table.get("second_fund", {}).values() for row in mat for e in row]
+        points = chart.sample(rng, 5)
+        for expr in exprs:
+            stacked = _eval_expr(expr, dict(zip(table["variables"], points.T)))
+            for i, p in enumerate(points):
+                variables = dict(zip(table["variables"], map(float, p)))
+                expected = legacy_eval_expr(expr, variables)
+                assert _eval_expr(expr, variables) == pytest.approx(expected, rel=1e-15, abs=1e-15)
+                assert np.broadcast_to(stacked, (5,))[i] == pytest.approx(expected, rel=1e-15, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "__import__('os')",
+        "u1.real",
+        "u1.__class__",
+        "u1[0]",
+        "(lambda: 1)()",
+        "foo + 1",
+        "open('x')",
+        "sqrt(u1, u2)",
+        "sqrt(x=u1)",
+        "u1 if u2 else 0",
+        "'text'",
+        "True",
+        "1 +",
+    ],
+)
+def test_table_expressions_reject_anything_but_arithmetic(expr):
+    from twistcal.examples import _eval_expr
+
+    with pytest.raises(DomainError):
+        _eval_expr(expr, {"u1": 0.5, "u2": 0.25})
+
+
+def test_table_expression_arithmetic():
+    from twistcal.examples import _eval_expr
+
+    values = {"phi": np.array([0.5, 1.0]), "u1": 2.0}
+    assert _eval_expr("-2**3 + u1 / 4 * +1", values) == -7.5
+    assert np.allclose(_eval_expr("2*cot(phi)/sqrt(3)", values), 2 / np.tan([0.5, 1.0]) / math.sqrt(3))
+    assert _eval_expr("pi - tan(0) + sin(0) * cos(0)", values) == math.pi

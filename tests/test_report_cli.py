@@ -304,3 +304,43 @@ def test_cli_rejects_removed_tolerance_knobs(tmp_path):
             main(["verify", "g2-associative", "--samples", "1", "--" + key.replace("_", "-"), "1e-30"])
         cfg_file.write_text(f"{key}=1e-30\n")
         assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
+
+
+# -- bad input exits 2 with a precise message ----------------------------------------------
+
+_VERIFY = ["verify", "stenzel-lagrangian", "--chart", "equatorial", "--mu", "0", "--samples", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "veronese", "--samples", "0"], "samples must be >= 1, got 0"),
+        (["table", "veronese", "--samples", "-3"], "samples must be >= 1, got -3"),
+        (["table", "veronese", "--fd-step", "0"], "fd_step must be a finite positive number, got 0.0"),
+        (["table", "veronese", "--fd-step", "nan"], "fd_step must be a finite positive number, got nan"),
+        (["table", "veronese", "--fd-step", "-1e-5"], "fd_step must be a finite positive number, got -1e-05"),
+        (["table", "nosuch"], "unknown golden table 'nosuch'"),
+        (_VERIFY + ["--fd-step", "nan"], "fd_step must be a finite positive number, got nan"),
+        (_VERIFY + ["--fd-step", "inf"], "fd_step must be a finite positive number, got inf"),
+        (_VERIFY + ["--tol-verdict", "nan"], "tol_verdict must be a finite positive number, got nan"),
+    ],
+)
+def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}")
+
+
+def test_config_validation_requires_finite_values():
+    for field in ("fd_step", "tol_verdict"):
+        for value in (float("nan"), float("inf"), 0.0, -1e-5):
+            with pytest.raises(ConfigError, match=field):
+                SuiteConfig(suite="s", **{field: value}).validate()
+    SuiteConfig(suite="s", fd_step=1e-7, tol_verdict=1e-3).validate()
+
+
+def test_config_file_bad_number_is_a_config_error(tmp_path):
+    cfg_file = tmp_path / "suite.cfg"
+    cfg_file.write_text("samples=many\n")
+    assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
