@@ -2,7 +2,7 @@
 
 Core pieces:
 
-* :mod:`twistcal.exterior`    - exterior algebra with metric and Hodge star
+* :mod:`twistcal.exterior`    - Euclidean exterior algebra and Hodge star
 * :mod:`twistcal.octonion`    - quaternions, octonions, the pinor model
 * :mod:`twistcal.submanifold` - frames, connection coefficients, shape
   operators and classification of immersed spheres
@@ -20,7 +20,7 @@ from . import examples as _examples  # registers the standard charts
 from .exterior import InnerSpace, Multivector, asd_sd_split, form_inner, hodge, interior, wedge
 from .octonion import Octonion, PinorContext, associator, cross2, cross3, gamma, oct_mul, pinor_split
 from .report import SuiteConfig, VerificationReport, emit, parse_report
-from .submanifold import ImmersionChart, adapted_frame, classify, connection_coeffs, get_chart
+from .submanifold import ImmersionChart, adapted_frame, classify, get_chart
 from .suites import run_suite, suite_names
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "pinor_split",
     "ImmersionChart",
     "adapted_frame",
-    "connection_coeffs",
     "classify",
     "get_chart",
     "SuiteConfig",

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ConfigError, TwistcalError
-from .report import SuiteConfig, check_positive, check_samples, emit
+from .report import SuiteConfig, check_positive, check_samples, check_seed, emit
 from .suites import run_suite, suite_names
 
 _CONFIG_KEYS = {
@@ -147,6 +147,7 @@ def _cmd_table(args) -> int:
     from .submanifold import get_chart
 
     check_samples(args.samples)
+    check_seed(args.seed)
     check_positive("fd_step", args.fd_step)
     try:
         table = golden_table(args.name)

@@ -19,8 +19,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import g2
 from .errors import DomainError
-from .numerics import DEFAULT_FD_STEP, directional_derivative
+from .numerics import DEFAULT_FD_STEP
 from .submanifold import (
     ImmersionChart,
     adapted_frame,
@@ -241,14 +242,6 @@ class SectionFamily:
     def value(self, u) -> complex:
         return self.evaluator(np.asarray(u, dtype=float))
 
-    def ab(self, u) -> tuple[float, float]:
-        g = self.value(u)
-        return g.real, g.imag
-
-    def describe(self) -> str:
-        inside = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.kind}({inside})" if inside else self.kind
-
 
 def make_section_family(kind: str, **params) -> SectionFamily:
     """Factory for the section families used by the verification suites.
@@ -306,10 +299,6 @@ class EtaFamily:
     def value(self, u) -> float:
         return float(self.evaluator(np.asarray(u, dtype=float)))
 
-    def describe(self) -> str:
-        inside = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.kind}({inside})" if inside else self.kind
-
 
 def make_eta_family(kind: str, **params) -> EtaFamily:
     """kinds: const(c); coord(axis) with gamma = u_axis."""
@@ -327,31 +316,19 @@ def make_eta_family(kind: str, **params) -> EtaFamily:
 # -- holomorphicity PDE ------------------------------------------------------
 
 
-def holomorphicity_coeffs(gamma: np.ndarray) -> complex:
-    """p + iq with p = Gamma^1_{22} - Gamma^3_{24}, q = Gamma^3_{14} - Gamma^1_{12}.
-
-    A rank-two twist coefficient G is holomorphic when
-    dG(e_1) + i dG(e_2) = (p + iq) G.
-    """
-    p = gamma[1, 1, 0] - gamma[1, 3, 2]
-    q = gamma[0, 3, 2] - gamma[0, 1, 0]
-    return complex(p, q)
-
-
 def pde_residual(
     family: SectionFamily,
     chart: ImmersionChart,
     u,
     fd_step: float = DEFAULT_FD_STEP,
 ) -> complex:
-    """dG(e_1) + i dG(e_2) - (p + iq) G at a chart point."""
+    """dG(e_1) + i dG(e_2) - (p + iq) G at a chart point: the two components
+    of :func:`twistcal.g2.dbar_f_residual` as one complex number.
+
+    A rank-two twist coefficient G is holomorphic when it vanishes.
+    """
     point = adapted_frame(chart, u, fd_step)
-    g = family.value(point.u)
-    g1, g2 = (
-        complex(directional_derivative(family.value, point.u, w, fd_step))
-        for w in point.velocities
-    )
-    return (g1 + 1j * g2) - holomorphicity_coeffs(point.gamma) * g
+    return complex(*g2.dbar_f_residual(point.gamma, g2.section_data(family, point, fd_step)))
 
 
 # -- boundedness -------------------------------------------------------------

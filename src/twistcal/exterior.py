@@ -1,20 +1,20 @@
-"""Dense exterior algebra over oriented inner-product spaces of dimension <= 8.
+"""Dense exterior algebra over oriented Euclidean spaces of dimension <= 8.
 
 Forms are stored densely: a multivector over a ``dim``-dimensional space keeps
 one coefficient per subset of ``{1..dim}``, indexed by bitmask (bit ``i-1``
-set means index ``i`` is present).  The metric acts on *vectors*; covectors
-inherit the inverse metric, extended to grade ``k`` by Gram determinants
-
-    <v1 ^ ... ^ vk, w1 ^ ... ^ wk> = det(<vi, wj>).
+set means index ``i`` is present).  The basis is orthonormal, so the basis
+monomials are orthonormal too and the inner product of two forms is the dot
+product of their coefficients.  Weighted metrics never enter here: a form at
+profile weights is a unit form pulled back by a diagonal matrix, which the
+callers apply to the vectors they contract.
 
 The Hodge star follows the convention ``b ^ *a = <b, a> vol`` with
-``vol = orientation * sqrt(det g) * e^{1...dim}``.  With these choices
+``vol = orientation * e^{1...dim}``.  With these choices
 ``**a = (-1)^{k(dim-k)} a`` and the star is an isometry.
 
-Everything is immutable and pure; the identity-metric path is the hot path
-and is special-cased.  :func:`dense_tensor` converts a homogeneous form to
-its fully antisymmetric coefficient array, the representation in which the
-calibration residuals are contracted by numpy.
+Everything is immutable and pure.  :func:`dense_tensor` converts a homogeneous
+form to its fully antisymmetric coefficient array, the representation in which
+the calibration residuals are contracted by numpy.
 """
 
 from __future__ import annotations
@@ -46,12 +46,6 @@ def _popcount(m: int) -> int:
 @lru_cache(maxsize=None)
 def _grade_table(dim: int) -> np.ndarray:
     return np.array([_popcount(m) for m in range(1 << dim)], dtype=np.int8)
-
-
-@lru_cache(maxsize=None)
-def _grade_masks(dim: int) -> tuple[tuple[int, ...], ...]:
-    table = _grade_table(dim)
-    return tuple(tuple(int(m) for m in np.nonzero(table == k)[0]) for k in range(dim + 1))
 
 
 @lru_cache(maxsize=None)
@@ -96,39 +90,18 @@ def _indices_of(mask: int) -> tuple[int, ...]:
 
 
 class InnerSpace:
-    """An oriented real inner-product space of dimension 1..8.
+    """An oriented Euclidean space of dimension 1..8 with an orthonormal basis.
 
-    ``metric`` is the symmetric positive-definite Gram matrix of the basis
-    *vectors* (defaults to the identity); ``orientation`` is +1 or -1
-    relative to the standard ordered basis.
+    ``orientation`` is +1 or -1 relative to the standard ordered basis.
     """
 
-    def __init__(self, dim: int, metric=None, orientation: int = 1):
+    def __init__(self, dim: int, orientation: int = 1):
         if not 1 <= dim <= 8:
             raise DimensionMismatchError(f"dim must be in 1..8, got {dim}")
         if orientation not in (+1, -1):
             raise ValueError("orientation must be +1 or -1")
         self.dim = int(dim)
         self.orientation = int(orientation)
-        if metric is None:
-            metric = np.eye(dim)
-        metric = np.asarray(metric, dtype=float)
-        if metric.shape != (dim, dim):
-            raise DimensionMismatchError("metric shape does not match dim")
-        if not np.allclose(metric, metric.T, atol=1e-12):
-            raise ValueError("metric must be symmetric")
-        eigvals = np.linalg.eigvalsh(metric)
-        if eigvals.min() <= 0:
-            raise ValueError("metric must be positive definite")
-        self.metric = metric
-        self.metric_inv = np.linalg.inv(metric)
-        self.sqrt_det = float(np.sqrt(np.linalg.det(metric)))
-        self.is_euclidean = bool(np.allclose(metric, np.eye(dim), atol=1e-14))
-        # Cholesky factor L with metric = L L^T; the coframe transformation
-        # to an orthonormal basis uses compound matrices of L^{-1}.
-        self._L = np.linalg.cholesky(metric)
-        self._L_inv = np.linalg.inv(self._L)
-        self._compound_cache: dict[tuple[int, bool], np.ndarray] = {}
 
     # -- basic elements -------------------------------------------------
 
@@ -168,44 +141,14 @@ class InnerSpace:
 
     def volume_form(self) -> "Multivector":
         coeffs = np.zeros(1 << self.dim)
-        coeffs[(1 << self.dim) - 1] = self.orientation * self.sqrt_det
+        coeffs[(1 << self.dim) - 1] = self.orientation
         return Multivector(self, coeffs)
 
-    # -- internals -------------------------------------------------------
-
-    def _compound(self, grade: int, inverse: bool) -> np.ndarray:
-        """Compound matrix of L (or L^{-1}) acting on grade-k coefficients."""
-        key = (grade, inverse)
-        cached = self._compound_cache.get(key)
-        if cached is not None:
-            return cached
-        A = self._L_inv if inverse else self._L
-        masks = _grade_masks(self.dim)[grade]
-        size = len(masks)
-        M = np.empty((size, size))
-        if grade == 0:
-            M[:] = 1.0
-        else:
-            rows = [np.array([i - 1 for i in _indices_of(m)], dtype=int) for m in masks]
-            for p, rp in enumerate(rows):
-                for q, rq in enumerate(rows):
-                    M[p, q] = np.linalg.det(A[np.ix_(rp, rq)])
-        self._compound_cache[key] = M
-        return M
-
     def compatible(self, other: "InnerSpace") -> bool:
-        return (
-            self is other
-            or (
-                self.dim == other.dim
-                and self.orientation == other.orientation
-                and np.array_equal(self.metric, other.metric)
-            )
-        )
+        return self is other or (self.dim == other.dim and self.orientation == other.orientation)
 
     def __repr__(self):
-        kind = "euclidean" if self.is_euclidean else "general"
-        return f"InnerSpace(dim={self.dim}, {kind}, orientation={self.orientation:+d})"
+        return f"InnerSpace(dim={self.dim}, orientation={self.orientation:+d})"
 
 
 class Multivector:
@@ -246,7 +189,7 @@ class Multivector:
         return bool(np.max(np.abs(self.coeffs), initial=0.0) <= tol)
 
     def norm(self) -> float:
-        """Metric norm; grades are mutually orthogonal."""
+        """Euclidean norm; grades are mutually orthogonal."""
         total = 0.0
         for k in self.grades():
             part = self.grade(k)
@@ -352,16 +295,15 @@ def contract(a: Multivector, components) -> Multivector:
 
 
 def interior(v: Multivector, a: Multivector) -> Multivector:
-    """v ⌟ a: contraction in the first slot, raising v with the metric."""
+    """v ⌟ a: contraction in the first slot with the vector dual to v."""
     v._check(a)
     if v.grades() not in ((1,), ()):
         raise GradeError("interior product needs a grade-1 first argument")
-    comps = np.array([v.coeffs[1 << i] for i in range(v.space.dim)])
-    raised = v.space.metric_inv @ comps
-    return contract(a, raised)
+    return contract(a, [v.coeffs[1 << i] for i in range(v.space.dim)])
 
 
-def _hodge_euclidean(a: Multivector) -> Multivector:
+def hodge(a: Multivector) -> Multivector:
+    """Hodge star: b ^ *a = <b, a> vol for all b."""
     dim = a.space.dim
     full = (1 << dim) - 1
     sign = _wedge_sign_table(dim)
@@ -373,60 +315,15 @@ def _hodge_euclidean(a: Multivector) -> Multivector:
     return Multivector(a.space, out)
 
 
-def hodge(a: Multivector) -> Multivector:
-    """Hodge star: b ^ *a = <b, a> vol for all b."""
-    space = a.space
-    if space.is_euclidean:
-        return _hodge_euclidean(a)
-    # Conjugate through an orthonormal coframe (Cholesky), star there, return.
-    flat_space = InnerSpace(space.dim, orientation=space.orientation)
-    masks = _grade_masks(space.dim)
-    out = np.zeros(1 << space.dim)
-    for k in range(space.dim + 1):
-        idx = np.array(masks[k])
-        ck = a.coeffs[idx]
-        if not np.any(ck):
-            continue
-        flat = space._compound(k, inverse=True) @ ck
-        flat_mv = Multivector(flat_space, _scatter(space.dim, idx, flat))
-        starred = _hodge_euclidean(flat_mv)
-        kk = space.dim - k
-        idx2 = np.array(masks[kk])
-        back = space._compound(kk, inverse=False) @ starred.coeffs[idx2]
-        out[idx2] += back
-    return Multivector(space, out)
-
-
-def _scatter(dim: int, masks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    coeffs = np.zeros(1 << dim)
-    coeffs[masks] = values
-    return coeffs
-
-
 def form_inner(a: Multivector, b: Multivector) -> float:
-    """Gram-determinant inner product of two forms of equal grade."""
+    """Inner product of two forms of equal grade (orthonormal monomials)."""
     a._check(b)
     ga, gb = a.grades(), b.grades()
     if len(ga) > 1 or len(gb) > 1:
         raise GradeError("form_inner needs homogeneous arguments")
     if ga and gb and ga != gb:
         raise GradeError(f"grade mismatch: {ga[0]} vs {gb[0]}")
-    if not ga or not gb:
-        # at least one is zero (grade-0 zero included)
-        if ga == gb == ():
-            return 0.0
-        k = (ga or gb)[0]
-        if k == 0:
-            return float(a.coeffs[0] * b.coeffs[0])
-        return 0.0
-    k = ga[0]
-    space = a.space
-    if space.is_euclidean:
-        return float(a.coeffs @ b.coeffs)
-    masks = np.array(_grade_masks(space.dim)[k])
-    fa = space._compound(k, inverse=True) @ a.coeffs[masks]
-    fb = space._compound(k, inverse=True) @ b.coeffs[masks]
-    return float(fa @ fb)
+    return float(a.coeffs @ b.coeffs)
 
 
 def asd_sd_split(a: Multivector) -> tuple[Multivector, Multivector]:

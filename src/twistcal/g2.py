@@ -22,9 +22,10 @@ dual ``psi`` exactly as in
     psi = u^4 e_12 nu_34 - u^2 v^2 [k_23 (e_12 - nu_34) - k_13 (e_1 nu_3 +
           e_2 nu_4) + k_12 (e_1 nu_4 - e_2 nu_3)].
 
-With the 7-metric u^2 on the horizontal block and v^2 on the vertical block
-(and the orientation below) psi is the Hodge dual of phi; every verdict-level
-residual only changes by positive factors when the profile changes.
+In the orthonormal coframe of the 7-metric with u^2 on the horizontal block
+and v^2 on the vertical block, phi and psi have their unit-weight
+coefficients, so (with the orientation below) psi is the Hodge dual of phi at
+every profile exactly when it is at u = v = 1.
 
 Every monomial with h horizontal indices carries the weight u^h v^(k-h), so
 the form at weights (u, v) is the unit-weight form pulled back by
@@ -42,17 +43,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
-from .exterior import InnerSpace, Multivector, dense_tensor, hodge
+from .errors import DomainError
+from .exterior import InnerSpace, Multivector, dense_tensor
 from .numerics import DEFAULT_FD_STEP, directional_derivative
-from .submanifold import AdaptedFramePoint, ImmersionChart, adapted_frame
+from .submanifold import AdaptedFramePoint
 
 __all__ = [
     "BSProfile",
     "UNIT_PROFILE",
-    "coframe_space",
     "total_space",
-    "asd_frame",
     "nabla_f_coeffs",
     "phi_form",
     "psi_form",
@@ -61,9 +60,7 @@ __all__ = [
     "associative_residual",
     "coassociative_residual",
     "dbar_f_residual",
-    "dbar_f_residual_field",
     "parallel_e_residual",
-    "parallel_e_residual_field",
     "section_data",
 ]
 
@@ -91,29 +88,8 @@ UNIT_PROFILE = BSProfile()
 
 
 @lru_cache(maxsize=1)
-def coframe_space() -> InnerSpace:
-    return InnerSpace(4)
-
-
-@lru_cache(maxsize=1)
 def total_space() -> InnerSpace:
     return InnerSpace(7, orientation=_MODEL_ORIENTATION)
-
-
-def weighted_total_space(u: float, v: float) -> InnerSpace:
-    metric = np.diag([u * u] * 4 + [v * v] * 3)
-    return InnerSpace(7, metric=metric, orientation=_MODEL_ORIENTATION)
-
-
-def asd_frame(space: InnerSpace | None = None) -> tuple[Multivector, Multivector, Multivector]:
-    """The anti-self-dual trivialisation over the (pointwise) coframe space."""
-    space = space or coframe_space()
-    if space.dim != 4:
-        raise DimensionMismatchError("anti-self-dual frame lives on a 4-dim space")
-    f1 = space.monomial((1, 2)) - space.monomial((3, 4))
-    f2 = space.monomial((1, 3)) + space.monomial((2, 4))
-    f3 = space.monomial((1, 4)) - space.monomial((2, 3))
-    return f1, f2, f3
 
 
 def nabla_f_coeffs(gamma: np.ndarray) -> np.ndarray:
@@ -286,32 +262,7 @@ def dbar_f_residual(gamma: np.ndarray, sec: SectionData) -> tuple[float, float]:
     return float(r2), float(r3)
 
 
-def dbar_f_residual_field(
-    family, chart: ImmersionChart, u, fd_step: float = DEFAULT_FD_STEP
-) -> tuple[float, float]:
-    point = adapted_frame(chart, u, fd_step)
-    sec = section_data(family, point, fd_step)
-    return dbar_f_residual(point.gamma, sec)
-
-
 def parallel_e_residual(dgamma: np.ndarray) -> float:
     """|d gamma(e_1)| + |d gamma(e_2)|: the covariant derivative of eta over E
     reduces to the coefficient derivatives because nabla f^1 has no f^1 part."""
     return float(abs(dgamma[0]) + abs(dgamma[1]))
-
-
-def parallel_e_residual_field(
-    eta_family, chart: ImmersionChart, u, fd_step: float = DEFAULT_FD_STEP
-) -> float:
-    point = adapted_frame(chart, u, fd_step)
-    dgamma = point.scalar_derivatives(eta_family.value)
-    return parallel_e_residual(dgamma)
-
-
-def hodge_pair_residual(u: float, v: float) -> float:
-    """|*phi - psi| in the weighted 7-metric (model consistency check)."""
-    space = weighted_total_space(u, v)
-    phi = phi_form(u, v, space)
-    psi = psi_form(u, v, space)
-    diff = hodge(phi) - psi
-    return float(np.max(np.abs(diff.coeffs)))

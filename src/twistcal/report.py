@@ -16,6 +16,7 @@ __all__ = [
     "SuiteConfig",
     "check_positive",
     "check_samples",
+    "check_seed",
     "PointRecord",
     "VerificationReport",
     "emit",
@@ -32,6 +33,11 @@ SEPARATION = 1e-3
 def check_samples(samples: int) -> None:
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
+
+
+def check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def check_positive(name: str, value: float) -> None:
@@ -55,6 +61,7 @@ class SuiteConfig:
 
     def validate(self) -> "SuiteConfig":
         check_samples(self.samples)
+        check_seed(self.seed)
         check_positive("tol_verdict", self.tol_verdict)
         check_positive("fd_step", self.fd_step)
         if self.fmt not in ("json", "csv"):

@@ -49,10 +49,9 @@ import numpy as np
 
 from .errors import DomainError
 from .exterior import InnerSpace, Multivector, dense_tensor, wedge
-from .numerics import DEFAULT_FD_STEP
 from .octonion import Octonion, standard_pinor_context
-from .submanifold import AdaptedFramePoint, ImmersionChart, adapted_frame
-from .g2 import BSProfile, UNIT_PROFILE, SectionData, section_data
+from .submanifold import AdaptedFramePoint
+from .g2 import BSProfile, UNIT_PROFILE, SectionData
 
 __all__ = [
     "SpinorFrame",
@@ -64,9 +63,7 @@ __all__ = [
     "cayley_residual",
     "calibration_gap",
     "dbar_vminus_residual",
-    "dbar_vminus_residual_field",
     "phi_form",
-    "phi_plus_form",
     "total_space",
 ]
 
@@ -188,15 +185,15 @@ def total_space() -> InnerSpace:
     return InnerSpace(8)
 
 
-_PAIRINGS = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
+# pairings (a_k, b_k) of {12, 34}, {13, 24}, {14, 23} and their signs eps_k
+_PAIRINGS = (((1, 2), (3, 4), 1.0), ((1, 3), (2, 4), -1.0), ((1, 4), (2, 3), 1.0))
 
 
-def _mixed_block(space: InnerSpace, signs) -> Multivector:
-    """sum_k (e_{a_k} + eps_k e_{b_k}) ^ (s_{a_k} + eps_k s_{b_k}) over the
-    pairings (a_k, b_k) of {12, 34}, {13, 24}, {14, 23} with eps = signs."""
+def _mixed_block(space: InnerSpace) -> Multivector:
+    """sum_k (e_{a_k} + eps_k e_{b_k}) ^ (s_{a_k} + eps_k s_{b_k})."""
     m = space.monomial
     out = space.zero()
-    for (a, b), sign in zip(_PAIRINGS, signs):
+    for a, b, sign in _PAIRINGS:
         h = m(a) + sign * m(b)
         vert = m(tuple(i + 4 for i in a)) + sign * m(tuple(i + 4 for i in b))
         out = out + wedge(h, vert)
@@ -208,16 +205,7 @@ def phi_form(u: float, v: float, space: InnerSpace | None = None) -> Multivector
     m = space.monomial
     u2v2 = u * u * v * v
     out = u**4 * m((1, 2, 3, 4)) + v**4 * m((5, 6, 7, 8))
-    return out - u2v2 * _mixed_block(space, (1.0, -1.0, 1.0))
-
-
-def phi_plus_form(u: float, v: float, space: InnerSpace | None = None) -> Multivector:
-    """The positive-bundle variant; differs from phi_form in the mixed block."""
-    space = space or total_space()
-    m = space.monomial
-    u2v2 = u * u * v * v
-    out = u**4 * m((1, 2, 3, 4)) + v**4 * m((5, 6, 7, 8))
-    return out + u2v2 * _mixed_block(space, (-1.0, 1.0, -1.0))
+    return out - u2v2 * _mixed_block(space)
 
 
 @lru_cache(maxsize=1)
@@ -232,10 +220,6 @@ def _weights(profile: BSProfile, fiber_r: float) -> np.ndarray:
     """Diagonal of D: Phi at weights (u, v) is the unit Phi pulled back by D."""
     u, v = profile.at(fiber_r)
     return np.array([u, u, u, u, v, v, v, v])
-
-
-def _fiber_radius(t: np.ndarray, a: float, b: float) -> float:
-    return float(np.sqrt(t @ t + a * a + b * b))
 
 
 def tangent_basis_v_plus(
@@ -344,42 +328,3 @@ def dbar_vminus_residual(
     total = grads[0] + j_minus @ grads[1]
     comps = frame.components(total)
     return float(comps[2]), float(comps[3])
-
-
-def dbar_vminus_residual_field(
-    family, chart: ImmersionChart, u, fd_step: float = DEFAULT_FD_STEP, frame: SpinorFrame | None = None
-) -> tuple[float, float]:
-    point = adapted_frame(chart, u, fd_step)
-    frame = frame or spinor_frames()
-    sec = section_data(family, point, fd_step)
-    return dbar_vminus_residual(point.gamma, frame, sec)
-
-
-def tangent_basis_v_minus(
-    point: AdaptedFramePoint,
-    frame: SpinorFrame,
-    sec: SectionData,
-    t,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mirror construction: V_- twisted by chi = a s_1 + b s_2."""
-    t = np.asarray(t, dtype=float)
-    omegas = spin_connection_ops(point.gamma)
-    fiber_spinor = (
-        t[0] * frame.s[2] + t[1] * frame.s[3] + sec.a * frame.s[0] + sec.b * frame.s[1]
-    )
-    es = []
-    for i in range(2):
-        vert_oct = (
-            sec.da[i] * frame.s[0]
-            + sec.db[i] * frame.s[1]
-            + omegas[i] @ fiber_spinor
-        )
-        vec = np.zeros(8)
-        vec[i] = 1.0
-        vec[4:] = frame.components(vert_oct)
-        es.append(vec)
-    f1 = np.zeros(8)
-    f1[4 + 2] = 1.0
-    f2 = np.zeros(8)
-    f2[4 + 3] = 1.0
-    return es[0], es[1], f1, f2

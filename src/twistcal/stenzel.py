@@ -80,9 +80,6 @@ class MuForm:
     def value(self, u) -> np.ndarray:
         return self.coeffs
 
-    def describe(self) -> str:
-        return f"{self.kind}{list(np.round(self.coeffs, 6))}"
-
 
 def constant_mu(coeffs) -> MuForm:
     return MuForm(kind="const", coeffs=np.asarray(coeffs, dtype=float))

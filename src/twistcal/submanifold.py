@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ImmersionDegenerateError, TwistcalError
+from .errors import DomainError, ImmersionDegenerateError
 from .numerics import (
     DEFAULT_FD_STEP,
     complete_orthonormal,
@@ -38,7 +38,6 @@ __all__ = [
     "AdaptedFramePoint",
     "Classification",
     "adapted_frame",
-    "connection_coeffs",
     "classify",
     "classify_matrices",
     "superminimal_residual",
@@ -57,8 +56,8 @@ class ImmersionChart:
     """A chart of an immersed L^q inside the unit sphere S^n.
 
     ``xmap`` and ``frame_field`` map chart points of shape (..., q) to
-    points (..., n+1) and frames (..., n, n+1).  A function written for one
-    point at a time is accepted too: it is lifted by ``_pointwise_fallback``.
+    points (..., n+1) and frames (..., n, n+1); they must broadcast over the
+    leading axes.
     """
 
     name: str
@@ -67,16 +66,6 @@ class ImmersionChart:
     xmap: Callable[[np.ndarray], np.ndarray]
     sample_box: np.ndarray  # (q, 2) safe sampling box [lo, hi] per coordinate
     frame_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "xmap", _pointwise_fallback(self.xmap, self.q, (self.n + 1,))
-        )
-        object.__setattr__(
-            self,
-            "frame_field",
-            _pointwise_fallback(self.frame_field, self.q, (self.n, self.n + 1)),
-        )
 
     def contains(self, u, slack: float = 0.0):
         """Whether u lies in the sample box; one bool per row of a stack."""
@@ -153,36 +142,6 @@ class AdaptedFramePoint:
                 for w in self.velocities
             ]
         )
-
-
-def _pointwise_fallback(fn, q: int, shape: tuple):
-    """``fn`` on stacks, evaluating row by row when a stacked call fails.
-
-    A chart function written for one point raises, or returns the wrong
-    shape, when given a stack (..., q); its rows are then evaluated one at a
-    time.  Broadcasting functions pay one shape check per call.
-    """
-    if fn is None or getattr(fn, "pointwise_fallback", False):
-        return fn
-
-    def looped(u):
-        rows = [fn(row) for row in u.reshape(-1, q)]
-        return np.array(rows).reshape(u.shape[:-1] + shape)
-
-    def stacked(u):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            return fn(u)
-        try:
-            out = fn(u)
-        except TwistcalError:
-            raise
-        except (ValueError, TypeError, IndexError):
-            return looped(u)
-        return out if np.shape(out) == u.shape[:-1] + shape else looped(u)
-
-    stacked.pointwise_fallback = True
-    return stacked
 
 
 def _auto_frame_field(chart: ImmersionChart, fd_step: float):
@@ -282,13 +241,6 @@ def adapted_frame(
         fd_step=fd_step,
     )
     return point[0] if single else point
-
-
-def connection_coeffs(
-    chart: ImmersionChart, u, fd_step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
-    """Gamma^l_{jk} array of shape (q, n, n); thin wrapper over adapted_frame."""
-    return adapted_frame(chart, u, fd_step).gamma
 
 
 # -- classification ---------------------------------------------------------

@@ -11,6 +11,7 @@ inputs.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -26,7 +27,19 @@ from .stenzel import DEFAULT_PROFILE, StenzelProfile, constant_mu
 __all__ = ["run_suite", "suite_names", "parse_section_spec", "parse_profile_spec"]
 
 
+def _parse_number(text: str, what: str) -> float:
+    """A finite float, or a ConfigError naming ``what``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{what} needs a number, got {text.strip()!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {text.strip()!r}")
+    return value
+
+
 def _parse_params(blob: str) -> dict:
+    """"key=value,key=value" with finite numeric values."""
     params = {}
     if not blob:
         return params
@@ -36,11 +49,14 @@ def _parse_params(blob: str) -> dict:
         if "=" not in item:
             raise ConfigError(f"malformed parameter {item!r} (expected key=value)")
         key, val = item.split("=", 1)
-        try:
-            params[key.strip()] = float(val)
-        except ValueError:
-            params[key.strip()] = val.strip()
+        params[key.strip()] = _parse_number(val, f"parameter {key.strip()!r}")
     return params
+
+
+def _check_keys(what: str, params: dict, allowed) -> None:
+    unknown = set(params) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
 def parse_section_spec(spec: str):
@@ -62,7 +78,8 @@ def parse_mu_spec(spec: str, q: int) -> stenzel.MuForm:
     match = _MU_PATTERN.match(spec)
     if not match:
         raise ConfigError(f"malformed mu spec {spec!r}; expected e.g. 0.3e1")
-    coeff = float(match.group(1)) if match.group(1) not in ("", "+", "-") else float(match.group(1) + "1")
+    sign_only = match.group(1) in ("", "+", "-")
+    coeff = _parse_number(match.group(1) + "1" if sign_only else match.group(1), "mu coefficient")
     index = int(match.group(2))
     if not 1 <= index <= q:
         raise ConfigError(f"mu index {index} out of range 1..{q}")
@@ -85,12 +102,12 @@ def parse_profile_spec(spec: str):
         bs = BSProfile(u=lambda r: 1.0 + r, v=lambda r: 1.0 + 2.0 * r)
         return bs, DEFAULT_PROFILE
     params = _parse_params(spec)
-    unknown = set(params) - {"u", "v", "vp", "vpp"}
-    if unknown:
-        raise ConfigError(f"unknown profile keys {sorted(unknown)}")
-    bs = BSProfile(u=float(params.get("u", 1.0)), v=float(params.get("v", 1.0)))
-    vp = float(params.get("vp", 1.0))
-    vpp = float(params.get("vpp", 1.0))
+    _check_keys("profile", params, ("u", "v", "vp", "vpp"))
+    bs = BSProfile(u=params.get("u", 1.0), v=params.get("v", 1.0))
+    if bs.u <= 0 or bs.v <= 0:
+        raise ConfigError("profile weights u, v must be positive")
+    vp = params.get("vp", 1.0)
+    vpp = params.get("vpp", 1.0)
     if vp <= 0 or vpp <= 0:
         raise ConfigError("profile derivatives must be positive")
     st = StenzelProfile(vprime=lambda r: vp, vprimeprime=lambda r: vpp)
@@ -103,7 +120,7 @@ def _parse_fiber_list(spec: str, width: int, default):
         return [np.atleast_1d(np.asarray(v, dtype=float)) for v in default]
     out = []
     for chunk in spec.split(";"):
-        vals = [float(x) for x in chunk.split(",") if x != ""]
+        vals = [_parse_number(x, "fiber entry") for x in chunk.split(",") if x != ""]
         if len(vals) != width:
             raise ConfigError(f"fiber tuple {chunk!r} needs {width} entries")
         out.append(np.array(vals))
@@ -117,12 +134,24 @@ def _sample_fibers(rng, count, width, lo=0.3, hi=2.0):
     return mags[:, None] * dirs
 
 
+_SECTION_KEYS = {"zero": (), "const": ("re", "im"), "sinphi": ("C", "D")}
+_ETA_KEYS = {"zero": (), "const": ("c",), "coord": ("axis",)}
+
+
 def _section_family_for(config: SuiteConfig):
     kind, params = parse_section_spec(config.section)
-    if kind in ("zero", "const", "sinphi"):
+    if kind in _SECTION_KEYS:
+        _check_keys(f"{kind} section", params, _SECTION_KEYS[kind])
         return make_section_family(kind, **params)
     if kind == "equatorial-hol":
-        coeffs = [complex(params.get(f"c{i}re", 0.0), params.get(f"c{i}im", 0.0)) for i in range(4)]
+        parts: dict = {"re": {}, "im": {}}
+        for key, val in params.items():
+            m = re.match(r"^c(\d+)(re|im)$", key)
+            if not m:
+                raise ConfigError(f"unknown equatorial-hol key {key!r} (expected c<i>re or c<i>im)")
+            parts[m.group(2)][int(m.group(1))] = val
+        degree = max([*parts["re"], *parts["im"], 0])
+        coeffs = [complex(parts["re"].get(i, 0.0), parts["im"].get(i, 0.0)) for i in range(degree + 1)]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return make_section_family("equatorial-hol", coeffs=coeffs or [0.0])
@@ -139,15 +168,19 @@ def _section_family_for(config: SuiteConfig):
     raise ConfigError(f"unknown section kind {kind!r}")
 
 
-def _eta_family_for(config: SuiteConfig):
+def _eta_family_for(config: SuiteConfig, q: int):
     kind, params = parse_section_spec(config.section)
+    if kind not in _ETA_KEYS:
+        raise ConfigError(f"unknown eta kind {kind!r}")
+    _check_keys(f"{kind} eta", params, _ETA_KEYS[kind])
     if kind == "zero":
         return make_eta_family("const", c=0.0)
-    if kind in ("const", "coord"):
-        if kind == "coord":
-            params = {"axis": int(params.get("axis", 1))}
-        return make_eta_family(kind, **params)
-    raise ConfigError(f"unknown eta kind {kind!r}")
+    if kind == "coord":
+        axis = params.get("axis", 1)
+        if axis != int(axis) or not 1 <= axis <= q:
+            raise ConfigError(f"coord axis must be an integer in 1..{q}, got {axis:g}")
+        params = {"axis": int(axis)}
+    return make_eta_family(kind, **params)
 
 
 # -- suite runners -------------------------------------------------------------
@@ -237,7 +270,7 @@ def _run_g2_associative(config: SuiteConfig) -> VerificationReport:
 def _run_g2_coassociative(config: SuiteConfig) -> VerificationReport:
     chart = get_chart(config.chart)
     bs_profile, _ = parse_profile_spec(config.profile)
-    eta = _eta_family_for(config)
+    eta = _eta_family_for(config, chart.q)
     fibers = _parse_fiber_list(config.fiber, 2, default=[(0.7, -1.2), (1.5, 0.4), (0.3, 0.9)])
     samples, frames = _sample_frames(chart, config)
     points = []

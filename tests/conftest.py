@@ -32,11 +32,6 @@ def rng_for(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_spd(rng, dim: int) -> np.ndarray:
-    m = rng.standard_normal((dim, dim))
-    return m @ m.T + dim * np.eye(dim)
-
-
 # -- permutation / determinant oracles ---------------------------------------
 
 
@@ -64,10 +59,10 @@ def det_by_permutations(mat: np.ndarray) -> float:
 
 
 def brute_force_form_inner(a: Multivector, b: Multivector) -> float:
-    """Gram-determinant inner product expanded from first principles."""
-    space = a.space
-    ginv = space.metric_inv
-    dim = space.dim
+    """Gram-determinant inner product expanded from first principles, for
+    the orthonormal basis of the exterior algebra."""
+    dim = a.space.dim
+    ginv = np.eye(dim)
     total = 0.0
     for ma in range(1 << dim):
         ca = a.coeffs[ma]

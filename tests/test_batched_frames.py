@@ -98,25 +98,6 @@ def test_single_point_frame_has_no_rows():
         point[0]
 
 
-def test_pointwise_chart_functions_are_lifted():
-    native = get_chart("equatorial")
-
-    def xmap(u):
-        return native.xmap(np.array([float(u[0]), float(u[1])]))
-
-    def frame_field(u):
-        return native.frame_field(np.array([float(u[0]), float(u[1])]))
-
-    pointwise = ImmersionChart(
-        name="pointwise", q=2, n=4, xmap=xmap, sample_box=native.sample_box,
-        frame_field=frame_field,
-    )
-    u = native.sample(rng_for(3), 5)
-    assert np.array_equal(pointwise.xmap(u), native.xmap(u))
-    lifted, direct = adapted_frame(pointwise, u), adapted_frame(native, u)
-    assert np.max(np.abs(lifted.gamma - direct.gamma)) <= 1e-12
-
-
 # -- (c) the Stenzel residual against the per-point chain ------------------------------------
 
 FRAMES_FD_STENZEL = [

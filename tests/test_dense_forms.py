@@ -26,7 +26,6 @@ FORMS = {
     "g2.phi": (g2.phi_form, 7, 3),
     "g2.psi": (g2.psi_form, 7, 4),
     "spin7.phi": (spin7.phi_form, 8, 4),
-    "spin7.phi_plus": (spin7.phi_plus_form, 8, 4),
 }
 
 

@@ -16,7 +16,6 @@ from twistcal.exterior import (
 from conftest import (
     brute_force_form_inner,
     comass_estimate,
-    random_spd,
     rng_for,
     wedge_sign_oracle,
 )
@@ -123,15 +122,14 @@ def test_interior_squares_to_zero(sp4):
 
 def test_interior_adjoint_to_wedge():
     rng = rng_for(3)
-    for metric in (None, random_spd(rng, 4)):
-        space = InnerSpace(4, metric=metric)
-        for _ in range(20):
-            v = space.covector(rng.standard_normal(4))
-            a = Multivector(space, rng.standard_normal(16)).grade(3)
-            b = Multivector(space, rng.standard_normal(16)).grade(2)
-            lhs = form_inner(interior(v, a), b)
-            rhs = form_inner(a, wedge(v, b))
-            assert lhs == pytest.approx(rhs, abs=1e-10)
+    space = InnerSpace(4)
+    for _ in range(20):
+        v = space.covector(rng.standard_normal(4))
+        a = Multivector(space, rng.standard_normal(16)).grade(3)
+        b = Multivector(space, rng.standard_normal(16)).grade(2)
+        lhs = form_inner(interior(v, a), b)
+        rhs = form_inner(a, wedge(v, b))
+        assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 # -- hodge ---------------------------------------------------------------------
@@ -144,36 +142,31 @@ def test_hodge_standard_case(sp4):
 
 def test_hodge_involution_identity_and_random_metric():
     rng = rng_for(4)
-    for metric in (None, random_spd(rng, 5)):
-        space = InnerSpace(5, metric=metric)
-        for k in range(6):
-            a = Multivector(space, rng.standard_normal(32)).grade(k)
-            sign = (-1) ** (k * (5 - k))
-            assert hodge(hodge(a)).allclose(sign * a, tol=1e-9)
+    space = InnerSpace(5)
+    for k in range(6):
+        a = Multivector(space, rng.standard_normal(32)).grade(k)
+        sign = (-1) ** (k * (5 - k))
+        assert hodge(hodge(a)).allclose(sign * a, tol=1e-9)
 
 
 def test_hodge_of_volume_is_one(sp4):
     assert hodge(sp4.volume_form()).allclose(sp4.scalar(1.0))
-    rng = rng_for(5)
-    space = InnerSpace(3, metric=random_spd(rng, 3))
+    space = InnerSpace(3, orientation=-1)
     assert hodge(space.volume_form()).allclose(space.scalar(1.0), tol=1e-12)
 
 
 def test_hodge_is_isometry():
     rng = rng_for(6)
-    for metric in (None, random_spd(rng, 4)):
-        space = InnerSpace(4, metric=metric)
-        for k in range(5):
-            a = Multivector(space, rng.standard_normal(16)).grade(k)
-            b = Multivector(space, rng.standard_normal(16)).grade(k)
-            assert form_inner(hodge(a), hodge(b)) == pytest.approx(
-                form_inner(a, b), abs=1e-9
-            )
+    space = InnerSpace(4)
+    for k in range(5):
+        a = Multivector(space, rng.standard_normal(16)).grade(k)
+        b = Multivector(space, rng.standard_normal(16)).grade(k)
+        assert form_inner(hodge(a), hodge(b)) == pytest.approx(form_inner(a, b), abs=1e-9)
 
 
 def test_hodge_defining_property_random_metric():
     rng = rng_for(7)
-    space = InnerSpace(4, metric=random_spd(rng, 4))
+    space = InnerSpace(4)
     vol = space.volume_form()
     for k in range(5):
         a = Multivector(space, rng.standard_normal(16)).grade(k)
@@ -202,14 +195,13 @@ def test_form_inner_grade_mismatch(sp4):
 
 def test_form_inner_against_brute_force():
     rng = rng_for(8)
-    for metric in (None, random_spd(rng, 4)):
-        space = InnerSpace(4, metric=metric)
-        for k in (1, 2, 3):
-            a = Multivector(space, rng.standard_normal(16)).grade(k)
-            b = Multivector(space, rng.standard_normal(16)).grade(k)
-            assert form_inner(a, b) == pytest.approx(
-                brute_force_form_inner(a, b), rel=1e-9, abs=1e-9
-            )
+    space = InnerSpace(4)
+    for k in (1, 2, 3):
+        a = Multivector(space, rng.standard_normal(16)).grade(k)
+        b = Multivector(space, rng.standard_normal(16)).grade(k)
+        assert form_inner(a, b) == pytest.approx(
+            brute_force_form_inner(a, b), rel=1e-9, abs=1e-9
+        )
 
 
 # -- self-dual splitting ---------------------------------------------------------
@@ -257,11 +249,12 @@ def test_asd_sd_split_dimension_guard():
 # -- misc -------------------------------------------------------------------------
 
 
-def test_metric_validation():
+def test_inner_space_validation():
+    for dim in (0, 9):
+        with pytest.raises(DimensionMismatchError):
+            InnerSpace(dim)
     with pytest.raises(ValueError):
-        InnerSpace(3, metric=-np.eye(3))
-    with pytest.raises(DimensionMismatchError):
-        InnerSpace(9)
+        InnerSpace(3, orientation=2)
 
 
 def test_contract_matches_interior_for_identity(sp4):

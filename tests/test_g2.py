@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from twistcal import g2
-from twistcal.exterior import asd_sd_split, form_inner
+from twistcal import spin7
+from twistcal.exterior import InnerSpace, asd_sd_split, form_inner, hodge
 from twistcal.examples import make_eta_family, make_section_family
 from twistcal.g2 import (
     BSProfile,
     UNIT_PROFILE,
-    asd_frame,
     associative_residual,
     coassociative_residual,
-    dbar_f_residual_field,
-    hodge_pair_residual,
+    dbar_f_residual,
     nabla_f_coeffs,
-    parallel_e_residual_field,
+    parallel_e_residual,
     phi_form,
     psi_form,
     tangent_basis_e_sigma,
@@ -24,16 +23,31 @@ from twistcal.submanifold import adapted_frame, get_chart, rotate_frame_field, w
 from conftest import comass_estimate, g2_vertical_fd_oracle, nabla_f_fd_oracle, rng_for
 
 
+def _dbar_f(family, chart, u):
+    point = adapted_frame(chart, u)
+    return dbar_f_residual(point.gamma, g2.section_data(family, point))
+
+
+def _parallel_e(eta_family, chart, u):
+    return parallel_e_residual(adapted_frame(chart, u).scalar_derivatives(eta_family.value))
+
+
 # -- the anti-self-dual frame -------------------------------------------------------
 
 
+def _asd_frame():
+    """f^1 = e^12 - e^34, f^2 = e^13 + e^24, f^3 = e^14 - e^23 on the coframe."""
+    m = InnerSpace(4).monomial
+    return m((1, 2)) - m((3, 4)), m((1, 3)) + m((2, 4)), m((1, 4)) - m((2, 3))
+
+
 def test_asd_frame_is_anti_self_dual_with_norm_sqrt2():
-    for f in asd_frame():
+    for f in _asd_frame():
         sd, asd = asd_sd_split(f)
         assert sd.is_zero(1e-14)
         assert asd.allclose(f)
         assert form_inner(f, f) == pytest.approx(2.0)
-    f1, f2, f3 = asd_frame()
+    f1, f2, f3 = _asd_frame()
     assert form_inner(f1, f2) == pytest.approx(0.0)
     assert form_inner(f1, f3) == pytest.approx(0.0)
     assert form_inner(f2, f3) == pytest.approx(0.0)
@@ -63,12 +77,19 @@ def test_asd_frame_rotation_phase():
 # -- model forms --------------------------------------------------------------------
 
 
+# In the orthonormal coframe theta^i = d_i e^i with D = diag(u, .., v), a
+# calibration form at weights (u, v) has its unit-weight coefficients, so the
+# Hodge identities of the weighted metric hold at every profile exactly when
+# they hold at u = v = 1.  The weight law itself is checked for random (u, v)
+# in test_dense_forms.py.
+
+
 def test_psi_is_hodge_dual_of_phi_for_random_profiles():
-    rng = rng_for(1)
-    assert hodge_pair_residual(1.0, 1.0) < 1e-12
-    for _ in range(100):
-        u, v = rng.uniform(0.2, 3.0, size=2)
-        assert hodge_pair_residual(u, v) < 1e-10 * max(1.0, u, v) ** 4
+    assert hodge(phi_form(1.0, 1.0)).allclose(psi_form(1.0, 1.0))
+
+
+def test_cayley_form_is_self_dual():
+    assert hodge(spin7.phi_form(1.0, 1.0)).allclose(spin7.phi_form(1.0, 1.0))
 
 
 def test_phi_comass_is_one():
@@ -191,7 +212,7 @@ def test_dbar_residual_constant_on_veronese_is_cot_scale():
     ver = get_chart("veronese")
     fam = make_section_family("const", re=1.0, im=0.0)
     u = np.array([1.1, 2.0])
-    r2, r3 = dbar_f_residual_field(fam, ver, u)
+    r2, r3 = _dbar_f(fam, ver, u)
     expected = abs(np.cos(u[0]) / np.sin(u[0])) / np.sqrt(3.0)
     assert np.hypot(r2, r3) == pytest.approx(expected, rel=1e-7)
 
@@ -351,12 +372,12 @@ def test_untwisted_biconditionals_across_charts():
 def test_dbar_residual_solution_families():
     eq = get_chart("equatorial")
     fam = make_section_family("equatorial-hol", coeffs=[1.0])
-    r2, r3 = dbar_f_residual_field(fam, eq, np.array([0.8, -1.3]))
+    r2, r3 = _dbar_f(fam, eq, np.array([0.8, -1.3]))
     assert np.hypot(r2, r3) < 1e-8
 
     ver = get_chart("veronese")
     fam2 = make_section_family("veronese-strip", coeffs={1: 1.0})
-    r2, r3 = dbar_f_residual_field(fam2, ver, np.array([1.2, 2.9]))
+    r2, r3 = _dbar_f(fam2, ver, np.array([1.2, 2.9]))
     assert np.hypot(r2, r3) < 1e-7
 
 
@@ -364,17 +385,17 @@ def test_dbar_residual_constant_fails_with_coordinate_size():
     eq = get_chart("equatorial")
     fam = make_section_family("const", re=1.0, im=0.0)
     u = np.array([0.9, -0.6])
-    r2, r3 = dbar_f_residual_field(fam, eq, u)
+    r2, r3 = _dbar_f(fam, eq, u)
     assert np.hypot(r2, r3) == pytest.approx(np.linalg.norm(u), rel=1e-7)
 
 
 def test_parallel_eta_residuals():
     eq = get_chart("equatorial")
     const = make_eta_family("const", c=5.0)
-    assert parallel_e_residual_field(const, eq, np.array([1.0, 0.4])) < 1e-10
+    assert _parallel_e(const, eq, np.array([1.0, 0.4])) < 1e-10
     coord = make_eta_family("coord", axis=1)
     u = np.array([0.7, -1.1])
-    res = parallel_e_residual_field(coord, eq, u)
+    res = _parallel_e(coord, eq, u)
     # d(u1)(e_1) = (1 + |u|^2)/2 and d(u1)(e_2) = 0 in this chart
     assert res == pytest.approx((1.0 + u @ u) / 2.0, rel=1e-8)
 

@@ -14,7 +14,14 @@ from twistcal.report import (
     emit,
     parse_report,
 )
-from twistcal.suites import parse_mu_spec, parse_profile_spec, parse_section_spec, run_suite
+from twistcal.examples import make_section_family
+from twistcal.suites import (
+    _section_family_for,
+    parse_mu_spec,
+    parse_profile_spec,
+    parse_section_spec,
+    run_suite,
+)
 
 
 # -- report serialisation --------------------------------------------------------
@@ -309,6 +316,8 @@ def test_cli_rejects_removed_tolerance_knobs(tmp_path):
 # -- bad input exits 2 with a precise message ----------------------------------------------
 
 _VERIFY = ["verify", "stenzel-lagrangian", "--chart", "equatorial", "--mu", "0", "--samples", "2"]
+_CAYLEY = ["verify", "spin7-cayley", "--chart", "equatorial", "--samples", "2"]
+_COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--samples", "2"]
 
 
 @pytest.mark.parametrize(
@@ -323,6 +332,24 @@ _VERIFY = ["verify", "stenzel-lagrangian", "--chart", "equatorial", "--mu", "0",
         (_VERIFY + ["--fd-step", "nan"], "fd_step must be a finite positive number, got nan"),
         (_VERIFY + ["--fd-step", "inf"], "fd_step must be a finite positive number, got inf"),
         (_VERIFY + ["--tol-verdict", "nan"], "tol_verdict must be a finite positive number, got nan"),
+        (_CAYLEY + ["--fiber", "a;b"], "fiber entry needs a number, got 'a'"),
+        (_CAYLEY + ["--fiber=1e400,0"], "fiber entry must be finite, got '1e400'"),
+        (_CAYLEY + ["--section", "const:re=abc"], "parameter 're' needs a number, got 'abc'"),
+        (_COASSOC + ["--section", "coord:axis=7"], "coord axis must be an integer in 1..2, got 7"),
+        (_CAYLEY + ["--profile", "u=abc"], "parameter 'u' needs a number, got 'abc'"),
+        (_CAYLEY + ["--profile", "u=-1"], "profile weights u, v must be positive"),
+        (_CAYLEY + ["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["table", "veronese", "--seed", "-5"], "seed must be >= 0, got -5"),
+        (["verify", "stenzel-lagrangian", "--mu", "1.2.3e1"], "mu coefficient needs a number, got '1.2.3'"),
+        (["verify", "stenzel-lagrangian", "--mu", "1e400e1"], "mu coefficient must be finite, got '1e400'"),
+        # misspelled or extra section keys are rejected, not ignored
+        (_CAYLEY + ["--section", "const:rea=1"], "unknown const section keys ['rea']"),
+        (_CAYLEY + ["--section", "zero:re=1"], "unknown zero section keys ['re']"),
+        (_CAYLEY + ["--section", "sinphi:C=1,E=0"], "unknown sinphi section keys ['E']"),
+        (_CAYLEY + ["--section", "equatorial-hol:c0r=1"], "unknown equatorial-hol key 'c0r'"),
+        (_COASSOC + ["--section", "const:c=2,x=1"], "unknown const eta keys ['x']"),
+        (_COASSOC + ["--section", "coord:axes=1"], "unknown coord eta keys ['axes']"),
+        (_COASSOC + ["--section", "coord:axis=1.5"], "coord axis must be an integer in 1..2, got 1.5"),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys):
@@ -344,3 +371,30 @@ def test_config_file_bad_number_is_a_config_error(tmp_path):
     cfg_file = tmp_path / "suite.cfg"
     cfg_file.write_text("samples=many\n")
     assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
+
+
+def test_equatorial_hol_reads_every_coefficient():
+    # a degree-four coefficient alone must not report as the zero section
+    config = SuiteConfig(
+        suite="g2-associative", chart="equatorial", section="equatorial-hol:c4re=1", samples=3
+    )
+    zero = run_suite(SuiteConfig(suite="g2-associative", chart="equatorial", samples=3))
+    assert run_suite(config).aggregates != zero.aggregates
+    expected = make_section_family("equatorial-hol", coeffs=[0, 0, 0, 0, 1])
+    u = np.array([0.3, -0.4])
+    assert _section_family_for(config).value(u) == expected.value(u)
+
+
+@pytest.mark.parametrize(
+    "suite, chart, section",
+    [
+        ("spin7-cayley", "equatorial", "zero"),
+        ("spin7-cayley", "equatorial", "const:re=0.4"),
+        ("g2-coassociative", "veronese-antipodal", "const:c=2"),
+        ("g2-coassociative", "veronese", "coord:axis=1"),
+        ("g2-associative", "veronese", "sinphi:C=1,D=0"),
+    ],
+)
+def test_benchmark_section_specs_parse(suite, chart, section):
+    report = run_suite(SuiteConfig(suite=suite, chart=chart, section=section, samples=1))
+    assert report.points

@@ -9,15 +9,12 @@ from twistcal.spin7 import (
     cayley_residual,
     calibration_gap,
     dbar_vminus_residual,
-    dbar_vminus_residual_field,
     gamma_f_matrix,
     lemma_residual,
     nabla_gamma_ops,
     phi_form,
-    phi_plus_form,
     spin_connection_ops,
     spinor_frames,
-    tangent_basis_v_minus,
     tangent_basis_v_plus,
 )
 from twistcal.submanifold import adapted_frame, get_chart, rotate_frame_field, with_normal_frame
@@ -25,6 +22,11 @@ from twistcal.submanifold import adapted_frame, get_chart, rotate_frame_field, w
 from conftest import comass_estimate, rng_for
 
 _CTX = standard_pinor_context()
+
+
+def _dbar_vminus(family, chart, u):
+    point = adapted_frame(chart, u)
+    return dbar_vminus_residual(point.gamma, spinor_frames(), g2.section_data(family, point))
 
 
 # -- spinor frames ----------------------------------------------------------------
@@ -170,23 +172,11 @@ def test_phi_reproduces_displayed_monomials():
     assert phi.evaluate(eye[1], eye[2], eye[4], eye[7]) == pytest.approx(-u2v2)
 
 
-def test_phi_plus_differs_in_mixed_block_only():
-    phi = phi_form(1.0, 1.0)
-    plus = phi_plus_form(1.0, 1.0)
-    diff = phi - plus
-    eye = np.eye(8)
-    assert not phi.allclose(plus)
-    # shared leading terms
-    assert diff.evaluate(*(eye[i] for i in (0, 1, 2, 3))) == pytest.approx(0.0)
-    assert diff.evaluate(*(eye[i] for i in (4, 5, 6, 7))) == pytest.approx(0.0)
-
-
 def test_phi_and_phi_plus_comass_one():
     rng = rng_for(4)
-    for form in (phi_form(1.0, 1.0), phi_plus_form(1.0, 1.0)):
-        best = comass_estimate(form, 4, rng, restarts=6)
-        assert best <= 1.0 + 1e-9
-        assert best == pytest.approx(1.0, abs=1e-6)
+    best = comass_estimate(phi_form(1.0, 1.0), 4, rng, restarts=6)
+    assert best <= 1.0 + 1e-9
+    assert best == pytest.approx(1.0, abs=1e-6)
 
 
 def test_phi_matches_octonion_model_up_to_orientation():
@@ -372,26 +362,13 @@ def test_gauge_independence_of_cayley_residual():
     assert np.max(values) - np.min(values) < 1e-9
 
 
-def test_mirror_bundle_with_zero_twist_is_cayley():
-    sf = spinor_frames()
-    zero = make_section_family("zero")
-    for name in ("veronese", "equatorial"):
-        chart = get_chart(name)
-        point = adapted_frame(chart, chart.sample(rng_for(9), 1)[0])
-        sec = g2.section_data(zero, point)
-        e1, e2, f1, f2 = tangent_basis_v_minus(point, sf, sec, np.array([0.8, -0.5]))
-        r = float(np.hypot(0.8, 0.5))
-        assert cayley_residual(e1, e2, f1, f2, fiber_r=r) < 1e-6
-        assert calibration_gap(e1, e2, f1, f2, fiber_r=r) < 1e-6
-
-
 # -- holomorphicity over V_- --------------------------------------------------------------
 
 
 def test_dbar_vminus_zero_section():
     chart = get_chart("veronese")
     fam = make_section_family("zero")
-    c3, c4 = dbar_vminus_residual_field(fam, chart, np.array([1.5, 3.1]))
+    c3, c4 = _dbar_vminus(fam, chart, np.array([1.5, 3.1]))
     assert np.hypot(c3, c4) < 1e-12
 
 
@@ -419,7 +396,7 @@ def test_dbar_vminus_constants_fail_off_centre_on_equatorial():
     chart = get_chart("equatorial")
     fam = make_section_family("const", re=0.4, im=0.0)
     u = np.array([0.7, -0.5])
-    c3, c4 = dbar_vminus_residual_field(fam, chart, u)
+    c3, c4 = _dbar_vminus(fam, chart, u)
     # the frame-rotation correction contributes 1/2 |psi| |u| here
     assert np.hypot(c3, c4) == pytest.approx(0.2 * np.linalg.norm(u), rel=1e-6)
 
@@ -461,28 +438,3 @@ def test_dbar_vminus_matches_fd_of_covariant_derivative():
         comps = sf.components(total)
         assert c3 == pytest.approx(comps[2], abs=1e-6)
         assert c4 == pytest.approx(comps[3], abs=1e-6)
-
-
-# -- report-only exploration --------------------------------------------------------------
-
-
-def test_report_only_vminus_section_scan(capsys):
-    """No ground truth is asserted here: the V_- holomorphicity condition has
-    no worked solution family to pin, so this scan only reports which simple
-    candidates satisfy the corrected equation over the Veronese chart."""
-    chart = get_chart("veronese")
-    rng = rng_for(20)
-    candidates = {
-        "zero": make_section_family("zero"),
-        "const": make_section_family("const", re=1.0, im=0.0),
-        "sinphi": make_section_family("sinphi", C=1.0, D=0.0),
-    }
-    lines = []
-    for name, fam in candidates.items():
-        worst = 0.0
-        for u in chart.sample(rng, 5):
-            c3, c4 = dbar_vminus_residual_field(fam, chart, u)
-            worst = max(worst, float(np.hypot(c3, c4)))
-        lines.append(f"v-minus candidate {name}: worst residual {worst:.3e}")
-    print("\n".join(lines))
-    assert True  # informational only
