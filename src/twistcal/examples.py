@@ -226,21 +226,34 @@ def compose_antipodal(chart: ImmersionChart) -> ImmersionChart:
 # -- section families --------------------------------------------------------
 
 
+def _rowwise(evaluator, u, dtype):
+    """``evaluator`` over the rows of chart points (..., q), shaped (...).
+
+    A single point goes through as a stack of one row: numpy's scalar
+    arithmetic may round differently from its array loops, and a point must
+    get the same value alone as inside a stack."""
+    u = np.asarray(u, dtype=float)
+    values = np.asarray(evaluator(u.reshape(-1, u.shape[-1])), dtype=dtype)
+    return values.reshape(u.shape[:-1])[()]
+
+
 @dataclass(frozen=True)
 class SectionFamily:
     """A complex coefficient function G = a + ib over a chart.
 
     The pair (a, b) feeds the rank-two twists: G multiplies the complex frame
     of the twisted bundle, so |section|^2 = 2 |G|^2 in the determinant
-    convention.
+    convention.  The evaluator maps chart points (..., q) to values (...),
+    like the chart functions it must broadcast over leading axes.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    evaluator: Callable[[np.ndarray], complex] = None  # set by factory
+    evaluator: Callable[[np.ndarray], np.ndarray] = None  # set by factory
 
-    def value(self, u) -> complex:
-        return self.evaluator(np.asarray(u, dtype=float))
+    def value(self, u):
+        """G at a chart point (a complex scalar) or at every row of a stack."""
+        return _rowwise(self.evaluator, u, complex)
 
 
 def make_section_family(kind: str, **params) -> SectionFamily:
@@ -256,16 +269,18 @@ def make_section_family(kind: str, **params) -> SectionFamily:
       sinphi(C, D)                 shorthand: veronese-strip with c_0 = C + iD
     """
     if kind == "zero":
-        ev = lambda u: 0.0 + 0.0j
+        ev = lambda u: np.zeros(u.shape[:-1], dtype=complex)
     elif kind == "const":
         c = complex(params.get("re", 0.0), params.get("im", 0.0))
-        ev = lambda u: c
+        ev = lambda u: np.full(u.shape[:-1], c)
     elif kind == "equatorial-hol":
         coeffs = [complex(c) for c in params["coeffs"]]
 
         def ev(u):
-            z = complex(u[0], u[1])
-            h = sum(c * z**k for k, c in enumerate(coeffs))
+            z = u[..., 0] + 1j * u[..., 1]
+            h = np.zeros(z.shape, dtype=complex)
+            for c in reversed(coeffs):
+                h = h * z + c
             return h * (z * z.conjugate() + 1.0)
 
     elif kind in ("veronese-strip", "sinphi"):
@@ -276,12 +291,12 @@ def make_section_family(kind: str, **params) -> SectionFamily:
             terms = {int(k): complex(c) for k, c in params["coeffs"].items()}
 
         def ev(u):
-            phi, theta = float(u[0]), float(u[1])
-            t = math.tan(phi / 2.0)
-            total = 0.0 + 0.0j
+            phi, theta = u[..., 0], u[..., 1]
+            t = np.tan(phi / 2.0)
+            total = np.zeros(u.shape[:-1], dtype=complex)
             for k, c in terms.items():
                 total += c * np.exp(1j * k * theta) * t**k
-            return math.sin(phi) * total
+            return np.sin(phi) * total
 
     else:
         raise DomainError(f"unknown section kind {kind!r}")
@@ -290,24 +305,26 @@ def make_section_family(kind: str, **params) -> SectionFamily:
 
 @dataclass(frozen=True)
 class EtaFamily:
-    """A real coefficient function gamma(u) for rank-one twists."""
+    """A real coefficient function gamma(u) for rank-one twists; the
+    evaluator broadcasts over leading axes like a section family's."""
 
     kind: str
     params: dict = field(default_factory=dict)
-    evaluator: Callable[[np.ndarray], float] = None
+    evaluator: Callable[[np.ndarray], np.ndarray] = None
 
-    def value(self, u) -> float:
-        return float(self.evaluator(np.asarray(u, dtype=float)))
+    def value(self, u):
+        """gamma at a chart point (a float) or at every row of a stack."""
+        return _rowwise(self.evaluator, u, float)
 
 
 def make_eta_family(kind: str, **params) -> EtaFamily:
     """kinds: const(c); coord(axis) with gamma = u_axis."""
     if kind == "const":
         c = float(params.get("c", 0.0))
-        ev = lambda u: c
+        ev = lambda u: np.full(u.shape[:-1], c)
     elif kind == "coord":
         axis = int(params.get("axis", 1)) - 1
-        ev = lambda u: float(u[axis])
+        ev = lambda u: u[..., axis]
     else:
         raise DomainError(f"unknown eta kind {kind!r}")
     return EtaFamily(kind=kind, params=dict(params), evaluator=ev)
@@ -378,7 +395,7 @@ def boundedness_scan(
         ladder_x = 1.0 / margins
 
     values.extend(ladder_sups)
-    sup_abs = max(values) if values else 0.0
+    sup_abs = float(max(values)) if values else 0.0
 
     slope = 0.0
     if sup_abs > 0 and len(ladder_sups) >= 4:
@@ -464,10 +481,10 @@ def frame_change_check(
 
     # transformed section coefficients satisfy the hatted PDE
     def hat_family_value(uh):
-        phh, thh = float(uh[0]), float(uh[1])
-        a_hat = -C * math.cos(phh) * math.cos(thh) - D * math.sin(thh)
-        b_hat = C * math.sin(thh) - D * math.cos(phh) * math.cos(thh)
-        return complex(a_hat, b_hat)
+        phh, thh = uh[..., 0], uh[..., 1]
+        a_hat = -C * np.cos(phh) * np.cos(thh) - D * np.sin(thh)
+        b_hat = C * np.sin(thh) - D * np.cos(phh) * np.cos(thh)
+        return a_hat + 1j * b_hat
 
     hat_family = SectionFamily(kind="transformed", params={"C": C, "D": D}, evaluator=hat_family_value)
     res["hat_pde"] = abs(pde_residual(hat_family, chart_hat, u_hat, fd_step))

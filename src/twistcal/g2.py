@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError
 from .exterior import InnerSpace, Multivector, dense_tensor
-from .numerics import DEFAULT_FD_STEP, directional_derivative
+from .numerics import DEFAULT_FD_STEP, blocked, row_norms
 from .submanifold import AdaptedFramePoint
 
 __all__ = [
@@ -76,12 +76,20 @@ class BSProfile:
     u: Callable[[float], float] | float = 1.0
     v: Callable[[float], float] | float = 1.0
 
-    def at(self, r: float) -> tuple[float, float]:
-        uu = self.u(r) if callable(self.u) else float(self.u)
-        vv = self.v(r) if callable(self.v) else float(self.v)
-        if uu <= 0 or vv <= 0:
-            raise DomainError("profile weights must be positive")
-        return uu, vv
+    def at(self, r):
+        """(u, v) at the fibre radius r, or at every entry of an array of radii."""
+        r = np.asarray(r, dtype=float)
+        uu, vv = (
+            np.broadcast_to(w(r) if callable(w) else float(w), r.shape) for w in (self.u, self.v)
+        )
+        bad = (uu <= 0) | (vv <= 0)
+        if bad.any():
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise DomainError(
+                f"profile weights must be positive, got u={uu[i]:g}, v={vv[i]:g} "
+                f"at fibre radius r={r[i]:g}"
+            )
+        return uu[()], vv[()]
 
 
 UNIT_PROFILE = BSProfile()
@@ -92,27 +100,27 @@ def total_space() -> InnerSpace:
     return InnerSpace(7, orientation=_MODEL_ORIENTATION)
 
 
+# N[j, k, m] = sum_ab _NABLA_F[k, m, a, b] Gamma[j, a, b], antisymmetric in k, m
+_NABLA_F = np.zeros((3, 3, 4, 4))
+for _k, _m, _a, _b, _sign in (
+    (0, 1, 3, 0, 1.0), (0, 1, 2, 1, -1.0),
+    (0, 2, 2, 0, -1.0), (0, 2, 3, 1, -1.0),
+    (1, 2, 1, 0, 1.0), (1, 2, 3, 2, -1.0),
+):
+    _NABLA_F[_k, _m, _a, _b] = _sign
+    _NABLA_F[_m, _k, _a, _b] = -_sign
+
+
 def nabla_f_coeffs(gamma: np.ndarray) -> np.ndarray:
     """Coefficients N[j, k, m] with nabla_{e_j} f^k = sum_m N[j, k, m] f^m.
 
-    Valid in any adapted orthonormal frame; at a normal-frame centre the
-    entries reduce to shape-operator combinations.
+    ``gamma`` is (2, 4, 4) or a stack (..., 2, 4, 4); the result is
+    (..., 2, 3, 3).  Valid in any adapted orthonormal frame; at a
+    normal-frame centre the entries reduce to shape-operator combinations.
     """
-    out = np.zeros((2, 3, 3))
-    for j in range(2):
-        g = gamma[j]
-        out[j, 0, 1] = g[3, 0] - g[2, 1]
-        out[j, 0, 2] = -g[2, 0] - g[3, 1]
-        out[j, 1, 0] = g[2, 1] - g[3, 0]
-        out[j, 1, 2] = g[1, 0] - g[3, 2]
-        out[j, 2, 0] = g[2, 0] + g[3, 1]
-        out[j, 2, 1] = g[3, 2] - g[1, 0]
-    return out
-
-
-def _fiber_radius(t1: float, a: float, b: float) -> float:
-    # det-convention norm of t1 f^1 + a f^2 + b f^3
-    return float(np.sqrt(2.0 * (t1 * t1 + a * a + b * b)))
+    g = np.asarray(gamma, dtype=float)[..., :2, :4, :4]
+    lead = g.shape[:-2]
+    return (g.reshape(lead + (16,)) @ _NABLA_F.reshape(9, 16).T).reshape(lead + (3, 3))
 
 
 def phi_form(u: float, v: float, space: InnerSpace | None = None) -> Multivector:
@@ -140,75 +148,76 @@ def psi_form(u: float, v: float, space: InnerSpace | None = None) -> Multivector
 
 @dataclass(frozen=True)
 class SectionData:
-    """Values and frame-direction derivatives of a rank-two twist section."""
+    """Values and frame-direction derivatives of a rank-two twist section,
+    at a point or at every row of a stack."""
 
-    a: float
-    b: float
-    da: np.ndarray  # (2,) derivative of a along e_1, e_2
+    a: np.ndarray  # (...)
+    b: np.ndarray
+    da: np.ndarray  # (..., 2) derivative of a along e_1, e_2
     db: np.ndarray
 
 
 def section_data(
     family, point: AdaptedFramePoint, fd_step: float = DEFAULT_FD_STEP
 ) -> SectionData:
-    def a_fn(u):
-        return family.value(u).real
-
-    def b_fn(u):
-        return family.value(u).imag
-
+    """G = a + ib and its derivatives along e_1, e_2 at a frame point or a
+    stack; every row and direction goes through one FD call on G."""
     g = family.value(point.u)
-    da = np.array(
-        [float(directional_derivative(a_fn, point.u, w, fd_step)) for w in point.velocities]
-    )
-    db = np.array(
-        [float(directional_derivative(b_fn, point.u, w, fd_step)) for w in point.velocities]
-    )
-    return SectionData(a=float(g.real), b=float(g.imag), da=da, db=db)
+    dg = point.scalar_derivatives(family.value, fd_step)
+    return SectionData(a=g.real, b=g.imag, da=dg.real, db=dg.imag)
 
 
-def tangent_basis_e_sigma(
-    point: AdaptedFramePoint, sec: SectionData, t1: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tangent basis (E_1, E_2, F_1) of the rank-one bundle twisted by sigma.
+def per_point(x, fibre_ndim: int, trailing: int = 0) -> np.ndarray:
+    """``x`` of shape P + T (``trailing`` = len(T)) with ``fibre_ndim`` unit
+    axes inserted after P, so that it broadcasts against P + F + T."""
+    x = np.asarray(x, dtype=float)
+    cut = x.ndim - trailing
+    return x.reshape(x.shape[:cut] + (1,) * fibre_ndim + x.shape[cut:])
+
+
+def lifted_basis(vert: np.ndarray, fibre_dirs, dim: int) -> np.ndarray:
+    """Rows E_1, E_2 (e_i plus the vertical parts ``vert`` (..., 2, m) in the
+    last m slots) followed by the unit fibre directions ``fibre_dirs``, as a
+    (..., 2 + len(fibre_dirs), dim) array."""
+    out = np.zeros(vert.shape[:-2] + (2 + len(fibre_dirs), dim))
+    out[..., 0, 0] = out[..., 1, 1] = 1.0
+    out[..., :2, dim - vert.shape[-1] :] = vert
+    for row, col in enumerate(fibre_dirs, start=2):
+        out[..., row, col] = 1.0
+    return out
+
+
+def tangent_basis_e_sigma(point: AdaptedFramePoint, sec: SectionData, t1) -> np.ndarray:
+    """Tangent basis (E_1, E_2, F_1) of the rank-one bundle twisted by sigma,
+    as the rows of a (..., 3, 7) array.
 
     Components are against (e_1, e_2, nu_3, nu_4, k_1, k_2, k_3); the fibre
-    point is t1 f^1 + a f^2 + b f^3.
+    point is t1 f^1 + a f^2 + b f^3.  The leading axes are those of the point
+    (P,) followed by those of t1 (F,).
     """
-    n = nabla_f_coeffs(point.gamma)
-    es = []
-    for i in range(2):
-        vert = t1 * n[i, 0] + sec.a * n[i, 1] + sec.b * n[i, 2]
-        vert = vert + np.array([0.0, sec.da[i], sec.db[i]])
-        vec = np.zeros(7)
-        vec[i] = 1.0
-        vec[4:] = vert
-        es.append(vec)
-    f1 = np.zeros(7)
-    f1[4] = 1.0
-    return es[0], es[1], f1
+    t1 = np.asarray(t1, dtype=float)
+    fdim = t1.ndim
+    n = per_point(nabla_f_coeffs(point.gamma), fdim, 3)
+    a, b = (per_point(x, fdim)[..., None, None] for x in (sec.a, sec.b))
+    vert = t1[..., None, None] * n[..., 0, :] + a * n[..., 1, :] + b * n[..., 2, :]
+    deriv = np.stack([np.zeros_like(sec.da), sec.da, sec.db], axis=-1)
+    return lifted_basis(vert + per_point(deriv, fdim, 2), (4,), 7)
 
 
-def tangent_basis_eta_f(
-    point: AdaptedFramePoint, gamma_val: float, dgamma: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def tangent_basis_eta_f(point: AdaptedFramePoint, gamma_val, dgamma, t) -> np.ndarray:
     """Tangent basis (E_1, E_2, F_2, F_3) of the rank-two bundle twisted by
-    eta = gamma f^1; fibre point is t_2 f^2 + t_3 f^3 + eta."""
-    n = nabla_f_coeffs(point.gamma)
+    eta = gamma f^1, as the rows of a (..., 4, 7) array; the fibre point is
+    t_2 f^2 + t_3 f^3 + eta.  ``t`` is (2,) or (F, 2), and the leading axes
+    are those of the point (P,) followed by F."""
     t = np.asarray(t, dtype=float)
-    es = []
-    for i in range(2):
-        vert = t[0] * n[i, 1] + t[1] * n[i, 2] + gamma_val * n[i, 0]
-        vert = vert + np.array([float(dgamma[i]), 0.0, 0.0])
-        vec = np.zeros(7)
-        vec[i] = 1.0
-        vec[4:] = vert
-        es.append(vec)
-    f2 = np.zeros(7)
-    f2[5] = 1.0
-    f3 = np.zeros(7)
-    f3[6] = 1.0
-    return es[0], es[1], f2, f3
+    fdim = t.ndim - 1
+    n = per_point(nabla_f_coeffs(point.gamma), fdim, 3)
+    g = per_point(gamma_val, fdim)[..., None, None]
+    t2, t3 = t[..., 0, None, None], t[..., 1, None, None]
+    vert = t2 * n[..., 1, :] + t3 * n[..., 2, :] + g * n[..., 0, :]
+    dgamma = np.asarray(dgamma, dtype=float)
+    deriv = np.stack([dgamma, np.zeros_like(dgamma), np.zeros_like(dgamma)], axis=-1)
+    return lifted_basis(vert + per_point(deriv, fdim, 2), (5, 6), 7)
 
 
 @lru_cache(maxsize=1)
@@ -221,48 +230,76 @@ def _unit_tensors() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weights(profile: BSProfile, fiber) -> np.ndarray:
-    """Diagonal of D at the fibre point: (u, u, u, u, v, v, v)."""
-    u, v = profile.at(_fiber_radius(*fiber))
-    return np.array([u, u, u, u, v, v, v])
+    """Diagonal of D at the fibre points (t1, a, b): (..., 7) rows
+    (u, u, u, u, v, v, v); the radius is the det-convention norm of
+    t1 f^1 + a f^2 + b f^3."""
+    t1, a, b = (np.asarray(x, dtype=float) for x in fiber)
+    u, v = profile.at(np.sqrt(2.0 * (t1 * t1 + a * a + b * b)))
+    return np.stack([u, u, u, u, v, v, v], axis=-1)
+
+
+def scaled_rows(vectors, d: np.ndarray):
+    """The vectors (each (..., dim)) scaled by D (..., dim), as the rows of an
+    (N, k, dim) array; also D as (N, dim) and the broadcast leading shape."""
+    vecs = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in vectors)), axis=-2)
+    vecs = d[..., None, :] * vecs
+    lead, (k, dim) = vecs.shape[:-2], vecs.shape[-2:]
+    d = np.broadcast_to(d, lead + (dim,)).reshape(-1, dim)
+    return vecs.reshape(-1, k, dim), d, lead
 
 
 def associative_residual(
     e1, e2, f1, profile: BSProfile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)
-) -> float:
-    """|E_2 ⌟ E_1 ⌟ F_1 ⌟ psi| with the displayed psi."""
-    d = _weights(profile, fiber)
-    psi = _unit_tensors()[1].reshape(7, -1)
-    one_form = (d * np.asarray(f1, float)) @ psi
-    one_form = (d * np.asarray(e1, float)) @ one_form.reshape(7, -1)
-    one_form = (d * np.asarray(e2, float)) @ one_form.reshape(7, -1)
-    return float(np.linalg.norm(d * one_form))
+):
+    """|E_2 ⌟ E_1 ⌟ F_1 ⌟ psi| with the displayed psi, per leading index of
+    the vectors (each (..., 7)) and of the fibre point (t1, a, b)."""
+    vecs, d, lead = scaled_rows((f1, e1, e2), _weights(profile, fiber))
+    psi = _unit_tensors()[1].reshape(49, 49)
+
+    def kernel(v, dd):
+        # psi(F_1, E_1, ., .) as the bivector F_1 (x) E_1 against psi, then E_2
+        one_form = (v[:, 0, :, None] * v[:, 1, None, :]).reshape(-1, 49) @ psi
+        return row_norms(dd * (v[:, 2, None, :] @ one_form.reshape(-1, 7, 7))[:, 0])
+
+    return blocked(kernel, vecs, d).reshape(lead)[()]
+
+
+_TRIPLES = tuple(np.array(list(itertools.combinations(range(4), 3))).T)
 
 
 def coassociative_residual(
     e1, e2, f2, f3, profile: BSProfile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)
-) -> float:
-    """max |phi| over the four triples of the tangent basis (E_1, E_2, F_2, F_3)."""
-    d = _weights(profile, fiber)
-    vecs = d * np.array([e1, e2, f2, f3], dtype=float)
-    # values[a, b, c] = phi(vecs[a], vecs[b], vecs[c])
-    values = vecs @ (vecs @ _unit_tensors()[0].reshape(7, -1)).reshape(4, 7, 7) @ vecs.T
-    return float(max(abs(values[a, b, c]) for a, b, c in itertools.combinations(range(4), 3)))
+):
+    """max |phi| over the four triples of the tangent basis (E_1, E_2, F_2, F_3),
+    per leading index of the vectors and of the fibre point (gamma, t2, t3)."""
+    vecs, _, lead = scaled_rows((e1, e2, f2, f3), _weights(profile, fiber))
+    phi = _unit_tensors()[0].reshape(7, -1)
+
+    def kernel(v):
+        # values[:, a, b, c] = phi(v[a], v[b], v[c])
+        values = v[:, None] @ (v @ phi).reshape(-1, 4, 7, 7) @ np.swapaxes(v, -1, -2)[:, None]
+        return np.max(np.abs(values[(slice(None),) + _TRIPLES]), axis=-1)
+
+    return blocked(kernel, vecs).reshape(lead)[()]
 
 
-def dbar_f_residual(gamma: np.ndarray, sec: SectionData) -> tuple[float, float]:
-    """Components of the antiholomorphic derivative of sigma over F.
+def dbar_f_residual(gamma: np.ndarray, sec: SectionData):
+    """Components of the antiholomorphic derivative of sigma over F, per
+    leading index of ``gamma`` and ``sec``.
 
     (a_1 - b_2 - p a + q b,  a_2 + b_1 - q a - p b) with
     p = Gamma^1_{22} - Gamma^3_{24} and q = Gamma^3_{14} - Gamma^1_{12}.
     """
-    p = gamma[1, 1, 0] - gamma[1, 3, 2]
-    q = gamma[0, 3, 2] - gamma[0, 1, 0]
-    r2 = sec.da[0] - sec.db[1] - p * sec.a + q * sec.b
-    r3 = sec.da[1] + sec.db[0] - q * sec.a - p * sec.b
-    return float(r2), float(r3)
+    p = gamma[..., 1, 1, 0] - gamma[..., 1, 3, 2]
+    q = gamma[..., 0, 3, 2] - gamma[..., 0, 1, 0]
+    r2 = sec.da[..., 0] - sec.db[..., 1] - p * sec.a + q * sec.b
+    r3 = sec.da[..., 1] + sec.db[..., 0] - q * sec.a - p * sec.b
+    return r2, r3
 
 
-def parallel_e_residual(dgamma: np.ndarray) -> float:
+def parallel_e_residual(dgamma: np.ndarray):
     """|d gamma(e_1)| + |d gamma(e_2)|: the covariant derivative of eta over E
-    reduces to the coefficient derivatives because nabla f^1 has no f^1 part."""
-    return float(abs(dgamma[0]) + abs(dgamma[1]))
+    reduces to the coefficient derivatives because nabla f^1 has no f^1 part.
+    ``dgamma`` is (2,) or (..., 2)."""
+    dgamma = np.asarray(dgamma, dtype=float)
+    return np.abs(dgamma[..., 0]) + np.abs(dgamma[..., 1])

@@ -14,11 +14,25 @@ from .errors import ImmersionDegenerateError
 
 DEFAULT_FD_STEP = 1e-5
 
+# Rows per block of the dense calibration-form contractions.  It bounds their
+# temporaries: the largest Cayley one is 64 x 4 x 64 doubles (128 KB) per
+# block, where a whole 3,000-point job at once would need 6 MB.
+BLOCK = 64
+
 
 def row_norms(u) -> np.ndarray:
     """|u| over the last axis; bit-identical to np.linalg.norm on one row."""
     u = np.asarray(u, dtype=float)
     return np.sqrt((u[..., None, :] @ u[..., :, None])[..., 0, 0])
+
+
+def blocked(kernel, *arrays) -> np.ndarray:
+    """``kernel`` applied to the leading axis of equally long arrays, BLOCK
+    rows at a time, with the results concatenated."""
+    n = len(arrays[0])
+    return np.concatenate(
+        [kernel(*(a[s : s + BLOCK] for a in arrays)) for s in range(0, n, BLOCK)]
+    )
 
 
 def directional_derivative(f, u, w, step: float = DEFAULT_FD_STEP):

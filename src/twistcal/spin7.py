@@ -51,7 +51,8 @@ from .errors import DomainError
 from .exterior import InnerSpace, Multivector, dense_tensor, wedge
 from .octonion import Octonion, standard_pinor_context
 from .submanifold import AdaptedFramePoint
-from .g2 import BSProfile, UNIT_PROFILE, SectionData
+from .g2 import BSProfile, UNIT_PROFILE, SectionData, lifted_basis, per_point, scaled_rows
+from .numerics import blocked, row_norms
 
 __all__ = [
     "SpinorFrame",
@@ -101,8 +102,9 @@ class SpinorFrame:
         return self.s[2:]
 
     def components(self, spinor: np.ndarray) -> np.ndarray:
-        """Coefficients of an S_- spinor against (s_1, .., s_4)."""
-        return self.s @ np.asarray(spinor, dtype=float)
+        """Coefficients of an S_- spinor (8,), or of a stack (..., 8), against
+        (s_1, .., s_4)."""
+        return np.asarray(spinor, dtype=float) @ self.s.T
 
 
 def spinor_frames(s1=None) -> SpinorFrame:
@@ -142,12 +144,15 @@ def _jl_matrix() -> np.ndarray:
 
 
 def spin_connection_ops(gamma: np.ndarray) -> np.ndarray:
-    """omega_i = 1/4 sum_{k,l} Gamma^l_{ik} gamma^k gamma^l for i = 1, 2.
+    """omega_i = 1/4 sum_{k,l} Gamma^l_{ik} gamma^k gamma^l for i = 1, 2,
+    as (2, 8, 8), or (..., 2, 8, 8) for a stack of ``gamma``.
 
     In the frame trivialisation a spinor field s(u) differentiates as
     nabla_{e_i} s = d s(e_i) + omega_i s.
     """
-    return 0.25 * np.einsum("ikl,klac->iac", gamma[:2, :4, :4], _GG)
+    g = np.asarray(gamma, dtype=float)[..., :2, :4, :4]
+    lead = g.shape[:-2]
+    return 0.25 * (g.reshape(lead + (16,)) @ _GG.reshape(16, 64)).reshape(lead + (8, 8))
 
 
 def nabla_gamma_ops(gamma: np.ndarray) -> np.ndarray:
@@ -216,10 +221,11 @@ def _unit_phi() -> np.ndarray:
     return out
 
 
-def _weights(profile: BSProfile, fiber_r: float) -> np.ndarray:
-    """Diagonal of D: Phi at weights (u, v) is the unit Phi pulled back by D."""
+def _weights(profile: BSProfile, fiber_r) -> np.ndarray:
+    """Diagonal of D: Phi at weights (u, v) is the unit Phi pulled back by D;
+    (..., 8) for an array of fibre radii."""
     u, v = profile.at(fiber_r)
-    return np.array([u, u, u, u, v, v, v, v])
+    return np.stack([u, u, u, u, v, v, v, v], axis=-1)
 
 
 def tangent_basis_v_plus(
@@ -227,34 +233,24 @@ def tangent_basis_v_plus(
     frame: SpinorFrame,
     sec: SectionData,
     t,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Tangent basis (E_1, E_2, F_1, F_2) of V_+ twisted by psi = a s_3 + b s_4.
+) -> np.ndarray:
+    """Tangent basis (E_1, E_2, F_1, F_2) of V_+ twisted by psi = a s_3 + b s_4,
+    as the rows of a (..., 4, 8) array.
 
     Components are against (e_1, e_2, nu_3, nu_4, s_1, s_2, s_3, s_4); the
     fibre point is t_1 s_1 + t_2 s_2 + psi, and the vertical part of E_i is
-    the spin-connection derivative of the fibre field.
+    the spin-connection derivative of the fibre field.  ``t`` is (2,) or
+    (F, 2), and the leading axes are those of the point (P,) followed by F.
     """
     t = np.asarray(t, dtype=float)
-    omegas = spin_connection_ops(point.gamma)
-    fiber_spinor = (
-        t[0] * frame.s[0] + t[1] * frame.s[1] + sec.a * frame.s[2] + sec.b * frame.s[3]
-    )
-    es = []
-    for i in range(2):
-        vert_oct = (
-            sec.da[i] * frame.s[2]
-            + sec.db[i] * frame.s[3]
-            + omegas[i] @ fiber_spinor
-        )
-        vec = np.zeros(8)
-        vec[i] = 1.0
-        vec[4:] = frame.components(vert_oct)
-        es.append(vec)
-    f1 = np.zeros(8)
-    f1[4 + 0] = 1.0
-    f2 = np.zeros(8)
-    f2[4 + 1] = 1.0
-    return es[0], es[1], f1, f2
+    fdim = t.ndim - 1
+    s = frame.s
+    omegas = per_point(spin_connection_ops(point.gamma), fdim, 3)
+    a, b = (per_point(x, fdim)[..., None] for x in (sec.a, sec.b))
+    fiber_spinor = t[..., 0, None] * s[0] + t[..., 1, None] * s[1] + a * s[2] + b * s[3]
+    da, db = (per_point(x, fdim, 1)[..., None] for x in (sec.da, sec.db))
+    vert_oct = da * s[2] + db * s[3] + (omegas @ fiber_spinor[..., None, :, None])[..., 0]
+    return lifted_basis(frame.components(vert_oct), (4, 5), 8)
 
 
 # summand pair p of eta has head vector p and the cross product of the other
@@ -262,69 +258,70 @@ def tangent_basis_v_plus(
 _A, _B, _C = np.array([(1, 2, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2)]).T
 
 
-def cayley_eta(e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r: float = 0.0):
+def _eta_rows(vecs: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """eta of each row of D-scaled vectors ``vecs`` (N, 4, 8), with D (N, 8)."""
+    phi = _unit_phi().reshape(64, 64)
+    # Phi_1(a, b, ., .) as the bivector a (x) b against Phi, then c
+    ab = (vecs[:, _A, :, None] * vecs[:, _B, None, :]).reshape(-1, 4, 64)
+    cross = (ab @ phi).reshape(-1, 4, 8, 8)
+    cross = (vecs[:, _C, None, :] @ cross).reshape(-1, 4, 8)
+    # pairs[n, i, j] = sum_p t_p[i] h_p[j]
+    pairs = np.swapaxes(cross, -1, -2) @ vecs
+    eta = np.swapaxes(pairs, -1, -2) - pairs + (pairs.reshape(-1, 64) @ phi).reshape(pairs.shape)
+    return d[:, :, None] * eta * d[:, None, :]
+
+
+def cayley_eta(e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r=0.0):
     """The 2-form eta(E_1, E_2, F_1, F_2) as its (8, 8) antisymmetric
-    coefficient matrix, evaluated termwise.
+    coefficient matrix, evaluated termwise; (..., 8, 8) per leading index of
+    the vectors (each (..., 8)) and of the fibre radius.
 
     Write h = D head and t = Phi_1(D a, D b, D c, .) with the unit Phi_1.
     The sharp of the cross product is X = D^-1 t, the flats of head and X
     are D h and D t, and Phi(X, head, ., .) = D Phi_1(t, h, ., .) D, so
     eta = D [sum (h ^ t) + Phi_1(t, h, ., .)] D.
     """
-    d = _weights(profile, fiber_r)
-    vecs = d * np.array([e1, e2, f1, f2], dtype=float)
-    phi = _unit_phi()
-    cross = (vecs[_A] @ phi.reshape(8, -1)).reshape(4, 8, 64)
-    cross = (vecs[_B, None, :] @ cross).reshape(4, 8, 8)
-    cross = (vecs[_C, None, :] @ cross).reshape(4, 8)
-    # pairs[i, j] = sum_p t_p[i] h_p[j]
-    pairs = cross.T @ vecs
-    eta = pairs.T - pairs + (pairs.reshape(64) @ phi.reshape(64, 64)).reshape(8, 8)
-    return d[:, None] * eta * d[None, :]
+    vecs, d, lead = scaled_rows((e1, e2, f1, f2), _weights(profile, fiber_r))
+    return blocked(_eta_rows, vecs, d).reshape(lead + (8, 8))
 
 
-def cayley_residual(
-    e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r: float = 0.0
-) -> float:
-    """Norm of eta over the basis 2-forms e^{ij}, i < j."""
+def cayley_residual(e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r=0.0):
+    """Norm of eta over the basis 2-forms e^{ij}, i < j, per leading index."""
     eta = cayley_eta(e1, e2, f1, f2, profile, fiber_r)
-    return float(np.linalg.norm(eta) / np.sqrt(2.0))
+    return (row_norms(eta.reshape(eta.shape[:-2] + (64,))) / np.sqrt(2.0))[()]
 
 
-def calibration_gap(
-    e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r: float = 0.0
-) -> float:
-    """| |Phi(E_1, E_2, F_1, F_2)| - vol(E_1, E_2, F_1, F_2) | (metric volume)."""
-    d = _weights(profile, fiber_r)
-    vecs = d * np.array([e1, e2, f1, f2], dtype=float)
-    val = _unit_phi()
-    for w in vecs:
-        val = w @ val.reshape(8, -1)
-    phi_val = float(val[0])
-    vol = float(np.sqrt(max(np.linalg.det(vecs @ vecs.T), 0.0)))
-    return abs(abs(phi_val) - vol)
+def calibration_gap(e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r=0.0):
+    """| |Phi(E_1, E_2, F_1, F_2)| - vol(E_1, E_2, F_1, F_2) | (metric volume),
+    per leading index of the vectors and of the fibre radius."""
+    vecs, _, lead = scaled_rows((e1, e2, f1, f2), _weights(profile, fiber_r))
+    phi = _unit_phi().reshape(64, 64)
+
+    def kernel(v):
+        val = ((v[:, 0, :, None] * v[:, 1, None, :]).reshape(-1, 64) @ phi).reshape(-1, 8, 8)
+        return (v[:, 2, None, :] @ val @ v[:, 3, :, None])[:, 0, 0]
+
+    phi_val = blocked(kernel, vecs)
+    vol = np.sqrt(np.maximum(np.linalg.det(vecs @ np.swapaxes(vecs, -1, -2)), 0.0))
+    return np.abs(np.abs(phi_val) - vol).reshape(lead)[()]
 
 
-def dbar_vminus_residual(
-    gamma: np.ndarray, frame: SpinorFrame, sec: SectionData
-) -> tuple[float, float]:
-    """Components (against s_3, s_4) of the antiholomorphic derivative of psi.
+def dbar_vminus_residual(gamma: np.ndarray, frame: SpinorFrame, sec: SectionData):
+    """Components (against s_3, s_4) of the antiholomorphic derivative of psi,
+    per leading index of ``gamma`` and ``sec``.
 
     The complex structure on V_- is J_- = -Gamma; the V_- part of the spin
     connection supplies the frame-correction terms away from normal centres.
     """
+    s = frame.s
     omegas = spin_connection_ops(gamma)
-    psi_oct = sec.a * frame.s[2] + sec.b * frame.s[3]
-
-    def vminus_part(spinor):
-        comps = frame.components(spinor)
-        return comps[2] * frame.s[2] + comps[3] * frame.s[3]
-
-    grads = []
-    for i in range(2):
-        full = sec.da[i] * frame.s[2] + sec.db[i] * frame.s[3] + omegas[i] @ psi_oct
-        grads.append(vminus_part(full))
+    a, b = (np.asarray(x, dtype=float)[..., None] for x in (sec.a, sec.b))
+    psi_oct = a * s[2] + b * s[3]
+    da, db = (np.asarray(x, dtype=float)[..., None] for x in (sec.da, sec.db))
+    full = da * s[2] + db * s[3] + (omegas @ psi_oct[..., None, :, None])[..., 0]
+    comps = frame.components(full)
+    # V_- parts of the two derivatives
+    grads = comps[..., 2, None] * s[2] + comps[..., 3, None] * s[3]
     j_minus = -_GAMMA_OP
-    total = grads[0] + j_minus @ grads[1]
-    comps = frame.components(total)
-    return float(comps[2]), float(comps[3])
+    comps = frame.components(grads[..., 0, :] + grads[..., 1, :] @ j_minus.T)
+    return comps[..., 2][()], comps[..., 3][()]

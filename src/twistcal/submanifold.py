@@ -134,14 +134,11 @@ class AdaptedFramePoint:
         )
 
     def scalar_derivatives(self, field, step: float | None = None) -> np.ndarray:
-        """d(field)(e_j) for a scalar or small-array chart function."""
+        """d(field)(e_j) for a scalar or small-array chart function, shape
+        (q, *out) or (P, q, *out) for a stack; every row and direction goes
+        through one FD call, so ``field`` must broadcast like a chart function."""
         step = step or self.fd_step
-        return np.stack(
-            [
-                directional_derivative(field, self.u, w, step)
-                for w in self.velocities
-            ]
-        )
+        return directional_derivative(field, self.u[..., None, :], self.velocities, step)
 
 
 def _auto_frame_field(chart: ImmersionChart, fd_step: float):

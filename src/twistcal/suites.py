@@ -115,16 +115,17 @@ def parse_profile_spec(spec: str):
 
 
 def _parse_fiber_list(spec: str, width: int, default):
-    """Semicolon-separated fibre tuples, e.g. "-2;0;1.5" or "1,0;0,1"."""
+    """Semicolon-separated fibre tuples, e.g. "-2;0;1.5" or "1,0;0,1", as an
+    (F, width) array."""
     if not spec:
-        return [np.atleast_1d(np.asarray(v, dtype=float)) for v in default]
+        return np.array(default, dtype=float).reshape(-1, width)
     out = []
     for chunk in spec.split(";"):
         vals = [_parse_number(x, "fiber entry") for x in chunk.split(",") if x != ""]
         if len(vals) != width:
             raise ConfigError(f"fiber tuple {chunk!r} needs {width} entries")
-        out.append(np.array(vals))
-    return out
+        out.append(vals)
+    return np.array(out)
 
 
 def _sample_fibers(rng, count, width, lo=0.3, hi=2.0):
@@ -235,11 +236,25 @@ def _sample_frames(chart, config: SuiteConfig):
     return samples, adapted_frame(chart, samples, config.fd_step)
 
 
-def _holomorphy_criteria(point, family, fd_step):
-    sec = g2.section_data(family, point, fd_step)
-    r2, r3 = g2.dbar_f_residual(point.gamma, sec)
-    trace = float(trace_residual(point.second_fund))
-    return sec, {"trace_a": trace, "dbar_f": float(np.hypot(r2, r3))}
+def _pair_records(samples, fibers, residuals: dict, criteria: dict) -> list:
+    """One PointRecord per (sample, fibre) pair, samples outermost, from
+    (P, F) residual and (P,) criterion arrays."""
+    res_rows = np.stack(list(residuals.values()), axis=-1).tolist()
+    crit_rows = np.stack(list(criteria.values()), axis=-1).tolist()
+    ts = fibers.tolist()
+    return [
+        PointRecord(
+            u=u, t=list(t), residuals=dict(zip(residuals, r)), criteria=dict(zip(criteria, c))
+        )
+        for u, rows, c in zip(samples.tolist(), res_rows, crit_rows)
+        for t, r in zip(ts, rows)
+    ]
+
+
+def _holomorphy_criteria(frames, family, fd_step):
+    sec = g2.section_data(family, frames, fd_step)
+    r2, r3 = g2.dbar_f_residual(frames.gamma, sec)
+    return sec, {"trace_a": trace_residual(frames.second_fund), "dbar_f": np.hypot(r2, r3)}
 
 
 def _run_g2_associative(config: SuiteConfig) -> VerificationReport:
@@ -248,22 +263,13 @@ def _run_g2_associative(config: SuiteConfig) -> VerificationReport:
     family = _section_family_for(config)
     fibers = _parse_fiber_list(config.fiber, 1, default=[-2.0, 0.0, 1.5])
     samples, frames = _sample_frames(chart, config)
-    points = []
-    for u, point in zip(samples, frames):
-        sec, criteria = _holomorphy_criteria(point, family, config.fd_step)
-        for t1 in fibers:
-            e1, e2, f1 = g2.tangent_basis_e_sigma(point, sec, float(t1[0]))
-            res = g2.associative_residual(
-                e1, e2, f1, bs_profile, fiber=(float(t1[0]), sec.a, sec.b)
-            )
-            points.append(
-                PointRecord(
-                    u=list(u),
-                    t=[float(t1[0])],
-                    residuals={"associative": res},
-                    criteria=dict(criteria),
-                )
-            )
+    sec, criteria = _holomorphy_criteria(frames, family, config.fd_step)
+    t1 = fibers[:, 0]
+    e1, e2, f1 = np.moveaxis(g2.tangent_basis_e_sigma(frames, sec, t1), -2, 0)
+    res = g2.associative_residual(
+        e1, e2, f1, bs_profile, fiber=(t1, sec.a[:, None], sec.b[:, None])
+    )
+    points = _pair_records(samples, fibers, {"associative": res}, criteria)
     return VerificationReport.build(config, points)
 
 
@@ -273,25 +279,17 @@ def _run_g2_coassociative(config: SuiteConfig) -> VerificationReport:
     eta = _eta_family_for(config, chart.q)
     fibers = _parse_fiber_list(config.fiber, 2, default=[(0.7, -1.2), (1.5, 0.4), (0.3, 0.9)])
     samples, frames = _sample_frames(chart, config)
-    points = []
-    for u, point in zip(samples, frames):
-        gval = eta.value(point.u)
-        dgamma = point.scalar_derivatives(eta.value)
-        cls_res = float(superminimal_residual(point.second_fund, -1.0))
-        parallel = g2.parallel_e_residual(dgamma)
-        for t in fibers:
-            e1, e2, f2, f3 = g2.tangent_basis_eta_f(point, gval, dgamma, t)
-            res = g2.coassociative_residual(
-                e1, e2, f2, f3, bs_profile, fiber=(gval, float(t[0]), float(t[1]))
-            )
-            points.append(
-                PointRecord(
-                    u=list(u),
-                    t=[float(t[0]), float(t[1])],
-                    residuals={"coassociative": res},
-                    criteria={"neg_superminimal": cls_res, "parallel_e": parallel},
-                )
-            )
+    gval = eta.value(frames.u)
+    dgamma = frames.scalar_derivatives(eta.value)
+    criteria = {
+        "neg_superminimal": superminimal_residual(frames.second_fund, -1.0),
+        "parallel_e": g2.parallel_e_residual(dgamma),
+    }
+    e1, e2, f2, f3 = np.moveaxis(g2.tangent_basis_eta_f(frames, gval, dgamma, fibers), -2, 0)
+    res = g2.coassociative_residual(
+        e1, e2, f2, f3, bs_profile, fiber=(gval[:, None], fibers[:, 0], fibers[:, 1])
+    )
+    points = _pair_records(samples, fibers, {"coassociative": res}, criteria)
     return VerificationReport.build(config, points)
 
 
@@ -302,26 +300,16 @@ def _run_spin7(config: SuiteConfig) -> VerificationReport:
     fibers = _parse_fiber_list(config.fiber, 2, default=[(0.0, 0.0), (1.0, -2.0), (0.8, 0.5)])
     samples, frames = _sample_frames(chart, config)
     sframe = spin7.spinor_frames()
-    points = []
-    for u, point in zip(samples, frames):
-        sec = g2.section_data(family, point, config.fd_step)
-        c3, c4 = spin7.dbar_vminus_residual(point.gamma, sframe, sec)
-        trace = float(trace_residual(point.second_fund))
-        criteria = {"trace_a": trace, "dbar_vminus": float(np.hypot(c3, c4))}
-        for t in fibers:
-            e1, e2, f1, f2 = spin7.tangent_basis_v_plus(point, sframe, sec, t)
-            r = float(np.sqrt(t @ t + sec.a**2 + sec.b**2))
-            res = spin7.cayley_residual(e1, e2, f1, f2, bs_profile, r)
-            gap = spin7.calibration_gap(e1, e2, f1, f2, bs_profile, r)
-            points.append(
-                PointRecord(
-                    u=list(u),
-                    t=[float(t[0]), float(t[1])],
-                    residuals={"cayley": res, "calibration_gap": gap},
-                    criteria=dict(criteria),
-                )
-            )
-    return VerificationReport.build(config, points)
+    sec = g2.section_data(family, frames, config.fd_step)
+    c3, c4 = spin7.dbar_vminus_residual(frames.gamma, sframe, sec)
+    criteria = {"trace_a": trace_residual(frames.second_fund), "dbar_vminus": np.hypot(c3, c4)}
+    e1, e2, f1, f2 = np.moveaxis(spin7.tangent_basis_v_plus(frames, sframe, sec, fibers), -2, 0)
+    r = np.sqrt(np.sum(fibers * fibers, axis=-1) + sec.a[:, None] ** 2 + sec.b[:, None] ** 2)
+    residuals = {
+        "cayley": spin7.cayley_residual(e1, e2, f1, f2, bs_profile, r),
+        "calibration_gap": spin7.calibration_gap(e1, e2, f1, f2, bs_profile, r),
+    }
+    return VerificationReport.build(config, _pair_records(samples, fibers, residuals, criteria))
 
 
 _SUITES = {
@@ -351,9 +339,15 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
 
 def _check_finite(report: VerificationReport):
+    """One isfinite over every residual and criterion value; the points are
+    walked only after a failure, to name the first bad one."""
+    values = [v for p in report.points for d in (p.residuals, p.criteria) for v in d.values()]
+    if np.isfinite(values).all():
+        return
     for p in report.points:
-        values = list(p.residuals.values()) + list(p.criteria.values())
-        if not all(np.isfinite(v) for v in values):
-            raise TwistcalError(
-                f"numerical breakdown at u={p.u}, t={p.t}: residuals={p.residuals}, criteria={p.criteria}"
-            )
+        for key, v in (*p.residuals.items(), *p.criteria.items()):
+            if not np.isfinite(v):
+                raise TwistcalError(
+                    f"numerical breakdown at u={p.u}, t={p.t}: {key}={v}; "
+                    f"residuals={p.residuals}, criteria={p.criteria}"
+                )

@@ -11,16 +11,18 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from twistcal import g2, spin7
+from twistcal import g2, spin7, suites
 from twistcal.exterior import Multivector, contract, form_inner, wedge
 from twistcal.numerics import directional_derivative
 from twistcal.octonion import standard_pinor_context
+from twistcal.report import PointRecord, VerificationReport
 from twistcal.stenzel import DEFAULT_PROFILE
-from twistcal.submanifold import adapted_frame
+from twistcal.submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
 
 # pyproject's pytest ``pythonpath`` puts src/ on sys.path of this process only;
 # the CLI tests spawn ``python -m twistcal`` and need it too
@@ -309,6 +311,211 @@ def pointwise_omega_max(chart, mu_coeffs, u, t, profile=DEFAULT_PROFILE, fd_step
         for i in range(n)
         for j in range(i + 1, n)
     )
+
+
+# -- per-point g2 / Spin(7) oracle -------------------------------------------------
+# The g2 and spin7 suites one (sample, fibre) pair at a time, as they ran before
+# they were stacked: FD section data direction by direction on the real and
+# imaginary parts, nabla f rebuilt for every fibre, 7- and 8-vectors assembled in
+# loops, and one dense contraction per residual.  The library contracts every
+# pair of a job at once instead.
+
+
+@dataclass(frozen=True)
+class PointwiseSection:
+    a: float
+    b: float
+    da: np.ndarray
+    db: np.ndarray
+
+
+def pointwise_section_data(family, point, fd_step: float = 1e-5) -> PointwiseSection:
+    def a_fn(u):
+        return complex(family.value(u)).real
+
+    def b_fn(u):
+        return complex(family.value(u)).imag
+
+    g = complex(family.value(point.u))
+    da = np.array([float(directional_derivative(a_fn, point.u, w, fd_step)) for w in point.velocities])
+    db = np.array([float(directional_derivative(b_fn, point.u, w, fd_step)) for w in point.velocities])
+    return PointwiseSection(a=g.real, b=g.imag, da=da, db=db)
+
+
+def pointwise_nabla_f(gamma: np.ndarray) -> np.ndarray:
+    out = np.zeros((2, 3, 3))
+    for j in range(2):
+        g = gamma[j]
+        out[j, 0, 1] = g[3, 0] - g[2, 1]
+        out[j, 0, 2] = -g[2, 0] - g[3, 1]
+        out[j, 1, 0] = g[2, 1] - g[3, 0]
+        out[j, 1, 2] = g[1, 0] - g[3, 2]
+        out[j, 2, 0] = g[2, 0] + g[3, 1]
+        out[j, 2, 1] = g[3, 2] - g[1, 0]
+    return out
+
+
+def _lift(i, vert, dim):
+    vec = np.zeros(dim)
+    vec[i] = 1.0
+    vec[dim - len(vert):] = vert
+    return vec
+
+
+def pointwise_basis_e_sigma(point, sec, t1: float):
+    n = pointwise_nabla_f(point.gamma)
+    es = []
+    for i in range(2):
+        vert = t1 * n[i, 0] + sec.a * n[i, 1] + sec.b * n[i, 2]
+        es.append(_lift(i, vert + np.array([0.0, sec.da[i], sec.db[i]]), 7))
+    return es[0], es[1], np.eye(7)[4]
+
+
+def pointwise_basis_eta_f(point, gamma_val: float, dgamma, t):
+    n = pointwise_nabla_f(point.gamma)
+    es = []
+    for i in range(2):
+        vert = t[0] * n[i, 1] + t[1] * n[i, 2] + gamma_val * n[i, 0]
+        es.append(_lift(i, vert + np.array([dgamma[i], 0.0, 0.0]), 7))
+    return es[0], es[1], np.eye(7)[5], np.eye(7)[6]
+
+
+def pointwise_spin_connection(gamma: np.ndarray) -> np.ndarray:
+    return 0.25 * np.einsum("ikl,klac->iac", gamma[:2, :4, :4], spin7._GG)
+
+
+def pointwise_basis_v_plus(point, frame, sec, t):
+    omegas = pointwise_spin_connection(point.gamma)
+    s = frame.s
+    fiber_spinor = t[0] * s[0] + t[1] * s[1] + sec.a * s[2] + sec.b * s[3]
+    es = [
+        _lift(i, s @ (sec.da[i] * s[2] + sec.db[i] * s[3] + omegas[i] @ fiber_spinor), 8)
+        for i in range(2)
+    ]
+    return es[0], es[1], np.eye(8)[4], np.eye(8)[5]
+
+
+def pointwise_dbar_f(gamma, sec):
+    p = gamma[1, 1, 0] - gamma[1, 3, 2]
+    q = gamma[0, 3, 2] - gamma[0, 1, 0]
+    r2 = sec.da[0] - sec.db[1] - p * sec.a + q * sec.b
+    r3 = sec.da[1] + sec.db[0] - q * sec.a - p * sec.b
+    return float(r2), float(r3)
+
+
+def pointwise_dbar_vminus(gamma, frame, sec):
+    omegas = pointwise_spin_connection(gamma)
+    s = frame.s
+    psi_oct = sec.a * s[2] + sec.b * s[3]
+    grads = []
+    for i in range(2):
+        comps = s @ (sec.da[i] * s[2] + sec.db[i] * s[3] + omegas[i] @ psi_oct)
+        grads.append(comps[2] * s[2] + comps[3] * s[3])
+    comps = s @ (grads[0] - spin7._GAMMA_OP @ grads[1])
+    return float(comps[2]), float(comps[3])
+
+
+def _pointwise_weights(profile, r: float, dim: int) -> np.ndarray:
+    u, v = profile.at(r)
+    return np.array([float(u)] * 4 + [float(v)] * (dim - 4))
+
+
+def pointwise_associative(e1, e2, f1, profile, fiber) -> float:
+    t1, a, b = fiber
+    d = _pointwise_weights(profile, float(np.sqrt(2.0 * (t1 * t1 + a * a + b * b))), 7)
+    one_form = (d * f1) @ g2._unit_tensors()[1].reshape(7, -1)
+    one_form = (d * e1) @ one_form.reshape(7, -1)
+    one_form = (d * e2) @ one_form.reshape(7, -1)
+    return float(np.linalg.norm(d * one_form))
+
+
+def pointwise_coassociative(e1, e2, f2, f3, profile, fiber) -> float:
+    t1, a, b = fiber
+    d = _pointwise_weights(profile, float(np.sqrt(2.0 * (t1 * t1 + a * a + b * b))), 7)
+    vecs = d * np.array([e1, e2, f2, f3])
+    values = vecs @ (vecs @ g2._unit_tensors()[0].reshape(7, -1)).reshape(4, 7, 7) @ vecs.T
+    return float(max(abs(values[a, b, c]) for a, b, c in itertools.combinations(range(4), 3)))
+
+
+def pointwise_cayley(e1, e2, f1, f2, profile, r: float) -> float:
+    d = _pointwise_weights(profile, r, 8)
+    vecs = d * np.array([e1, e2, f1, f2])
+    phi = spin7._unit_phi()
+    heads = ((1, 2, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2))
+    cross = np.array(
+        [vecs[c] @ (vecs[b] @ (vecs[a] @ phi.reshape(8, -1)).reshape(8, -1)).reshape(8, 8) for a, b, c in heads]
+    )
+    pairs = cross.T @ vecs
+    eta = pairs.T - pairs + (pairs.reshape(64) @ phi.reshape(64, 64)).reshape(8, 8)
+    return float(np.linalg.norm(d[:, None] * eta * d[None, :]) / np.sqrt(2.0))
+
+
+def pointwise_calibration_gap(e1, e2, f1, f2, profile, r: float) -> float:
+    d = _pointwise_weights(profile, r, 8)
+    vecs = d * np.array([e1, e2, f1, f2])
+    val = spin7._unit_phi()
+    for w in vecs:
+        val = w @ val.reshape(8, -1)
+    vol = float(np.sqrt(max(np.linalg.det(vecs @ vecs.T), 0.0)))
+    return abs(abs(float(val[0])) - vol)
+
+
+def pointwise_suite(config) -> VerificationReport:
+    """The report of a g2-* or spin7-cayley run, one (sample, fibre) pair at a time."""
+    chart = get_chart(config.chart)
+    bs_profile, _ = suites.parse_profile_spec(config.profile)
+    samples, frames = suites._sample_frames(chart, config)
+    points = []
+    if config.suite == "g2-coassociative":
+        eta = suites._eta_family_for(config, chart.q)
+        default = [(0.7, -1.2), (1.5, 0.4), (0.3, 0.9)]
+        fibers = suites._parse_fiber_list(config.fiber, 2, default=default)
+        for u, point in zip(samples, frames):
+            gval = float(eta.value(point.u))
+            dgamma = np.array(
+                [float(directional_derivative(eta.value, point.u, w, config.fd_step))
+                 for w in point.velocities]
+            )
+            criteria = {
+                "neg_superminimal": float(superminimal_residual(point.second_fund, -1.0)),
+                "parallel_e": float(abs(dgamma[0]) + abs(dgamma[1])),
+            }
+            for t in fibers:
+                basis = pointwise_basis_eta_f(point, gval, dgamma, t)
+                res = pointwise_coassociative(*basis, bs_profile, (gval, t[0], t[1]))
+                points.append(PointRecord(list(u), list(t), {"coassociative": res}, dict(criteria)))
+        return VerificationReport.build(config, points)
+
+    family = suites._section_family_for(config)
+    sframe = spin7.spinor_frames()
+    spin = config.suite == "spin7-cayley"
+    if spin:
+        default = [(0.0, 0.0), (1.0, -2.0), (0.8, 0.5)]
+    else:
+        default = [-2.0, 0.0, 1.5]
+    fibers = suites._parse_fiber_list(config.fiber, 2 if spin else 1, default=default)
+    for u, point in zip(samples, frames):
+        sec = pointwise_section_data(family, point, config.fd_step)
+        trace = float(trace_residual(point.second_fund))
+        if spin:
+            dbar = {"dbar_vminus": float(np.hypot(*pointwise_dbar_vminus(point.gamma, sframe, sec)))}
+        else:
+            dbar = {"dbar_f": float(np.hypot(*pointwise_dbar_f(point.gamma, sec)))}
+        criteria = {"trace_a": trace, **dbar}
+        for t in fibers:
+            if spin:
+                basis = pointwise_basis_v_plus(point, sframe, sec, t)
+                r = float(np.sqrt(t @ t + sec.a**2 + sec.b**2))
+                residuals = {
+                    "cayley": pointwise_cayley(*basis, bs_profile, r),
+                    "calibration_gap": pointwise_calibration_gap(*basis, bs_profile, r),
+                }
+            else:
+                basis = pointwise_basis_e_sigma(point, sec, float(t[0]))
+                fiber = (float(t[0]), sec.a, sec.b)
+                residuals = {"associative": pointwise_associative(*basis, bs_profile, fiber)}
+            points.append(PointRecord(list(u), list(t), residuals, dict(criteria)))
+    return VerificationReport.build(config, points)
 
 
 def legacy_eval_expr(expr: str, variables: dict) -> float:

@@ -1,0 +1,242 @@
+"""The g2 and Spin(7) suites over stacks of (sample, fibre) pairs.
+
+A job evaluates its section data, tangent bases, residuals and criteria as
+stacked array expressions.  The per-point chain in conftest, as the suites
+ran before, is the reference for every verdict, status and value; every
+stacked public function must give, row by row, what its single-point call
+gives.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from twistcal import g2, spin7
+from twistcal.cli import main
+from twistcal.errors import DomainError
+from twistcal.examples import make_eta_family, make_section_family
+from twistcal.report import SuiteConfig
+from twistcal.submanifold import adapted_frame, get_chart
+from twistcal.suites import run_suite
+
+from conftest import nabla_f_fd_oracle, pointwise_suite, rng_for
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS, fiber_spec  # noqa: E402
+
+ROW_TOL = 1e-15
+
+
+def _job_config(job, seed):
+    """The SuiteConfig of a benchmark job's argv at one seed."""
+    _, suite, *flags = job.argv
+    opts = {flags[i].lstrip("-"): flags[i + 1] for i in range(0, len(flags), 2)}
+    fiber = fiber_spec(seed, job.fibers) if job.fibers else ""
+    return SuiteConfig(
+        suite=suite,
+        chart=opts["chart"],
+        section=opts["section"],
+        samples=int(opts["samples"]),
+        profile=opts["profile"],
+        seed=seed,
+        fiber=fiber,
+    )
+
+
+BENCHMARK_CONFIGS = [
+    pytest.param(_job_config(job, seed), id=f"{name}-{j}-seed{seed}")
+    for name in ("forms-unit", "forms-linear-wide")
+    for j, job in enumerate(WORKLOADS[name])
+    for seed in (1, 2)
+]
+
+README_CONFIGS = [
+    pytest.param(SuiteConfig("g2-associative", "veronese", "sinphi:C=1,D=0", seed=7), id="readme-assoc"),
+    pytest.param(SuiteConfig("g2-coassociative", "veronese-antipodal", "const:c=2"), id="readme-coassoc"),
+    pytest.param(SuiteConfig("spin7-cayley", "equatorial", "zero"), id="readme-cayley"),
+    pytest.param(SuiteConfig("spin7-cayley", "veronese", "const:re=0.4", seed=4), id="readme-cayley-mixed"),
+]
+
+
+@pytest.mark.parametrize("config", BENCHMARK_CONFIGS + README_CONFIGS)
+def test_stacked_suite_matches_pointwise_chain(config):
+    new = run_suite(config)
+    old = pointwise_suite(config)
+    assert new.verdict == old.verdict
+    assert new.exit_code() == old.exit_code()
+    assert len(new.points) == len(old.points)
+    for p, q in zip(new.points, old.points):
+        assert p.status == q.status
+        assert p.u == list(q.u) and p.t == list(q.t)
+        for new_vals, old_vals in ((p.residuals, q.residuals), (p.criteria, q.criteria)):
+            assert new_vals.keys() == old_vals.keys()
+            for key, o in old_vals.items():
+                assert abs(new_vals[key] - o) <= 1e-7 + 1e-9 * abs(o), (key, new_vals[key], o)
+
+
+# -- stacked public functions against their single-point calls ---------------------------
+
+
+def _rows_match(stacked, single_call, count):
+    for i in range(count):
+        diff = np.abs(np.asarray(stacked[i]) - np.asarray(single_call(i)))
+        assert np.max(diff, initial=0.0) <= ROW_TOL
+
+
+@pytest.fixture(scope="module")
+def stack():
+    """70 Veronese frames (two blocks of contractions), three fibres, a
+    chart-varying section and the linear profile."""
+    chart = get_chart("veronese")
+    frames = adapted_frame(chart, chart.sample(rng_for(21), 70))
+    family = make_section_family("sinphi", C=0.7, D=-0.4)
+    fibers = np.array([[0.4, -1.1], [1.3, 0.2], [-0.6, 0.9]])
+    return frames, family, fibers, g2.BSProfile(u=lambda r: 1.0 + r, v=lambda r: 1.0 + 2.0 * r)
+
+
+def test_section_data_rows_match_single_points(stack):
+    frames, family, _, _ = stack
+    sec = g2.section_data(family, frames)
+    singles = [g2.section_data(family, frames[i]) for i in range(len(frames))]
+    for field in ("a", "b", "da", "db"):
+        _rows_match(getattr(sec, field), lambda i: getattr(singles[i], field), len(frames))
+    r2, r3 = g2.dbar_f_residual(frames.gamma, sec)
+    for i, s in enumerate(singles):
+        one = g2.dbar_f_residual(frames[i].gamma, s)
+        assert max(abs(r2[i] - one[0]), abs(r3[i] - one[1])) <= ROW_TOL
+    sf = spin7.spinor_frames()
+    c3, c4 = spin7.dbar_vminus_residual(frames.gamma, sf, sec)
+    for i, s in enumerate(singles):
+        one = spin7.dbar_vminus_residual(frames[i].gamma, sf, s)
+        assert max(abs(c3[i] - one[0]), abs(c4[i] - one[1])) <= ROW_TOL
+
+
+def test_connection_tables_rows_match_single_points(stack):
+    frames = stack[0]
+    for fn in (g2.nabla_f_coeffs, spin7.spin_connection_ops):
+        _rows_match(fn(frames.gamma), lambda i: fn(frames[i].gamma), len(frames))
+
+
+def test_g2_bases_and_residuals_rows_match_single_points(stack):
+    frames, family, fibers, profile = stack
+    sec = g2.section_data(family, frames)
+    t1 = fibers[:, 0]
+    basis = g2.tangent_basis_e_sigma(frames, sec, t1)
+    assert basis.shape == (70, 3, 3, 7)
+    fiber = (t1, sec.a[:, None], sec.b[:, None])
+    res = g2.associative_residual(*np.moveaxis(basis, -2, 0), profile, fiber)
+    eta = make_eta_family("coord", axis=2)
+    gval, dgamma = eta.value(frames.u), frames.scalar_derivatives(eta.value)
+    basis_f = g2.tangent_basis_eta_f(frames, gval, dgamma, fibers)
+    assert basis_f.shape == (70, 3, 4, 7)
+    res_f = g2.coassociative_residual(
+        *np.moveaxis(basis_f, -2, 0), profile, (gval[:, None], fibers[:, 0], fibers[:, 1])
+    )
+    for i in range(len(frames)):
+        point, sec_i = frames[i], g2.section_data(family, frames[i])
+        dg_i = point.scalar_derivatives(eta.value)
+        assert np.max(np.abs(dgamma[i] - dg_i)) <= ROW_TOL
+        for j, t in enumerate(fibers):
+            one = g2.tangent_basis_e_sigma(point, sec_i, t[0])
+            assert np.max(np.abs(basis[i, j] - one)) <= ROW_TOL
+            one_res = g2.associative_residual(*one, profile, (t[0], sec_i.a, sec_i.b))
+            assert abs(res[i, j] - one_res) <= ROW_TOL
+            one_f = g2.tangent_basis_eta_f(point, gval[i], dg_i, t)
+            assert np.max(np.abs(basis_f[i, j] - one_f)) <= ROW_TOL
+            one_res = g2.coassociative_residual(*one_f, profile, (gval[i], *t))
+            assert abs(res_f[i, j] - one_res) <= ROW_TOL
+
+
+def test_spin7_basis_and_residuals_rows_match_single_points(stack):
+    frames, family, fibers, profile = stack
+    sf = spin7.spinor_frames()
+    sec = g2.section_data(family, frames)
+    basis = spin7.tangent_basis_v_plus(frames, sf, sec, fibers)
+    assert basis.shape == (70, 3, 4, 8)
+    r = np.sqrt(np.sum(fibers * fibers, axis=-1) + sec.a[:, None] ** 2 + sec.b[:, None] ** 2)
+    vecs = np.moveaxis(basis, -2, 0)
+    res = spin7.cayley_residual(*vecs, profile, r)
+    gap = spin7.calibration_gap(*vecs, profile, r)
+    u, v = profile.at(r)
+    for i in range(len(frames)):
+        sec_i = g2.section_data(family, frames[i])
+        for j, t in enumerate(fibers):
+            one = spin7.tangent_basis_v_plus(frames[i], sf, sec_i, t)
+            assert np.max(np.abs(basis[i, j] - one)) <= ROW_TOL
+            assert abs(res[i, j] - spin7.cayley_residual(*one, profile, r[i, j])) <= ROW_TOL
+            assert abs(gap[i, j] - spin7.calibration_gap(*one, profile, r[i, j])) <= ROW_TOL
+            assert profile.at(r[i, j]) == (u[i, j], v[i, j])
+
+
+def test_profile_names_the_first_non_positive_weight():
+    profile = g2.BSProfile(u=lambda r: 1.0 - r)
+    with pytest.raises(DomainError, match=r"u=-0\.5, v=1 at fibre radius r=1\.5"):
+        profile.at(np.array([0.5, 1.5, 2.5]))
+
+
+# -- families and the nabla f table ----------------------------------------------------------
+
+FAMILIES = [
+    ("zero", {}, "equatorial"),
+    ("const", {"re": 0.4, "im": -1.2}, "equatorial"),
+    ("equatorial-hol", {"coeffs": [0.5, -1.0 + 0.3j, 0.2j]}, "equatorial"),
+    ("veronese-strip", {"coeffs": {-1: 0.3, 0: 1.0 - 0.5j, 2: 0.25j}}, "veronese"),
+    ("sinphi", {"C": 1.0, "D": -0.5}, "veronese"),
+]
+ETAS = [("const", {"c": -2.5}), ("coord", {"axis": 1}), ("coord", {"axis": 2})]
+
+
+@pytest.mark.parametrize("kind, params, chart", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_section_family_on_a_stack_matches_rows(kind, params, chart):
+    family = make_section_family(kind, **params)
+    u = get_chart(chart).sample(rng_for(22), 40)
+    values = family.value(u)
+    assert values.shape == (40,) and values.dtype == complex
+    for i, row in enumerate(u):
+        one = family.value(row)
+        assert np.ndim(one) == 0
+        assert abs(values[i] - one) <= ROW_TOL
+    assert family.value(u.reshape(4, 10, 2)).shape == (4, 10)
+
+
+@pytest.mark.parametrize("kind, params", ETAS, ids=[f"{k}-{p}" for k, p in ETAS])
+def test_eta_family_on_a_stack_matches_rows(kind, params):
+    eta = make_eta_family(kind, **params)
+    u = get_chart("equatorial").sample(rng_for(23), 40)
+    values = eta.value(u)
+    assert values.shape == (40,)
+    for i, row in enumerate(u):
+        assert abs(values[i] - eta.value(row)) <= ROW_TOL
+
+
+@pytest.mark.parametrize("name", ["equatorial", "veronese", "veronese-hat"])
+def test_stacked_nabla_f_matches_fd_oracle(name):
+    chart = get_chart(name)
+    u = chart.sample(rng_for(24), 6)
+    coeffs = g2.nabla_f_coeffs(adapted_frame(chart, u).gamma)
+    assert coeffs.shape == (6, 2, 3, 3)
+    for i, row in enumerate(u):
+        assert np.max(np.abs(coeffs[i] - nabla_f_fd_oracle(chart, row))) < 1e-6
+
+
+# -- numerical breakdown --------------------------------------------------------------------
+
+
+def test_nan_residual_at_one_sample_exits_1_and_names_the_point(monkeypatch, tmp_path, capsys):
+    original = g2.associative_residual
+
+    def broken(*args, **kwargs):
+        res = np.array(original(*args, **kwargs))
+        res[3, 1] = np.nan
+        return res
+
+    monkeypatch.setattr(g2, "associative_residual", broken)
+    code = main(["verify", "g2-associative", "--chart", "veronese", "--section", "sinphi:C=1,D=0",
+                 "--samples", "5", "--seed", "3", "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    u = get_chart("veronese").sample(np.random.default_rng(3), 5)[3].tolist()
+    assert f"numerical breakdown at u={u}, t=[0.0]: associative=nan" in err
+    assert not (tmp_path / "r.json").exists()

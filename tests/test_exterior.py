@@ -140,7 +140,7 @@ def test_hodge_standard_case(sp4):
     assert out.allclose(sp4.monomial((3, 4)))
 
 
-def test_hodge_involution_identity_and_random_metric():
+def test_hodge_involution():
     rng = rng_for(4)
     space = InnerSpace(5)
     for k in range(6):
@@ -164,7 +164,7 @@ def test_hodge_is_isometry():
         assert form_inner(hodge(a), hodge(b)) == pytest.approx(form_inner(a, b), abs=1e-9)
 
 
-def test_hodge_defining_property_random_metric():
+def test_hodge_defining_property():
     rng = rng_for(7)
     space = InnerSpace(4)
     vol = space.volume_form()

@@ -84,7 +84,7 @@ def test_asd_frame_rotation_phase():
 # in test_dense_forms.py.
 
 
-def test_psi_is_hodge_dual_of_phi_for_random_profiles():
+def test_psi_is_hodge_dual_of_phi_at_unit_weights():
     assert hodge(phi_form(1.0, 1.0)).allclose(psi_form(1.0, 1.0))
 
 
@@ -405,7 +405,7 @@ def test_parallel_eta_fd_cross_check():
     rng = rng_for(14)
 
     def gamma_fn(u):
-        return float(np.sin(u[0]) * u[1])
+        return np.sin(u[..., 0]) * u[..., 1]
 
     fam = make_eta_family("const", c=0.0)
     for u in eq.sample(rng, 3):

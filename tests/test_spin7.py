@@ -172,7 +172,7 @@ def test_phi_reproduces_displayed_monomials():
     assert phi.evaluate(eye[1], eye[2], eye[4], eye[7]) == pytest.approx(-u2v2)
 
 
-def test_phi_and_phi_plus_comass_one():
+def test_cayley_phi_comass_is_one():
     rng = rng_for(4)
     best = comass_estimate(phi_form(1.0, 1.0), 4, rng, restarts=6)
     assert best <= 1.0 + 1e-9
@@ -381,7 +381,7 @@ def test_dbar_vminus_normal_centre_reduces_to_cauchy_riemann():
     sf = spinor_frames()
 
     def family_value(u):
-        return complex(u[0] * 0.3 - u[1] * 0.1, u[0] * 0.5 + u[1] * 0.7)
+        return (u[..., 0] * 0.3 - u[..., 1] * 0.1) + 1j * (u[..., 0] * 0.5 + u[..., 1] * 0.7)
 
     fam = make_section_family("zero")
     sec = g2.section_data(
@@ -407,7 +407,7 @@ def test_dbar_vminus_matches_fd_of_covariant_derivative():
     rng = rng_for(10)
 
     def family_value(u):
-        return complex(np.sin(u[0]) * np.cos(u[1]), np.cos(u[0] + u[1]))
+        return np.sin(u[..., 0]) * np.cos(u[..., 1]) + 1j * np.cos(u[..., 0] + u[..., 1])
 
     fam_cls = type(make_section_family("zero"))
     fam = fam_cls(kind="test", params={}, evaluator=family_value)
