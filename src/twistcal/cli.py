@@ -25,7 +25,6 @@ from .report import SuiteConfig, check_positive, check_samples, check_seed, emit
 from .suites import run_suite, suite_names
 
 _CONFIG_KEYS = {
-    "suite": str,
     "chart": str,
     "section": str,
     "mu": str,
@@ -136,7 +135,7 @@ def _cmd_verify(args) -> int:
     if out_path:
         with open(out_path, "wb") as fh:
             fh.write(payload)
-        print(f"{report.suite}: verdict {report.verdict} ({len(report.points)} points) -> {out_path}")
+        print(f"{report.suite}: verdict {report.verdict} ({len(report.status)} points) -> {out_path}")
     else:
         sys.stdout.buffer.write(payload)
     return report.exit_code()

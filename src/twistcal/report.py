@@ -17,7 +17,6 @@ __all__ = [
     "check_positive",
     "check_samples",
     "check_seed",
-    "PointRecord",
     "VerificationReport",
     "emit",
     "parse_report",
@@ -63,6 +62,9 @@ class SuiteConfig:
         check_samples(self.samples)
         check_seed(self.seed)
         check_positive("tol_verdict", self.tol_verdict)
+        if self.tol_verdict > SEPARATION:
+            raise ConfigError(f"tol_verdict must be at most the FAIL separation {SEPARATION!r}, "
+                              f"got {self.tol_verdict!r}")
         check_positive("fd_step", self.fd_step)
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
@@ -73,63 +75,56 @@ class SuiteConfig:
 
 
 @dataclass
-class PointRecord:
-    u: list
-    t: list
-    residuals: dict
-    criteria: dict
-    status: str = ""
-
-    def classify(self, tol_verdict: float) -> "PointRecord":
-        cond = max(self.residuals.values()) if self.residuals else 0.0
-        crit = max(self.criteria.values()) if self.criteria else 0.0
-        if cond < tol_verdict and crit < tol_verdict:
-            self.status = "PASS"
-        elif cond >= SEPARATION and crit >= SEPARATION:
-            self.status = "FAIL"
-        else:
-            self.status = "MIXED"
-        return self
-
-
-@dataclass
 class VerificationReport:
+    """A verification run as columns, one row per sampled (sample, fibre) pair.
+
+    ``u`` (N, q) and ``t`` (N, f) are the chart point and fibre coordinates
+    of each row; ``residuals`` and ``criteria`` map each key, in sorted order,
+    to an (N,) float column; ``status`` (N,) is each row's PASS, FAIL or MIXED.
+    """
+
     suite: str
     config: dict
-    points: list
+    u: np.ndarray
+    t: np.ndarray
+    residuals: dict
+    criteria: dict
+    status: np.ndarray
     aggregates: dict
     verdict: str
     provenance: dict
 
     @staticmethod
-    def build(config: SuiteConfig, points: list, provenance: dict | None = None) -> "VerificationReport":
-        for p in points:
-            p.classify(config.tol_verdict)
-        statuses = {p.status for p in points}
-        if statuses <= {"PASS"}:
-            verdict = "PASS"
-        elif statuses == {"FAIL"}:
-            verdict = "FAIL"
-        else:
-            verdict = "MIXED" if "MIXED" in statuses else "FAIL"
+    def build(config: SuiteConfig, u, t, residuals: dict, criteria: dict,
+              provenance: dict | None = None) -> "VerificationReport":
+        """Classify the rows (PASS when the largest residual and the largest
+        criterion are below ``tol_verdict``, FAIL when both are at or above
+        ``SEPARATION``, else MIXED), aggregate each column, take the verdict."""
+        u = np.asarray(u, dtype=float)
+        residuals = {k: np.asarray(residuals[k], dtype=float) for k in sorted(residuals)}
+        criteria = {k: np.asarray(criteria[k], dtype=float) for k in sorted(criteria)}
+        res, crit = _matrix(residuals, len(u)), _matrix(criteria, len(u))
+        tol = config.tol_verdict
+        passed = (res < tol).all(axis=1) & (crit < tol).all(axis=1)
+        failed = (res >= SEPARATION).any(axis=1) & (crit >= SEPARATION).any(axis=1)
+        status = np.select([passed, failed], ["PASS", "FAIL"], "MIXED")
+        verdict = "PASS" if passed.all() else "MIXED" if (status == "MIXED").any() else "FAIL"
         aggregates = {}
-        names = sorted({k for p in points for k in p.residuals})
-        crit_names = sorted({k for p in points for k in p.criteria})
-        for name in names:
-            vals = [p.residuals[name] for p in points if name in p.residuals]
-            aggregates[f"residual.{name}.max"] = max(vals)
-            aggregates[f"residual.{name}.median"] = float(np.median(vals))
-        for name in crit_names:
-            vals = [p.criteria[name] for p in points if name in p.criteria]
-            aggregates[f"criterion.{name}.max"] = max(vals)
-            aggregates[f"criterion.{name}.median"] = float(np.median(vals))
+        for kind, columns in (("residual", residuals), ("criterion", criteria)):
+            for name, col in columns.items():
+                aggregates[f"{kind}.{name}.max"] = float(np.max(col))
+                aggregates[f"{kind}.{name}.median"] = float(np.median(col))
         prov = {"version": _package_version(), "config": config.echo()}
         if provenance:
             prov.update(provenance)
         return VerificationReport(
             suite=config.suite,
             config=config.echo(),
-            points=points,
+            u=u,
+            t=np.asarray(t, dtype=float),
+            residuals=residuals,
+            criteria=criteria,
+            status=status,
             aggregates=aggregates,
             verdict=verdict,
             provenance=prov,
@@ -139,23 +134,31 @@ class VerificationReport:
         return 0 if self.verdict == "PASS" else 1
 
     def to_dict(self) -> dict:
+        n = len(self.status)
+        res, crit = _matrix(self.residuals, n).tolist(), _matrix(self.criteria, n).tolist()
+        rows = zip(self.u.tolist(), self.t.tolist(), res, crit, self.status.tolist())
         return {
             "suite": self.suite,
             "config": self.config,
             "points": [
-                {
-                    "u": list(map(float, p.u)),
-                    "t": list(map(float, p.t)),
-                    "residuals": {k: float(v) for k, v in sorted(p.residuals.items())},
-                    "criteria": {k: float(v) for k, v in sorted(p.criteria.items())},
-                    "status": p.status,
-                }
-                for p in self.points
+                {"u": u, "t": t, "residuals": dict(zip(self.residuals, r)),
+                 "criteria": dict(zip(self.criteria, c)), "status": status}
+                for u, t, r, c, status in rows
             ],
             "aggregates": {k: float(v) for k, v in sorted(self.aggregates.items())},
             "verdict": self.verdict,
             "provenance": self.provenance,
         }
+
+
+def _matrix(columns: dict, n: int) -> np.ndarray:
+    """The (N, K) matrix of K (N,) columns; (N, 0) when there are none."""
+    return np.array(list(columns.values()), dtype=float).reshape(len(columns), n).T
+
+
+def _rows(rows: list) -> np.ndarray:
+    """An (N, d) array of N lists of length d; (0, 0) when there are none."""
+    return np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
 def _package_version() -> str:
@@ -172,27 +175,22 @@ def emit(report: VerificationReport, fmt: str = "json") -> bytes:
     if fmt == "json":
         return json.dumps(report.to_dict(), sort_keys=True, indent=2).encode() + b"\n"
     if fmt == "csv":
-        res_names = sorted({k for p in report.points for k in p.residuals})
-        crit_names = sorted({k for p in report.points for k in p.criteria})
-        dim_u = len(report.points[0].u) if report.points else 0
-        dim_t = len(report.points[0].t) if report.points else 0
+        n = len(report.status)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        header = (
+        writer.writerow(
             ["index", "status"]
-            + [f"u{i + 1}" for i in range(dim_u)]
-            + [f"t{i + 1}" for i in range(dim_t)]
-            + res_names
-            + crit_names
+            + [f"u{i + 1}" for i in range(report.u.shape[1])]
+            + [f"t{i + 1}" for i in range(report.t.shape[1])]
+            + [*report.residuals, *report.criteria]
         )
-        writer.writerow(header)
-        for idx, p in enumerate(report.points):
-            row = [idx, p.status]
-            row += [repr(float(x)) for x in p.u]
-            row += [repr(float(x)) for x in p.t]
-            row += [repr(float(p.residuals.get(k, 0.0))) for k in res_names]
-            row += [repr(float(p.criteria.get(k, 0.0))) for k in crit_names]
-            writer.writerow(row)
+        values = np.hstack(
+            [report.u, report.t, _matrix(report.residuals, n), _matrix(report.criteria, n)]
+        )
+        writer.writerows(
+            [idx, status, *map(repr, row)]
+            for idx, (status, row) in enumerate(zip(report.status.tolist(), values.tolist()))
+        )
         return buf.getvalue().encode()
     raise ConfigError(f"unknown format {fmt!r}")
 
@@ -200,20 +198,20 @@ def emit(report: VerificationReport, fmt: str = "json") -> bytes:
 def parse_report(data: bytes) -> VerificationReport:
     """Inverse of the JSON emission."""
     raw = json.loads(data.decode())
-    points = [
-        PointRecord(
-            u=p["u"],
-            t=p["t"],
-            residuals=p["residuals"],
-            criteria=p["criteria"],
-            status=p["status"],
-        )
-        for p in raw["points"]
-    ]
+    points = raw["points"]
+
+    def columns(field):
+        keys = sorted(points[0][field]) if points else []
+        return {k: np.array([p[field][k] for p in points], dtype=float) for k in keys}
+
     return VerificationReport(
         suite=raw["suite"],
         config=raw["config"],
-        points=points,
+        u=_rows([p["u"] for p in points]),
+        t=_rows([p["t"] for p in points]),
+        residuals=columns("residuals"),
+        criteria=columns("criteria"),
+        status=np.array([p["status"] for p in points], dtype=str),
         aggregates=raw["aggregates"],
         verdict=raw["verdict"],
         provenance=raw["provenance"],

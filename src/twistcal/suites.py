@@ -19,7 +19,7 @@ import numpy as np
 from . import g2, spin7, stenzel
 from .errors import ConfigError, TwistcalError
 from .examples import make_eta_family, make_section_family
-from .report import PointRecord, SuiteConfig, VerificationReport
+from .report import SuiteConfig, VerificationReport
 from .submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
 from .g2 import BSProfile, UNIT_PROFILE
 from .stenzel import DEFAULT_PROFILE, StenzelProfile, constant_mu
@@ -194,19 +194,10 @@ def _run_stenzel(config: SuiteConfig) -> VerificationReport:
     rng = np.random.default_rng(config.seed)
     samples = chart.sample(rng, config.samples)
     fibers = _sample_fibers(rng, config.samples, chart.n - chart.q)
-    points = []
-    for rec in stenzel.lagrangian_samples(
-        chart, mu, samples, fibers, st_profile, config.fd_step
-    ):
-        points.append(
-            PointRecord(
-                u=list(rec["u"]),
-                t=list(rec["t"]),
-                residuals=rec["residuals"],
-                criteria=rec["criteria"],
-            )
-        )
-    report = VerificationReport.build(config, points)
+    recs = list(stenzel.lagrangian_samples(chart, mu, samples, fibers, st_profile, config.fd_step))
+    residuals = {"omega_max": [rec["residuals"]["omega_max"] for rec in recs]}
+    criteria = {"mu_norm": [rec["criteria"]["mu_norm"] for rec in recs]}
+    report = VerificationReport.build(config, samples, fibers, residuals, criteria)
     # cross-checks from the closed-form route: agreement of the mixed pairing
     # with its proof-side scalar at normal-frame centres, and positivity of
     # the bracketed profile factor, on a deterministic subsample
@@ -236,19 +227,17 @@ def _sample_frames(chart, config: SuiteConfig):
     return samples, adapted_frame(chart, samples, config.fd_step)
 
 
-def _pair_records(samples, fibers, residuals: dict, criteria: dict) -> list:
-    """One PointRecord per (sample, fibre) pair, samples outermost, from
-    (P, F) residual and (P,) criterion arrays."""
-    res_rows = np.stack(list(residuals.values()), axis=-1).tolist()
-    crit_rows = np.stack(list(criteria.values()), axis=-1).tolist()
-    ts = fibers.tolist()
-    return [
-        PointRecord(
-            u=u, t=list(t), residuals=dict(zip(residuals, r)), criteria=dict(zip(criteria, c))
-        )
-        for u, rows, c in zip(samples.tolist(), res_rows, crit_rows)
-        for t, r in zip(ts, rows)
-    ]
+def _pair_report(config, samples, fibers, residuals: dict, criteria: dict) -> VerificationReport:
+    """The report with one row per (sample, fibre) pair, samples outermost,
+    from (P, F) residual and (P,) criterion arrays."""
+    count = len(fibers)
+    return VerificationReport.build(
+        config,
+        np.repeat(samples, count, axis=0),
+        np.tile(fibers, (len(samples), 1)),
+        {k: np.reshape(v, -1) for k, v in residuals.items()},
+        {k: np.repeat(v, count) for k, v in criteria.items()},
+    )
 
 
 def _holomorphy_criteria(frames, family, fd_step):
@@ -269,8 +258,7 @@ def _run_g2_associative(config: SuiteConfig) -> VerificationReport:
     res = g2.associative_residual(
         e1, e2, f1, bs_profile, fiber=(t1, sec.a[:, None], sec.b[:, None])
     )
-    points = _pair_records(samples, fibers, {"associative": res}, criteria)
-    return VerificationReport.build(config, points)
+    return _pair_report(config, samples, fibers, {"associative": res}, criteria)
 
 
 def _run_g2_coassociative(config: SuiteConfig) -> VerificationReport:
@@ -289,8 +277,7 @@ def _run_g2_coassociative(config: SuiteConfig) -> VerificationReport:
     res = g2.coassociative_residual(
         e1, e2, f2, f3, bs_profile, fiber=(gval[:, None], fibers[:, 0], fibers[:, 1])
     )
-    points = _pair_records(samples, fibers, {"coassociative": res}, criteria)
-    return VerificationReport.build(config, points)
+    return _pair_report(config, samples, fibers, {"coassociative": res}, criteria)
 
 
 def _run_spin7(config: SuiteConfig) -> VerificationReport:
@@ -309,7 +296,7 @@ def _run_spin7(config: SuiteConfig) -> VerificationReport:
         "cayley": spin7.cayley_residual(e1, e2, f1, f2, bs_profile, r),
         "calibration_gap": spin7.calibration_gap(e1, e2, f1, f2, bs_profile, r),
     }
-    return VerificationReport.build(config, _pair_records(samples, fibers, residuals, criteria))
+    return _pair_report(config, samples, fibers, residuals, criteria)
 
 
 _SUITES = {
@@ -339,15 +326,19 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
 
 def _check_finite(report: VerificationReport):
-    """One isfinite over every residual and criterion value; the points are
-    walked only after a failure, to name the first bad one."""
-    values = [v for p in report.points for d in (p.residuals, p.criteria) for v in d.values()]
-    if np.isfinite(values).all():
+    """One isfinite over the residual and criterion columns; a failure names
+    the first row with a non-finite value."""
+    items = [*report.residuals.items(), *report.criteria.items()]
+    finite = np.isfinite(np.array([col for _, col in items], dtype=float))
+    if finite.all():
         return
-    for p in report.points:
-        for key, v in (*p.residuals.items(), *p.criteria.items()):
-            if not np.isfinite(v):
-                raise TwistcalError(
-                    f"numerical breakdown at u={p.u}, t={p.t}: {key}={v}; "
-                    f"residuals={p.residuals}, criteria={p.criteria}"
-                )
+    i = int(np.argmin(finite.all(axis=0)))
+    key, value = next((k, col[i].item()) for k, col in items if not np.isfinite(col[i]))
+
+    def row(columns):
+        return {k: col[i].item() for k, col in columns.items()}
+
+    raise TwistcalError(
+        f"numerical breakdown at u={report.u[i].tolist()}, t={report.t[i].tolist()}: "
+        f"{key}={value}; residuals={row(report.residuals)}, criteria={row(report.criteria)}"
+    )

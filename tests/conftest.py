@@ -8,9 +8,13 @@ with.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +24,7 @@ from twistcal import g2, spin7, suites
 from twistcal.exterior import Multivector, contract, form_inner, wedge
 from twistcal.numerics import directional_derivative
 from twistcal.octonion import standard_pinor_context
-from twistcal.report import PointRecord, VerificationReport
+from twistcal.report import SEPARATION, SuiteConfig, _package_version
 from twistcal.stenzel import DEFAULT_PROFILE
 from twistcal.submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
 
@@ -28,6 +32,8 @@ from twistcal.submanifold import adapted_frame, get_chart, superminimal_residual
 # the CLI tests spawn ``python -m twistcal`` and need it too
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import fiber_spec  # noqa: E402
 
 
 def rng_for(seed: int = 0) -> np.random.Generator:
@@ -460,7 +466,7 @@ def pointwise_calibration_gap(e1, e2, f1, f2, profile, r: float) -> float:
     return abs(abs(float(val[0])) - vol)
 
 
-def pointwise_suite(config) -> VerificationReport:
+def pointwise_suite(config) -> "PointwiseReport":
     """The report of a g2-* or spin7-cayley run, one (sample, fibre) pair at a time."""
     chart = get_chart(config.chart)
     bs_profile, _ = suites.parse_profile_spec(config.profile)
@@ -484,7 +490,7 @@ def pointwise_suite(config) -> VerificationReport:
                 basis = pointwise_basis_eta_f(point, gval, dgamma, t)
                 res = pointwise_coassociative(*basis, bs_profile, (gval, t[0], t[1]))
                 points.append(PointRecord(list(u), list(t), {"coassociative": res}, dict(criteria)))
-        return VerificationReport.build(config, points)
+        return pointwise_report(config, points)
 
     family = suites._section_family_for(config)
     sframe = spin7.spinor_frames()
@@ -515,7 +521,146 @@ def pointwise_suite(config) -> VerificationReport:
                 fiber = (float(t[0]), sec.a, sec.b)
                 residuals = {"associative": pointwise_associative(*basis, bs_profile, fiber)}
             points.append(PointRecord(list(u), list(t), residuals, dict(criteria)))
-    return VerificationReport.build(config, points)
+    return pointwise_report(config, points)
+
+
+# -- record-based report oracle ------------------------------------------------------
+# The report layer as it ran before it went columnar: one record per (sample,
+# fibre) pair with two small dicts, classified, aggregated and serialised point
+# by point.  The library classifies and aggregates whole columns instead.
+
+
+@dataclass
+class PointRecord:
+    u: list
+    t: list
+    residuals: dict
+    criteria: dict
+    status: str = ""
+
+    def classify(self, tol_verdict: float) -> "PointRecord":
+        cond = max(self.residuals.values()) if self.residuals else 0.0
+        crit = max(self.criteria.values()) if self.criteria else 0.0
+        if cond < tol_verdict and crit < tol_verdict:
+            self.status = "PASS"
+        elif cond >= SEPARATION and crit >= SEPARATION:
+            self.status = "FAIL"
+        else:
+            self.status = "MIXED"
+        return self
+
+
+@dataclass
+class PointwiseReport:
+    suite: str
+    config: dict
+    points: list
+    aggregates: dict
+    verdict: str
+    provenance: dict
+
+    def exit_code(self) -> int:
+        return 0 if self.verdict == "PASS" else 1
+
+    def to_dict(self) -> dict:
+        return {
+            "suite": self.suite,
+            "config": self.config,
+            "points": [
+                {
+                    "u": list(map(float, p.u)),
+                    "t": list(map(float, p.t)),
+                    "residuals": {k: float(v) for k, v in sorted(p.residuals.items())},
+                    "criteria": {k: float(v) for k, v in sorted(p.criteria.items())},
+                    "status": p.status,
+                }
+                for p in self.points
+            ],
+            "aggregates": {k: float(v) for k, v in sorted(self.aggregates.items())},
+            "verdict": self.verdict,
+            "provenance": self.provenance,
+        }
+
+    def emit(self, fmt: str) -> bytes:
+        if fmt == "json":
+            return json.dumps(self.to_dict(), sort_keys=True, indent=2).encode() + b"\n"
+        res_names = sorted({k for p in self.points for k in p.residuals})
+        crit_names = sorted({k for p in self.points for k in p.criteria})
+        dim_u = len(self.points[0].u) if self.points else 0
+        dim_t = len(self.points[0].t) if self.points else 0
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(
+            ["index", "status"]
+            + [f"u{i + 1}" for i in range(dim_u)]
+            + [f"t{i + 1}" for i in range(dim_t)]
+            + res_names
+            + crit_names
+        )
+        for idx, p in enumerate(self.points):
+            row = [idx, p.status]
+            row += [repr(float(x)) for x in p.u]
+            row += [repr(float(x)) for x in p.t]
+            row += [repr(float(p.residuals.get(k, 0.0))) for k in res_names]
+            row += [repr(float(p.criteria.get(k, 0.0))) for k in crit_names]
+            writer.writerow(row)
+        return buf.getvalue().encode()
+
+
+def pointwise_report(config, points: list, provenance: dict | None = None) -> PointwiseReport:
+    """Classify, aggregate and take the verdict record by record."""
+    for p in points:
+        p.classify(config.tol_verdict)
+    statuses = {p.status for p in points}
+    if statuses <= {"PASS"}:
+        verdict = "PASS"
+    elif statuses == {"FAIL"}:
+        verdict = "FAIL"
+    else:
+        verdict = "MIXED" if "MIXED" in statuses else "FAIL"
+    aggregates = {}
+    for name in sorted({k for p in points for k in p.residuals}):
+        vals = [p.residuals[name] for p in points if name in p.residuals]
+        aggregates[f"residual.{name}.max"] = max(vals)
+        aggregates[f"residual.{name}.median"] = float(np.median(vals))
+    for name in sorted({k for p in points for k in p.criteria}):
+        vals = [p.criteria[name] for p in points if name in p.criteria]
+        aggregates[f"criterion.{name}.max"] = max(vals)
+        aggregates[f"criterion.{name}.median"] = float(np.median(vals))
+    prov = {"version": _package_version(), "config": config.echo()}
+    if provenance:
+        prov.update(provenance)
+    return PointwiseReport(config.suite, config.echo(), points, aggregates, verdict, prov)
+
+
+def records_of(report) -> list:
+    """One record per row of a columnar report, read row by row, with the
+    report's status."""
+    return [
+        PointRecord(
+            u=[float(x) for x in report.u[i]],
+            t=[float(x) for x in report.t[i]],
+            residuals={k: float(v[i]) for k, v in report.residuals.items()},
+            criteria={k: float(v[i]) for k, v in report.criteria.items()},
+            status=str(report.status[i]),
+        )
+        for i in range(len(report.status))
+    ]
+
+
+def job_config(job, seed: int) -> SuiteConfig:
+    """The SuiteConfig of a benchmark ``verify`` job's argv at one seed."""
+    _, suite, *flags = job.argv
+    opts = {flags[i].lstrip("-"): flags[i + 1] for i in range(0, len(flags), 2)}
+    return SuiteConfig(
+        suite=suite,
+        chart=opts["chart"],
+        section=opts.get("section", opts.get("mu")),
+        samples=int(opts["samples"]),
+        profile=opts["profile"],
+        seed=seed,
+        fiber=fiber_spec(seed, job.fibers) if job.fibers else "",
+    )
 
 
 def legacy_eval_expr(expr: str, variables: dict) -> float:

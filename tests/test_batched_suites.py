@@ -7,9 +7,6 @@ stacked public function must give, row by row, what its single-point call
 gives.
 """
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -21,32 +18,14 @@ from twistcal.report import SuiteConfig
 from twistcal.submanifold import adapted_frame, get_chart
 from twistcal.suites import run_suite
 
-from conftest import nabla_f_fd_oracle, pointwise_suite, rng_for
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import WORKLOADS, fiber_spec  # noqa: E402
+from conftest import job_config, nabla_f_fd_oracle, pointwise_suite, records_of, rng_for
+from workloads import WORKLOADS
 
 ROW_TOL = 1e-15
 
 
-def _job_config(job, seed):
-    """The SuiteConfig of a benchmark job's argv at one seed."""
-    _, suite, *flags = job.argv
-    opts = {flags[i].lstrip("-"): flags[i + 1] for i in range(0, len(flags), 2)}
-    fiber = fiber_spec(seed, job.fibers) if job.fibers else ""
-    return SuiteConfig(
-        suite=suite,
-        chart=opts["chart"],
-        section=opts["section"],
-        samples=int(opts["samples"]),
-        profile=opts["profile"],
-        seed=seed,
-        fiber=fiber,
-    )
-
-
 BENCHMARK_CONFIGS = [
-    pytest.param(_job_config(job, seed), id=f"{name}-{j}-seed{seed}")
+    pytest.param(job_config(job, seed), id=f"{name}-{j}-seed{seed}")
     for name in ("forms-unit", "forms-linear-wide")
     for j, job in enumerate(WORKLOADS[name])
     for seed in (1, 2)
@@ -66,8 +45,8 @@ def test_stacked_suite_matches_pointwise_chain(config):
     old = pointwise_suite(config)
     assert new.verdict == old.verdict
     assert new.exit_code() == old.exit_code()
-    assert len(new.points) == len(old.points)
-    for p, q in zip(new.points, old.points):
+    assert len(new.status) == len(old.points)
+    for p, q in zip(records_of(new), old.points):
         assert p.status == q.status
         assert p.u == list(q.u) and p.t == list(q.t)
         for new_vals, old_vals in ((p.residuals, q.residuals), (p.criteria, q.criteria)):

@@ -8,7 +8,7 @@ import pytest
 from twistcal.cli import main
 from twistcal.errors import ConfigError
 from twistcal.report import (
-    PointRecord,
+    SEPARATION,
     SuiteConfig,
     VerificationReport,
     emit,
@@ -27,13 +27,13 @@ from twistcal.suites import (
 # -- report serialisation --------------------------------------------------------
 
 
-def _small_report(points=None):
+def _small_report(u=np.empty((0, 0)), t=np.empty((0, 0)), residuals=None, criteria=None):
     config = SuiteConfig(suite="g2-associative", chart="veronese", samples=1)
-    return VerificationReport.build(config, points if points is not None else [])
+    return VerificationReport.build(config, u, t, residuals or {}, criteria or {})
 
 
 def test_empty_report_is_valid_json():
-    rep = _small_report([])
+    rep = _small_report()
     payload = emit(rep, "json")
     raw = json.loads(payload.decode())
     assert raw["verdict"] == "PASS"
@@ -41,28 +41,26 @@ def test_empty_report_is_valid_json():
 
 
 def test_json_round_trip():
-    points = [
-        PointRecord(u=[0.1, 0.2], t=[1.0], residuals={"associative": 1e-9}, criteria={"trace_a": 2e-10}),
-        PointRecord(u=[0.3, -0.4], t=[0.0], residuals={"associative": 3e-8}, criteria={"trace_a": 1e-11}),
-    ]
-    rep = _small_report(points)
+    rep = _small_report(
+        u=[[0.1, 0.2], [0.3, -0.4]],
+        t=[[1.0], [0.0]],
+        residuals={"associative": [1e-9, 3e-8]},
+        criteria={"trace_a": [2e-10, 1e-11]},
+    )
     payload = emit(rep, "json")
     back = parse_report(payload)
     assert emit(back, "json") == payload
     assert back.verdict == rep.verdict
-    assert back.points[0].residuals == rep.points[0].residuals
+    assert back.residuals["associative"][0] == rep.residuals["associative"][0]
 
 
 def test_csv_column_count():
-    points = [
-        PointRecord(
-            u=[0.1, 0.2],
-            t=[1.0, -1.0],
-            residuals={"cayley": 0.0, "calibration_gap": 0.0},
-            criteria={"trace_a": 0.0},
-        )
-    ]
-    rep = _small_report(points)
+    rep = _small_report(
+        u=[[0.1, 0.2]],
+        t=[[1.0, -1.0]],
+        residuals={"cayley": [0.0], "calibration_gap": [0.0]},
+        criteria={"trace_a": [0.0]},
+    )
     rows = emit(rep, "csv").decode().strip().split("\n")
     header = rows[0].split(",")
     # 2 bookkeeping columns + dim(u) + dim(t) + residuals + criteria
@@ -72,13 +70,17 @@ def test_csv_column_count():
 
 def test_verdict_classification_rules():
     cfg = SuiteConfig(suite="s", samples=1)
-    passing = PointRecord(u=[0], t=[0], residuals={"r": 1e-9}, criteria={"c": 0.0})
-    failing = PointRecord(u=[0], t=[0], residuals={"r": 0.5}, criteria={"c": 0.2})
-    mixed = PointRecord(u=[0], t=[0], residuals={"r": 0.5}, criteria={"c": 1e-9})
-    assert VerificationReport.build(cfg, [passing]).verdict == "PASS"
-    assert VerificationReport.build(cfg, [failing]).verdict == "FAIL"
-    assert VerificationReport.build(cfg, [mixed]).verdict == "MIXED"
-    assert VerificationReport.build(cfg, [passing, failing]).verdict == "FAIL"
+
+    def verdict(*rows):
+        r, c = np.array(rows).T
+        origin = np.zeros((len(rows), 1))
+        return VerificationReport.build(cfg, origin, origin, {"r": r}, {"c": c}).verdict
+
+    passing, failing, mixed = (1e-9, 0.0), (0.5, 0.2), (0.5, 1e-9)
+    assert verdict(passing) == "PASS"
+    assert verdict(failing) == "FAIL"
+    assert verdict(mixed) == "MIXED"
+    assert verdict(passing, failing) == "FAIL"
 
 
 def test_config_validation():
@@ -192,9 +194,7 @@ def test_cli_exit_codes(tmp_path):
 
 def test_cli_config_file_and_flag_override(tmp_path):
     cfg_file = tmp_path / "suite.cfg"
-    cfg_file.write_text(
-        "suite=g2-associative\nchart=veronese\nsection=sinphi:C=1,D=0\nsamples=2\nseed=3\n"
-    )
+    cfg_file.write_text("chart=veronese\nsection=sinphi:C=1,D=0\nsamples=2\nseed=3\n")
     out = tmp_path / "r.json"
     code = main(
         ["verify", "g2-associative", "--config", str(cfg_file), "--out", str(out)]
@@ -225,6 +225,14 @@ def test_cli_bad_config_file(tmp_path):
     assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
     cfg_file.write_text("unknown_key=3\n")
     assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
+
+
+def test_cli_config_file_rejects_a_suite_line(tmp_path, capsys):
+    # the positional suite always won, so a suite= line was silently ignored
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("suite=g2-associative\n")
+    assert main(["verify", "spin7-cayley", "--config", str(cfg_file)]) == 2
+    assert f"{cfg_file}:1: unknown key 'suite'" in capsys.readouterr().err
 
 
 def test_cli_table_and_list(capsys):
@@ -272,8 +280,7 @@ def test_numerical_breakdown_is_diagnosed():
     from twistcal.suites import _check_finite
 
     cfg = SuiteConfig(suite="s", samples=1)
-    bad = PointRecord(u=[0.1], t=[0.2], residuals={"r": float("nan")}, criteria={})
-    report = VerificationReport.build(cfg, [bad])
+    report = VerificationReport.build(cfg, [[0.1]], [[0.2]], {"r": [float("nan")]}, {})
     with pytest.raises(TwistcalError, match="numerical breakdown"):
         _check_finite(report)
 
@@ -350,6 +357,9 @@ _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--sa
         (_COASSOC + ["--section", "const:c=2,x=1"], "unknown const eta keys ['x']"),
         (_COASSOC + ["--section", "coord:axes=1"], "unknown coord eta keys ['axes']"),
         (_COASSOC + ["--section", "coord:axis=1.5"], "coord axis must be an integer in 1..2, got 1.5"),
+        # a pass band above the FAIL level would report clear failures as PASS
+        (_VERIFY + ["--tol-verdict", "0.0011"],
+         f"tol_verdict must be at most the FAIL separation {SEPARATION!r}, got 0.0011"),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys):
@@ -397,4 +407,4 @@ def test_equatorial_hol_reads_every_coefficient():
 )
 def test_benchmark_section_specs_parse(suite, chart, section):
     report = run_suite(SuiteConfig(suite=suite, chart=chart, section=section, samples=1))
-    assert report.points
+    assert report.status.size
