@@ -16,14 +16,15 @@ Core pieces:
 * :mod:`twistcal.suites`      - named verification suites for the CLI
 """
 
+# set before the submodules import, so that ``report`` can read it
+__version__ = "0.1.0"
+
 from . import examples as _examples  # registers the standard charts
 from .exterior import InnerSpace, Multivector, asd_sd_split, form_inner, hodge, interior, wedge
 from .octonion import Octonion, PinorContext, associator, cross2, cross3, gamma, oct_mul, pinor_split
 from .report import SuiteConfig, VerificationReport, emit, parse_report
 from .submanifold import ImmersionChart, adapted_frame, classify, get_chart
 from .suites import run_suite, suite_names
-
-__version__ = "0.1.0"
 
 __all__ = [
     "InnerSpace",

@@ -8,12 +8,14 @@ Subcommands:
 
 ``verify`` accepts a flat key=value config file (--config) with the same keys
 as the flags; flags override the file.  Exit codes: 0 verdict PASS, 1 verdict
-FAIL or MIXED (or numerical breakdown), 2 configuration error.
+FAIL or MIXED (or numerical breakdown), 2 configuration error (including an
+--out path that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from datetime import datetime, timezone
@@ -79,7 +81,9 @@ def _attach_negative_values(argv) -> list:
     return out
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each parse fills a new namespace."""
     parser = argparse.ArgumentParser(prog="twistcal", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
@@ -133,8 +137,11 @@ def _cmd_verify(args) -> int:
         report.provenance["timestamp"] = datetime.now(timezone.utc).isoformat()
     payload = emit(report, fmt)
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from None
         print(f"{report.suite}: verdict {report.verdict} ({len(report.status)} points) -> {out_path}")
     else:
         sys.stdout.buffer.write(payload)

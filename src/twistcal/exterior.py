@@ -170,8 +170,8 @@ class Multivector:
 
     def grades(self) -> tuple[int, ...]:
         table = _grade_table(self.space.dim)
-        present = np.unique(table[np.abs(self.coeffs) > 0])
-        return tuple(int(g) for g in present)
+        # not np.unique, whose first call imports numpy.ma
+        return tuple(sorted(set(table[np.abs(self.coeffs) > 0].tolist())))
 
     def grade(self, k: int) -> "Multivector":
         table = _grade_table(self.space.dim)

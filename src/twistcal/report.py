@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError
 
 __all__ = [
@@ -113,8 +114,8 @@ class VerificationReport:
         for kind, columns in (("residual", residuals), ("criterion", criteria)):
             for name, col in columns.items():
                 aggregates[f"{kind}.{name}.max"] = float(np.max(col))
-                aggregates[f"{kind}.{name}.median"] = float(np.median(col))
-        prov = {"version": _package_version(), "config": config.echo()}
+                aggregates[f"{kind}.{name}.median"] = _median(col)
+        prov = {"version": __version__, "config": config.echo()}
         if provenance:
             prov.update(provenance)
         return VerificationReport(
@@ -137,14 +138,20 @@ class VerificationReport:
         n = len(self.status)
         res, crit = _matrix(self.residuals, n).tolist(), _matrix(self.criteria, n).tolist()
         rows = zip(self.u.tolist(), self.t.tolist(), res, crit, self.status.tolist())
+        out = self._header()
+        out["points"] = [
+            {"u": u, "t": t, "residuals": dict(zip(self.residuals, r)),
+             "criteria": dict(zip(self.criteria, c)), "status": status}
+            for u, t, r, c, status in rows
+        ]
+        return out
+
+    def _header(self) -> dict:
+        """Everything of ``to_dict`` but the points, which are left empty."""
         return {
             "suite": self.suite,
             "config": self.config,
-            "points": [
-                {"u": u, "t": t, "residuals": dict(zip(self.residuals, r)),
-                 "criteria": dict(zip(self.criteria, c)), "status": status}
-                for u, t, r, c, status in rows
-            ],
+            "points": [],
             "aggregates": {k: float(v) for k, v in sorted(self.aggregates.items())},
             "verdict": self.verdict,
             "provenance": self.provenance,
@@ -161,19 +168,63 @@ def _rows(rows: list) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
+def _median(col: np.ndarray) -> float:
+    """``np.median`` of a non-empty column, bit for bit (NaN if it holds one),
+    without the ``numpy.ma`` import of ``np.median``'s first call."""
+    half, odd = divmod(len(col), 2)
+    part = np.partition(col, [half, -1] if odd else [half - 1, half, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    # np.mean's sum starts from +0.0, which turns a -0.0 median into 0.0
+    return float(0.0 + part[half] if odd else (0.0 + part[half - 1] + part[half]) / 2)
 
-        return version("twistcal")
-    except Exception:
-        return "0.1.0"
+
+# json's text for the floats whose repr it does not use
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _row_template(report: VerificationReport) -> str:
+    """One point of the top-level ``points`` array as ``json.dumps(sort_keys=True,
+    indent=2)`` lays it out, with a ``{}`` field for each value."""
+
+    def block(opening: str, closing: str, fields: list) -> str:
+        inner = ",".join("\n        " + f for f in fields)
+        return opening + inner + "\n      " * bool(fields) + closing
+
+    def keyed(columns: dict) -> list:
+        return [json.dumps(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in columns]
+
+    return ("    {{\n      \"criteria\": " + block("{{", "}}", keyed(report.criteria))
+            + ",\n      \"residuals\": " + block("{{", "}}", keyed(report.residuals))
+            + ",\n      \"status\": {},\n      \"t\": " + block("[", "]", ["{}"] * report.t.shape[1])
+            + ",\n      \"u\": " + block("[", "]", ["{}"] * report.u.shape[1]) + "\n    }}")
+
+
+def _points_json(report: VerificationReport) -> str:
+    """The report's ``points`` array as ``json.dumps(sort_keys=True, indent=2)``
+    writes it, filled column by column into one row template.  ``repr`` of a
+    finite float is the text ``json`` writes for it; the residual and
+    criterion keys are in sorted order, as the report keeps them."""
+    n = len(report.status)
+    if n == 0:
+        return "[]"
+    values = np.hstack([_matrix(report.criteria, n), _matrix(report.residuals, n), report.t, report.u])
+    fields = [map(repr, col) for col in values.T.tolist()]
+    if not np.isfinite(values).all():
+        fields = [(_NONFINITE.get(text, text) for text in col) for col in fields]
+    statuses = report.status.tolist()
+    status_text = {s: json.dumps(s) for s in set(statuses)}
+    fields.insert(len(report.criteria) + len(report.residuals), map(status_text.__getitem__, statuses))
+    return "[\n" + ",\n".join(map(_row_template(report).format, *fields)) + "\n  ]"
 
 
 def emit(report: VerificationReport, fmt: str = "json") -> bytes:
     """Serialise a report: stable JSON (sorted keys) or per-point CSV rows."""
     if fmt == "json":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2).encode() + b"\n"
+        # the header's top-level "points" line is unique: json escapes the
+        # newline that a string would need to forge it
+        head, tail = json.dumps(report._header(), sort_keys=True, indent=2).split('\n  "points": []')
+        return "".join([head, '\n  "points": ', _points_json(report), tail, "\n"]).encode()
     if fmt == "csv":
         n = len(report.status)
         buf = io.StringIO()

@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from twistcal import g2, spin7, suites
+from twistcal import __version__, g2, spin7, suites
 from twistcal.exterior import Multivector, contract, form_inner, wedge
 from twistcal.numerics import directional_derivative
 from twistcal.octonion import standard_pinor_context
-from twistcal.report import SEPARATION, SuiteConfig, _package_version
+from twistcal.report import SEPARATION, SuiteConfig
 from twistcal.stenzel import DEFAULT_PROFILE
 from twistcal.submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
 
@@ -627,7 +627,7 @@ def pointwise_report(config, points: list, provenance: dict | None = None) -> Po
         vals = [p.criteria[name] for p in points if name in p.criteria]
         aggregates[f"criterion.{name}.max"] = max(vals)
         aggregates[f"criterion.{name}.median"] = float(np.median(vals))
-    prov = {"version": _package_version(), "config": config.echo()}
+    prov = {"version": __version__, "config": config.echo()}
     if provenance:
         prov.update(provenance)
     return PointwiseReport(config.suite, config.echo(), points, aggregates, verdict, prov)

@@ -3,13 +3,24 @@
 ``conftest.pointwise_report`` classifies, aggregates and serialises one record
 per (sample, fibre) pair, as the report layer did before it held columns.  The
 JSON and CSV bytes of every report must equal what that oracle writes from the
-same values.
+same values.  The JSON must also equal ``json.dumps`` of the report's own
+``to_dict``, which the template emitter writes without building.
 """
+
+import json
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from twistcal.report import SEPARATION, SuiteConfig, VerificationReport, emit, parse_report
+from twistcal.report import (
+    SEPARATION,
+    SuiteConfig,
+    VerificationReport,
+    _median,
+    emit,
+    parse_report,
+)
 from twistcal.suites import run_suite
 
 from conftest import job_config, pointwise_report, records_of
@@ -33,8 +44,12 @@ README_CONFIGS = [
 ]
 
 
-def _assert_matches_oracle(report, config):
-    oracle = pointwise_report(config, records_of(report))
+def _dumps(report) -> bytes:
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2).encode() + b"\n"
+
+
+def _assert_matches_oracle(report, config, provenance=None):
+    oracle = pointwise_report(config, records_of(report), provenance)
     # the Stenzel suite adds its closed-form diagnostics after the build
     oracle.aggregates.update(
         {k: v for k, v in report.aggregates.items() if k.startswith("diagnostic.")}
@@ -43,6 +58,7 @@ def _assert_matches_oracle(report, config):
     assert report.verdict == oracle.verdict
     for fmt in ("json", "csv"):
         assert emit(report, fmt) == oracle.emit(fmt), fmt
+    assert emit(report, "json") == _dumps(report)
 
 
 @pytest.mark.parametrize("config", WORKLOAD_CONFIGS + README_CONFIGS)
@@ -132,3 +148,88 @@ def test_parse_report_round_trips_bytes(make_report):
     assert back.u.shape == report.u.shape and back.t.shape == report.t.shape
     assert list(back.residuals) == list(report.residuals)
     assert list(back.criteria) == list(report.criteria)
+
+
+# -- the template JSON emitter at its edges ---------------------------------------------
+
+_SPECIAL = [-0.0, 5e-324, 1e16, 1e-7, 123456789.0, float("nan"), float("inf"), float("-inf")]
+# a quote, a backslash, newlines, non-ASCII text, format fields, and the
+# header line that the points are spliced in at
+_AWKWARD = 'q"b\\s\nnl \u00e9\u4e2d {} %s\n  "points": []'
+
+
+def _report(u, t, residuals, criteria, config=_CFG, provenance=None):
+    return VerificationReport.build(config, np.asarray(u, dtype=float), np.asarray(t, dtype=float),
+                                    residuals, criteria, provenance)
+
+
+@pytest.mark.parametrize(
+    "make_report",
+    [
+        # NaN leads each column so that the oracle's Python max, like np.max,
+        # returns it; one key a side keeps the oracle's row max the row's NaN
+        pytest.param(
+            lambda: _report(np.array([_SPECIAL, _SPECIAL[::-1]]).T, np.array([_SPECIAL[::-1]]).T,
+                            {"r": _SPECIAL[5:] + _SPECIAL[:5]}, {"c": _SPECIAL[5:6] + _SPECIAL[:7]}),
+            id="special-floats",
+        ),
+        pytest.param(
+            lambda: _report(np.array([_SPECIAL[:5]] * 2).T, np.array([_SPECIAL[:5]]).T,
+                            {"r": _SPECIAL[:5], "gap": _SPECIAL[4::-1]}, {"c": _SPECIAL[1:5] + [0.0]}),
+            id="special-finite-floats",
+        ),
+        pytest.param(_empty, id="empty"),
+        pytest.param(lambda: _report(np.zeros((2, 1)), np.zeros((2, 1)), {}, {"c": [0.0, 2e-3]}),
+                     id="criteria-only"),
+        pytest.param(lambda: _report(np.ones((3, 2)), np.empty((3, 0)), {"r": [0.0, 1.0, 1e-5]},
+                                     {"c": [0.0, 1.0, 2e-3]}), id="zero-width-t"),
+        pytest.param(
+            lambda: _report(np.ones((2, 2)), np.ones((2, 1)), {"r": [0.0, 1.0]}, {"c": [0.0, 1.0]},
+                            config=SuiteConfig(suite="s", section=_AWKWARD, out=_AWKWARD)),
+            id="awkward-config-strings",
+        ),
+        pytest.param(
+            lambda: _report(np.ones((2, 2)), np.ones((2, 1)), {"r": [0.0, 1.0]}, {"c": [0.0, 1.0]},
+                            provenance={"timestamp": datetime.now(timezone.utc).isoformat()}),
+            id="timestamp",
+        ),
+        pytest.param(
+            lambda: _report(np.ones((2, 1)), np.ones((2, 1)), {_AWKWARD.replace("\n", " "): [0.0, 1.0]},
+                            {"{" + _AWKWARD.replace("\n", " "): [0.0, 1.0]}),
+            id="awkward-column-keys",
+        ),
+    ],
+)
+def test_emitter_edge_cases_match_json_dumps_and_record_oracle(make_report):
+    report = make_report()
+    extra = {k: v for k, v in report.provenance.items() if k not in ("version", "config")}
+    _assert_matches_oracle(report, SuiteConfig(**report.config), extra)
+
+
+def test_random_bit_patterns_match_json_dumps():
+    # uniform bit patterns give subnormals and every exponent of either sign
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**64, size=(64, 9), dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    # but only 1 in 2048 is non-finite: plant a few, a negative NaN with a
+    # payload among them
+    values[[0, 1, 2, 3], [0, 4, 6, 8]] = [np.inf, -np.inf, np.nan, -np.nan]
+    values.view(np.uint64)[5, 7] = 0xFFF8_0000_0000_0123
+    report = VerificationReport(
+        suite="s", config=_CFG.echo(), u=values[:, :3], t=values[:, 3:5],
+        residuals={"r": values[:, 5], "s": values[:, 6]},
+        criteria={"a": values[:, 7], "b": values[:, 8]},
+        status=np.array(["PASS", "FAIL", "MIXED", "PASS"] * 16),
+        aggregates={}, verdict="MIXED", provenance={},
+    )
+    assert emit(report, "json") == _dumps(report)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 51, 3000])
+def test_median_is_bit_identical_to_numpy(n):
+    rng = np.random.default_rng(n)
+    col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+    for values in (col, np.abs(col), np.round(col[::-1], 1), np.full(n, 1.5), np.full(n, -0.0)):
+        assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
+    col[n // 2] = np.nan
+    assert np.float64(_median(col)).tobytes() == np.float64(np.median(col)).tobytes()

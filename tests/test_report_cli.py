@@ -264,6 +264,56 @@ def test_cli_csv_output(capsys):
     assert header.startswith("index,status,u1,u2,t1,t2")
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys, where):
+    # exit 1 would read as a FAIL verdict
+    out = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    assert main(["verify", "g2-associative", "--samples", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write report: ") and str(out) in err
+
+
+def test_cli_calls_in_one_process_share_no_values(tmp_path):
+    from twistcal.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    base = ["verify", "g2-associative", "--samples", "2"]
+
+    def run(*flags):
+        out = tmp_path / "r.out"
+        assert main([*base, *flags, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert "timestamp" in json.loads(run("--timestamp"))["provenance"]
+    assert "timestamp" not in json.loads(run())["provenance"]
+    assert run("--format", "csv").startswith(b"index,status,")
+    assert json.loads(run())["config"]["fmt"] == "json"
+    cfg_file = tmp_path / "suite.cfg"
+    cfg_file.write_text("chart=veronese\nsection=sinphi:C=1,D=0\n")
+    assert json.loads(run("--config", str(cfg_file)))["config"]["chart"] == "veronese"
+    assert json.loads(run())["config"]["chart"] == "equatorial"
+
+
+def test_fresh_verify_imports_neither_importlib_metadata_nor_numpy_ma(tmp_path):
+    # each is a 14-17 ms cold import that every fresh process would pay
+    jobs = [
+        ["spin7-cayley"],
+        ["g2-associative", "--chart", "veronese", "--section", "sinphi"],
+        ["g2-coassociative", "--chart", "veronese-antipodal", "--section", "const:c=2"],
+        ["stenzel-lagrangian", "--chart", "veronese", "--mu", "0"],
+    ]
+    script = (
+        "import sys\n"
+        "from twistcal.cli import main\n"
+        f"for job in {jobs!r}:\n"
+        f"    main(['verify', *job, '--samples', '1', '--out', {str(tmp_path / 'r.json')!r}])\n"
+        "print([m for m in ('importlib.metadata', 'numpy.ma') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_cli_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "twistcal", "list"],
