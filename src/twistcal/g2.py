@@ -44,14 +44,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .exterior import InnerSpace, Multivector, dense_tensor
 from .numerics import DEFAULT_FD_STEP, blocked, row_norms
 from .submanifold import AdaptedFramePoint
 
 __all__ = [
     "BSProfile",
     "UNIT_PROFILE",
-    "total_space",
     "nabla_f_coeffs",
     "phi_form",
     "psi_form",
@@ -63,11 +61,6 @@ __all__ = [
     "parallel_e_residual",
     "section_data",
 ]
-
-# Orientation of the 7-dim model: +1 for the ordered basis above makes the
-# displayed psi the Hodge dual of the displayed phi.
-_MODEL_ORIENTATION = 1
-
 
 @dataclass(frozen=True)
 class BSProfile:
@@ -95,11 +88,6 @@ class BSProfile:
 UNIT_PROFILE = BSProfile()
 
 
-@lru_cache(maxsize=1)
-def total_space() -> InnerSpace:
-    return InnerSpace(7, orientation=_MODEL_ORIENTATION)
-
-
 # N[j, k, m] = sum_ab _NABLA_F[k, m, a, b] Gamma[j, a, b], antisymmetric in k, m
 _NABLA_F = np.zeros((3, 3, 4, 4))
 for _k, _m, _a, _b, _sign in (
@@ -123,27 +111,42 @@ def nabla_f_coeffs(gamma: np.ndarray) -> np.ndarray:
     return (g.reshape(lead + (16,)) @ _NABLA_F.reshape(9, 16).T).reshape(lead + (3, 3))
 
 
-def phi_form(u: float, v: float, space: InnerSpace | None = None) -> Multivector:
-    space = space or total_space()
-    m = space.monomial
-    uv2 = u * u * v
-    return (
-        v**3 * m((5, 6, 7))
-        + uv2 * (m((1, 2, 5)) - m((3, 4, 5)))
-        + uv2 * (m((1, 3, 6)) + m((2, 4, 6)))
-        + uv2 * (m((1, 4, 7)) - m((2, 3, 7)))
-    )
+# The forms as signed index tables: rows (0-based indices, sign) of the
+# displayed monomials, each carrying u^h v^(k-h) for h indices below 4.
+PHI_TABLE = (
+    ((4, 5, 6), 1), ((0, 1, 4), 1), ((2, 3, 4), -1), ((0, 2, 5), 1),
+    ((1, 3, 5), 1), ((0, 3, 6), 1), ((1, 2, 6), -1),
+)
+PSI_TABLE = (
+    ((0, 1, 2, 3), 1), ((0, 1, 5, 6), -1), ((2, 3, 5, 6), 1), ((0, 2, 4, 6), 1),
+    ((1, 3, 4, 6), 1), ((0, 3, 4, 5), -1), ((1, 2, 4, 5), 1),
+)
 
 
-def psi_form(u: float, v: float, space: InnerSpace | None = None) -> Multivector:
-    space = space or total_space()
-    m = space.monomial
-    u2v2 = u * u * v * v
-    out = u**4 * m((1, 2, 3, 4))
-    out = out - u2v2 * (m((1, 2, 6, 7)) - m((3, 4, 6, 7)))
-    out = out + u2v2 * (m((1, 3, 5, 7)) + m((2, 4, 5, 7)))
-    out = out - u2v2 * (m((1, 4, 5, 6)) - m((2, 3, 5, 6)))
+def antisymmetrise(table, dim: int, u: float, v: float) -> np.ndarray:
+    """The form of a signed index table at weights (u, v) as a fully
+    antisymmetric (dim,)*k array: T[i_1, .., i_k] is its value on
+    (e_{i_1+1}, .., e_{i_k+1})."""
+    k = len(table[0][0])
+    perms = list(itertools.permutations(range(k)))
+    odd = [sum(p > q for p, q in itertools.combinations(perm, 2)) & 1 for perm in perms]
+    out = np.zeros((dim,) * k)
+    for idx, sign in table:
+        h = sum(i < 4 for i in idx)
+        w = sign * u**h * v ** (k - h)
+        for perm, flip in zip(perms, odd):
+            out[tuple(idx[p] for p in perm)] = -w if flip else w
     return out
+
+
+def phi_form(u: float, v: float) -> np.ndarray:
+    """phi at weights (u, v) as a dense (7, 7, 7) array."""
+    return antisymmetrise(PHI_TABLE, 7, u, v)
+
+
+def psi_form(u: float, v: float) -> np.ndarray:
+    """psi at weights (u, v) as a dense (7, 7, 7, 7) array."""
+    return antisymmetrise(PSI_TABLE, 7, u, v)
 
 
 @dataclass(frozen=True)
@@ -223,7 +226,7 @@ def tangent_basis_eta_f(point: AdaptedFramePoint, gamma_val, dgamma, t) -> np.nd
 @lru_cache(maxsize=1)
 def _unit_tensors() -> tuple[np.ndarray, np.ndarray]:
     """Dense unit-weight phi (7, 7, 7) and psi (7, 7, 7, 7), read-only."""
-    out = (dense_tensor(phi_form(1.0, 1.0)), dense_tensor(psi_form(1.0, 1.0)))
+    out = (phi_form(1.0, 1.0), psi_form(1.0, 1.0))
     for t in out:
         t.flags.writeable = False
     return out

@@ -1,4 +1,4 @@
-"""Quaternion and octonion arithmetic, model cross products, and the pinor
+"""Quaternion and octonion arithmetic on coefficient arrays, and the pinor
 representation of 4-dimensional covectors on spinors.
 
 Basis order is (1, i, j, k, e, ie, je, ke): the quaternions occupy the first
@@ -33,25 +33,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .exterior import InnerSpace, Multivector, contract
 
 __all__ = [
-    "Octonion",
     "quat_mul",
     "quat_conj",
     "oct_mul",
-    "associator",
-    "cross2",
-    "cross3",
+    "left_mult_matrix",
     "PinorContext",
     "standard_pinor_context",
-    "gamma",
-    "pinor_split",
-    "associative_model_form",
-    "cayley_model_form",
 ]
-
-BASIS_NAMES = ("1", "i", "j", "k", "e", "ie", "je", "ke")
 
 
 def quat_mul(p, q):
@@ -85,110 +75,6 @@ def oct_mul(x, y):
     first = quat_mul(a, c) - quat_mul(quat_conj(d), b)
     second = quat_mul(d, a) + quat_mul(b, quat_conj(c))
     return np.concatenate([first, second], axis=-1)
-
-
-def oct_conj(x):
-    x = np.asarray(x, dtype=float)
-    return x * np.array([1.0, -1, -1, -1, -1, -1, -1, -1])
-
-
-class Octonion:
-    """Immutable 8-component octonion."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (8,):
-            raise DimensionMismatchError("octonion needs 8 coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Octonion is immutable")
-
-    @staticmethod
-    def basis(index: int) -> "Octonion":
-        c = np.zeros(8)
-        c[index] = 1.0
-        return Octonion(c)
-
-    @staticmethod
-    def from_quaternion(q) -> "Octonion":
-        return Octonion(np.concatenate([np.asarray(q, dtype=float), np.zeros(4)]))
-
-    @property
-    def re(self) -> float:
-        return float(self.coeffs[0])
-
-    def imag(self) -> "Octonion":
-        c = self.coeffs.copy()
-        c[0] = 0.0
-        return Octonion(c)
-
-    def conj(self) -> "Octonion":
-        return Octonion(oct_conj(self.coeffs))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def inner(self, other: "Octonion") -> float:
-        return float(self.coeffs @ other.coeffs)
-
-    def is_imaginary(self, tol: float = 1e-12) -> bool:
-        return abs(self.re) <= tol * (1.0 + self.norm())
-
-    def __add__(self, other):
-        return Octonion(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return Octonion(self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return Octonion(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion(oct_mul(self.coeffs, other.coeffs))
-        return Octonion(self.coeffs * float(other))
-
-    def __rmul__(self, scalar):
-        return Octonion(self.coeffs * float(scalar))
-
-    def allclose(self, other, tol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.coeffs, other.coeffs, atol=tol))
-
-    def __repr__(self):
-        terms = [
-            f"{c:+g}*{n}" for c, n in zip(self.coeffs, BASIS_NAMES) if abs(c) > 0
-        ]
-        return "Octonion(" + (" ".join(terms) if terms else "0") + ")"
-
-
-ONE = Octonion.basis(0)
-I, J, K = (Octonion.basis(n) for n in (1, 2, 3))
-E, IE, JE, KE = (Octonion.basis(n) for n in (4, 5, 6, 7))
-
-
-def associator(x: Octonion, y: Octonion, z: Octonion) -> Octonion:
-    """[x, y, z] = (xy)z - x(yz)."""
-    return (x * y) * z - x * (y * z)
-
-
-def cross2(u: Octonion, v: Octonion) -> Octonion:
-    """Two-fold cross product Im(uv) of imaginary octonions."""
-    if not (u.is_imaginary() and v.is_imaginary()):
-        raise DomainError("cross2 expects imaginary octonions")
-    return (u * v).imag()
-
-
-def cross3(u: Octonion, v: Octonion, w: Octonion) -> Octonion:
-    """Three-fold product X(u, v, w) = 1/2 (w (conj(v) u) - u (conj(v) w)).
-
-    The sign is fixed so that the associated 4-form built from
-    <X(u, v, w), y> has value +1 on the oriented quaternion 4-plane
-    (1, i, j, k).
-    """
-    return 0.5 * (w * (v.conj() * u) - u * (v.conj() * w))
 
 
 def left_mult_matrix(x) -> np.ndarray:
@@ -226,18 +112,6 @@ class PinorContext:
             raise DimensionMismatchError("covector needs 4 components")
         return left_mult_matrix(components @ self.embed)
 
-    def gamma_two_form(self, form: Multivector) -> np.ndarray:
-        """gamma of a 2-form over the coframe space: e^i^e^j -> 2 g_i g_j."""
-        if form.space.dim != 4:
-            raise DimensionMismatchError("2-form must live over the 4-dim coframe")
-        out = np.zeros((8, 8))
-        for a in range(4):
-            for b in range(a + 1, 4):
-                c = form.coefficient((a + 1, b + 1))
-                if c:
-                    out += 2.0 * c * (self.gammas[a] @ self.gammas[b])
-        return out
-
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         """(P_plus, P_minus) onto the +-1 eigenspaces of the volume operator."""
         eye = np.eye(8)
@@ -252,67 +126,3 @@ def standard_pinor_context() -> PinorContext:
     embed[2, 6] = 1.0  # je
     embed[3, 7] = -1.0  # -ke, so the volume operator is -1 on H
     return PinorContext(embed)
-
-
-def gamma(alpha, s: Octonion, ctx: PinorContext | None = None) -> Octonion:
-    """Apply the pinor representation of a covector to a spinor.
-
-    ``alpha`` is either coframe components (length 4) or an Octonion already
-    lying in He.
-    """
-    ctx = ctx or standard_pinor_context()
-    if isinstance(alpha, Octonion):
-        if np.max(np.abs(alpha.coeffs[:4])) > 1e-12:
-            raise DomainError("covector octonion must lie in He")
-        return alpha * s
-    return Octonion(ctx.gamma_covector(alpha) @ s.coeffs)
-
-
-def pinor_split(s: Octonion, ctx: PinorContext | None = None) -> tuple[Octonion, Octonion]:
-    """Split s = s_plus + s_minus along the volume-operator eigenspaces."""
-    ctx = ctx or standard_pinor_context()
-    p_plus, p_minus = ctx.projectors()
-    return Octonion(p_plus @ s.coeffs), Octonion(p_minus @ s.coeffs)
-
-
-@lru_cache(maxsize=1)
-def associative_model_form() -> Multivector:
-    """The 3-form phi0(u, v, w) = <u x v, w> on Im O (7-dim, orthonormal)."""
-    space = InnerSpace(7)
-    coeffs = np.zeros(1 << 7)
-    im_basis = [Octonion.basis(n) for n in range(1, 8)]
-    for a in range(7):
-        for b in range(a + 1, 7):
-            uv = cross2(im_basis[a], im_basis[b])
-            for c in range(b + 1, 7):
-                val = uv.inner(im_basis[c])
-                if abs(val) > 1e-14:
-                    mask = (1 << a) | (1 << b) | (1 << c)
-                    coeffs[mask] = val
-    return Multivector(space, coeffs)
-
-
-@lru_cache(maxsize=1)
-def cayley_model_form() -> Multivector:
-    """The 4-form Phi0(u, v, w, y) = <X(u, v, w), y> on O (8-dim, orthonormal)."""
-    space = InnerSpace(8)
-    coeffs = np.zeros(1 << 8)
-    basis = [Octonion.basis(n) for n in range(8)]
-    for a in range(8):
-        for b in range(a + 1, 8):
-            for c in range(b + 1, 8):
-                x = cross3(basis[a], basis[b], basis[c])
-                for d in range(c + 1, 8):
-                    val = x.inner(basis[d])
-                    if abs(val) > 1e-14:
-                        mask = (1 << a) | (1 << b) | (1 << c) | (1 << d)
-                        coeffs[mask] = val
-    return Multivector(space, coeffs)
-
-
-def cross3_via_form(u: Octonion, v: Octonion, w: Octonion) -> Octonion:
-    """Oracle: X(u, v, w) recovered as w ⌟ v ⌟ u ⌟ Phi0 (indices raised trivially)."""
-    phi = cayley_model_form()
-    one_form = contract(contract(contract(phi, u.coeffs), v.coeffs), w.coeffs)
-    comps = np.array([one_form.coeffs[1 << i] for i in range(8)])
-    return Octonion(comps)

@@ -48,10 +48,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .exterior import InnerSpace, Multivector, dense_tensor, wedge
-from .octonion import Octonion, standard_pinor_context
+from .octonion import left_mult_matrix, oct_mul, standard_pinor_context
 from .submanifold import AdaptedFramePoint
-from .g2 import BSProfile, UNIT_PROFILE, SectionData, lifted_basis, per_point, scaled_rows
+from .g2 import BSProfile, UNIT_PROFILE, SectionData, antisymmetrise, lifted_basis, per_point, scaled_rows
 from .numerics import blocked, row_norms
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "calibration_gap",
     "dbar_vminus_residual",
     "phi_form",
-    "total_space",
 ]
 
 _CTX = standard_pinor_context()
@@ -93,14 +91,6 @@ class SpinorFrame:
 
     s: np.ndarray  # (4, 8) rows s_1..s_4
 
-    @property
-    def v_plus(self) -> np.ndarray:
-        return self.s[:2]
-
-    @property
-    def v_minus(self) -> np.ndarray:
-        return self.s[2:]
-
     def components(self, spinor: np.ndarray) -> np.ndarray:
         """Coefficients of an S_- spinor (8,), or of a stack (..., 8), against
         (s_1, .., s_4)."""
@@ -108,7 +98,7 @@ class SpinorFrame:
 
 
 def spinor_frames(s1=None) -> SpinorFrame:
-    """Build (s_1, s_2, s_3, s_4) from a unit spinor s_1 in V_+.
+    """Build (s_1, s_2, s_3, s_4) from a unit spinor s_1 in V_+, an (8,) array.
 
     Defaults to the first quaternion basis vector projected onto V_+; any
     other gauge gives frames related by a rotation, and every reported
@@ -117,8 +107,6 @@ def spinor_frames(s1=None) -> SpinorFrame:
     if s1 is None:
         s1 = np.zeros(8)
         s1[0] = 1.0
-    elif isinstance(s1, Octonion):
-        s1 = s1.coeffs
     s1 = np.asarray(s1, dtype=float)
     s1 = _P_MINUS @ s1
     # keep only the +Gamma part: P = (1 - Gamma_op Gamma_op ... ) use j_L
@@ -137,8 +125,6 @@ def spinor_frames(s1=None) -> SpinorFrame:
 @lru_cache(maxsize=1)
 def _jl_matrix() -> np.ndarray:
     """Left multiplication by the unit imaginary quaternion e^1 e^2."""
-    from .octonion import left_mult_matrix, oct_mul
-
     jl = oct_mul(_CTX.embed[0], _CTX.embed[1])
     return left_mult_matrix(jl)
 
@@ -182,41 +168,26 @@ def lemma_residual(gamma: np.ndarray, spinor: np.ndarray, bundle_sign: int) -> f
     return total
 
 
-# -- total-space model ---------------------------------------------------------
+# -- the Cayley form --------------------------------------------------------------
+
+# Phi as a signed index table (0-based indices, sign); see g2.antisymmetrise
+PHI_TABLE = (
+    ((0, 1, 2, 3), 1), ((4, 5, 6, 7), 1),
+    ((0, 1, 4, 5), -1), ((0, 1, 6, 7), -1), ((2, 3, 4, 5), -1), ((2, 3, 6, 7), -1),
+    ((0, 2, 4, 6), -1), ((0, 2, 5, 7), 1), ((1, 3, 4, 6), 1), ((1, 3, 5, 7), -1),
+    ((0, 3, 4, 7), -1), ((0, 3, 5, 6), -1), ((1, 2, 4, 7), -1), ((1, 2, 5, 6), -1),
+)
 
 
-@lru_cache(maxsize=1)
-def total_space() -> InnerSpace:
-    return InnerSpace(8)
-
-
-# pairings (a_k, b_k) of {12, 34}, {13, 24}, {14, 23} and their signs eps_k
-_PAIRINGS = (((1, 2), (3, 4), 1.0), ((1, 3), (2, 4), -1.0), ((1, 4), (2, 3), 1.0))
-
-
-def _mixed_block(space: InnerSpace) -> Multivector:
-    """sum_k (e_{a_k} + eps_k e_{b_k}) ^ (s_{a_k} + eps_k s_{b_k})."""
-    m = space.monomial
-    out = space.zero()
-    for a, b, sign in _PAIRINGS:
-        h = m(a) + sign * m(b)
-        vert = m(tuple(i + 4 for i in a)) + sign * m(tuple(i + 4 for i in b))
-        out = out + wedge(h, vert)
-    return out
-
-
-def phi_form(u: float, v: float, space: InnerSpace | None = None) -> Multivector:
-    space = space or total_space()
-    m = space.monomial
-    u2v2 = u * u * v * v
-    out = u**4 * m((1, 2, 3, 4)) + v**4 * m((5, 6, 7, 8))
-    return out - u2v2 * _mixed_block(space)
+def phi_form(u: float, v: float) -> np.ndarray:
+    """Phi at weights (u, v) as a dense (8, 8, 8, 8) array."""
+    return antisymmetrise(PHI_TABLE, 8, u, v)
 
 
 @lru_cache(maxsize=1)
 def _unit_phi() -> np.ndarray:
     """Dense unit-weight Phi of shape (8, 8, 8, 8), read-only."""
-    out = dense_tensor(phi_form(1.0, 1.0))
+    out = phi_form(1.0, 1.0)
     out.flags.writeable = False
     return out
 

@@ -43,6 +43,7 @@ __all__ = [
     "closed_form_tangents",
     "mixed_pairing_closed_form",
     "bracket_factor",
+    "lagrangian_columns",
     "lagrangian_samples",
 ]
 
@@ -344,6 +345,25 @@ def mixed_pairing_closed_form(
     return a_i * t_j * ch * ch / y * bracket_factor(y, vp, vpp)
 
 
+def lagrangian_columns(
+    chart: ImmersionChart,
+    mu: MuForm,
+    samples,
+    fiber_values,
+    profile: StenzelProfile = DEFAULT_PROFILE,
+    fd_step: float = DEFAULT_FD_STEP,
+):
+    """Per-sample maximal |omega| over all tangent pairs and the criterion
+    |mu(u)|, as (P,) columns, with the stacked ``TwistedConormalPoint``.
+
+    All samples go through one stacked ``twisted_conormal_point`` and one
+    ``omega_matrix`` contraction.
+    """
+    pts = twisted_conormal_point(chart, mu, samples, fiber_values, fd_step)
+    worst = np.max(np.abs(omega_matrix(pts.z, pts.all_tangents(), profile)), axis=(-2, -1))
+    return worst, row_norms(pts.mu_coeffs), pts
+
+
 def lagrangian_samples(
     chart: ImmersionChart,
     mu: MuForm,
@@ -352,17 +372,12 @@ def lagrangian_samples(
     profile: StenzelProfile = DEFAULT_PROFILE,
     fd_step: float = DEFAULT_FD_STEP,
 ):
-    """Per-sample maximal |omega| over all tangent pairs, plus the mu size.
-
-    All samples go through one stacked ``twisted_conormal_point`` and one
-    ``omega_matrix`` contraction.  Yields dicts with the chart point, fiber
-    coordinates, the residual and the criterion value |mu(u)|.
-    """
+    """:func:`lagrangian_columns` one sample at a time: yields dicts with the
+    chart point, fiber coordinates, the residual, the criterion value and the
+    sample's ``TwistedConormalPoint``."""
     samples = np.asarray(samples, dtype=float)
     fiber_values = np.asarray(fiber_values, dtype=float)
-    pts = twisted_conormal_point(chart, mu, samples, fiber_values, fd_step)
-    worst = np.max(np.abs(omega_matrix(pts.z, pts.all_tangents(), profile)), axis=(-2, -1))
-    mu_norm = row_norms(pts.mu_coeffs)
+    worst, mu_norm, pts = lagrangian_columns(chart, mu, samples, fiber_values, profile, fd_step)
     for i, (u, t) in enumerate(zip(samples, fiber_values)):
         yield {
             "u": u,

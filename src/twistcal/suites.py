@@ -71,12 +71,20 @@ _MU_PATTERN = re.compile(r"^([0-9eE.+-]*?)e(\d+)$")
 
 
 def parse_mu_spec(spec: str, q: int) -> stenzel.MuForm:
-    """"0" for the zero form, "<coeff>e<index>" for coeff * e^index."""
-    spec = (spec or "0").strip()
-    if spec in ("0", "zero", ""):
-        return constant_mu(np.zeros(q))
+    """"<coeff>e<index>" for coeff * e^index; "zero" or any number equal to
+    zero ("0", "0.0", "-0") for the zero form.  The pattern is tried first,
+    because "0.3e1" is also a float literal."""
+    spec = (spec or "zero").strip()
     match = _MU_PATTERN.match(spec)
     if not match:
+        try:
+            value = float(spec)
+        except ValueError:
+            value = math.nan
+        if spec in ("zero", "") or value == 0.0:
+            return constant_mu(np.zeros(q))
+        if math.isfinite(value):
+            raise ConfigError(f"mu spec {spec!r} needs an index, e.g. 1.5e1")
         raise ConfigError(f"malformed mu spec {spec!r}; expected e.g. 0.3e1")
     sign_only = match.group(1) in ("", "+", "-")
     coeff = _parse_number(match.group(1) + "1" if sign_only else match.group(1), "mu coefficient")
@@ -188,16 +196,21 @@ def _eta_family_for(config: SuiteConfig, q: int):
 
 
 def _run_stenzel(config: SuiteConfig) -> VerificationReport:
+    if config.fiber:
+        raise ConfigError("fiber does not apply to the stenzel-lagrangian suite, "
+                          "which samples its fibre coordinates")
     chart = get_chart(config.chart)
     _, st_profile = parse_profile_spec(config.profile)
     mu = parse_mu_spec(config.section, chart.q)
     rng = np.random.default_rng(config.seed)
     samples = chart.sample(rng, config.samples)
     fibers = _sample_fibers(rng, config.samples, chart.n - chart.q)
-    recs = list(stenzel.lagrangian_samples(chart, mu, samples, fibers, st_profile, config.fd_step))
-    residuals = {"omega_max": [rec["residuals"]["omega_max"] for rec in recs]}
-    criteria = {"mu_norm": [rec["criteria"]["mu_norm"] for rec in recs]}
-    report = VerificationReport.build(config, samples, fibers, residuals, criteria)
+    omega_max, mu_norm, _ = stenzel.lagrangian_columns(
+        chart, mu, samples, fibers, st_profile, config.fd_step
+    )
+    report = VerificationReport.build(
+        config, samples, fibers, {"omega_max": omega_max}, {"mu_norm": mu_norm}
+    )
     # cross-checks from the closed-form route: agreement of the mixed pairing
     # with its proof-side scalar at normal-frame centres, and positivity of
     # the bracketed profile factor, on a deterministic subsample

@@ -9,6 +9,7 @@ with.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -21,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from twistcal import __version__, g2, spin7, suites
-from twistcal.exterior import Multivector, contract, form_inner, wedge
+from twistcal.errors import DomainError
+from twistcal.exterior import InnerSpace, Multivector, contract, form_inner, wedge
 from twistcal.numerics import directional_derivative
-from twistcal.octonion import standard_pinor_context
+from twistcal.octonion import oct_mul, standard_pinor_context
 from twistcal.report import SEPARATION, SuiteConfig
 from twistcal.stenzel import DEFAULT_PROFILE
 from twistcal.submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
@@ -192,6 +194,71 @@ def g2_vertical_fd_oracle(chart, family, u, t1: float, fd_step: float = 1e-5) ->
     return out
 
 
+# -- bitmask calibration forms ----------------------------------------------------
+# phi, psi (G2) and Phi (Spin(7)) at weights (u, v) written out as Multivectors,
+# monomial by monomial as displayed in the g2 and spin7 docstrings; the
+# library's signed index tables must antisymmetrise to their dense tensors.
+
+
+@functools.lru_cache(maxsize=None)
+def bitmask_space(dim: int) -> InnerSpace:
+    return InnerSpace(dim)
+
+
+def bitmask_g2_phi(u: float, v: float) -> Multivector:
+    m = bitmask_space(7).monomial
+    uv2 = u * u * v
+    return (
+        v**3 * m((5, 6, 7))
+        + uv2 * (m((1, 2, 5)) - m((3, 4, 5)))
+        + uv2 * (m((1, 3, 6)) + m((2, 4, 6)))
+        + uv2 * (m((1, 4, 7)) - m((2, 3, 7)))
+    )
+
+
+def bitmask_g2_psi(u: float, v: float) -> Multivector:
+    m = bitmask_space(7).monomial
+    u2v2 = u * u * v * v
+    out = u**4 * m((1, 2, 3, 4))
+    out = out - u2v2 * (m((1, 2, 6, 7)) - m((3, 4, 6, 7)))
+    out = out + u2v2 * (m((1, 3, 5, 7)) + m((2, 4, 5, 7)))
+    out = out - u2v2 * (m((1, 4, 5, 6)) - m((2, 3, 5, 6)))
+    return out
+
+
+# pairings (a_k, b_k) of {12, 34}, {13, 24}, {14, 23} and their signs eps_k
+_PAIRINGS = (((1, 2), (3, 4), 1.0), ((1, 3), (2, 4), -1.0), ((1, 4), (2, 3), 1.0))
+
+
+def bitmask_mixed_block() -> Multivector:
+    """sum_k (e_{a_k} + eps_k e_{b_k}) ^ (s_{a_k} + eps_k s_{b_k})."""
+    space = bitmask_space(8)
+    m = space.monomial
+    out = space.zero()
+    for a, b, sign in _PAIRINGS:
+        h = m(a) + sign * m(b)
+        vert = m(tuple(i + 4 for i in a)) + sign * m(tuple(i + 4 for i in b))
+        out = out + wedge(h, vert)
+    return out
+
+
+def bitmask_spin7_phi(u: float, v: float) -> Multivector:
+    m = bitmask_space(8).monomial
+    u2v2 = u * u * v * v
+    out = u**4 * m((1, 2, 3, 4)) + v**4 * m((5, 6, 7, 8))
+    return out - u2v2 * bitmask_mixed_block()
+
+
+def multivector_of(tensor: np.ndarray) -> Multivector:
+    """A dense antisymmetric (dim,)*k tensor as a k-form of the bitmask
+    algebra: the coefficient of e^{i_1} ^ .. ^ e^{i_k} is T[i_1 - 1, ..]."""
+    dim, k = tensor.shape[0], tensor.ndim
+    coeffs = np.zeros(1 << dim)
+    for idx in itertools.combinations(range(dim), k):
+        coeffs[sum(1 << i for i in idx)] = tensor[idx]
+    return Multivector(bitmask_space(dim), coeffs)
+
+
 # -- bitmask calibration oracles ------------------------------------------------
 # The calibration residuals evaluated on the weighted Multivector forms built
 # at (u, v), contracted slot by slot with the bitmask ``contract``; the library
@@ -199,19 +266,19 @@ def g2_vertical_fd_oracle(chart, family, u, t1: float, fd_step: float = 1e-5) ->
 
 
 def bitmask_associative_residual(e1, e2, f1, u: float, v: float) -> float:
-    one_form = contract(contract(contract(g2.psi_form(u, v), f1), e1), e2)
+    one_form = contract(contract(contract(bitmask_g2_psi(u, v), f1), e1), e2)
     return float(np.sqrt(form_inner(one_form, one_form)))
 
 
 def bitmask_coassociative_residual(e1, e2, f2, f3, u: float, v: float) -> float:
-    phi = g2.phi_form(u, v)
+    phi = bitmask_g2_phi(u, v)
     return max(abs(phi.evaluate(*triple)) for triple in itertools.combinations((e1, e2, f2, f3), 3))
 
 
 def bitmask_cayley_eta(e1, e2, f1, f2, u: float, v: float) -> Multivector:
     """eta(E_1, E_2, F_1, F_2) summand by summand in the weighted 8-metric."""
-    space = spin7.total_space()
-    phi = spin7.phi_form(u, v, space)
+    space = bitmask_space(8)
+    phi = bitmask_spin7_phi(u, v)
     metric = np.array([u * u] * 4 + [v * v] * 4)
     vecs = [np.asarray(x, dtype=float) for x in (e1, e2, f1, f2)]
 
@@ -233,7 +300,7 @@ def bitmask_cayley_residual(e1, e2, f1, f2, u: float, v: float) -> float:
 
 def bitmask_calibration_gap(e1, e2, f1, f2, u: float, v: float) -> float:
     vecs = [np.asarray(x, dtype=float) for x in (e1, e2, f1, f2)]
-    phi_val = spin7.phi_form(u, v).evaluate(*vecs)
+    phi_val = bitmask_spin7_phi(u, v).evaluate(*vecs)
     metric = np.diag([u * u] * 4 + [v * v] * 4)
     gram = np.array([[a @ metric @ b for b in vecs] for a in vecs])
     return abs(abs(phi_val) - float(np.sqrt(max(np.linalg.det(gram), 0.0))))
@@ -261,6 +328,67 @@ def nabla_gamma_ops_loop(gamma: np.ndarray) -> np.ndarray:
         d2 = sum(gamma[i, 1, m] * g[m] for m in range(4))
         out[i] = d1 @ g[1] + g[0] @ d2
     return out
+
+
+# -- octonion model oracles ------------------------------------------------------------
+# The model calibrations of Im O and O built from octonion products of (8,)
+# coefficient arrays, independent of the displayed forms.
+
+
+def oct_conj(x) -> np.ndarray:
+    return np.asarray(x, dtype=float) * np.array([1.0, -1, -1, -1, -1, -1, -1, -1])
+
+
+def cross2(u, v) -> np.ndarray:
+    """Two-fold cross product Im(uv) of imaginary octonions."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    for x in (u, v):
+        if abs(x[0]) > 1e-12 * (1.0 + np.linalg.norm(x)):
+            raise DomainError("cross2 expects imaginary octonions")
+    out = oct_mul(u, v)
+    out[0] = 0.0
+    return out
+
+
+def cross3(u, v, w) -> np.ndarray:
+    """Three-fold product X(u, v, w) = 1/2 (w (conj(v) u) - u (conj(v) w)).
+
+    The sign is fixed so that the associated 4-form built from
+    <X(u, v, w), y> has value +1 on the oriented quaternion 4-plane
+    (1, i, j, k).
+    """
+    cv = oct_conj(v)
+    return 0.5 * (oct_mul(w, oct_mul(cv, u)) - oct_mul(u, oct_mul(cv, w)))
+
+
+@functools.lru_cache(maxsize=1)
+def associative_model_form() -> Multivector:
+    """The 3-form phi0(u, v, w) = <u x v, w> on Im O (7-dim, orthonormal)."""
+    coeffs = np.zeros(1 << 7)
+    im_basis = np.eye(8)[1:]
+    for a, b, c in itertools.combinations(range(7), 3):
+        val = cross2(im_basis[a], im_basis[b]) @ im_basis[c]
+        if abs(val) > 1e-14:
+            coeffs[(1 << a) | (1 << b) | (1 << c)] = val
+    return Multivector(bitmask_space(7), coeffs)
+
+
+@functools.lru_cache(maxsize=1)
+def cayley_model_form() -> Multivector:
+    """The 4-form Phi0(u, v, w, y) = <X(u, v, w), y> on O (8-dim, orthonormal)."""
+    coeffs = np.zeros(1 << 8)
+    basis = np.eye(8)
+    for a, b, c, d in itertools.combinations(range(8), 4):
+        val = cross3(basis[a], basis[b], basis[c]) @ basis[d]
+        if abs(val) > 1e-14:
+            coeffs[(1 << a) | (1 << b) | (1 << c) | (1 << d)] = val
+    return Multivector(bitmask_space(8), coeffs)
+
+
+def cross3_via_form(u, v, w) -> np.ndarray:
+    """X(u, v, w) recovered as w ⌟ v ⌟ u ⌟ Phi0 (indices raised trivially)."""
+    one_form = contract(contract(contract(cayley_model_form(), u), v), w)
+    return np.array([one_form.coeffs[1 << i] for i in range(8)])
 
 
 # -- per-point Stenzel omega oracle ------------------------------------------------

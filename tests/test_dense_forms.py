@@ -1,4 +1,5 @@
-"""Dense unit-weight calibration tensors and the residuals contracted from them."""
+"""Dense calibration tensors from the signed index tables, and the residuals
+contracted from them."""
 
 import itertools
 import math
@@ -12,6 +13,9 @@ from conftest import (
     bitmask_cayley_eta,
     bitmask_cayley_residual,
     bitmask_coassociative_residual,
+    bitmask_g2_phi,
+    bitmask_g2_psi,
+    bitmask_spin7_phi,
     nabla_gamma_ops_loop,
     parity_sign,
     rng_for,
@@ -21,12 +25,13 @@ from twistcal import g2, spin7
 from twistcal.errors import GradeError
 from twistcal.exterior import dense_tensor
 
-# (form builder, dimension of the total space, degree)
+# (library form, bitmask oracle form, dimension of the total space, degree)
 FORMS = {
-    "g2.phi": (g2.phi_form, 7, 3),
-    "g2.psi": (g2.psi_form, 7, 4),
-    "spin7.phi": (spin7.phi_form, 8, 4),
+    "g2.phi": (g2.phi_form, bitmask_g2_phi, 7, 3),
+    "g2.psi": (g2.psi_form, bitmask_g2_psi, 7, 4),
+    "spin7.phi": (spin7.phi_form, bitmask_spin7_phi, 8, 4),
 }
+TABLES = {"g2.phi": g2.PHI_TABLE, "g2.psi": g2.PSI_TABLE, "spin7.phi": spin7.PHI_TABLE}
 
 
 def _pullback(tensor: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -40,25 +45,45 @@ def _pullback(tensor: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_weight_law_unit_tensor_pulled_back_by_d(name):
-    build, dim, _ = FORMS[name]
-    unit = dense_tensor(build(1.0, 1.0))
+    build, _, dim, _ = FORMS[name]
+    unit = build(1.0, 1.0)
     rng = rng_for(11)
     for _ in range(5):
         u, v = rng.uniform(0.2, 3.0, size=2)
         d = np.array([u] * 4 + [v] * (dim - 4))
-        np.testing.assert_allclose(
-            dense_tensor(build(u, v)), _pullback(unit, d), rtol=1e-14, atol=0.0
-        )
+        np.testing.assert_allclose(build(u, v), _pullback(unit, d), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_tables_match_bitmask_forms(name):
+    build, oracle, dim, k = FORMS[name]
+    assert len(TABLES[name]) == {"g2.phi": 7, "g2.psi": 7, "spin7.phi": 14}[name]
+    unit = build(1.0, 1.0)
+    assert unit.shape == (dim,) * k
+    assert unit.tobytes() == dense_tensor(oracle(1.0, 1.0)).tobytes()
+    rng = rng_for(12)
+    for _ in range(5):
+        u, v = rng.uniform(0.2, 3.0, size=2)
+        np.testing.assert_allclose(build(u, v), dense_tensor(oracle(u, v)), rtol=1e-14, atol=0.0)
+
+
+def test_cached_unit_tensors_are_the_unit_tables():
+    phi, psi = g2._unit_tensors()
+    cases = ((phi, g2.phi_form), (psi, g2.psi_form), (spin7._unit_phi(), spin7.phi_form))
+    for cached, build in cases:
+        assert not cached.flags.writeable
+        assert cached.tobytes() == build(1.0, 1.0).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_dense_tensor_antisymmetric_and_round_trips(name):
-    build, dim, k = FORMS[name]
-    form = build(1.3, 0.7)
+    build, oracle, dim, k = FORMS[name]
+    form = oracle(1.3, 0.7)
     tensor = dense_tensor(form)
     assert tensor.shape == (dim,) * k
     for perm in itertools.permutations(range(k)):
-        np.testing.assert_array_equal(np.transpose(tensor, perm), parity_sign(perm) * tensor)
+        for t in (tensor, build(1.3, 0.7)):
+            np.testing.assert_array_equal(np.transpose(t, perm), parity_sign(perm) * t)
     for idx in itertools.combinations(range(dim), k):
         assert tensor[idx] == form.coefficient([i + 1 for i in idx])
     # every other entry repeats an index or permutes a stored one
@@ -66,9 +91,9 @@ def test_dense_tensor_antisymmetric_and_round_trips(name):
 
 
 def test_dense_tensor_needs_a_homogeneous_form():
-    phi = g2.phi_form(1.0, 1.0)
+    phi = bitmask_g2_phi(1.0, 1.0)
     with pytest.raises(GradeError):
-        dense_tensor(phi + g2.psi_form(1.0, 1.0))
+        dense_tensor(phi + bitmask_g2_psi(1.0, 1.0))
 
 
 def _random_case(rng, dim, count):

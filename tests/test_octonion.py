@@ -2,47 +2,58 @@ import numpy as np
 import pytest
 
 from twistcal.errors import DomainError
-from twistcal.octonion import (
-    E,
-    I,
-    IE,
-    J,
-    JE,
-    K,
-    KE,
-    ONE,
-    Octonion,
+from twistcal.octonion import left_mult_matrix, oct_mul, standard_pinor_context
+
+from conftest import (
     associative_model_form,
-    associator,
     cayley_model_form,
+    comass_estimate,
     cross2,
     cross3,
     cross3_via_form,
-    gamma,
-    oct_mul,
-    pinor_split,
-    standard_pinor_context,
+    det_by_permutations,
+    oct_conj,
+    rng_for,
 )
 
-from conftest import comass_estimate, det_by_permutations, rng_for
+# basis octonions (1, i, j, k, e, ie, je, ke) as (8,) coefficient arrays
+ONE, I, J, K, E, IE, JE, KE = np.eye(8)
 
 
 def random_oct(rng):
-    return Octonion(rng.standard_normal(8))
+    return rng.standard_normal(8)
+
+
+def imag(x):
+    out = x.copy()
+    out[0] = 0.0
+    return out
+
+
+def associator(x, y, z):
+    """[x, y, z] = (xy)z - x(yz)."""
+    return oct_mul(oct_mul(x, y), z) - oct_mul(x, oct_mul(y, z))
+
+
+def close(x, y, tol=1e-12):
+    return bool(np.allclose(x, y, atol=tol))
+
+
+norm = np.linalg.norm
 
 
 # -- algebra basics ------------------------------------------------------------
 
 
 def test_unit_and_quaternion_table():
-    x = Octonion(rng_for(0).standard_normal(8))
-    assert (ONE * x).allclose(x)
-    assert (x * ONE).allclose(x)
-    assert (I * J).allclose(K)
-    assert (J * K).allclose(I)
-    assert (K * I).allclose(J)
-    assert (I * I).allclose(-1.0 * ONE)
-    assert (E * E).allclose(-1.0 * ONE)
+    x = rng_for(0).standard_normal(8)
+    assert close(oct_mul(ONE, x), x)
+    assert close(oct_mul(x, ONE), x)
+    assert close(oct_mul(I, J), K)
+    assert close(oct_mul(J, K), I)
+    assert close(oct_mul(K, I), J)
+    assert close(oct_mul(I, I), -ONE)
+    assert close(oct_mul(E, E), -ONE)
 
 
 def test_composition_norm_many_pairs():
@@ -59,18 +70,16 @@ def test_alternativity():
     rng = rng_for(2)
     for _ in range(100):
         x, y = random_oct(rng), random_oct(rng)
-        assert associator(x, x, y).norm() < 1e-12 * (1 + x.norm() ** 2 * y.norm())
-        assert associator(x, y, y).norm() < 1e-12 * (1 + y.norm() ** 2 * x.norm())
+        assert norm(associator(x, x, y)) < 1e-12 * (1 + norm(x) ** 2 * norm(y))
+        assert norm(associator(x, y, y)) < 1e-12 * (1 + norm(y) ** 2 * norm(x))
 
 
 def test_associator_cases():
-    assert associator(I, J, E).allclose(2.0 * KE)
+    assert close(associator(I, J, E), 2.0 * KE)
     rng = rng_for(3)
     for _ in range(20):
-        x = Octonion.from_quaternion(rng.standard_normal(4))
-        y = Octonion.from_quaternion(rng.standard_normal(4))
-        z = Octonion.from_quaternion(rng.standard_normal(4))
-        assert associator(x, y, z).norm() < 1e-12
+        x, y, z = (np.concatenate([rng.standard_normal(4), np.zeros(4)]) for _ in range(3))
+        assert norm(associator(x, y, z)) < 1e-12
 
 
 def test_orthonormal_he_pairs_anticommute_in_action():
@@ -78,12 +87,12 @@ def test_orthonormal_he_pairs_anticommute_in_action():
     rng = rng_for(4)
     for _ in range(50):
         q, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-        u1 = Octonion(np.concatenate([np.zeros(4), q[:, 0]]))
-        u2 = Octonion(np.concatenate([np.zeros(4), q[:, 1]]))
+        u1 = np.concatenate([np.zeros(4), q[:, 0]])
+        u2 = np.concatenate([np.zeros(4), q[:, 1]])
         v = random_oct(rng)
-        lhs = u1 * (u2.conj() * v)
-        rhs = -1.0 * (u2 * (u1.conj() * v))
-        assert lhs.allclose(rhs, tol=1e-12)
+        lhs = oct_mul(u1, oct_mul(oct_conj(u2), v))
+        rhs = -oct_mul(u2, oct_mul(oct_conj(u1), v))
+        assert close(lhs, rhs)
 
 
 # -- cross products --------------------------------------------------------------
@@ -91,13 +100,13 @@ def test_orthonormal_he_pairs_anticommute_in_action():
 
 def test_cross2_cases():
     rng = rng_for(5)
-    assert cross2(I, I).norm() == 0.0
-    assert cross2(I, J).allclose(K)
+    assert norm(cross2(I, I)) == 0.0
+    assert close(cross2(I, J), K)
     for _ in range(50):
-        u = random_oct(rng).imag()
-        v = random_oct(rng).imag()
-        assert abs(cross2(u, v).inner(u)) < 1e-12 * (1 + u.norm() ** 2 * v.norm())
-        assert abs(cross2(u, v).inner(v)) < 1e-12 * (1 + v.norm() ** 2 * u.norm())
+        u = imag(random_oct(rng))
+        v = imag(random_oct(rng))
+        assert abs(cross2(u, v) @ u) < 1e-12 * (1 + norm(u) ** 2 * norm(v))
+        assert abs(cross2(u, v) @ v) < 1e-12 * (1 + norm(v) ** 2 * norm(u))
 
 
 def test_cross2_rejects_non_imaginary():
@@ -109,18 +118,18 @@ def test_cross3_alternating():
     rng = rng_for(6)
     for _ in range(30):
         u, v = random_oct(rng), random_oct(rng)
-        scale = 1 + u.norm() ** 2 * v.norm() + v.norm() ** 2 * u.norm()
-        assert cross3(u, u, v).norm() < 1e-12 * scale
-        assert cross3(u, v, v).norm() < 1e-12 * scale
-        assert cross3(u, v, u).norm() < 1e-12 * scale
+        scale = 1 + norm(u) ** 2 * norm(v) + norm(v) ** 2 * norm(u)
+        assert norm(cross3(u, u, v)) < 1e-12 * scale
+        assert norm(cross3(u, v, v)) < 1e-12 * scale
+        assert norm(cross3(u, v, u)) < 1e-12 * scale
 
 
 def test_cross3_agrees_with_model_form_contraction():
-    assert cross3(ONE, I, J).allclose(cross3_via_form(ONE, I, J), tol=1e-12)
+    assert close(cross3(ONE, I, J), cross3_via_form(ONE, I, J))
     rng = rng_for(7)
     for _ in range(20):
         u, v, w = (random_oct(rng) for _ in range(3))
-        assert cross3(u, v, w).allclose(cross3_via_form(u, v, w), tol=1e-9)
+        assert close(cross3(u, v, w), cross3_via_form(u, v, w), tol=1e-9)
 
 
 def test_cross3_norm_equals_wedge_volume():
@@ -128,10 +137,10 @@ def test_cross3_norm_equals_wedge_volume():
     for _ in range(30):
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         scale = rng.uniform(0.5, 2.0, size=3)
-        u, v, w = (Octonion(q[:, j] * scale[j]) for j in range(3))
-        gram = np.array([[a.inner(b) for b in (u, v, w)] for a in (u, v, w)])
+        u, v, w = (q[:, j] * scale[j] for j in range(3))
+        gram = np.array([[a @ b for b in (u, v, w)] for a in (u, v, w)])
         vol = np.sqrt(det_by_permutations(gram))
-        assert cross3(u, v, w).norm() == pytest.approx(vol, rel=1e-10)
+        assert norm(cross3(u, v, w)) == pytest.approx(vol, rel=1e-10)
 
 
 # -- pinor representation ---------------------------------------------------------
@@ -149,38 +158,35 @@ def test_clifford_relation():
 
 
 def test_gamma_squares_to_minus_norm():
+    ctx = standard_pinor_context()
     rng = rng_for(10)
     for _ in range(50):
         c = rng.standard_normal(4)
         s = random_oct(rng)
-        out = gamma(c, gamma(c, s))
-        assert out.allclose(-float(c @ c) * s, tol=1e-12)
+        out = ctx.gamma_covector(c) @ (ctx.gamma_covector(c) @ s)
+        assert close(out, -float(c @ c) * s)
 
 
 def test_volume_operator_eigenspaces():
     ctx = standard_pinor_context()
     vol = ctx.volume_op
-    for idx in range(4):  # H block
-        s = Octonion.basis(idx)
-        assert Octonion(vol @ s.coeffs).allclose(-1.0 * s)
-    for idx in range(4, 8):  # He block
-        s = Octonion.basis(idx)
-        assert Octonion(vol @ s.coeffs).allclose(s)
+    for s in np.eye(8)[:4]:  # H block
+        assert close(vol @ s, -s)
+    for s in np.eye(8)[4:]:  # He block
+        assert close(vol @ s, s)
 
 
 def test_pinor_split_identifications():
+    p_plus, p_minus = standard_pinor_context().projectors()
     rng = rng_for(11)
-    q = Octonion.from_quaternion(rng.standard_normal(4))
-    plus, minus = pinor_split(q)
-    assert plus.norm() < 1e-14
-    assert minus.allclose(q)
-    he = Octonion(np.concatenate([np.zeros(4), rng.standard_normal(4)]))
-    plus, minus = pinor_split(he)
-    assert minus.norm() < 1e-14
-    assert plus.allclose(he)
+    q = np.concatenate([rng.standard_normal(4), np.zeros(4)])
+    assert norm(p_plus @ q) < 1e-14
+    assert close(p_minus @ q, q)
+    he = np.concatenate([np.zeros(4), rng.standard_normal(4)])
+    assert norm(p_minus @ he) < 1e-14
+    assert close(p_plus @ he, he)
     s = random_oct(rng)
-    plus, minus = pinor_split(s)
-    assert (plus + minus).allclose(s, tol=1e-14)
+    assert close(p_plus @ s + p_minus @ s, s, tol=1e-14)
 
 
 def _gamma_f_matrices():
@@ -228,8 +234,6 @@ def test_gamma_operator_frame_independent():
     base = ctx.embed
     p_minus = ctx.projectors()[1]
     g12 = ctx.gammas[0] @ ctx.gammas[1]
-    from twistcal.octonion import left_mult_matrix
-
     for _ in range(20):
         al, be = rng.uniform(0, 2 * np.pi, size=2)
         r1 = np.cos(al) * base[0] + np.sin(al) * base[1]

@@ -106,10 +106,19 @@ def test_mu_spec_parsing():
     mu = parse_mu_spec("0.3e1", 2)
     assert np.allclose(mu.coeffs, [0.3, 0.0])
     assert np.allclose(parse_mu_spec("0", 2).coeffs, 0.0)
+    # any spelling of a finite zero is the zero form
+    for zero in ("0.0", "-0", "+0.0", "00", "zero", "", " "):
+        np.testing.assert_array_equal(parse_mu_spec(zero, 2).coeffs, [0.0, 0.0])
+    # the <coeff>e<index> pattern wins over the float reading of "0.3e1"
+    assert np.allclose(parse_mu_spec("-2e2", 2).coeffs, [0.0, -2.0])
     with pytest.raises(ConfigError):
         parse_mu_spec("0.3e9", 2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="malformed mu spec"):
         parse_mu_spec("garbage", 2)
+    with pytest.raises(ConfigError, match="malformed mu spec"):
+        parse_mu_spec("nan", 2)
+    with pytest.raises(ConfigError, match=r"mu spec '1\.5' needs an index, e\.g\. 1\.5e1"):
+        parse_mu_spec("1.5", 2)
 
 
 def test_profile_spec_parsing():
@@ -295,7 +304,8 @@ def test_cli_calls_in_one_process_share_no_values(tmp_path):
 
 
 def test_fresh_verify_imports_neither_importlib_metadata_nor_numpy_ma(tmp_path):
-    # each is a 14-17 ms cold import that every fresh process would pay
+    # each is a 14-17 ms cold import that every fresh process would pay; the
+    # bitmask exterior algebra is not on the verification path at all
     jobs = [
         ["spin7-cayley"],
         ["g2-associative", "--chart", "veronese", "--section", "sinphi"],
@@ -307,7 +317,8 @@ def test_fresh_verify_imports_neither_importlib_metadata_nor_numpy_ma(tmp_path):
         "from twistcal.cli import main\n"
         f"for job in {jobs!r}:\n"
         f"    main(['verify', *job, '--samples', '1', '--out', {str(tmp_path / 'r.json')!r}])\n"
-        "print([m for m in ('importlib.metadata', 'numpy.ma') if m in sys.modules])\n"
+        "print([m for m in ('importlib.metadata', 'numpy.ma', 'twistcal.exterior')"
+        " if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -410,6 +421,8 @@ _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--sa
         # a pass band above the FAIL level would report clear failures as PASS
         (_VERIFY + ["--tol-verdict", "0.0011"],
          f"tol_verdict must be at most the FAIL separation {SEPARATION!r}, got 0.0011"),
+        # the Stenzel suite samples its fibres; a --fiber must not be echoed and ignored
+        (_VERIFY + ["--fiber=9;9"], "fiber does not apply to the stenzel-lagrangian suite"),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys):
@@ -425,6 +438,14 @@ def test_config_validation_requires_finite_values():
             with pytest.raises(ConfigError, match=field):
                 SuiteConfig(suite="s", **{field: value}).validate()
     SuiteConfig(suite="s", fd_step=1e-7, tol_verdict=1e-3).validate()
+
+
+def test_stenzel_fiber_is_rejected_from_file_and_run_suite(tmp_path):
+    cfg_file = tmp_path / "suite.cfg"
+    cfg_file.write_text("chart=equatorial\nfiber=9;9\nsamples=2\n")
+    assert main(["verify", "stenzel-lagrangian", "--config", str(cfg_file)]) == 2
+    with pytest.raises(ConfigError, match="fiber does not apply"):
+        run_suite(SuiteConfig(suite="stenzel-lagrangian", fiber="0.5", samples=2))
 
 
 def test_config_file_bad_number_is_a_config_error(tmp_path):
