@@ -359,21 +359,18 @@ class BoundednessReport:
     log_slope: float
 
 
-def boundedness_scan(
-    family: SectionFamily,
-    chart: ImmersionChart,
-    *,
-    interior_samples: int = 400,
-    seed: int = 0,
-) -> BoundednessReport:
+SCAN_SAMPLES, SCAN_SEED = 400, 0  # interior points of a boundedness scan, and their seed
+
+
+def boundedness_scan(family: SectionFamily, chart: ImmersionChart) -> BoundednessReport:
     """Estimate sup 2|G|^2 including annuli near the chart boundary.
 
     For the stereographic chart the boundary is |u| -> infinity; growth is
     flagged when log sup|G| keeps increasing along a geometric radius ladder.
     For the spherical charts the boundary is phi -> 0, pi.
     """
-    rng = np.random.default_rng(seed)
-    pts = chart.sample(rng, interior_samples)
+    rng = np.random.default_rng(SCAN_SEED)
+    pts = chart.sample(rng, SCAN_SAMPLES)
     values = [abs(family.value(p)) for p in pts]
 
     ladder_sups = []

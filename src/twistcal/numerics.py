@@ -19,6 +19,9 @@ DEFAULT_FD_STEP = 1e-5
 # block, where a whole 3,000-point job at once would need 6 MB.
 BLOCK = 64
 
+DEPENDENT_TOL = 1e-10  # gram_schmidt raises on a row whose projected norm is below
+COMPLETION_ACCEPT = 0.3  # complete_orthonormal's least accepted projected norm
+
 
 def row_norms(u) -> np.ndarray:
     """|u| over the last axis; bit-identical to np.linalg.norm on one row."""
@@ -66,7 +69,7 @@ def jacobian(f, u, step: float = DEFAULT_FD_STEP) -> np.ndarray:
     return np.moveaxis(cols, u.ndim - 1, -1)
 
 
-def gram_schmidt(rows, tol: float = 1e-10) -> np.ndarray:
+def gram_schmidt(rows) -> np.ndarray:
     """Orthonormalise the rows (in order) of each (k, d) matrix of a stack
     (..., k, d); raises if they are dependent."""
     rows = np.asarray(rows, dtype=float)
@@ -77,17 +80,17 @@ def gram_schmidt(rows, tol: float = 1e-10) -> np.ndarray:
             q = out[..., j, :]
             v -= (v[..., None, :] @ q[..., :, None])[..., 0] * q
         n = row_norms(v)
-        if np.any(n < tol):
+        if np.any(n < DEPENDENT_TOL):
             raise ImmersionDegenerateError("vectors are numerically dependent")
         out[..., i, :] = v / n[..., None]
     return out
 
 
-def complete_orthonormal(existing, ambient_dim: int, count: int, accept: float = 0.3) -> np.ndarray:
+def complete_orthonormal(existing, ambient_dim: int, count: int) -> np.ndarray:
     """Extend orthonormal rows by projecting standard basis vectors.
 
     Candidates are taken in ascending index order and accepted when their
-    residual after projection is at least ``accept``; this keeps the
+    residual after projection is at least ``COMPLETION_ACCEPT``; this keeps the
     completion deterministic and smooth wherever the acceptance pattern is
     locally constant.
     """
@@ -101,7 +104,7 @@ def complete_orthonormal(existing, ambient_dim: int, count: int, accept: float =
         for q in existing + added:
             v -= (v @ q) * q
         n = np.linalg.norm(v)
-        if n >= accept:
+        if n >= COMPLETION_ACCEPT:
             added.append(v / n)
     if len(added) < count:
         raise ImmersionDegenerateError("could not complete orthonormal frame")

@@ -24,9 +24,8 @@ __all__ = [
     "SEPARATION",
 ]
 
-# A point whose residual and criterion both exceed this value is a clean,
-# well-separated failure; verdicts between the pass tolerance and this level
-# are flagged as MIXED.
+# The largest accepted --tol-verdict: a wider PASS band would swallow clear
+# failures.
 SEPARATION = 1e-3
 
 
@@ -100,14 +99,14 @@ class VerificationReport:
               provenance: dict | None = None) -> "VerificationReport":
         """Classify the rows (PASS when the largest residual and the largest
         criterion are below ``tol_verdict``, FAIL when both are at or above
-        ``SEPARATION``, else MIXED), aggregate each column, take the verdict."""
+        it, else MIXED), aggregate each column, take the verdict."""
         u = np.asarray(u, dtype=float)
         residuals = {k: np.asarray(residuals[k], dtype=float) for k in sorted(residuals)}
         criteria = {k: np.asarray(criteria[k], dtype=float) for k in sorted(criteria)}
         res, crit = _matrix(residuals, len(u)), _matrix(criteria, len(u))
         tol = config.tol_verdict
         passed = (res < tol).all(axis=1) & (crit < tol).all(axis=1)
-        failed = (res >= SEPARATION).any(axis=1) & (crit >= SEPARATION).any(axis=1)
+        failed = (res >= tol).any(axis=1) & (crit >= tol).any(axis=1)
         status = np.select([passed, failed], ["PASS", "FAIL"], "MIXED")
         verdict = "PASS" if passed.all() else "MIXED" if (status == "MIXED").any() else "FAIL"
         aggregates = {}

@@ -33,7 +33,7 @@ from .submanifold import AdaptedFramePoint, ImmersionChart, adapted_frame, with_
 __all__ = [
     "StenzelProfile",
     "DEFAULT_PROFILE",
-    "MuForm",
+    "constant_mu",
     "psi_map",
     "stenzel_coeffs",
     "omega_value",
@@ -71,19 +71,10 @@ DEFAULT_PROFILE = StenzelProfile(
 )
 
 
-@dataclass(frozen=True)
-class MuForm:
-    """A 1-form along L given by coefficients against the chart coframe."""
-
-    kind: str
-    coeffs: np.ndarray
-
-    def value(self, u) -> np.ndarray:
-        return self.coeffs
-
-
-def constant_mu(coeffs) -> MuForm:
-    return MuForm(kind="const", coeffs=np.asarray(coeffs, dtype=float))
+def constant_mu(coeffs) -> np.ndarray:
+    """The twist 1-form mu along L: its (q,) coefficients against the chart
+    coframe."""
+    return np.asarray(coeffs, dtype=float)
 
 
 def _sinhc(x):
@@ -109,12 +100,15 @@ def psi_map(x, xi) -> np.ndarray:
     return x * np.cosh(r)[..., None] + 1j * xi * _sinhc(r)[..., None]
 
 
-def stenzel_coeffs(z, profile: StenzelProfile = DEFAULT_PROFILE, eps0: float = 0.1) -> np.ndarray:
+Z0_GUARD = 0.1  # the coefficient chart needs |z_0| above this
+
+
+def stenzel_coeffs(z, profile: StenzelProfile = DEFAULT_PROFILE) -> np.ndarray:
     """Hermitian coefficient matrix a_jk (j, k = 1..n) at a quadric point;
     (..., n+1) points give (..., n, n) matrices."""
     z = np.asarray(z, dtype=complex)
     z0 = z[..., 0, None, None]
-    if np.any(np.abs(z0) <= eps0):
+    if np.any(np.abs(z0) <= Z0_GUARD):
         raise ChartError("coefficient chart needs |z_0| above the guard; re-base first")
     vp, vpp = profile.at(np.linalg.norm(z, axis=-1))
     vp, vpp = np.asarray(vp)[..., None, None], np.asarray(vpp)[..., None, None]
@@ -196,7 +190,7 @@ def _rows_times(coeffs, vectors):
 
 def twisted_conormal_point(
     chart: ImmersionChart,
-    mu: MuForm,
+    mu,
     u,
     t,
     fd_step: float = DEFAULT_FD_STEP,
@@ -204,9 +198,10 @@ def twisted_conormal_point(
 ) -> TwistedConormalPoint:
     """Assemble the point and its FD tangent basis, re-based at the frame.
 
-    ``u`` and ``t`` are one chart point (q,) and fibre coordinate (n-q,), or
-    stacks (P, q) and (P, n-q); the whole FD stencil of every point goes
-    through one stacked call of the total-space map.
+    ``mu`` holds the (q,) coefficients of the twist.  ``u`` and ``t`` are
+    one chart point (q,) and fibre coordinate (n-q,), or stacks (P, q) and
+    (P, n-q); the whole FD stencil of every point goes through one stacked
+    call of the total-space map.
 
     ``mu_frame`` is the frame field against which the mu coefficients are
     read (defaults to the chart's own); passing the native frame keeps mu
@@ -226,7 +221,7 @@ def twisted_conormal_point(
         uu, tt = params[..., :q], params[..., q:]
         frame = frame_fn(uu)
         native = frame if mu_frame is None else mu_frame(uu)
-        xi = _rows_times(tt, frame[..., q:, :]) + _rows_times(mu.value(uu), native[..., :q, :])
+        xi = _rows_times(tt, frame[..., q:, :]) + _rows_times(mu, native[..., :q, :])
         return psi_map(chart.xmap(uu), xi)
 
     params0 = np.concatenate([point.u, t], axis=-1)
@@ -240,7 +235,7 @@ def twisted_conormal_point(
     dz = directional_derivative(total_map, params0[..., None, :], dirs, fd_step)
     tangents = dz @ np.swapaxes(rot, -1, -2)
 
-    a = np.broadcast_to(np.asarray(mu.value(point.u), dtype=float), point.u.shape)
+    a = np.broadcast_to(np.asarray(mu, dtype=float), point.u.shape)
     y = ((t[..., None, :] @ t[..., :, None]) + (a[..., None, :] @ a[..., :, None]))[..., 0, 0]
     return TwistedConormalPoint(
         frame_point=point,
@@ -255,7 +250,7 @@ def twisted_conormal_point(
 
 def closed_form_tangents(
     chart: ImmersionChart,
-    mu: MuForm,
+    mu,
     u,
     t,
     fd_step: float = DEFAULT_FD_STEP,
@@ -278,7 +273,7 @@ def closed_form_tangents(
     frame_fn = normal_chart.frame_field
 
     def mu_coeff(uu):
-        covector = _rows_times(mu.value(uu), chart.frame_field(uu)[..., :q, :])
+        covector = _rows_times(mu, chart.frame_field(uu)[..., :q, :])
         return (frame_fn(uu)[..., :q, :] @ covector[..., None])[..., 0]
 
     a = mu_coeff(point.u)
@@ -323,31 +318,30 @@ def closed_form_tangents(
     return fd_point, e_closed, f_closed
 
 
-def bracket_factor(y: float, vp: float, vpp: float) -> float:
-    """(1 - tanh(sqrt y)/sqrt y + tanh^2 sqrt y) v' + 4 sinh^2(sqrt y) v''."""
-    ry = math.sqrt(y)
-    th = math.tanh(ry)
-    return (1.0 - th / ry + th * th) * vp + 4.0 * math.sinh(ry) ** 2 * vpp
+def bracket_factor(y, vp, vpp):
+    """(1 - tanh(sqrt y)/sqrt y + tanh^2 sqrt y) v' + 4 sinh^2(sqrt y) v'',
+    elementwise."""
+    ry = np.sqrt(y)
+    th = np.tanh(ry)
+    return (1.0 - th / ry + th * th) * vp + 4.0 * np.sinh(ry) ** 2 * vpp
 
 
 def mixed_pairing_closed_form(
-    point: TwistedConormalPoint, i: int, j: int, profile: StenzelProfile = DEFAULT_PROFILE
-) -> float:
-    """The proof-side scalar omega(E_i, F_j) at a normal-frame centre."""
-    y = point.y
-    if y <= 0:
-        return 0.0
-    r = float(np.linalg.norm(point.z))
-    vp, vpp = profile.at(r)
-    a_i = float(point.mu_coeffs[i])
-    t_j = float(point.t[j])
-    ch = math.cosh(math.sqrt(y))
-    return a_i * t_j * ch * ch / y * bracket_factor(y, vp, vpp)
+    point: TwistedConormalPoint, profile: StenzelProfile = DEFAULT_PROFILE
+) -> np.ndarray:
+    """The proof-side omega(E_i, F_j) = a_i t_j cosh^2(sqrt y) / y * bracket
+    at normal-frame centres, as the (..., q, n-q) block; zero where y = 0."""
+    y = np.asarray(point.y)[..., None, None]
+    safe = np.where(y > 0, y, 1.0)
+    vp, vpp = profile.at(np.linalg.norm(point.z, axis=-1)[..., None, None])
+    ch = np.cosh(np.sqrt(safe))
+    a_t = point.mu_coeffs[..., :, None] * point.t[..., None, :]
+    return np.where(y > 0, a_t * ch * ch / safe * bracket_factor(safe, vp, vpp), 0.0)
 
 
 def lagrangian_columns(
     chart: ImmersionChart,
-    mu: MuForm,
+    mu,
     samples,
     fiber_values,
     profile: StenzelProfile = DEFAULT_PROFILE,
@@ -366,7 +360,7 @@ def lagrangian_columns(
 
 def lagrangian_samples(
     chart: ImmersionChart,
-    mu: MuForm,
+    mu,
     samples,
     fiber_values,
     profile: StenzelProfile = DEFAULT_PROFILE,

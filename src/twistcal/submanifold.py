@@ -262,6 +262,8 @@ class Classification:
         return "none"
 
 
+AUSTERE_NORMAL_SAMPLES = 16  # random unit normals tested beyond the coordinate axes
+
 _JT = np.array([[0.0, -1.0], [1.0, 0.0]])  # J_T e1 = e2, J_T e2 = -e1
 _SUPERMINIMAL_ANGLES = np.linspace(0.0, np.pi, 9)
 
@@ -310,11 +312,7 @@ def _austere_residual(matrices: np.ndarray, directions: np.ndarray) -> float:
     return worst
 
 
-def classify_matrices(
-    matrices,
-    tol: float = 1e-6,
-    normal_samples: int = 16,
-) -> Classification:
+def classify_matrices(matrices, tol: float = 1e-6) -> Classification:
     """Classify from raw shape-operator matrices A^{q+1..n} (each q x q)."""
     matrices = np.asarray(matrices, dtype=float)
     m, q, _ = matrices.shape
@@ -326,7 +324,7 @@ def classify_matrices(
     else:
         # unit normals: coordinate axes plus a deterministic sample of the sphere
         rng = np.random.default_rng(1234)
-        extra = rng.standard_normal((normal_samples, m))
+        extra = rng.standard_normal((AUSTERE_NORMAL_SAMPLES, m))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         directions = np.vstack([np.eye(m), extra])
     austere_res = _austere_residual(matrices, directions)
@@ -355,13 +353,10 @@ def classify(point: AdaptedFramePoint, tol: float = 1e-6) -> Classification:
 
 # -- normal frames ----------------------------------------------------------
 
+TRANSPORT_STEPS_PER_UNIT = 64  # chart steps per unit ray length of the transport
 
-def normal_frame_field(
-    chart: ImmersionChart,
-    u0,
-    fd_step: float = DEFAULT_FD_STEP,
-    steps_per_unit: int = 64,
-):
+
+def normal_frame_field(chart: ImmersionChart, u0, fd_step: float = DEFAULT_FD_STEP):
     """Frame field along chart rays from u0 whose covariant derivatives have
     no tangential/normal rotation at u0.
 
@@ -371,23 +366,30 @@ def normal_frame_field(
     stack of points is transported together, each row for its own count.  For the infinitesimal arcs used by the FD
     machinery this collapses to a single projection, which reproduces
     parallel transport to first order - all that the centre-point data needs.
+
+    ``u0`` is one centre (q,) or a stack of P centres (P, q).  With a stack,
+    the field takes arrays (P, ..., q) whose first axis runs over the
+    centres, and every row is transported from its own centre.
     """
     u0 = np.asarray(u0, dtype=float)
     base = adapted_frame(chart, u0, fd_step)
-    e0, nu0 = base.e.copy(), base.nu.copy()
     q, n = chart.q, chart.n
+    centres = u0.reshape(-1, q)
+    e0, nu0 = base.e.reshape(-1, q, n + 1), base.nu.reshape(-1, n - q, n + 1)
 
     def transport_to(u):
         # every row of the stack moves along its own ray; rows whose ray
         # needs fewer steps stop early
         u = np.asarray(u, dtype=float)
+        if u0.ndim == 2 and u.shape[0] != len(centres):
+            raise DomainError(f"a field with {len(centres)} centres needs them on the first axis")
         rows = u.reshape(-1, q)
-        nsteps = np.maximum(1, np.ceil(steps_per_unit * row_norms(rows - u0)).astype(int))
-        e_cur = np.broadcast_to(e0, (rows.shape[0],) + e0.shape).copy()
-        nu_cur = np.broadcast_to(nu0, (rows.shape[0],) + nu0.shape).copy()
+        own = np.arange(len(centres)).repeat(len(rows) // len(centres))
+        c, e_cur, nu_cur = centres[own], e0[own], nu0[own]
+        nsteps = np.maximum(1, np.ceil(TRANSPORT_STEPS_PER_UNIT * row_norms(rows - c)).astype(int))
         for s in range(1, int(nsteps.max(initial=0)) + 1):
             moving = s <= nsteps
-            us = u0 + (rows[moving] - u0) * (s / nsteps[moving])[:, None]
+            us = c[moving] + (rows[moving] - c[moving]) * (s / nsteps[moving])[:, None]
             x = chart.xmap(us)[:, None, :]
             tb = gram_schmidt(np.swapaxes(jacobian(chart.xmap, us, fd_step), -1, -2))
             tb_t = np.swapaxes(tb, -1, -2)
@@ -403,7 +405,8 @@ def normal_frame_field(
 def with_normal_frame(
     chart: ImmersionChart, u0, fd_step: float = DEFAULT_FD_STEP
 ) -> ImmersionChart:
-    """The same chart equipped with a frame field that is normal at u0."""
+    """The same chart equipped with a frame field that is normal at u0, one
+    centre (q,) or each of a stack of centres (P, q)."""
     return chart.with_frame_field(normal_frame_field(chart, u0, fd_step))
 
 

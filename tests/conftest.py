@@ -26,8 +26,8 @@ from twistcal.errors import DomainError
 from twistcal.exterior import InnerSpace, Multivector, contract, form_inner, wedge
 from twistcal.numerics import directional_derivative
 from twistcal.octonion import oct_mul, standard_pinor_context
-from twistcal.report import SEPARATION, SuiteConfig
-from twistcal.stenzel import DEFAULT_PROFILE
+from twistcal.report import SuiteConfig
+from twistcal.stenzel import DEFAULT_PROFILE, closed_form_tangents, omega_value
 from twistcal.submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
 
 # pyproject's pytest ``pythonpath`` puts src/ on sys.path of this process only;
@@ -447,6 +447,34 @@ def pointwise_omega_max(chart, mu_coeffs, u, t, profile=DEFAULT_PROFILE, fd_step
     )
 
 
+def pointwise_stenzel_diagnostics(config) -> tuple[float, float]:
+    """The Stenzel suite's two closed-form diagnostics, ``closed_form_gap.max``
+    and ``bracket_factor.min``, as the suite computed them before it stacked
+    them: one normal-frame chart and ``closed_form_tangents`` call per sample of
+    the first three, then ``omega_value`` and the proof-side scalar
+    a_i t_j cosh^2(sqrt y) / y * bracket per index pair, in scalar math."""
+    chart = get_chart(config.chart)
+    _, profile = suites.parse_profile_spec(config.profile)
+    mu = suites.parse_mu_spec(config.section, chart.q)
+    rng = np.random.default_rng(config.seed)
+    samples = chart.sample(rng, config.samples)
+    fibers = suites._sample_fibers(rng, config.samples, chart.n - chart.q)
+    gap, bracket_min = 0.0, math.inf
+    for u, t in zip(samples[:3], fibers[:3]):
+        pt, _, _ = closed_form_tangents(chart, mu, u, t, config.fd_step)
+        vp, vpp = profile.at(float(np.linalg.norm(pt.z)))
+        ry = math.sqrt(pt.y)
+        th = math.tanh(ry)
+        bracket = (1.0 - th / ry + th * th) * vp + 4.0 * math.sinh(ry) ** 2 * vpp
+        bracket_min = min(bracket_min, bracket)
+        for i in range(chart.q):
+            for j in range(chart.n - chart.q):
+                direct = omega_value(pt.z, pt.tangents_e[i], pt.tangents_f[j], profile)
+                closed = pt.mu_coeffs[i] * pt.t[j] * math.cosh(ry) ** 2 / pt.y * bracket
+                gap = max(gap, abs(direct - closed))
+    return gap, bracket_min
+
+
 # -- per-point g2 / Spin(7) oracle -------------------------------------------------
 # The g2 and spin7 suites one (sample, fibre) pair at a time, as they ran before
 # they were stacked: FD section data direction by direction on the real and
@@ -671,7 +699,7 @@ class PointRecord:
         crit = max(self.criteria.values()) if self.criteria else 0.0
         if cond < tol_verdict and crit < tol_verdict:
             self.status = "PASS"
-        elif cond >= SEPARATION and crit >= SEPARATION:
+        elif cond >= tol_verdict and crit >= tol_verdict:
             self.status = "FAIL"
         else:
             self.status = "MIXED"

@@ -2,7 +2,8 @@
 
 Charts, FD stencils, adapted frames, the Stenzel residual and the golden
 tables accept a stack of P chart points and must agree with P single-point
-calls; the per-point Stenzel chain in conftest is the reference for omega.
+calls; the per-point Stenzel chain in conftest is the reference for omega,
+and the per-sample closed-form route for the suite's two diagnostics.
 """
 
 import numpy as np
@@ -21,9 +22,11 @@ from twistcal.submanifold import (
     superminimal_residual,
     with_normal_frame,
 )
-from twistcal.suites import _sample_fibers
+from twistcal.report import SuiteConfig
+from twistcal.suites import _sample_fibers, run_suite
 
-from conftest import pointwise_omega_max, rng_for
+from conftest import job_config, pointwise_omega_max, pointwise_stenzel_diagnostics, rng_for
+from workloads import WORKLOADS
 
 
 def _charts():
@@ -92,6 +95,24 @@ def test_adapted_frame_with_transported_normal_frame():
         assert np.max(np.abs(frames[i] - normal.frame_field(p))) <= 1e-15
 
 
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_normal_frame_on_a_stack_of_centres_matches_single_centres(name):
+    chart = CHARTS[name]
+    centres = chart.sample(rng_for(3), 3)
+    stacked = adapted_frame(with_normal_frame(chart, centres), centres)
+    for i, u0 in enumerate(centres):
+        single = adapted_frame(with_normal_frame(chart, u0), u0)
+        for field in ("u", "x", "frame", "gamma", "second_fund", "velocities"):
+            assert np.array_equal(getattr(stacked, field)[i], getattr(single, field)), field
+
+
+def test_normal_frame_of_a_stack_needs_the_centres_first():
+    chart = get_chart("veronese")
+    centres = chart.sample(rng_for(3), 3)
+    with pytest.raises(DomainError, match="3 centres"):
+        with_normal_frame(chart, centres).frame_field(centres[:2])
+
+
 def test_single_point_frame_has_no_rows():
     point = adapted_frame(get_chart("equatorial"), np.array([0.3, -0.2]))
     with pytest.raises(TypeError):
@@ -136,6 +157,27 @@ def test_omega_matrix_is_the_pairwise_omega():
     for i in range(4):
         for j in range(4):
             assert mat[i, j] == pytest.approx(omega_value(pt.z, basis[i], basis[j]), abs=1e-12)
+
+
+STENZEL_CONFIGS = [
+    pytest.param(job_config(job, seed), id=f"{name}-{j}-seed{seed}")
+    for name, jobs in WORKLOADS.items()
+    for j, job in enumerate(jobs)
+    if job.command == "verify" and job.argv[1] == "stenzel-lagrangian"
+    for seed in (1, 2)
+] + [
+    pytest.param(SuiteConfig("stenzel-lagrangian", "equatorial", "0"), id="readme-lagrangian"),
+    pytest.param(SuiteConfig("stenzel-lagrangian", "equatorial", "0.3e1"), id="readme-lagrangian-fail"),
+    pytest.param(SuiteConfig("stenzel-lagrangian", "veronese", "0", fd_step=1e-10), id="readme-fd-mixed"),
+]
+
+
+@pytest.mark.parametrize("config", STENZEL_CONFIGS)
+def test_stenzel_diagnostics_match_per_sample_route(config):
+    agg = run_suite(config).aggregates
+    gap, bracket = pointwise_stenzel_diagnostics(config)
+    assert abs(agg["diagnostic.closed_form_gap.max"] - gap) <= 1e-12
+    assert agg["diagnostic.bracket_factor.min"] == pytest.approx(bracket, rel=1e-13, abs=0)
 
 
 # -- (d) FD stencils -------------------------------------------------------------------------

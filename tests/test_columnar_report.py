@@ -39,7 +39,7 @@ README_CONFIGS = [
     pytest.param(SuiteConfig("g2-associative", "veronese", "sinphi:C=1,D=0", seed=7), id="readme-assoc"),
     pytest.param(SuiteConfig("g2-coassociative", "veronese-antipodal", "const:c=2"), id="readme-coassoc"),
     pytest.param(SuiteConfig("spin7-cayley", "equatorial", "zero"), id="readme-cayley"),
-    pytest.param(SuiteConfig("spin7-cayley", "veronese", "const:re=0.4", seed=4), id="readme-cayley-mixed"),
+    pytest.param(SuiteConfig("spin7-cayley", "veronese", "const:re=0.4", seed=4), id="readme-cayley-fail"),
     pytest.param(SuiteConfig("stenzel-lagrangian", "veronese", "0", fd_step=1e-10), id="readme-fd-mixed"),
 ]
 
@@ -95,7 +95,7 @@ _PAIRS = [(r, c) for r in EDGES for c in EDGES]
             {"c": [c for _, c in _PAIRS]},
             id="at-tol-and-separation",
         ),
-        pytest.param({"r": [_CFG.tol_verdict] * 3}, {"c": [SEPARATION] * 3}, id="all-mixed"),
+        pytest.param({"r": [_CFG.tol_verdict] * 3}, {"c": [SEPARATION] * 3}, id="all-fail-at-tol"),
         pytest.param({"r": [SEPARATION, 1.0]}, {"c": [SEPARATION, 0.2]}, id="all-fail"),
         pytest.param({}, {"c": [0.0, _CFG.tol_verdict, SEPARATION]}, id="criteria-only"),
         pytest.param({}, {"c": [0.0, 1e-9]}, id="criteria-only-pass"),
@@ -111,7 +111,7 @@ def test_statuses_at_the_tolerance_and_separation_levels():
         {"r": [np.nextafter(tol, 0.0), tol, SEPARATION, np.nextafter(SEPARATION, 0.0)]},
         {"c": [0.0, 0.0, SEPARATION, 1.0]},
     )
-    assert report.status.tolist() == ["PASS", "MIXED", "FAIL", "MIXED"]
+    assert report.status.tolist() == ["PASS", "MIXED", "FAIL", "FAIL"]
 
 
 def _empty():

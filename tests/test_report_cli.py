@@ -83,6 +83,29 @@ def test_verdict_classification_rules():
     assert verdict(passing, failing) == "FAIL"
 
 
+_FORMS_UNIT_FAIL_JOB = ("spin7-cayley", "--chart", "equatorial", "--section", "const:re=0.4",
+                        "--samples", "50", "--profile", "unit")
+
+
+@pytest.mark.parametrize("args, statuses", [
+    # one sample lies where the constant section is nearly holomorphic:
+    # dbar_vminus sits between the tolerance and 1e-3, cayley well above it
+    pytest.param(_FORMS_UNIT_FAIL_JOB + ("--seed", "1846635839"), {"FAIL"}, id="forms-unit-1846635839"),
+    pytest.param(_FORMS_UNIT_FAIL_JOB + ("--seed", "129285861"), {"FAIL"}, id="forms-unit-129285861"),
+    # the two sides agree to 7 digits at 1.2e-4 and at 4.7e-4
+    pytest.param(("g2-associative", "--chart", "veronese", "--section", "const:re=0.04", "--seed", "4"),
+                 {"FAIL", "PASS"}, id="g2-veronese-seed4"),
+    pytest.param(("spin7-cayley", "--chart", "veronese", "--section", "const:re=0.4", "--seed", "4"),
+                 {"FAIL"}, id="spin7-veronese-seed4"),
+])
+def test_both_sides_at_or_above_the_tolerance_is_fail(tmp_path, args, statuses):
+    out = tmp_path / "report.json"
+    assert main(["verify", *args, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "FAIL"
+    assert {p["status"] for p in report["points"]} == statuses
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         SuiteConfig(suite="s", samples=0).validate()
@@ -104,13 +127,13 @@ def test_section_spec_parsing():
 
 def test_mu_spec_parsing():
     mu = parse_mu_spec("0.3e1", 2)
-    assert np.allclose(mu.coeffs, [0.3, 0.0])
-    assert np.allclose(parse_mu_spec("0", 2).coeffs, 0.0)
+    assert np.allclose(mu, [0.3, 0.0])
+    assert np.allclose(parse_mu_spec("0", 2), 0.0)
     # any spelling of a finite zero is the zero form
     for zero in ("0.0", "-0", "+0.0", "00", "zero", "", " "):
-        np.testing.assert_array_equal(parse_mu_spec(zero, 2).coeffs, [0.0, 0.0])
+        np.testing.assert_array_equal(parse_mu_spec(zero, 2), [0.0, 0.0])
     # the <coeff>e<index> pattern wins over the float reading of "0.3e1"
-    assert np.allclose(parse_mu_spec("-2e2", 2).coeffs, [0.0, -2.0])
+    assert np.allclose(parse_mu_spec("-2e2", 2), [0.0, -2.0])
     with pytest.raises(ConfigError):
         parse_mu_spec("0.3e9", 2)
     with pytest.raises(ConfigError, match="malformed mu spec"):

@@ -155,11 +155,12 @@ def test_mixed_pairing_matches_proof_formula():
         u = chart.sample(rng, 1)[0]
         t = rng.uniform(0.4, 1.5, size=2)
         fd_pt, e_cf, f_cf = closed_form_tangents(chart, mu, u, t)
+        block = mixed_pairing_closed_form(fd_pt)
+        assert block.shape == (2, 2)
         for i in range(2):
             for j in range(2):
                 direct = omega_value(fd_pt.z, fd_pt.tangents_e[i], fd_pt.tangents_f[j])
-                closed = mixed_pairing_closed_form(fd_pt, i, j)
-                assert direct == pytest.approx(closed, rel=1e-5, abs=1e-7)
+                assert direct == pytest.approx(block[i, j], rel=1e-5, abs=1e-7)
 
 
 # -- the Lagrangian verdict ---------------------------------------------------------------
