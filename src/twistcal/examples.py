@@ -25,6 +25,7 @@ from .numerics import DEFAULT_FD_STEP
 from .submanifold import (
     ImmersionChart,
     adapted_frame,
+    get_chart,
     register_chart,
 )
 
@@ -48,45 +49,36 @@ __all__ = [
 # -- equatorial sphere -------------------------------------------------------
 
 
-def equatorial_chart(q: int = 2, n: int = 4) -> ImmersionChart:
-    """Stereographic chart of the equatorial S^q inside S^n.
-
-    For (q, n) = (2, 4) the classical adapted frame is attached; other
-    dimensions fall back to the automatic frame construction.
-    """
-    if not 1 <= q < n:
-        raise DomainError("need 1 <= q < n")
+def equatorial_chart() -> ImmersionChart:
+    """Stereographic chart of the equatorial S^2 inside S^4, with its
+    classical adapted frame."""
 
     def xmap(u):
         u = np.asarray(u, dtype=float)
         r2 = (u[..., None, :] @ u[..., :, None])[..., 0]
-        out = np.zeros(u.shape[:-1] + (n + 1,))
+        out = np.zeros(u.shape[:-1] + (5,))
         out[..., :1] = (r2 - 1.0) / (r2 + 1.0)
-        out[..., 1 : q + 1] = 2.0 * u / (r2 + 1.0)
+        out[..., 1:3] = 2.0 * u / (r2 + 1.0)
         return out
 
-    frame_field = None
-    if (q, n) == (2, 4):
+    def frame_field(u):
+        u = np.asarray(u, dtype=float)
+        u1, u2 = u[..., 0], u[..., 1]
+        d = u1 * u1 + u2 * u2 + 1.0
+        out = np.zeros(u.shape[:-1] + (4, 5))
+        out[..., 0, :3] = np.stack([2 * u1, 1 - u1 * u1 + u2 * u2, -2 * u1 * u2], axis=-1)
+        out[..., 1, :3] = np.stack([2 * u2, -2 * u1 * u2, 1 + u1 * u1 - u2 * u2], axis=-1)
+        out[..., :2, :3] /= d[..., None, None]
+        out[..., 2, 3] = 1.0
+        out[..., 3, 4] = -1.0
+        return out
 
-        def frame_field(u):
-            u = np.asarray(u, dtype=float)
-            u1, u2 = u[..., 0], u[..., 1]
-            d = u1 * u1 + u2 * u2 + 1.0
-            out = np.zeros(u.shape[:-1] + (4, 5))
-            out[..., 0, :3] = np.stack([2 * u1, 1 - u1 * u1 + u2 * u2, -2 * u1 * u2], axis=-1)
-            out[..., 1, :3] = np.stack([2 * u2, -2 * u1 * u2, 1 + u1 * u1 - u2 * u2], axis=-1)
-            out[..., :2, :3] /= d[..., None, None]
-            out[..., 2, 3] = 1.0
-            out[..., 3, 4] = -1.0
-            return out
-
-    box = np.array([[-2.5, 2.5]] * q)
     return ImmersionChart(
-        name="equatorial" if (q, n) == (2, 4) else f"equatorial-{q}-{n}",
-        q=q,
-        n=n,
+        name="equatorial",
+        q=2,
+        n=4,
         xmap=xmap,
-        sample_box=box,
+        sample_box=np.array([[-2.5, 2.5]] * 2),
         frame_field=frame_field,
     )
 
@@ -202,14 +194,14 @@ def veronese_chart(which: str = "psi") -> ImmersionChart:
 
 
 def compose_antipodal(chart: ImmersionChart) -> ImmersionChart:
-    """Compose a framed surface chart with the antipodal map of S^4.
+    """Compose a surface chart with the antipodal map of S^4.
 
     The image point flips sign; the tangent vectors still span the image of
     the differential, and swapping the two normals restores positive
     orientation for the new immersion.
     """
-    if chart.frame_field is None or chart.q != 2 or chart.n != 4:
-        raise DomainError("antipodal composition needs a framed surface chart in S^4")
+    if chart.q != 2 or chart.n != 4:
+        raise DomainError("antipodal composition needs a surface chart in S^4")
     inner_map, inner_frame = chart.xmap, chart.frame_field
 
     def xmap(u):
@@ -345,7 +337,7 @@ def pde_residual(
     A rank-two twist coefficient G is holomorphic when it vanishes.
     """
     point = adapted_frame(chart, u, fd_step)
-    return complex(*g2.dbar_f_residual(point.gamma, g2.section_data(family, point, fd_step)))
+    return complex(*g2.dbar_f_residual(point.gamma, g2.section_data(family, point)))
 
 
 # -- boundedness -------------------------------------------------------------
@@ -440,8 +432,8 @@ def frame_change_check(
     transformed coefficients of sigma = C sin(phi) f^2 + D sin(phi) f^3
     satisfy the hatted holomorphicity PDE.
     """
-    chart = get_registered("veronese")
-    chart_hat = get_registered("veronese-hat")
+    chart = get_chart("veronese")
+    chart_hat = get_chart("veronese-hat")
     u = np.array([phi, theta])
     u_hat = hat_coordinates(phi, theta)
     if not (chart.contains(u) and chart_hat.contains(u_hat)):
@@ -579,7 +571,7 @@ def golden_residuals(name: str, u, fd_step: float = DEFAULT_FD_STEP) -> dict:
     point.
     """
     table = golden_table(name)
-    chart = get_registered(table["chart"])
+    chart = get_chart(table["chart"])
     point = adapted_frame(chart, u, fd_step)
     variables = {v: point.u[..., i] for i, v in enumerate(table["variables"])}
 
@@ -606,25 +598,7 @@ def golden_residuals(name: str, u, fd_step: float = DEFAULT_FD_STEP) -> dict:
 
 # -- registration -------------------------------------------------------------
 
-_charts_registered = False
-
-
-def get_registered(name: str):
-    from .submanifold import get_chart
-
-    _ensure_registered()
-    return get_chart(name)
-
-
-def _ensure_registered():
-    global _charts_registered
-    if _charts_registered:
-        return
-    register_chart(equatorial_chart(2, 4))
-    ver = register_chart(veronese_chart("psi"))
-    register_chart(veronese_chart("psi_hat"))
-    register_chart(compose_antipodal(ver))
-    _charts_registered = True
-
-
-_ensure_registered()
+register_chart(equatorial_chart())
+register_chart(veronese_chart("psi"))
+register_chart(veronese_chart("psi_hat"))
+register_chart(compose_antipodal(get_chart("veronese")))

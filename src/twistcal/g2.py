@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_FD_STEP, blocked, row_norms
+from .numerics import blocked, row_norms
 from .submanifold import AdaptedFramePoint
 
 __all__ = [
@@ -160,13 +160,12 @@ class SectionData:
     db: np.ndarray
 
 
-def section_data(
-    family, point: AdaptedFramePoint, fd_step: float = DEFAULT_FD_STEP
-) -> SectionData:
+def section_data(family, point: AdaptedFramePoint) -> SectionData:
     """G = a + ib and its derivatives along e_1, e_2 at a frame point or a
-    stack; every row and direction goes through one FD call on G."""
+    stack; every row and direction goes through one FD call on G at the
+    point's ``fd_step``."""
     g = family.value(point.u)
-    dg = point.scalar_derivatives(family.value, fd_step)
+    dg = point.scalar_derivatives(family.value)
     return SectionData(a=g.real, b=g.imag, da=dg.real, db=dg.imag)
 
 

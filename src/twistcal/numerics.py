@@ -20,7 +20,6 @@ DEFAULT_FD_STEP = 1e-5
 BLOCK = 64
 
 DEPENDENT_TOL = 1e-10  # gram_schmidt raises on a row whose projected norm is below
-COMPLETION_ACCEPT = 0.3  # complete_orthonormal's least accepted projected norm
 
 
 def row_norms(u) -> np.ndarray:
@@ -84,28 +83,3 @@ def gram_schmidt(rows) -> np.ndarray:
             raise ImmersionDegenerateError("vectors are numerically dependent")
         out[..., i, :] = v / n[..., None]
     return out
-
-
-def complete_orthonormal(existing, ambient_dim: int, count: int) -> np.ndarray:
-    """Extend orthonormal rows by projecting standard basis vectors.
-
-    Candidates are taken in ascending index order and accepted when their
-    residual after projection is at least ``COMPLETION_ACCEPT``; this keeps the
-    completion deterministic and smooth wherever the acceptance pattern is
-    locally constant.
-    """
-    existing = [np.asarray(r, dtype=float) for r in existing]
-    added = []
-    for i in range(ambient_dim):
-        if len(added) == count:
-            break
-        v = np.zeros(ambient_dim)
-        v[i] = 1.0
-        for q in existing + added:
-            v -= (v @ q) * q
-        n = np.linalg.norm(v)
-        if n >= COMPLETION_ACCEPT:
-            added.append(v / n)
-    if len(added) < count:
-        raise ImmersionDegenerateError("could not complete orthonormal frame")
-    return np.array(added)

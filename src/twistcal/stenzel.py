@@ -214,8 +214,6 @@ def twisted_conormal_point(
     if t.shape != point.u.shape[:-1] + (n - q,):
         raise DomainError("fiber coordinate count must be n - q")
     frame_fn = chart.frame_field
-    if frame_fn is None:
-        raise DomainError("twisted conormal construction needs a framed chart")
 
     def total_map(params):
         uu, tt = params[..., :q], params[..., q:]

@@ -1,8 +1,8 @@
 """Numerical frame machinery for immersions x: L^q -> S^n in R^{n+1}.
 
 An :class:`ImmersionChart` is a coordinate patch of an immersed submanifold
-of the unit sphere, optionally carrying an adapted orthonormal frame field
-(rows e_1..e_q, nu_{q+1}..nu_n, all tangent to the sphere).  From it we
+of the unit sphere together with its adapted orthonormal frame field (rows
+e_1..e_q, nu_{q+1}..nu_n, all tangent to the sphere).  From it we
 compute, by finite differences:
 
 * connection coefficients Gamma^l_{jk} = <P(D_{e_j} frame_k), frame_l> with
@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ImmersionDegenerateError
 from .numerics import (
     DEFAULT_FD_STEP,
-    complete_orthonormal,
     directional_derivative,
     gram_schmidt,
     jacobian,
@@ -65,7 +64,7 @@ class ImmersionChart:
     n: int
     xmap: Callable[[np.ndarray], np.ndarray]
     sample_box: np.ndarray  # (q, 2) safe sampling box [lo, hi] per coordinate
-    frame_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    frame_field: Callable[[np.ndarray], np.ndarray]
 
     def contains(self, u, slack: float = 0.0):
         """Whether u lies in the sample box; one bool per row of a stack."""
@@ -133,38 +132,12 @@ class AdaptedFramePoint:
             fd_step=self.fd_step,
         )
 
-    def scalar_derivatives(self, field, step: float | None = None) -> np.ndarray:
+    def scalar_derivatives(self, field) -> np.ndarray:
         """d(field)(e_j) for a scalar or small-array chart function, shape
         (q, *out) or (P, q, *out) for a stack; every row and direction goes
-        through one FD call, so ``field`` must broadcast like a chart function."""
-        step = step or self.fd_step
-        return directional_derivative(field, self.u[..., None, :], self.velocities, step)
-
-
-def _auto_frame_field(chart: ImmersionChart, fd_step: float):
-    """Tangent frame from Gram-Schmidt of the Jacobian, normals by
-    deterministic completion (row by row: its choice of basis vectors
-    depends on the point), oriented."""
-    q, n = chart.q, chart.n
-
-    def frame_at(u):
-        u = np.asarray(u, dtype=float)
-        rows = u.reshape(-1, q)
-        x = chart.xmap(rows)
-        jac = jacobian(chart.xmap, rows, fd_step)
-        degenerate = np.linalg.svd(jac, compute_uv=False).min(axis=-1) < 1e-8
-        if degenerate.any():
-            raise ImmersionDegenerateError(
-                f"chart {chart.name!r} is degenerate at u={_first(rows, degenerate, True)}"
-            )
-        e_rows = gram_schmidt(np.swapaxes(jac, -1, -2))
-        normals = [complete_orthonormal([xi, *ei], n + 1, n - q) for xi, ei in zip(x, e_rows)]
-        frame = np.concatenate([e_rows, np.array(normals)], axis=-2)
-        flip = np.linalg.det(np.concatenate([x[:, None, :], frame], axis=-2)) < 0
-        frame[flip, -1] = -frame[flip, -1]
-        return frame.reshape(u.shape[:-1] + (n, n + 1))
-
-    return frame_at
+        through one FD call at the point's ``fd_step``, so ``field`` must
+        broadcast like a chart function."""
+        return directional_derivative(field, self.u[..., None, :], self.velocities, self.fd_step)
 
 
 def _first(rows: np.ndarray, bad: np.ndarray, single: bool) -> str:
@@ -207,8 +180,7 @@ def adapted_frame(
         raise ImmersionDegenerateError(
             f"chart {chart.name!r} is degenerate at u={_first(rows, degenerate, single)}"
         )
-    frame_fn = chart.frame_field or _auto_frame_field(chart, fd_step)
-    frame = np.asarray(frame_fn(rows), dtype=float)
+    frame = np.asarray(chart.frame_field(rows), dtype=float)
     if frame.shape != (rows.shape[0], n, n + 1):
         raise DomainError("frame field must return an (n, n+1) array per point")
 
@@ -220,7 +192,7 @@ def adapted_frame(
 
     # derivatives of the frame along every e_j: (P, q, n, n+1), projected
     # onto T S^n, then paired with the frame
-    dframe = directional_derivative(frame_fn, rows[:, None, :], velocities, fd_step)
+    dframe = directional_derivative(chart.frame_field, rows[:, None, :], velocities, fd_step)
     xs = x[:, None, None, :]
     dframe = dframe - (dframe @ np.swapaxes(xs, -1, -2)) * xs
     gamma = dframe @ np.swapaxes(frame, -1, -2)[:, None]
@@ -353,23 +325,21 @@ def classify(point: AdaptedFramePoint, tol: float = 1e-6) -> Classification:
 
 # -- normal frames ----------------------------------------------------------
 
-TRANSPORT_STEPS_PER_UNIT = 64  # chart steps per unit ray length of the transport
-
-
 def normal_frame_field(chart: ImmersionChart, u0, fd_step: float = DEFAULT_FD_STEP):
-    """Frame field along chart rays from u0 whose covariant derivatives have
-    no tangential/normal rotation at u0.
+    """Frame field whose covariant derivatives have no tangential/normal
+    rotation at u0.
 
-    The frame at u is obtained by transporting the frame at u0 along the
-    straight chart ray: project onto the tangent/normal spaces at each step
-    and re-orthonormalise.  The step count grows with the arc length; a
-    stack of points is transported together, each row for its own count.  For the infinitesimal arcs used by the FD
-    machinery this collapses to a single projection, which reproduces
-    parallel transport to first order - all that the centre-point data needs.
+    The frame at u is the adapted frame at u0 projected onto the tangent and
+    normal spaces at u and re-orthonormalised.  At u0 it is the adapted frame
+    itself, and it is normal there: the derivative of a projection maps
+    tangent vectors to normal ones and normal vectors to tangent ones, so to
+    first order the tangent rows move only along the normal space and the
+    normal rows only along the tangent space.  Each evaluation costs one
+    chart point and one Jacobian, however far u lies from u0.
 
     ``u0`` is one centre (q,) or a stack of P centres (P, q).  With a stack,
     the field takes arrays (P, ..., q) whose first axis runs over the
-    centres, and every row is transported from its own centre.
+    centres, and every row is projected from its own centre's frame.
     """
     u0 = np.asarray(u0, dtype=float)
     base = adapted_frame(chart, u0, fd_step)
@@ -377,29 +347,22 @@ def normal_frame_field(chart: ImmersionChart, u0, fd_step: float = DEFAULT_FD_ST
     centres = u0.reshape(-1, q)
     e0, nu0 = base.e.reshape(-1, q, n + 1), base.nu.reshape(-1, n - q, n + 1)
 
-    def transport_to(u):
-        # every row of the stack moves along its own ray; rows whose ray
-        # needs fewer steps stop early
+    def project_to(u):
         u = np.asarray(u, dtype=float)
         if u0.ndim == 2 and u.shape[0] != len(centres):
             raise DomainError(f"a field with {len(centres)} centres needs them on the first axis")
         rows = u.reshape(-1, q)
         own = np.arange(len(centres)).repeat(len(rows) // len(centres))
-        c, e_cur, nu_cur = centres[own], e0[own], nu0[own]
-        nsteps = np.maximum(1, np.ceil(TRANSPORT_STEPS_PER_UNIT * row_norms(rows - c)).astype(int))
-        for s in range(1, int(nsteps.max(initial=0)) + 1):
-            moving = s <= nsteps
-            us = c[moving] + (rows[moving] - c[moving]) * (s / nsteps[moving])[:, None]
-            x = chart.xmap(us)[:, None, :]
-            tb = gram_schmidt(np.swapaxes(jacobian(chart.xmap, us, fd_step), -1, -2))
-            tb_t = np.swapaxes(tb, -1, -2)
-            e_cur[moving] = gram_schmidt(e_cur[moving] @ (tb_t @ tb))
-            nu_proj = nu_cur[moving] - (nu_cur[moving] @ np.swapaxes(x, -1, -2)) * x
-            nu_proj = nu_proj - (nu_proj @ tb_t) @ tb
-            nu_cur[moving] = gram_schmidt(nu_proj)
-        return np.concatenate([e_cur, nu_cur], axis=-2).reshape(u.shape[:-1] + (n, n + 1))
+        x = chart.xmap(rows)[:, None, :]
+        tb = gram_schmidt(np.swapaxes(jacobian(chart.xmap, rows, fd_step), -1, -2))
+        tb_t = np.swapaxes(tb, -1, -2)
+        e, nu = e0[own], nu0[own]
+        e = gram_schmidt(e @ (tb_t @ tb))
+        nu = nu - (nu @ np.swapaxes(x, -1, -2)) * x
+        nu = gram_schmidt(nu - (nu @ tb_t) @ tb)
+        return np.concatenate([e, nu], axis=-2).reshape(u.shape[:-1] + (n, n + 1))
 
-    return transport_to
+    return project_to
 
 
 def with_normal_frame(
@@ -412,8 +375,8 @@ def with_normal_frame(
 
 def rotate_frame_field(chart: ImmersionChart, alpha: float, beta: float) -> ImmersionChart:
     """Rotate (e_1, e_2) by alpha and (nu_3, nu_4) by beta (surfaces in S^4)."""
-    if chart.frame_field is None or chart.q != 2 or chart.n != 4:
-        raise DomainError("frame rotation needs a framed surface chart in S^4")
+    if chart.q != 2 or chart.n != 4:
+        raise DomainError("frame rotation needs a surface chart in S^4")
     ca, sa, cb, sb = np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)
     rot = np.array(
         [

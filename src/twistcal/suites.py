@@ -250,8 +250,8 @@ def _pair_report(config, samples, fibers, residuals: dict, criteria: dict) -> Ve
     )
 
 
-def _holomorphy_criteria(frames, family, fd_step):
-    sec = g2.section_data(family, frames, fd_step)
+def _holomorphy_criteria(frames, family):
+    sec = g2.section_data(family, frames)
     r2, r3 = g2.dbar_f_residual(frames.gamma, sec)
     return sec, {"trace_a": trace_residual(frames.second_fund), "dbar_f": np.hypot(r2, r3)}
 
@@ -262,7 +262,7 @@ def _run_g2_associative(config: SuiteConfig) -> VerificationReport:
     family = _section_family_for(config)
     fibers = _parse_fiber_list(config.fiber, 1, default=[-2.0, 0.0, 1.5])
     samples, frames = _sample_frames(chart, config)
-    sec, criteria = _holomorphy_criteria(frames, family, config.fd_step)
+    sec, criteria = _holomorphy_criteria(frames, family)
     t1 = fibers[:, 0]
     e1, e2, f1 = np.moveaxis(g2.tangent_basis_e_sigma(frames, sec, t1), -2, 0)
     res = g2.associative_residual(
@@ -297,7 +297,7 @@ def _run_spin7(config: SuiteConfig) -> VerificationReport:
     fibers = _parse_fiber_list(config.fiber, 2, default=[(0.0, 0.0), (1.0, -2.0), (0.8, 0.5)])
     samples, frames = _sample_frames(chart, config)
     sframe = spin7.spinor_frames()
-    sec = g2.section_data(family, frames, config.fd_step)
+    sec = g2.section_data(family, frames)
     c3, c4 = spin7.dbar_vminus_residual(frames.gamma, sframe, sec)
     criteria = {"trace_a": trace_residual(frames.second_fund), "dbar_vminus": np.hypot(c3, c4)}
     e1, e2, f1, f2 = np.moveaxis(spin7.tangent_basis_v_plus(frames, sframe, sec, fibers), -2, 0)

@@ -28,7 +28,13 @@ from twistcal.numerics import directional_derivative
 from twistcal.octonion import oct_mul, standard_pinor_context
 from twistcal.report import SuiteConfig
 from twistcal.stenzel import DEFAULT_PROFILE, closed_form_tangents, omega_value
-from twistcal.submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
+from twistcal.submanifold import (
+    ImmersionChart,
+    adapted_frame,
+    get_chart,
+    superminimal_residual,
+    trace_residual,
+)
 
 # pyproject's pytest ``pythonpath`` puts src/ on sys.path of this process only;
 # the CLI tests spawn ``python -m twistcal`` and need it too
@@ -40,6 +46,38 @@ from workloads import fiber_spec  # noqa: E402
 
 def rng_for(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+# -- test-local charts -----------------------------------------------------------
+
+
+def great_circle_chart() -> ImmersionChart:
+    """A framed q = 1 chart: the great circle (cos u, sin u, 0, 0, 0) of S^4
+    with tangent (-sin u, cos u, 0, 0, 0) and normals e_2, e_3, e_4, which
+    make the frame positively oriented."""
+
+    def xmap(u):
+        t = np.asarray(u, dtype=float)[..., 0]
+        out = np.zeros(t.shape + (5,))
+        out[..., 0], out[..., 1] = np.cos(t), np.sin(t)
+        return out
+
+    def frame_field(u):
+        t = np.asarray(u, dtype=float)[..., 0]
+        out = np.zeros(t.shape + (4, 5))
+        out[..., 0, 0], out[..., 0, 1] = -np.sin(t), np.cos(t)
+        out[..., 1:, 2:] = np.eye(3)
+        return out
+
+    return ImmersionChart(
+        name="great-circle", q=1, n=4, xmap=xmap,
+        sample_box=np.array([[-2.5, 2.5]]), frame_field=frame_field,
+    )
+
+
+def unread_frame(u):
+    """A frame field for charts whose frame must never be evaluated."""
+    raise AssertionError("the frame field was read")
 
 
 # -- permutation / determinant oracles ---------------------------------------

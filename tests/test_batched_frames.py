@@ -6,11 +6,13 @@ calls; the per-point Stenzel chain in conftest is the reference for omega,
 and the per-sample closed-form route for the suite's two diagnostics.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from twistcal.errors import DomainError, ImmersionDegenerateError
-from twistcal.examples import equatorial_chart, golden_residuals, golden_table_names
+from twistcal.examples import golden_residuals, golden_table_names
 from twistcal.numerics import directional_derivative, gram_schmidt, jacobian
 from twistcal.stenzel import constant_mu, lagrangian_samples, omega_matrix, omega_value
 from twistcal.submanifold import (
@@ -18,6 +20,7 @@ from twistcal.submanifold import (
     adapted_frame,
     chart_names,
     get_chart,
+    normal_frame_field,
     rotate_frame_field,
     superminimal_residual,
     with_normal_frame,
@@ -25,13 +28,20 @@ from twistcal.submanifold import (
 from twistcal.report import SuiteConfig
 from twistcal.suites import _sample_fibers, run_suite
 
-from conftest import job_config, pointwise_omega_max, pointwise_stenzel_diagnostics, rng_for
+from conftest import (
+    great_circle_chart,
+    job_config,
+    pointwise_omega_max,
+    pointwise_stenzel_diagnostics,
+    rng_for,
+    unread_frame,
+)
 from workloads import WORKLOADS
 
 
 def _charts():
     charts = {name: get_chart(name) for name in chart_names()}
-    charts["equatorial-1-4"] = equatorial_chart(1, 4)
+    charts["great-circle"] = great_circle_chart()
     charts["veronese@rot"] = rotate_frame_field(get_chart("veronese"), 0.4, -1.1)
     return charts
 
@@ -52,11 +62,10 @@ def test_chart_functions_on_a_stack_match_single_points(name):
     # a stack with two leading axes, as the FD stencils pass it
     grid = chart.xmap(u.reshape(1, 17, chart.q))
     assert np.max(np.abs(grid[0] - stacked)) <= 1e-15
-    if chart.frame_field is not None:
-        frames = chart.frame_field(u)
-        assert frames.shape == (17, chart.n, chart.n + 1)
-        single = np.array([chart.frame_field(p) for p in u])
-        assert np.max(np.abs(frames - single)) <= 1e-15
+    frames = chart.frame_field(u)
+    assert frames.shape == (17, chart.n, chart.n + 1)
+    single = np.array([chart.frame_field(p) for p in u])
+    assert np.max(np.abs(frames - single)) <= 1e-15
 
 
 # -- (b) adapted frames --------------------------------------------------------------------
@@ -87,7 +96,7 @@ def test_adapted_frame_with_transported_normal_frame():
     chart = get_chart("veronese")
     u0 = np.array([1.1, 2.3])
     normal = with_normal_frame(chart, u0)
-    # points at different distances from u0 take different transport step counts
+    # points at different distances from u0, each projected from the frame at u0
     u = u0 + np.array([[0.0, 0.0], [0.01, -0.02], [0.2, 0.1], [-0.05, 0.3]])
     _assert_matches_pointwise(normal, u)
     frames = normal.frame_field(u)
@@ -111,6 +120,26 @@ def test_normal_frame_of_a_stack_needs_the_centres_first():
     centres = chart.sample(rng_for(3), 3)
     with pytest.raises(DomainError, match="3 centres"):
         with_normal_frame(chart, centres).frame_field(centres[:2])
+
+
+def test_normal_frame_costs_the_same_at_any_distance():
+    # one chart point and one Jacobian per evaluation, however far u lies
+    # from the centre
+    chart = get_chart("veronese")
+    calls = []
+
+    def counted(u):
+        calls.append(1)
+        return chart.xmap(u)
+
+    u0 = np.array([1.1, 2.3])
+    field = normal_frame_field(dataclasses.replace(chart, xmap=counted), u0)
+    counts = []
+    for distance in (1e-3, 0.3, 1.0):
+        calls.clear()
+        field(u0 + distance * np.array([0.6, 0.8]))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 def test_single_point_frame_has_no_rows():
@@ -296,7 +325,7 @@ def test_degenerate_row_is_named():
 
     chart = ImmersionChart(
         name="squash", q=2, n=4, xmap=squash,
-        sample_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+        sample_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]), frame_field=unread_frame,
     )
     with pytest.raises(ImmersionDegenerateError, match=r"row 0"):
         adapted_frame(chart, np.array([[0.2, 0.1], [0.3, 0.2]]))

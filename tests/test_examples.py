@@ -192,11 +192,9 @@ def test_frame_change_rejects_points_off_overlap():
 
 
 def test_equatorial_chart_validation():
-    with pytest.raises(DomainError):
-        equatorial_chart(4, 4)
-    chart = equatorial_chart(1, 3)
-    assert chart.q == 1 and chart.n == 3
-    assert abs(np.linalg.norm(chart.xmap(np.array([0.5]))) - 1.0) < 1e-12
+    chart = equatorial_chart()
+    assert chart.q == 2 and chart.n == 4
+    assert abs(np.linalg.norm(chart.xmap(np.array([0.5, -1.5]))) - 1.0) < 1e-12
 
 
 def test_veronese_chart_selector():

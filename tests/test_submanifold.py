@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twistcal.errors import DomainError, ImmersionDegenerateError
-from twistcal.examples import equatorial_chart, golden_residuals
+from twistcal.examples import golden_residuals
 from twistcal.submanifold import (
     ImmersionChart,
     adapted_frame,
@@ -13,7 +13,7 @@ from twistcal.submanifold import (
     with_normal_frame,
 )
 
-from conftest import rng_for
+from conftest import rng_for, unread_frame
 
 
 # -- frame construction ----------------------------------------------------------
@@ -206,15 +206,6 @@ def test_normal_frame_matches_base_frame_values():
 # -- generic machinery ------------------------------------------------------------------
 
 
-def test_auto_frame_for_higher_codimension():
-    chart = equatorial_chart(2, 5)
-    p = adapted_frame(chart, np.array([0.4, 0.6]))
-    assert p.frame.shape == (5, 6)
-    gram = p.frame @ p.frame.T
-    assert np.max(np.abs(gram - np.eye(5))) < 1e-9
-    assert np.max(np.abs(p.second_fund)) < 1e-6  # still totally geodesic
-
-
 def test_degenerate_chart_raises():
     def squash(u):
         u = np.asarray(u, dtype=float)
@@ -229,6 +220,7 @@ def test_degenerate_chart_raises():
         n=4,
         xmap=squash,
         sample_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+        frame_field=unread_frame,
     )
     with pytest.raises(ImmersionDegenerateError):
         adapted_frame(chart, np.array([0.2, 0.1]))
