@@ -327,8 +327,17 @@ def bracket_factor(y, vp, vpp):
 def mixed_pairing_closed_form(
     point: TwistedConormalPoint, profile: StenzelProfile = DEFAULT_PROFILE
 ) -> np.ndarray:
-    """The proof-side omega(E_i, F_j) = a_i t_j cosh^2(sqrt y) / y * bracket
-    at normal-frame centres, as the (..., q, n-q) block; zero where y = 0."""
+    """The proof-side omega(E_i, F_j) = a_i t_j cosh^2(sqrt y) / y * bracket,
+    as the (..., q, n-q) block; zero where y = 0.
+
+    The proof derives it at the centre of a normal frame, but it holds in the
+    chart's own adapted frame too.  There E_i differs from its normal-frame
+    value by sum_l C_il F_l, with C_il = sum_k t_k gamma[i, q+k, q+l] the
+    normal connection, so the block differs by sum_l C_il omega(F_l, F_j).
+    That term vanishes: the F_l span one cotangent fibre, which is isotropic
+    (the ``omega_max`` residual bounds omega(F, F) numerically).  mu is read
+    in the native frame on both routes, so it adds no term.
+    """
     y = np.asarray(point.y)[..., None, None]
     safe = np.where(y > 0, y, 1.0)
     vp, vpp = profile.at(np.linalg.norm(point.z, axis=-1)[..., None, None])
@@ -346,14 +355,16 @@ def lagrangian_columns(
     fd_step: float = DEFAULT_FD_STEP,
 ):
     """Per-sample maximal |omega| over all tangent pairs and the criterion
-    |mu(u)|, as (P,) columns, with the stacked ``TwistedConormalPoint``.
+    |mu(u)|, as (P,) columns, with the stacked ``TwistedConormalPoint`` and
+    its (P, n, n) ``omega_matrix``.
 
     All samples go through one stacked ``twisted_conormal_point`` and one
     ``omega_matrix`` contraction.
     """
     pts = twisted_conormal_point(chart, mu, samples, fiber_values, fd_step)
-    worst = np.max(np.abs(omega_matrix(pts.z, pts.all_tangents(), profile)), axis=(-2, -1))
-    return worst, row_norms(pts.mu_coeffs), pts
+    omega = omega_matrix(pts.z, pts.all_tangents(), profile)
+    worst = np.max(np.abs(omega), axis=(-2, -1))
+    return worst, row_norms(pts.mu_coeffs), pts, omega
 
 
 def lagrangian_samples(
@@ -369,7 +380,7 @@ def lagrangian_samples(
     sample's ``TwistedConormalPoint``."""
     samples = np.asarray(samples, dtype=float)
     fiber_values = np.asarray(fiber_values, dtype=float)
-    worst, mu_norm, pts = lagrangian_columns(chart, mu, samples, fiber_values, profile, fd_step)
+    worst, mu_norm, pts, _ = lagrangian_columns(chart, mu, samples, fiber_values, profile, fd_step)
     for i, (u, t) in enumerate(zip(samples, fiber_values)):
         yield {
             "u": u,

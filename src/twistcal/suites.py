@@ -207,21 +207,15 @@ def _run_stenzel(config: SuiteConfig) -> VerificationReport:
     rng = np.random.default_rng(config.seed)
     samples = chart.sample(rng, config.samples)
     fibers = _sample_fibers(rng, config.samples, chart.n - chart.q)
-    omega_max, mu_norm, _ = stenzel.lagrangian_columns(
+    omega_max, mu_norm, pts, omega = stenzel.lagrangian_columns(
         chart, mu, samples, fibers, st_profile, config.fd_step
     )
     report = VerificationReport.build(
         config, samples, fibers, {"omega_max": omega_max}, {"mu_norm": mu_norm}
     )
-    # cross-checks from the closed-form route on a deterministic subsample:
-    # the mixed omega block against its proof-side scalars at the centres of
-    # normal frames, and positivity of the bracketed profile factor
-    u, t = samples[:3], fibers[:3]
-    pts = stenzel.twisted_conormal_point(
-        stenzel.with_normal_frame(chart, u, config.fd_step), mu, u, t, config.fd_step,
-        mu_frame=chart.frame_field,
-    )
-    mixed = stenzel.omega_matrix(pts.z, pts.all_tangents(), st_profile)[..., : chart.q, chart.q :]
+    # cross-checks at every sample: the mixed omega block against its
+    # proof-side scalars, and positivity of the bracketed profile factor
+    mixed = omega[..., : chart.q, chart.q :]
     gap = np.max(np.abs(mixed - stenzel.mixed_pairing_closed_form(pts, st_profile)))
     vp, vpp = st_profile.at(np.linalg.norm(pts.z, axis=-1))
     bracket_min = np.min(stenzel.bracket_factor(pts.y, vp, vpp))
@@ -330,7 +324,15 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         get_chart(config.chart)
     except TwistcalError as exc:
         raise ConfigError(str(exc)) from None
-    report = _SUITES[config.suite](config)
+    # an overflow or invalid operation raises at its first occurrence instead
+    # of warning and carrying inf/nan into a residual that may still read 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            report = _SUITES[config.suite](config)
+    except FloatingPointError as exc:
+        raise TwistcalError(
+            f"suite {config.suite!r}: {exc}; an input is too large for double precision"
+        ) from None
     _check_finite(report)
     return report
 

@@ -27,7 +27,7 @@ from twistcal.exterior import InnerSpace, Multivector, contract, form_inner, wed
 from twistcal.numerics import directional_derivative
 from twistcal.octonion import oct_mul, standard_pinor_context
 from twistcal.report import SuiteConfig
-from twistcal.stenzel import DEFAULT_PROFILE, closed_form_tangents, omega_value
+from twistcal.stenzel import DEFAULT_PROFILE, lagrangian_samples, omega_value
 from twistcal.submanifold import (
     ImmersionChart,
     adapted_frame,
@@ -485,21 +485,28 @@ def pointwise_omega_max(chart, mu_coeffs, u, t, profile=DEFAULT_PROFILE, fd_step
     )
 
 
-def pointwise_stenzel_diagnostics(config) -> tuple[float, float]:
-    """The Stenzel suite's two closed-form diagnostics, ``closed_form_gap.max``
-    and ``bracket_factor.min``, as the suite computed them before it stacked
-    them: one normal-frame chart and ``closed_form_tangents`` call per sample of
-    the first three, then ``omega_value`` and the proof-side scalar
-    a_i t_j cosh^2(sqrt y) / y * bracket per index pair, in scalar math."""
+def stenzel_job_inputs(config):
+    """(chart, profile, mu, samples, fibers) of a Stenzel suite config, drawn
+    as ``suites._run_stenzel`` draws them."""
     chart = get_chart(config.chart)
     _, profile = suites.parse_profile_spec(config.profile)
     mu = suites.parse_mu_spec(config.section, chart.q)
     rng = np.random.default_rng(config.seed)
     samples = chart.sample(rng, config.samples)
     fibers = suites._sample_fibers(rng, config.samples, chart.n - chart.q)
+    return chart, profile, mu, samples, fibers
+
+
+def pointwise_stenzel_diagnostics(config) -> tuple[float, float]:
+    """The Stenzel suite's two closed-form diagnostics, ``closed_form_gap.max``
+    and ``bracket_factor.min``, over every sample: ``omega_value`` per index
+    pair on each record of ``lagrangian_samples`` (the chart's own adapted
+    frame), against the proof-side scalar a_i t_j cosh^2(sqrt y) / y * bracket
+    in scalar math."""
+    chart, profile, mu, samples, fibers = stenzel_job_inputs(config)
     gap, bracket_min = 0.0, math.inf
-    for u, t in zip(samples[:3], fibers[:3]):
-        pt, _, _ = closed_form_tangents(chart, mu, u, t, config.fd_step)
+    for rec in lagrangian_samples(chart, mu, samples, fibers, profile, config.fd_step):
+        pt = rec["point"]
         vp, vpp = profile.at(float(np.linalg.norm(pt.z)))
         ry = math.sqrt(pt.y)
         th = math.tanh(ry)

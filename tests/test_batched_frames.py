@@ -3,7 +3,7 @@
 Charts, FD stencils, adapted frames, the Stenzel residual and the golden
 tables accept a stack of P chart points and must agree with P single-point
 calls; the per-point Stenzel chain in conftest is the reference for omega,
-and the per-sample closed-form route for the suite's two diagnostics.
+and the per-sample scalar closed form for the suite's two diagnostics.
 """
 
 import dataclasses
@@ -14,7 +14,15 @@ import pytest
 from twistcal.errors import DomainError, ImmersionDegenerateError
 from twistcal.examples import golden_residuals, golden_table_names
 from twistcal.numerics import directional_derivative, gram_schmidt, jacobian
-from twistcal.stenzel import constant_mu, lagrangian_samples, omega_matrix, omega_value
+from twistcal.stenzel import (
+    closed_form_tangents,
+    constant_mu,
+    lagrangian_columns,
+    lagrangian_samples,
+    mixed_pairing_closed_form,
+    omega_matrix,
+    omega_value,
+)
 from twistcal.submanifold import (
     ImmersionChart,
     adapted_frame,
@@ -34,6 +42,7 @@ from conftest import (
     pointwise_omega_max,
     pointwise_stenzel_diagnostics,
     rng_for,
+    stenzel_job_inputs,
     unread_frame,
 )
 from workloads import WORKLOADS
@@ -207,6 +216,30 @@ def test_stenzel_diagnostics_match_per_sample_route(config):
     gap, bracket = pointwise_stenzel_diagnostics(config)
     assert abs(agg["diagnostic.closed_form_gap.max"] - gap) <= 1e-12
     assert agg["diagnostic.bracket_factor.min"] == pytest.approx(bracket, rel=1e-13, abs=0)
+
+
+# fd_step=1e-10 is left out: its FD noise alone is about 2e-3 on this comparison
+NATIVE_FRAME_CONFIGS = [p for p in STENZEL_CONFIGS if p.id != "readme-fd-mixed"] + [
+    pytest.param(SuiteConfig("stenzel-lagrangian", "veronese", "-1.5e2"), id="veronese-large-mu"),
+    pytest.param(SuiteConfig("stenzel-lagrangian", "equatorial", "2e1"), id="equatorial-mu2"),
+]
+
+
+@pytest.mark.parametrize("config", NATIVE_FRAME_CONFIGS)
+def test_mixed_block_needs_no_normal_frame(config):
+    # the suite reads the mixed block in the chart's own adapted frame; it
+    # differs from the normal-frame route by sum_l C_il omega(F_l, F_j), which
+    # vanishes because the cotangent fibre is isotropic
+    chart, profile, mu, samples, fibers = stenzel_job_inputs(config)
+    q = chart.q
+    _, _, pts, omega = lagrangian_columns(chart, mu, samples, fibers, profile, config.fd_step)
+    mixed = omega[:, :q, q:]
+    bound = 1e-7 * (1.0 + np.max(np.abs(mixed)))
+    for k in range(5):
+        normal_pt, _, _ = closed_form_tangents(chart, mu, samples[k], fibers[k], config.fd_step)
+        route = omega_matrix(normal_pt.z, normal_pt.all_tangents(), profile)[:q, q:]
+        assert np.max(np.abs(mixed[k] - route)) <= bound
+    assert np.max(np.abs(mixed - mixed_pairing_closed_form(pts, profile))) <= bound
 
 
 # -- (d) FD stencils -------------------------------------------------------------------------

@@ -455,6 +455,29 @@ def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys):
     assert captured.err.startswith(f"config error: {message}")
 
 
+@pytest.mark.parametrize(
+    "argv, suite, operation",
+    [
+        (["verify", "g2-associative", "--fiber", "1e308", "--samples", "2"], "g2-associative", "multiply"),
+        (["verify", "g2-associative", "--fiber=1e200"], "g2-associative", "multiply"),
+        (["verify", "g2-coassociative", "--fiber=1e200,0"], "g2-coassociative", "multiply"),
+        (["verify", "spin7-cayley", "--fiber=1e200,0"], "spin7-cayley", "multiply"),
+        (["verify", "stenzel-lagrangian", "--mu", "1000e1"], "stenzel-lagrangian", "cosh"),
+    ],
+    ids=["associative-1e308", "associative-1e200", "coassociative", "cayley", "stenzel-mu"],
+)
+def test_overflowing_input_exits_1_with_one_line(argv, suite, operation, capsys):
+    # an inf fibre radius must not pass: unit weights never read it, so the
+    # residual would stay 0
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"diagnostic failure: suite {suite!r}: overflow encountered in {operation}; "
+        "an input is too large for double precision\n"
+    )
+
+
 def test_config_validation_requires_finite_values():
     for field in ("fd_step", "tol_verdict"):
         for value in (float("nan"), float("inf"), 0.0, -1e-5):
