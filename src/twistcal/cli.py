@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ConfigError, TwistcalError
-from .report import SuiteConfig, check_positive, check_samples, check_seed, emit
+from .report import SuiteConfig, check_fd_step, check_samples, check_seed, emit
 from .suites import run_suite, suite_names
 
 _CONFIG_KEYS = {
@@ -154,7 +154,7 @@ def _cmd_table(args) -> int:
 
     check_samples(args.samples)
     check_seed(args.seed)
-    check_positive("fd_step", args.fd_step)
+    check_fd_step(args.fd_step)
     try:
         table = golden_table(args.name)
     except TwistcalError as exc:

@@ -16,6 +16,7 @@ from .errors import ConfigError
 __all__ = [
     "SuiteConfig",
     "check_positive",
+    "check_fd_step",
     "check_samples",
     "check_seed",
     "VerificationReport",
@@ -27,6 +28,11 @@ __all__ = [
 # The largest accepted --tol-verdict: a wider PASS band would swallow clear
 # failures.
 SEPARATION = 1e-3
+
+# The accepted --fd-step range.  Above it the FD truncation error turns clear
+# PASS configs MIXED or FAIL (1e-2 does), below it round-off does (1e-14 does);
+# 1e-10 still runs, with visible FD noise.
+FD_STEP_RANGE = (1e-10, 1e-3)
 
 
 def check_samples(samples: int) -> None:
@@ -42,6 +48,13 @@ def check_seed(seed: int) -> None:
 def check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def check_fd_step(value: float) -> None:
+    check_positive("fd_step", value)
+    lo, hi = FD_STEP_RANGE
+    if not lo <= value <= hi:
+        raise ConfigError(f"fd_step must lie in [{lo!r}, {hi!r}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +78,7 @@ class SuiteConfig:
         if self.tol_verdict > SEPARATION:
             raise ConfigError(f"tol_verdict must be at most the FAIL separation {SEPARATION!r}, "
                               f"got {self.tol_verdict!r}")
-        check_positive("fd_step", self.fd_step)
+        check_fd_step(self.fd_step)
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
         return self

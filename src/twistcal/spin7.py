@@ -109,7 +109,9 @@ def spinor_frames(s1=None) -> SpinorFrame:
         s1[0] = 1.0
     s1 = np.asarray(s1, dtype=float)
     s1 = _P_MINUS @ s1
-    # keep only the +Gamma part: P = (1 - Gamma_op Gamma_op ... ) use j_L
+    # keep the part where Gamma acts as j_L (left multiplication by e^1 e^2):
+    # j_L^T Gamma is an involution on S_-, and (1 + j_L^T Gamma)/2 projects
+    # onto its +1 eigenspace V_+
     jl = _jl_matrix()
     plus = 0.5 * (s1 + jl.T @ (_GAMMA_OP @ s1))
     nrm = np.linalg.norm(plus)

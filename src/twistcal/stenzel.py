@@ -20,7 +20,6 @@ the form is invariant under complex orthogonal transformations and the guard
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +27,8 @@ import numpy as np
 
 from .errors import ChartError, DomainError
 from .numerics import DEFAULT_FD_STEP, directional_derivative, row_norms
-from .submanifold import AdaptedFramePoint, ImmersionChart, adapted_frame, with_normal_frame
+from .submanifold import AdaptedFramePoint, ImmersionChart, adapted_frame
+from .submanifold import with_normal_frame  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 
 __all__ = [
     "StenzelProfile",
@@ -194,7 +194,6 @@ def twisted_conormal_point(
     u,
     t,
     fd_step: float = DEFAULT_FD_STEP,
-    mu_frame=None,
 ) -> TwistedConormalPoint:
     """Assemble the point and its FD tangent basis, re-based at the frame.
 
@@ -202,11 +201,6 @@ def twisted_conormal_point(
     one chart point (q,) and fibre coordinate (n-q,), or stacks (P, q) and
     (P, n-q); the whole FD stencil of every point goes through one stacked
     call of the total-space map.
-
-    ``mu_frame`` is the frame field against which the mu coefficients are
-    read (defaults to the chart's own); passing the native frame keeps mu
-    the same geometric 1-form when the fiber is parametrised by another
-    frame, e.g. one synthesised to be normal at u.
     """
     point = adapted_frame(chart, u, fd_step)
     q, n = chart.q, chart.n
@@ -218,8 +212,7 @@ def twisted_conormal_point(
     def total_map(params):
         uu, tt = params[..., :q], params[..., q:]
         frame = frame_fn(uu)
-        native = frame if mu_frame is None else mu_frame(uu)
-        xi = _rows_times(tt, frame[..., q:, :]) + _rows_times(mu, native[..., :q, :])
+        xi = _rows_times(tt, frame[..., q:, :]) + _rows_times(mu, frame[..., :q, :])
         return psi_map(chart.xmap(uu), xi)
 
     params0 = np.concatenate([point.u, t], axis=-1)
@@ -253,67 +246,36 @@ def closed_form_tangents(
     t,
     fd_step: float = DEFAULT_FD_STEP,
 ) -> tuple[TwistedConormalPoint, np.ndarray, np.ndarray]:
-    """FD tangents through a frame made normal at u, plus the closed forms.
+    """The main path's FD tangents, plus their closed forms.
 
-    Returns (fd_point, E_closed, F_closed); the closed-form expressions are
-    assembled from the shape operators, the coefficient derivatives of mu in
-    the synthesised frame, and the cosh/sinh factors, and are only valid at
-    the centre of a normal frame.
+    Returns (fd_point, E_closed, F_closed) for one point or a stack.  The
+    proof derives E_i and F_j at the centre of a normal frame, where the
+    twist's coefficients a = mu have the covariant derivative
+    da_il = sum_m mu_m gamma[i, m, l]; the radial terms in a . da_i drop,
+    because gamma's tangent block is antisymmetric.  In the chart's own frame
+    the normal rows also turn along e_i, by C_il = sum_k t_k
+    gamma[i, q+k, q+l], so E_i gains sum_l C_il F_l.
     """
-    normal_chart = with_normal_frame(chart, u, fd_step)
-    fd_point = twisted_conormal_point(
-        normal_chart, mu, u, t, fd_step, mu_frame=chart.frame_field
-    )
-    point = fd_point.frame_point
+    fd_point = twisted_conormal_point(chart, mu, u, t, fd_step)
     q, n = chart.q, chart.n
-    t = np.asarray(t, dtype=float)
+    gamma = fd_point.frame_point.gamma  # (..., q, n, n)
+    a, t = fd_point.mu_coeffs, fd_point.t
+    y = np.asarray(fd_point.y)[..., None, None]
+    ch, sh = np.cosh(np.sqrt(y)), _sinhc(np.sqrt(y))
+    radial = (ch - sh) / np.where(y > 0, y, 1.0)  # ch - sh is 0 at y = 0
+    xi = np.concatenate([a, t], axis=-1)[..., None, :]  # fibre covector on slots 1..n
+    eye = np.eye(n)
 
-    frame_fn = normal_chart.frame_field
-
-    def mu_coeff(uu):
-        covector = _rows_times(mu, chart.frame_field(uu)[..., :q, :])
-        return (frame_fn(uu)[..., :q, :] @ covector[..., None])[..., 0]
-
-    a = mu_coeff(point.u)
-    # da[i, l] = partial a_l along e_i, all q directions in one stencil
-    da = directional_derivative(mu_coeff, point.u, point.velocities, fd_step)
-
-    y = float(t @ t + a @ a)
-    ry = math.sqrt(y)
-    ch, sh = math.cosh(ry), _sinhc(ry)
-    A = point.second_fund  # (n-q, q, q)
-
-    fiber_dirs = np.concatenate([a, t])  # components along (e^l, nu^k) slots 1..n
-    e_closed = np.zeros((q, n + 1), dtype=complex)
-    for i in range(q):
-        alpha_i = float(a @ da[i])
-        vec = np.zeros(n + 1, dtype=complex)
-        # the imaginary radial part is the sphere-constraint component of the
-        # full derivative of mu; it never enters the Kaehler pairing (the
-        # coefficient sum starts at slot 1) but belongs to the tangent vector
-        vec[0] = sh * alpha_i - 1j * sh * a[i]
-        vec[1 + i] += ch
-        im = np.zeros(n)
-        if y > 0:
-            im += (alpha_i / y) * (ch - sh) * fiber_dirs
-        a_hat = np.tensordot(t, A, axes=1)  # (q, q): sum_k t_k A^k
-        im[:q] += sh * (a_hat[i] + da[i])
-        im[q:] -= sh * np.array([a @ A[k][i] for k in range(n - q)])
-        vec[1:] += 1j * im
-        e_closed[i] = vec
-
-    f_closed = np.zeros((n - q, n + 1), dtype=complex)
-    for j in range(n - q):
-        vec = np.zeros(n + 1, dtype=complex)
-        vec[0] = t[j] * sh
-        im = np.zeros(n)
-        if y > 0:
-            im += (t[j] / y) * (ch - sh) * fiber_dirs
-        im[q + j] += sh
-        vec[1:] += 1j * im
-        f_closed[j] = vec
-
-    return fd_point, e_closed, f_closed
+    f_closed = np.concatenate(
+        [t[..., :, None] * sh, 1j * (sh * eye[q:] + t[..., :, None] * radial * xi)], axis=-1
+    )
+    da = _rows_times(a[..., None, :], gamma[..., :q, :q])
+    a_hat = _rows_times(t[..., None, :], gamma[..., q:, :q])  # sum_k t_k A^k
+    a_normal = (gamma[..., q:, :q] @ a[..., None, :, None])[..., 0]  # sum_j a_j A^k_ij
+    turn = np.concatenate([a_hat + da, -a_normal], axis=-1)
+    e_closed = np.concatenate([-1j * sh * a[..., :, None], ch * eye[:q] + 1j * sh * turn], axis=-1)
+    c = _rows_times(t[..., None, :], gamma[..., q:, q:])
+    return fd_point, e_closed + c @ f_closed, f_closed
 
 
 def bracket_factor(y, vp, vpp):

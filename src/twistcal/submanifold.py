@@ -146,6 +146,23 @@ def _first(rows: np.ndarray, bad: np.ndarray, single: bool) -> str:
     return f"{rows[i].tolist()}" if single else f"{rows[i].tolist()} (row {i})"
 
 
+def _domain_rows(chart: ImmersionChart, u) -> tuple[np.ndarray, bool]:
+    """A chart point (q,) or stack (P, q) as (P, q) rows, and whether it was
+    a single point; a row outside the safe domain raises, naming the first."""
+    u = np.asarray(u, dtype=float)
+    q = chart.q
+    if u.ndim not in (1, 2) or u.shape[-1] != q:
+        raise DomainError(f"chart points of {chart.name!r} must have shape (q,) or (P, q), q={q}")
+    single = u.ndim == 1
+    rows = u.reshape(-1, q)
+    outside = ~chart.contains(rows, slack=1e-9)
+    if outside.any():
+        raise DomainError(
+            f"point {_first(rows, outside, single)} outside the safe domain of {chart.name!r}"
+        )
+    return rows, single
+
+
 def adapted_frame(
     chart: ImmersionChart, u, fd_step: float = DEFAULT_FD_STEP
 ) -> AdaptedFramePoint:
@@ -156,17 +173,8 @@ def adapted_frame(
     functions.  A row outside the safe domain, off the sphere or at a
     degenerate point raises, naming the first such row.
     """
-    u = np.asarray(u, dtype=float)
     q, n = chart.q, chart.n
-    if u.ndim not in (1, 2) or u.shape[-1] != q:
-        raise DomainError(f"chart points of {chart.name!r} must have shape (q,) or (P, q), q={q}")
-    single = u.ndim == 1
-    rows = u.reshape(-1, q)
-    outside = ~chart.contains(rows, slack=1e-9)
-    if outside.any():
-        raise DomainError(
-            f"point {_first(rows, outside, single)} outside the safe domain of {chart.name!r}"
-        )
+    rows, single = _domain_rows(chart, u)
     x = chart.xmap(rows)
     off_sphere = np.abs(row_norms(x) - 1.0) > 1e-9
     if off_sphere.any():
@@ -325,52 +333,47 @@ def classify(point: AdaptedFramePoint, tol: float = 1e-6) -> Classification:
 
 # -- normal frames ----------------------------------------------------------
 
-def normal_frame_field(chart: ImmersionChart, u0, fd_step: float = DEFAULT_FD_STEP):
+def normal_frame_field(chart: ImmersionChart, u0):
     """Frame field whose covariant derivatives have no tangential/normal
     rotation at u0.
 
-    The frame at u is the adapted frame at u0 projected onto the tangent and
-    normal spaces at u and re-orthonormalised.  At u0 it is the adapted frame
-    itself, and it is normal there: the derivative of a projection maps
-    tangent vectors to normal ones and normal vectors to tangent ones, so to
-    first order the tangent rows move only along the normal space and the
-    normal rows only along the tangent space.  Each evaluation costs one
-    chart point and one Jacobian, however far u lies from u0.
+    The frame at u is the chart's frame at u0 with its tangent rows projected
+    onto the span of the chart's tangent rows at u, its normal rows onto the
+    span of the normal rows there, and both re-orthonormalised.  At u0 it is
+    the chart's frame itself, and it is normal there: the derivative of a
+    projection maps tangent vectors to normal ones and normal vectors to
+    tangent ones, so to first order the tangent rows move only along the
+    normal space and the normal rows only along the tangent space.  Each
+    evaluation costs one call of ``chart.frame_field``, however far u lies
+    from u0.
 
     ``u0`` is one centre (q,) or a stack of P centres (P, q).  With a stack,
     the field takes arrays (P, ..., q) whose first axis runs over the
     centres, and every row is projected from its own centre's frame.
     """
-    u0 = np.asarray(u0, dtype=float)
-    base = adapted_frame(chart, u0, fd_step)
-    q, n = chart.q, chart.n
-    centres = u0.reshape(-1, q)
-    e0, nu0 = base.e.reshape(-1, q, n + 1), base.nu.reshape(-1, n - q, n + 1)
+    q = chart.q
+    centres, single = _domain_rows(chart, u0)
+    base = chart.frame_field(centres)
 
     def project_to(u):
         u = np.asarray(u, dtype=float)
-        if u0.ndim == 2 and u.shape[0] != len(centres):
+        if not single and u.shape[0] != len(centres):
             raise DomainError(f"a field with {len(centres)} centres needs them on the first axis")
         rows = u.reshape(-1, q)
         own = np.arange(len(centres)).repeat(len(rows) // len(centres))
-        x = chart.xmap(rows)[:, None, :]
-        tb = gram_schmidt(np.swapaxes(jacobian(chart.xmap, rows, fd_step), -1, -2))
-        tb_t = np.swapaxes(tb, -1, -2)
-        e, nu = e0[own], nu0[own]
-        e = gram_schmidt(e @ (tb_t @ tb))
-        nu = nu - (nu @ np.swapaxes(x, -1, -2)) * x
-        nu = gram_schmidt(nu - (nu @ tb_t) @ tb)
-        return np.concatenate([e, nu], axis=-2).reshape(u.shape[:-1] + (n, n + 1))
+        frame = chart.frame_field(rows)
+        tangent, normal = frame[:, :q], frame[:, q:]
+        e = gram_schmidt((base[own, :q] @ np.swapaxes(tangent, -1, -2)) @ tangent)
+        nu = gram_schmidt((base[own, q:] @ np.swapaxes(normal, -1, -2)) @ normal)
+        return np.concatenate([e, nu], axis=-2).reshape(u.shape[:-1] + frame.shape[-2:])
 
     return project_to
 
 
-def with_normal_frame(
-    chart: ImmersionChart, u0, fd_step: float = DEFAULT_FD_STEP
-) -> ImmersionChart:
+def with_normal_frame(chart: ImmersionChart, u0) -> ImmersionChart:
     """The same chart equipped with a frame field that is normal at u0, one
     centre (q,) or each of a stack of centres (P, q)."""
-    return chart.with_frame_field(normal_frame_field(chart, u0, fd_step))
+    return chart.with_frame_field(normal_frame_field(chart, u0))
 
 
 def rotate_frame_field(chart: ImmersionChart, alpha: float, beta: float) -> ImmersionChart:

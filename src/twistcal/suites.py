@@ -95,30 +95,36 @@ def parse_mu_spec(spec: str, q: int) -> np.ndarray:
     return constant_mu(coeffs)
 
 
-def parse_profile_spec(spec: str):
-    """Named presets or explicit constants for the metric profiles.
+def parse_profile_spec(spec: str, suite: str):
+    """The metric profile that ``suite`` reads, from a preset or constants.
 
-    "unit"     -> u = v = 1 and the default positive Stenzel derivatives
-    "linear"   -> u = 1 + r, v = 1 + 2r
-    "u=..,v=..,vp=..,vpp=.." -> constants
+    stenzel-lagrangian: "unit" -> the default positive Stenzel derivatives,
+                        "vp=..,vpp=.." -> constants
+    the other suites:   "unit" -> u = v = 1, "linear" -> u = 1 + r,
+                        v = 1 + 2r, "u=..,v=.." -> constants
+
+    A key or preset that the suite does not read is rejected, not ignored.
     """
     spec = (spec or "unit").strip()
+    stenzel_suite = suite == "stenzel-lagrangian"
     if spec == "unit":
-        return UNIT_PROFILE, DEFAULT_PROFILE
+        return DEFAULT_PROFILE if stenzel_suite else UNIT_PROFILE
     if spec == "linear":
-        bs = BSProfile(u=lambda r: 1.0 + r, v=lambda r: 1.0 + 2.0 * r)
-        return bs, DEFAULT_PROFILE
+        if stenzel_suite:
+            raise ConfigError(f"profile 'linear' does not apply to {suite}; use unit or vp=..,vpp=..")
+        return BSProfile(u=lambda r: 1.0 + r, v=lambda r: 1.0 + 2.0 * r)
     params = _parse_params(spec)
-    _check_keys("profile", params, ("u", "v", "vp", "vpp"))
+    if stenzel_suite:
+        _check_keys(f"{suite} profile", params, ("vp", "vpp"))
+        vp, vpp = params.get("vp", 1.0), params.get("vpp", 1.0)
+        if vp <= 0 or vpp <= 0:
+            raise ConfigError("profile derivatives must be positive")
+        return StenzelProfile(vprime=lambda r: vp, vprimeprime=lambda r: vpp)
+    _check_keys(f"{suite} profile", params, ("u", "v"))
     bs = BSProfile(u=params.get("u", 1.0), v=params.get("v", 1.0))
     if bs.u <= 0 or bs.v <= 0:
         raise ConfigError("profile weights u, v must be positive")
-    vp = params.get("vp", 1.0)
-    vpp = params.get("vpp", 1.0)
-    if vp <= 0 or vpp <= 0:
-        raise ConfigError("profile derivatives must be positive")
-    st = StenzelProfile(vprime=lambda r: vp, vprimeprime=lambda r: vpp)
-    return bs, st
+    return bs
 
 
 def _parse_fiber_list(spec: str, width: int, default):
@@ -202,7 +208,7 @@ def _run_stenzel(config: SuiteConfig) -> VerificationReport:
         raise ConfigError("fiber does not apply to the stenzel-lagrangian suite, "
                           "which samples its fibre coordinates")
     chart = get_chart(config.chart)
-    _, st_profile = parse_profile_spec(config.profile)
+    st_profile = parse_profile_spec(config.profile, config.suite)
     mu = parse_mu_spec(config.section, chart.q)
     rng = np.random.default_rng(config.seed)
     samples = chart.sample(rng, config.samples)
@@ -252,7 +258,7 @@ def _holomorphy_criteria(frames, family):
 
 def _run_g2_associative(config: SuiteConfig) -> VerificationReport:
     chart = get_chart(config.chart)
-    bs_profile, _ = parse_profile_spec(config.profile)
+    bs_profile = parse_profile_spec(config.profile, config.suite)
     family = _section_family_for(config)
     fibers = _parse_fiber_list(config.fiber, 1, default=[-2.0, 0.0, 1.5])
     samples, frames = _sample_frames(chart, config)
@@ -267,7 +273,7 @@ def _run_g2_associative(config: SuiteConfig) -> VerificationReport:
 
 def _run_g2_coassociative(config: SuiteConfig) -> VerificationReport:
     chart = get_chart(config.chart)
-    bs_profile, _ = parse_profile_spec(config.profile)
+    bs_profile = parse_profile_spec(config.profile, config.suite)
     eta = _eta_family_for(config, chart.q)
     fibers = _parse_fiber_list(config.fiber, 2, default=[(0.7, -1.2), (1.5, 0.4), (0.3, 0.9)])
     samples, frames = _sample_frames(chart, config)
@@ -286,7 +292,7 @@ def _run_g2_coassociative(config: SuiteConfig) -> VerificationReport:
 
 def _run_spin7(config: SuiteConfig) -> VerificationReport:
     chart = get_chart(config.chart)
-    bs_profile, _ = parse_profile_spec(config.profile)
+    bs_profile = parse_profile_spec(config.profile, config.suite)
     family = _section_family_for(config)
     fibers = _parse_fiber_list(config.fiber, 2, default=[(0.0, 0.0), (1.0, -2.0), (0.8, 0.5)])
     samples, frames = _sample_frames(chart, config)

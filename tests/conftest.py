@@ -489,7 +489,7 @@ def stenzel_job_inputs(config):
     """(chart, profile, mu, samples, fibers) of a Stenzel suite config, drawn
     as ``suites._run_stenzel`` draws them."""
     chart = get_chart(config.chart)
-    _, profile = suites.parse_profile_spec(config.profile)
+    profile = suites.parse_profile_spec(config.profile, config.suite)
     mu = suites.parse_mu_spec(config.section, chart.q)
     rng = np.random.default_rng(config.seed)
     samples = chart.sample(rng, config.samples)
@@ -670,7 +670,7 @@ def pointwise_calibration_gap(e1, e2, f1, f2, profile, r: float) -> float:
 def pointwise_suite(config) -> "PointwiseReport":
     """The report of a g2-* or spin7-cayley run, one (sample, fibre) pair at a time."""
     chart = get_chart(config.chart)
-    bs_profile, _ = suites.parse_profile_spec(config.profile)
+    bs_profile = suites.parse_profile_spec(config.profile, config.suite)
     samples, frames = suites._sample_frames(chart, config)
     points = []
     if config.suite == "g2-coassociative":

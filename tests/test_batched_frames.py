@@ -132,23 +132,45 @@ def test_normal_frame_of_a_stack_needs_the_centres_first():
 
 
 def test_normal_frame_costs_the_same_at_any_distance():
-    # one chart point and one Jacobian per evaluation, however far u lies
-    # from the centre
+    # one frame-field call and no chart point per evaluation, however far u
+    # lies from the centre
     chart = get_chart("veronese")
-    calls = []
+    calls = {"xmap": 0, "frame_field": 0}
 
-    def counted(u):
-        calls.append(1)
-        return chart.xmap(u)
+    def counted(name):
+        def call(u):
+            calls[name] += 1
+            return getattr(chart, name)(u)
+
+        return call
 
     u0 = np.array([1.1, 2.3])
-    field = normal_frame_field(dataclasses.replace(chart, xmap=counted), u0)
-    counts = []
+    field = normal_frame_field(
+        dataclasses.replace(chart, xmap=counted("xmap"), frame_field=counted("frame_field")), u0
+    )
     for distance in (1e-3, 0.3, 1.0):
-        calls.clear()
+        calls.update(xmap=0, frame_field=0)
         field(u0 + distance * np.array([0.6, 0.8]))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == counts[2], counts
+        assert calls == {"xmap": 0, "frame_field": 1}, (distance, calls)
+
+
+def test_normal_frame_centre_outside_the_domain_raises():
+    chart = get_chart("veronese")
+    with pytest.raises(DomainError, match="outside the safe domain"):
+        normal_frame_field(chart, np.array([0.0, 1.0]))
+    with pytest.raises(DomainError, match=r"\(row 1\)"):
+        with_normal_frame(chart, np.array([[1.1, 2.3], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("name", chart_names())
+def test_normal_frame_keeps_the_second_fundamental_form(name):
+    # the normal frame agrees with the chart's own at its centre, and only
+    # the tangent-tangent and normal-normal rotations change there
+    chart = get_chart(name)
+    for u0 in chart.sample(rng_for(7), 5):
+        normal = adapted_frame(with_normal_frame(chart, u0), u0)
+        native = adapted_frame(chart, u0)
+        assert np.max(np.abs(normal.second_fund - native.second_fund)) <= 1e-9
 
 
 def test_single_point_frame_has_no_rows():
@@ -227,19 +249,35 @@ NATIVE_FRAME_CONFIGS = [p for p in STENZEL_CONFIGS if p.id != "readme-fd-mixed"]
 
 @pytest.mark.parametrize("config", NATIVE_FRAME_CONFIGS)
 def test_mixed_block_needs_no_normal_frame(config):
-    # the suite reads the mixed block in the chart's own adapted frame; it
-    # differs from the normal-frame route by sum_l C_il omega(F_l, F_j), which
-    # vanishes because the cotangent fibre is isotropic
+    # the suite reads the mixed block in the chart's own adapted frame, where
+    # E_i carries sum_l C_il F_l on top of its normal-frame value; the block
+    # does not see that term, because the cotangent fibre is isotropic
     chart, profile, mu, samples, fibers = stenzel_job_inputs(config)
     q = chart.q
     _, _, pts, omega = lagrangian_columns(chart, mu, samples, fibers, profile, config.fd_step)
     mixed = omega[:, :q, q:]
     bound = 1e-7 * (1.0 + np.max(np.abs(mixed)))
-    for k in range(5):
-        normal_pt, _, _ = closed_form_tangents(chart, mu, samples[k], fibers[k], config.fd_step)
-        route = omega_matrix(normal_pt.z, normal_pt.all_tangents(), profile)[:q, q:]
-        assert np.max(np.abs(mixed[k] - route)) <= bound
+    _, e_closed, f_closed = closed_form_tangents(chart, mu, samples[:5], fibers[:5], config.fd_step)
+    c = np.einsum("pk,pikl->pil", fibers[:5], pts.frame_point.gamma[:5, :, q:, q:])
+    normal_frame_e = e_closed - c @ f_closed
+    route = omega_matrix(pts.z[:5], np.concatenate([normal_frame_e, f_closed], axis=-2), profile)
+    assert np.max(np.abs(mixed[:5] - route[:, :q, q:])) <= bound
     assert np.max(np.abs(mixed - mixed_pairing_closed_form(pts, profile))) <= bound
+
+
+@pytest.mark.parametrize("name", chart_names())
+def test_closed_form_tangents_match_the_main_path(name):
+    # the closed forms read in the chart's own frame, against the FD tangents
+    # of the suite's stacked point, for a zero and a nonzero twist
+    chart = get_chart(name)
+    rng = rng_for(8)
+    samples = chart.sample(rng, 12)
+    fibers = _sample_fibers(rng, 12, chart.n - chart.q)
+    for mu in ([0.0, 0.0], [0.4, -1.1]):
+        fd_pt, e_closed, f_closed = closed_form_tangents(chart, constant_mu(mu), samples, fibers)
+        assert e_closed.shape == fd_pt.tangents_e.shape
+        assert np.max(np.abs(fd_pt.tangents_e - e_closed)) <= 1e-8
+        assert np.max(np.abs(fd_pt.tangents_f - f_closed)) <= 1e-8
 
 
 # -- (d) FD stencils -------------------------------------------------------------------------

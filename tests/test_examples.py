@@ -147,6 +147,51 @@ def test_zero_section_bounded():
     assert not rep.growth_flag
 
 
+def _pointwise_scan(family, chart):
+    """sup |G| and the log slope of a boundedness scan, one point per
+    ``family.value`` call."""
+    rng = np.random.default_rng(0)
+    values = [abs(family.value(p)) for p in chart.sample(rng, 400)]
+    ladder = []
+    if chart.name.startswith("equatorial"):
+        xs = np.geomspace(2.0, 40.0, 12)
+        for r in xs:
+            angles = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+            ladder.append(max(abs(family.value(np.array([r * np.cos(a), r * np.sin(a)]))) for a in angles))
+    else:
+        margins = np.geomspace(0.3, 0.005, 10)
+        xs = 1.0 / margins
+        for m in margins:
+            thetas = np.linspace(*chart.sample_box[1], 24)
+            ladder.append(max(abs(family.value(np.array([phi, t]))) for phi in (m, math.pi - m) for t in thetas))
+    sup_abs = max(values + ladder)
+    slope = float(np.polyfit(np.log(xs[-4:]), np.log(np.array(ladder[-4:])), 1)[0]) if sup_abs > 0 else 0.0
+    return sup_abs, slope
+
+
+@pytest.mark.parametrize(
+    "chart_name, kind, params",
+    [
+        ("equatorial", "equatorial-hol", {"coeffs": [1.0]}),
+        ("veronese", "sinphi", {"C": 1.0, "D": 0.0}),
+        ("veronese", "zero", {}),
+        ("veronese", "veronese-strip", {"coeffs": {1: 1.0}}),
+        ("veronese", "veronese-strip", {"coeffs": {2: 1.0}}),
+        ("veronese-hat", "equatorial-hol", {"coeffs": [0.3, -1j, 2.0]}),
+    ],
+)
+def test_boundedness_scan_matches_pointwise_values(chart_name, kind, params):
+    # the scan evaluates its points as stacks; every value, and so the
+    # report, must equal the one-point route bit for bit
+    chart = get_chart(chart_name)
+    family = make_section_family(kind, **params)
+    rep = boundedness_scan(family, chart)
+    sup_abs, slope = _pointwise_scan(family, chart)
+    assert rep.sup_abs_g == sup_abs
+    assert rep.sup_section_norm_sq == 2.0 * sup_abs * sup_abs
+    assert rep.log_slope == slope
+
+
 # -- chart overlap -----------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from twistcal.report import (
     parse_report,
 )
 from twistcal.examples import make_section_family
+from twistcal.stenzel import DEFAULT_PROFILE
 from twistcal.suites import (
     _section_family_for,
     parse_mu_spec,
@@ -145,13 +146,18 @@ def test_mu_spec_parsing():
 
 
 def test_profile_spec_parsing():
-    bs, st = parse_profile_spec("unit")
-    assert bs.at(0.5) == (1.0, 1.0)
-    bs2, st2 = parse_profile_spec("u=2,v=0.5,vp=3,vpp=4")
-    assert bs2.at(1.0) == (2.0, 0.5)
-    assert st2.at(1.0) == (3.0, 4.0)
+    assert parse_profile_spec("unit", "g2-associative").at(0.5) == (1.0, 1.0)
+    assert parse_profile_spec("unit", "stenzel-lagrangian") is DEFAULT_PROFILE
+    assert parse_profile_spec("linear", "spin7-cayley").at(1.0) == (2.0, 3.0)
+    assert parse_profile_spec("u=2,v=0.5", "g2-coassociative").at(1.0) == (2.0, 0.5)
+    assert parse_profile_spec("vp=3,vpp=4", "stenzel-lagrangian").at(1.0) == (3.0, 4.0)
     with pytest.raises(ConfigError):
-        parse_profile_spec("w=1")
+        parse_profile_spec("w=1", "g2-associative")
+    # each suite reads only its own profile, so the other suite's keys are rejected
+    with pytest.raises(ConfigError, match=r"allowed: \['vp', 'vpp'\]"):
+        parse_profile_spec("u=2,v=0.5,vp=3,vpp=4", "stenzel-lagrangian")
+    with pytest.raises(ConfigError, match=r"allowed: \['u', 'v'\]"):
+        parse_profile_spec("u=2,v=0.5,vp=3,vpp=4", "spin7-cayley")
 
 
 # -- suite orchestration ---------------------------------------------------------------
@@ -446,6 +452,16 @@ _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--sa
          f"tol_verdict must be at most the FAIL separation {SEPARATION!r}, got 0.0011"),
         # the Stenzel suite samples its fibres; a --fiber must not be echoed and ignored
         (_VERIFY + ["--fiber=9;9"], "fiber does not apply to the stenzel-lagrangian suite"),
+        # steps outside the FD range give truncation error or round-off above the tolerances
+        (_VERIFY + ["--fd-step", "1e-2"], "fd_step must lie in [1e-10, 0.001], got 0.01"),
+        (_VERIFY + ["--fd-step", "1e-300"], "fd_step must lie in [1e-10, 0.001], got 1e-300"),
+        (["table", "veronese", "--fd-step", "1e-14"], "fd_step must lie in [1e-10, 0.001], got 1e-14"),
+        # a profile key or preset that the suite does not read is rejected, not ignored
+        (["verify", "g2-associative", "--chart", "veronese", "--section", "sinphi:C=1,D=0",
+          "--profile", "vp=2"], "unknown g2-associative profile keys ['vp']; allowed: ['u', 'v']"),
+        (_VERIFY + ["--profile", "u=2"],
+         "unknown stenzel-lagrangian profile keys ['u']; allowed: ['vp', 'vpp']"),
+        (_VERIFY + ["--profile", "linear"], "profile 'linear' does not apply to stenzel-lagrangian"),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys):
@@ -484,6 +500,8 @@ def test_config_validation_requires_finite_values():
             with pytest.raises(ConfigError, match=field):
                 SuiteConfig(suite="s", **{field: value}).validate()
     SuiteConfig(suite="s", fd_step=1e-7, tol_verdict=1e-3).validate()
+    for value in (1e-10, 1e-3):
+        SuiteConfig(suite="s", fd_step=value).validate()
 
 
 def test_stenzel_fiber_is_rejected_from_file_and_run_suite(tmp_path):
@@ -525,3 +543,35 @@ def test_equatorial_hol_reads_every_coefficient():
 def test_benchmark_section_specs_parse(suite, chart, section):
     report = run_suite(SuiteConfig(suite=suite, chart=chart, section=section, samples=1))
     assert report.status.size
+
+
+# -- the benchmark's tracer ------------------------------------------------------------------
+
+
+def test_benchmark_tracer_installs_and_uninstalls(tmp_path):
+    # perfbench/tracing.py rebinds twistcal functions by name, so a renamed or
+    # dropped one (stenzel.with_normal_frame among them) fails here
+    from tracing import NORMAL_FRAME_SPAN, Tracer
+
+    from twistcal import cli, stenzel, submanifold
+
+    names = ("with_normal_frame", "closed_form_tangents", "omega_value", "twisted_conormal_point")
+    originals = {name: getattr(stenzel, name) for name in names}
+    chart = submanifold.get_chart("veronese")
+    u, t = np.array([1.1, 2.3]), np.array([0.4, -0.7])
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(stenzel, name) is not originals[name] for name in names)
+        argv = ["verify", "stenzel-lagrangian", "--chart", "veronese", "--mu", "0", "--samples", "2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        stenzel.closed_form_tangents(submanifold.get_chart("veronese"), stenzel.constant_mu([0.3, 0.0]), u, t)
+        stenzel.with_normal_frame(chart, u).frame_field(u)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(stenzel, name) is originals[name] for name in names)
+    assert submanifold.get_chart("veronese") is chart
+    summary = tracer.summary()
+    for span in ("cli.main", "stenzel.twisted_conormal_point", "stenzel.closed_form_tangents",
+                 "examples.xmap", "examples.frame_field", NORMAL_FRAME_SPAN):
+        assert summary[span]["calls"] >= 1, span
