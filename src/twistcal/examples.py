@@ -13,15 +13,16 @@ import dataclasses
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
 import numpy as np
 
 from . import g2
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .numerics import DEFAULT_FD_STEP
+from .report import check_keys
 from .submanifold import (
     ImmersionChart,
     adapted_frame,
@@ -34,7 +35,6 @@ __all__ = [
     "veronese_chart",
     "compose_antipodal",
     "SectionFamily",
-    "EtaFamily",
     "make_section_family",
     "make_eta_family",
     "pde_residual",
@@ -218,34 +218,41 @@ def compose_antipodal(chart: ImmersionChart) -> ImmersionChart:
 # -- section families --------------------------------------------------------
 
 
-def _rowwise(evaluator, u, dtype):
-    """``evaluator`` over the rows of chart points (..., q), shaped (...).
-
-    A single point goes through as a stack of one row: numpy's scalar
-    arithmetic may round differently from its array loops, and a point must
-    get the same value alone as inside a stack."""
-    u = np.asarray(u, dtype=float)
-    values = np.asarray(evaluator(u.reshape(-1, u.shape[-1])), dtype=dtype)
-    return values.reshape(u.shape[:-1])[()]
-
-
 @dataclass(frozen=True)
 class SectionFamily:
-    """A complex coefficient function G = a + ib over a chart.
+    """A coefficient function over a chart, broadcasting over leading axes
+    from chart points (..., q) to values (...): complex G = a + ib for the
+    rank-two twists, whose |section|^2 is 2 |G|^2 in the determinant
+    convention, or real gamma (``dtype=float``) for the rank-one ones."""
 
-    The pair (a, b) feeds the rank-two twists: G multiplies the complex frame
-    of the twisted bundle, so |section|^2 = 2 |G|^2 in the determinant
-    convention.  The evaluator maps chart points (..., q) to values (...),
-    like the chart functions it must broadcast over leading axes.
-    """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    evaluator: Callable[[np.ndarray], np.ndarray] = None  # set by factory
+    evaluator: Callable[[np.ndarray], np.ndarray]
+    dtype: type = complex
 
     def value(self, u):
-        """G at a chart point (a complex scalar) or at every row of a stack."""
-        return _rowwise(self.evaluator, u, complex)
+        """The coefficient at a chart point or at every row of a stack.  A
+        point goes through as a stack of one row, since numpy's scalar
+        arithmetic may round differently from its array loops."""
+        u = np.asarray(u, dtype=float)
+        values = np.asarray(self.evaluator(u.reshape(-1, u.shape[-1])), dtype=self.dtype)
+        return values.reshape(u.shape[:-1])[()]
+
+
+def _kind_params(what: str, kinds: dict, kind: str, params: dict) -> dict:
+    """``params`` over the defaults of ``kinds[kind]``; an unknown kind or
+    key, or a missing key whose default is None, raises ConfigError."""
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    check_keys(f"{kind} {what}", params, kinds[kind])
+    params = {**kinds[kind], **params}
+    missing = sorted(k for k, v in params.items() if v is None)
+    if missing:
+        raise ConfigError(f"{kind} {what} needs keys {missing}")
+    return params
+
+
+# each section kind's keys and their defaults; None marks a required key
+_SECTION_KINDS = {"zero": {}, "const": {"re": 0.0, "im": 0.0}, "sinphi": {"C": 0.0, "D": 0.0},
+                  "equatorial-hol": {"coeffs": None}, "veronese-strip": {"coeffs": None}}
 
 
 def make_section_family(kind: str, **params) -> SectionFamily:
@@ -260,10 +267,11 @@ def make_section_family(kind: str, **params) -> SectionFamily:
                                    w = theta - i log tan(phi/2)
       sinphi(C, D)                 shorthand: veronese-strip with c_0 = C + iD
     """
+    params = _kind_params("section", _SECTION_KINDS, kind, params)
     if kind == "zero":
         ev = lambda u: np.zeros(u.shape[:-1], dtype=complex)
     elif kind == "const":
-        c = complex(params.get("re", 0.0), params.get("im", 0.0))
+        c = complex(params["re"], params["im"])
         ev = lambda u: np.full(u.shape[:-1], c)
     elif kind == "equatorial-hol":
         coeffs = [complex(c) for c in params["coeffs"]]
@@ -275,10 +283,9 @@ def make_section_family(kind: str, **params) -> SectionFamily:
                 h = h * z + c
             return h * (z * z.conjugate() + 1.0)
 
-    elif kind in ("veronese-strip", "sinphi"):
+    else:
         if kind == "sinphi":
-            terms = {0: complex(params.get("C", 0.0), params.get("D", 0.0))}
-            params = {"C": params.get("C", 0.0), "D": params.get("D", 0.0)}
+            terms = {0: complex(params["C"], params["D"])}
         else:
             terms = {int(k): complex(c) for k, c in params["coeffs"].items()}
 
@@ -290,36 +297,25 @@ def make_section_family(kind: str, **params) -> SectionFamily:
                 total += c * np.exp(1j * k * theta) * t**k
             return np.sin(phi) * total
 
-    else:
-        raise DomainError(f"unknown section kind {kind!r}")
-    return SectionFamily(kind=kind, params=dict(params), evaluator=ev)
+    return SectionFamily(ev)
 
 
-@dataclass(frozen=True)
-class EtaFamily:
-    """A real coefficient function gamma(u) for rank-one twists; the
-    evaluator broadcasts over leading axes like a section family's."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    evaluator: Callable[[np.ndarray], np.ndarray] = None
-
-    def value(self, u):
-        """gamma at a chart point (a float) or at every row of a stack."""
-        return _rowwise(self.evaluator, u, float)
+_ETA_KINDS = {"zero": {}, "const": {"c": 0.0}, "coord": {"axis": 1}}
 
 
-def make_eta_family(kind: str, **params) -> EtaFamily:
-    """kinds: const(c); coord(axis) with gamma = u_axis."""
-    if kind == "const":
-        c = float(params.get("c", 0.0))
+def make_eta_family(kind: str, **params) -> SectionFamily:
+    """The real coefficient gamma of a rank-one twist.  kinds: zero
+    (gamma = 0), const(c) and coord(axis) with gamma = u_axis."""
+    params = _kind_params("eta", _ETA_KINDS, kind, params)
+    if kind == "zero":
+        ev = lambda u: np.zeros(u.shape[:-1])
+    elif kind == "const":
+        c = float(params["c"])
         ev = lambda u: np.full(u.shape[:-1], c)
-    elif kind == "coord":
-        axis = int(params.get("axis", 1)) - 1
-        ev = lambda u: u[..., axis]
     else:
-        raise DomainError(f"unknown eta kind {kind!r}")
-    return EtaFamily(kind=kind, params=dict(params), evaluator=ev)
+        axis = int(params["axis"]) - 1
+        ev = lambda u: u[..., axis]
+    return SectionFamily(ev, float)
 
 
 # -- holomorphicity PDE ------------------------------------------------------
@@ -472,7 +468,7 @@ def frame_change_check(
         b_hat = C * np.sin(thh) - D * np.cos(phh) * np.cos(thh)
         return a_hat + 1j * b_hat
 
-    hat_family = SectionFamily(kind="transformed", params={"C": C, "D": D}, evaluator=hat_family_value)
+    hat_family = SectionFamily(hat_family_value)
     res["hat_pde"] = abs(pde_residual(hat_family, chart_hat, u_hat, fd_step))
 
     # the transformed coefficients agree with transporting sigma itself

@@ -15,6 +15,7 @@ from .errors import ConfigError
 
 __all__ = [
     "SuiteConfig",
+    "check_keys",
     "check_positive",
     "check_fd_step",
     "check_samples",
@@ -48,6 +49,12 @@ def check_seed(seed: int) -> None:
 def check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def check_keys(what: str, params: dict, allowed) -> None:
+    unknown = set(params) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
 def check_fd_step(value: float) -> None:

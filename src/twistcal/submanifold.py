@@ -104,14 +104,6 @@ class AdaptedFramePoint:
     velocities: np.ndarray  # (q, q)
     fd_step: float
 
-    @property
-    def e(self) -> np.ndarray:
-        return self.frame[..., : self.q, :]
-
-    @property
-    def nu(self) -> np.ndarray:
-        return self.frame[..., self.q :, :]
-
     def __len__(self) -> int:
         if self.u.ndim == 1:
             raise TypeError("a single frame point has no rows")

@@ -2,10 +2,11 @@
 
 Each suite samples points of a twisted bundle over a registered chart,
 computes the calibration residuals and the theorem-side criteria at every
-sample, and packages the outcome as a :class:`VerificationReport`.  A PASS
-means both sides below the tolerance; a FAIL means both sides at or
-above it; MIXED points (one side below the tolerance, the other not) would
-contradict the equivalences under test and never occur for healthy inputs.
+sample, and packages the outcome as a :class:`VerificationReport`.  A point
+is PASS when both sides are below ``tol_verdict``, FAIL when some residual
+and some criterion are both at or above it, and MIXED when one side is below
+it and the other not.  A MIXED point contradicts the equivalence under test
+or shows that a side's numerical error has reached the tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import g2, spin7, stenzel
 from .errors import ConfigError, TwistcalError
 from .examples import make_eta_family, make_section_family
-from .report import SuiteConfig, VerificationReport
+from .report import SuiteConfig, VerificationReport, check_keys
 from .submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
 from .g2 import BSProfile, UNIT_PROFILE
 from .stenzel import DEFAULT_PROFILE, StenzelProfile, constant_mu
@@ -52,18 +53,11 @@ def _parse_params(blob: str) -> dict:
     return params
 
 
-def _check_keys(what: str, params: dict, allowed) -> None:
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys {sorted(unknown)}; allowed: {sorted(allowed)}")
-
-
 def parse_section_spec(spec: str):
-    """Parse "kind" or "kind:key=value,key=value" into a section family."""
+    """The kind and the parameters of "kind" or "kind:key=value,key=value"."""
     spec = (spec or "zero").strip()
     kind, _, blob = spec.partition(":")
-    params = _parse_params(blob)
-    return kind, params
+    return kind, _parse_params(blob)
 
 
 _MU_PATTERN = re.compile(r"^([0-9eE.+-]*?)e(\d+)$")
@@ -87,11 +81,11 @@ def parse_mu_spec(spec: str, q: int) -> np.ndarray:
         raise ConfigError(f"malformed mu spec {spec!r}; expected e.g. 0.3e1")
     sign_only = match.group(1) in ("", "+", "-")
     coeff = _parse_number(match.group(1) + "1" if sign_only else match.group(1), "mu coefficient")
-    index = int(match.group(2))
+    index = float(match.group(2))  # int() refuses a string of more than 4300 digits
     if not 1 <= index <= q:
-        raise ConfigError(f"mu index {index} out of range 1..{q}")
+        raise ConfigError(f"mu index {match.group(2).lstrip('0') or '0'} out of range 1..{q}")
     coeffs = np.zeros(q)
-    coeffs[index - 1] = coeff
+    coeffs[int(index) - 1] = coeff
     return constant_mu(coeffs)
 
 
@@ -115,12 +109,12 @@ def parse_profile_spec(spec: str, suite: str):
         return BSProfile(u=lambda r: 1.0 + r, v=lambda r: 1.0 + 2.0 * r)
     params = _parse_params(spec)
     if stenzel_suite:
-        _check_keys(f"{suite} profile", params, ("vp", "vpp"))
+        check_keys(f"{suite} profile", params, ("vp", "vpp"))
         vp, vpp = params.get("vp", 1.0), params.get("vpp", 1.0)
         if vp <= 0 or vpp <= 0:
             raise ConfigError("profile derivatives must be positive")
         return StenzelProfile(vprime=lambda r: vp, vprimeprime=lambda r: vpp)
-    _check_keys(f"{suite} profile", params, ("u", "v"))
+    check_keys(f"{suite} profile", params, ("u", "v"))
     bs = BSProfile(u=params.get("u", 1.0), v=params.get("v", 1.0))
     if bs.u <= 0 or bs.v <= 0:
         raise ConfigError("profile weights u, v must be positive")
@@ -151,63 +145,53 @@ def _sample_fibers(rng, count, width):
     return mags[:, None] * dirs
 
 
-_SECTION_KEYS = {"zero": (), "const": ("re", "im"), "sinphi": ("C", "D")}
-_ETA_KEYS = {"zero": (), "const": ("c",), "coord": ("axis",)}
+# The largest |index| of an equatorial-hol or veronese-strip key: the dense
+# equatorial-hol coefficient list grows with it, and past it neither family is
+# finite on its sample box (z^i (|z|^2 + 1) overflows double precision at the
+# corner |z| = 2.5 sqrt(2) from i = 560 on, tan(phi/2)^k at phi = pi - 0.35 from |k| = 410).
+MAX_COEFF_INDEX = 559
+_COEFF_KEYS = {"equatorial-hol": (r"c(\d+)(re|im)", " (expected c<i>re or c<i>im)"),
+               "veronese-strip": (r"k(-?\d+)(re|im)", "")}
 
 
 def _section_family_for(config: SuiteConfig):
+    """The section family of a --section spec; each equatorial-hol or veronese-strip
+    key adds its value to the real or imaginary part of one of the ``coeffs``."""
     kind, params = parse_section_spec(config.section)
-    if kind in _SECTION_KEYS:
-        _check_keys(f"{kind} section", params, _SECTION_KEYS[kind])
+    if kind not in _COEFF_KEYS:
         return make_section_family(kind, **params)
-    if kind == "equatorial-hol":
-        parts: dict = {"re": {}, "im": {}}
-        for key, val in params.items():
-            m = re.match(r"^c(\d+)(re|im)$", key)
-            if not m:
-                raise ConfigError(f"unknown equatorial-hol key {key!r} (expected c<i>re or c<i>im)")
-            parts[m.group(2)][int(m.group(1))] = val
-        degree = max([*parts["re"], *parts["im"], 0])
-        coeffs = [complex(parts["re"].get(i, 0.0), parts["im"].get(i, 0.0)) for i in range(degree + 1)]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return make_section_family("equatorial-hol", coeffs=coeffs or [0.0])
+    pattern, expected = _COEFF_KEYS[kind]
+    parts: dict = {}
+    for key, val in params.items():
+        m = re.fullmatch(pattern, key)
+        if not m:
+            raise ConfigError(f"unknown {kind} key {key!r}{expected}")
+        if abs(float(m.group(1))) > MAX_COEFF_INDEX:
+            raise ConfigError(f"{kind} key {key!r}: |index| exceeds the cap {MAX_COEFF_INDEX}")
+        parts.setdefault(int(m.group(1)), [0.0, 0.0])[m.group(2) == "im"] += val
+    coeffs = {k: complex(*part) for k, part in parts.items()}
     if kind == "veronese-strip":
-        coeffs = {}
-        for key, val in params.items():
-            m = re.match(r"^k(-?\d+)(re|im)$", key)
-            if not m:
-                raise ConfigError(f"unknown veronese-strip key {key!r}")
-            k = int(m.group(1))
-            c = coeffs.get(k, 0.0 + 0.0j)
-            coeffs[k] = c + (val if m.group(2) == "re" else 1j * val)
-        return make_section_family("veronese-strip", coeffs=coeffs)
-    raise ConfigError(f"unknown section kind {kind!r}")
+        return make_section_family(kind, coeffs=coeffs)
+    degree = max([k for k, c in coeffs.items() if c != 0], default=0)
+    return make_section_family(kind, coeffs=[coeffs.get(i, 0.0) for i in range(degree + 1)])
 
 
 def _eta_family_for(config: SuiteConfig, q: int):
     kind, params = parse_section_spec(config.section)
-    if kind not in _ETA_KEYS:
-        raise ConfigError(f"unknown eta kind {kind!r}")
-    _check_keys(f"{kind} eta", params, _ETA_KEYS[kind])
-    if kind == "zero":
-        return make_eta_family("const", c=0.0)
-    if kind == "coord":
-        axis = params.get("axis", 1)
-        if axis != int(axis) or not 1 <= axis <= q:
-            raise ConfigError(f"coord axis must be an integer in 1..{q}, got {axis:g}")
-        params = {"axis": int(axis)}
-    return make_eta_family(kind, **params)
+    eta = make_eta_family(kind, **params)
+    axis = params.get("axis", 1)
+    if kind == "coord" and (axis != int(axis) or not 1 <= axis <= q):
+        raise ConfigError(f"coord axis must be an integer in 1..{q}, got {axis:g}")
+    return eta
 
 
 # -- suite runners -------------------------------------------------------------
 
 
-def _run_stenzel(config: SuiteConfig) -> VerificationReport:
+def _run_stenzel(config: SuiteConfig, chart) -> VerificationReport:
     if config.fiber:
         raise ConfigError("fiber does not apply to the stenzel-lagrangian suite, "
                           "which samples its fibre coordinates")
-    chart = get_chart(config.chart)
     st_profile = parse_profile_spec(config.profile, config.suite)
     mu = parse_mu_spec(config.section, chart.q)
     rng = np.random.default_rng(config.seed)
@@ -256,8 +240,7 @@ def _holomorphy_criteria(frames, family):
     return sec, {"trace_a": trace_residual(frames.second_fund), "dbar_f": np.hypot(r2, r3)}
 
 
-def _run_g2_associative(config: SuiteConfig) -> VerificationReport:
-    chart = get_chart(config.chart)
+def _run_g2_associative(config: SuiteConfig, chart) -> VerificationReport:
     bs_profile = parse_profile_spec(config.profile, config.suite)
     family = _section_family_for(config)
     fibers = _parse_fiber_list(config.fiber, 1, default=[-2.0, 0.0, 1.5])
@@ -271,8 +254,7 @@ def _run_g2_associative(config: SuiteConfig) -> VerificationReport:
     return _pair_report(config, samples, fibers, {"associative": res}, criteria)
 
 
-def _run_g2_coassociative(config: SuiteConfig) -> VerificationReport:
-    chart = get_chart(config.chart)
+def _run_g2_coassociative(config: SuiteConfig, chart) -> VerificationReport:
     bs_profile = parse_profile_spec(config.profile, config.suite)
     eta = _eta_family_for(config, chart.q)
     fibers = _parse_fiber_list(config.fiber, 2, default=[(0.7, -1.2), (1.5, 0.4), (0.3, 0.9)])
@@ -290,8 +272,7 @@ def _run_g2_coassociative(config: SuiteConfig) -> VerificationReport:
     return _pair_report(config, samples, fibers, {"coassociative": res}, criteria)
 
 
-def _run_spin7(config: SuiteConfig) -> VerificationReport:
-    chart = get_chart(config.chart)
+def _run_spin7(config: SuiteConfig, chart) -> VerificationReport:
     bs_profile = parse_profile_spec(config.profile, config.suite)
     family = _section_family_for(config)
     fibers = _parse_fiber_list(config.fiber, 2, default=[(0.0, 0.0), (1.0, -2.0), (0.8, 0.5)])
@@ -327,14 +308,14 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     if config.suite not in _SUITES:
         raise ConfigError(f"unknown suite {config.suite!r}; have {suite_names()}")
     try:
-        get_chart(config.chart)
+        chart = get_chart(config.chart)
     except TwistcalError as exc:
         raise ConfigError(str(exc)) from None
     # an overflow or invalid operation raises at its first occurrence instead
     # of warning and carrying inf/nan into a residual that may still read 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            report = _SUITES[config.suite](config)
+            report = _SUITES[config.suite](config, chart)
     except FloatingPointError as exc:
         raise TwistcalError(
             f"suite {config.suite!r}: {exc}; an input is too large for double precision"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twistcal.errors import DomainError
+from twistcal.errors import ConfigError, DomainError
 from twistcal.examples import (
     boundedness_scan,
     equatorial_chart,
@@ -12,6 +12,7 @@ from twistcal.examples import (
     golden_table,
     golden_table_names,
     hat_coordinates,
+    make_eta_family,
     make_section_family,
     pde_residual,
     veronese_chart,
@@ -20,6 +21,39 @@ from twistcal.numerics import jacobian
 from twistcal.submanifold import adapted_frame, classify, get_chart
 
 from conftest import rng_for
+
+
+# -- section and eta factories ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "factory, kind, params, message",
+    [
+        (make_section_family, "const", {"rea": 1.0}, "unknown const section keys ['rea']; allowed: ['im', 're']"),
+        (make_section_family, "equatorial-hol", {}, "equatorial-hol section needs keys ['coeffs']"),
+        (make_section_family, "veronese-strip", {"coeffs": {}, "k": 1}, "unknown veronese-strip section keys ['k']; allowed: ['coeffs']"),
+        (make_section_family, "nosuch", {}, "unknown section kind 'nosuch'"),
+        (make_eta_family, "coord", {"axes": 2}, "unknown coord eta keys ['axes']; allowed: ['axis']"),
+        (make_eta_family, "zero", {"c": 1.0}, "unknown zero eta keys ['c']; allowed: []"),
+        (make_eta_family, "sinphi", {}, "unknown eta kind 'sinphi'"),
+    ],
+    ids=["const-rea", "hol-no-coeffs", "strip-k", "section-nosuch", "coord-axes", "zero-c", "eta-sinphi"],
+)
+def test_factories_reject_unknown_kinds_and_keys(factory, kind, params, message):
+    # a misspelled key used to be ignored: const with rea=1 was G = 0
+    with pytest.raises(ConfigError) as info:
+        factory(kind, **params)
+    assert str(info.value) == message
+
+
+def test_factory_defaults_and_the_zero_eta():
+    u = get_chart("equatorial").sample(rng_for(30), 5)
+    assert np.all(make_section_family("const", im=2.0).value(u) == 2.0j)
+    assert np.all(make_section_family("sinphi").value(u) == 0.0)
+    zero = make_eta_family("zero").value(u)
+    assert zero.dtype == float and np.all(zero == make_eta_family("const").value(u))
+    assert np.all(make_eta_family("coord").value(u) == u[:, 0])
+    assert np.all(make_eta_family("coord", axis=2).value(u) == u[:, 1])
 
 
 # -- chart identities -------------------------------------------------------------

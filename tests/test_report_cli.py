@@ -17,6 +17,7 @@ from twistcal.report import (
 from twistcal.examples import make_section_family
 from twistcal.stenzel import DEFAULT_PROFILE
 from twistcal.suites import (
+    MAX_COEFF_INDEX,
     _section_family_for,
     parse_mu_spec,
     parse_profile_spec,
@@ -528,6 +529,25 @@ def test_equatorial_hol_reads_every_coefficient():
     expected = make_section_family("equatorial-hol", coeffs=[0, 0, 0, 0, 1])
     u = np.array([0.3, -0.4])
     assert _section_family_for(config).value(u) == expected.value(u)
+
+
+@pytest.mark.parametrize(
+    "chart, key",
+    [("equatorial", "equatorial-hol:c{}re"), ("veronese", "veronese-strip:k-{}im")],
+    ids=["equatorial-hol", "veronese-strip"],
+)
+def test_coefficient_index_is_capped(chart, key, capsys):
+    argv = ["verify", "g2-associative", "--chart", chart, "--samples", "2", "--section"]
+    # at the cap the suite runs; its value may overflow, which is exit 1
+    assert main(argv + [key.format(MAX_COEFF_INDEX) + "=1"]) in (0, 1)
+    assert "cap" not in capsys.readouterr().err
+    # one above it, and past the digit limit of int(), is a config error
+    for index in (str(MAX_COEFF_INDEX + 1), "9" * 5000):
+        kind, _, name = key.format(index).partition(":")
+        assert main(argv + [f"{kind}:{name}=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {kind} key {name!r}: |index| exceeds the cap {MAX_COEFF_INDEX}\n"
 
 
 @pytest.mark.parametrize(

@@ -386,9 +386,7 @@ def test_dbar_vminus_normal_centre_reduces_to_cauchy_riemann():
         return (u[..., 0] * 0.3 - u[..., 1] * 0.1) + 1j * (u[..., 0] * 0.5 + u[..., 1] * 0.7)
 
     fam = make_section_family("zero")
-    sec = g2.section_data(
-        type(fam)(kind="test", params={}, evaluator=family_value), point
-    )
+    sec = g2.section_data(type(fam)(family_value), point)
     c3, c4 = dbar_vminus_residual(point.gamma, sf, sec)
     assert c3 == pytest.approx(sec.da[0] + sec.db[1], abs=1e-8)
     assert c4 == pytest.approx(-sec.da[1] + sec.db[0], abs=1e-8)
@@ -412,7 +410,7 @@ def test_dbar_vminus_matches_fd_of_covariant_derivative():
         return np.sin(u[..., 0]) * np.cos(u[..., 1]) + 1j * np.cos(u[..., 0] + u[..., 1])
 
     fam_cls = type(make_section_family("zero"))
-    fam = fam_cls(kind="test", params={}, evaluator=family_value)
+    fam = fam_cls(family_value)
     for u in chart.sample(rng, 3):
         point = adapted_frame(chart, u)
         sec = g2.section_data(fam, point)
