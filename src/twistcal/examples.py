@@ -305,7 +305,8 @@ _ETA_KINDS = {"zero": {}, "const": {"c": 0.0}, "coord": {"axis": 1}}
 
 def make_eta_family(kind: str, **params) -> SectionFamily:
     """The real coefficient gamma of a rank-one twist.  kinds: zero
-    (gamma = 0), const(c) and coord(axis) with gamma = u_axis."""
+    (gamma = 0), const(c) and coord(axis) with gamma = u_axis, for an
+    integer axis >= 1 (the caller, which knows q, checks axis <= q)."""
     params = _kind_params("eta", _ETA_KINDS, kind, params)
     if kind == "zero":
         ev = lambda u: np.zeros(u.shape[:-1])
@@ -313,6 +314,8 @@ def make_eta_family(kind: str, **params) -> SectionFamily:
         c = float(params["c"])
         ev = lambda u: np.full(u.shape[:-1], c)
     else:
+        if not (float(params["axis"]).is_integer() and params["axis"] >= 1):
+            raise ConfigError(f"coord axis must be an integer index >= 1, got {params['axis']:g}")
         axis = int(params["axis"]) - 1
         ev = lambda u: u[..., axis]
     return SectionFamily(ev, float)

@@ -24,6 +24,7 @@ __all__ = [
     "emit",
     "parse_report",
     "SEPARATION",
+    "MAX_ROWS",
 ]
 
 # The largest accepted --tol-verdict: a wider PASS band would swallow clear
@@ -36,9 +37,21 @@ SEPARATION = 1e-3
 FD_STEP_RANGE = (1e-10, 1e-3)
 
 
-def check_samples(samples: int) -> None:
+# The most rows (samples x fibre tuples, or samples of a table) one job may
+# hold, checked before anything is allocated.  At the cap, peak RSS measured
+# 441 MB for stenzel-lagrangian (about 4.2 KB a row, the most of any suite),
+# 212 MB for spin7-cayley and 245 MB for table veronese.
+MAX_ROWS = 100_000
+
+
+def check_samples(samples: int, fibers: int = 1) -> None:
+    """Reject a sample count below 1, or one whose ``samples * fibers`` rows
+    exceed ``MAX_ROWS``."""
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
+    if samples * fibers > MAX_ROWS:
+        rows = f"{samples} samples" + (f" x {fibers} fibre tuples" if fibers != 1 else "")
+        raise ConfigError(f"{rows} exceed the cap of {MAX_ROWS} rows per job")
 
 
 def check_seed(seed: int) -> None:
@@ -219,18 +232,34 @@ def _row_template(report: VerificationReport) -> str:
             + ",\n      \"u\": " + block("[", "]", ["{}"] * report.u.shape[1]) + "\n    }}")
 
 
+def _column_texts(values: np.ndarray, spelling: dict | None = None) -> list:
+    """The text of every value of an (N, K) float matrix, as K lists of N.
+
+    Each distinct bit pattern is converted once, by ``repr``, and its text is
+    gathered back into row order; ``spelling`` respells the ``repr`` of the
+    non-finite values (``nan``, ``inf``, ``-inf``).
+    Bits, not float equality, key the values: ``0.0 == -0.0`` but the two
+    print differently, and NaN equals no value."""
+    bits = np.ascontiguousarray(values.T).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    floats = distinct.view(np.float64)
+    texts = list(map(repr, floats.tolist()))
+    if spelling and not np.isfinite(floats).all():
+        texts = list(map(spelling.get, texts, texts))
+    return np.array(texts, dtype=object)[inverse].reshape(bits.shape).tolist()
+
+
 def _points_json(report: VerificationReport) -> str:
     """The report's ``points`` array as ``json.dumps(sort_keys=True, indent=2)``
     writes it, filled column by column into one row template.  ``repr`` of a
-    finite float is the text ``json`` writes for it; the residual and
-    criterion keys are in sorted order, as the report keeps them."""
+    finite float is the text ``json`` writes for it, and each distinct value of
+    the report is converted to text once; the residual and criterion keys are
+    in sorted order, as the report keeps them."""
     n = len(report.status)
     if n == 0:
         return "[]"
     values = np.hstack([_matrix(report.criteria, n), _matrix(report.residuals, n), report.t, report.u])
-    fields = [map(repr, col) for col in values.T.tolist()]
-    if not np.isfinite(values).all():
-        fields = [(_NONFINITE.get(text, text) for text in col) for col in fields]
+    fields = _column_texts(values, _NONFINITE)
     statuses = report.status.tolist()
     status_text = {s: json.dumps(s) for s in set(statuses)}
     fields.insert(len(report.criteria) + len(report.residuals), map(status_text.__getitem__, statuses))
@@ -257,10 +286,7 @@ def emit(report: VerificationReport, fmt: str = "json") -> bytes:
         values = np.hstack(
             [report.u, report.t, _matrix(report.residuals, n), _matrix(report.criteria, n)]
         )
-        writer.writerows(
-            [idx, status, *map(repr, row)]
-            for idx, (status, row) in enumerate(zip(report.status.tolist(), values.tolist()))
-        )
+        writer.writerows(zip(range(n), report.status.tolist(), *_column_texts(values)))
         return buf.getvalue().encode()
     raise ConfigError(f"unknown format {fmt!r}")
 

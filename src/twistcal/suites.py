@@ -19,7 +19,7 @@ import numpy as np
 from . import g2, spin7, stenzel
 from .errors import ConfigError, TwistcalError
 from .examples import make_eta_family, make_section_family
-from .report import SuiteConfig, VerificationReport, check_keys
+from .report import SuiteConfig, VerificationReport, check_keys, check_samples
 from .submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
 from .g2 import BSProfile, UNIT_PROFILE
 from .stenzel import DEFAULT_PROFILE, StenzelProfile, constant_mu
@@ -180,7 +180,7 @@ def _eta_family_for(config: SuiteConfig, q: int):
     kind, params = parse_section_spec(config.section)
     eta = make_eta_family(kind, **params)
     axis = params.get("axis", 1)
-    if kind == "coord" and (axis != int(axis) or not 1 <= axis <= q):
+    if kind == "coord" and axis > q:
         raise ConfigError(f"coord axis must be an integer in 1..{q}, got {axis:g}")
     return eta
 
@@ -244,6 +244,7 @@ def _run_g2_associative(config: SuiteConfig, chart) -> VerificationReport:
     bs_profile = parse_profile_spec(config.profile, config.suite)
     family = _section_family_for(config)
     fibers = _parse_fiber_list(config.fiber, 1, default=[-2.0, 0.0, 1.5])
+    check_samples(config.samples, len(fibers))
     samples, frames = _sample_frames(chart, config)
     sec, criteria = _holomorphy_criteria(frames, family)
     t1 = fibers[:, 0]
@@ -258,6 +259,7 @@ def _run_g2_coassociative(config: SuiteConfig, chart) -> VerificationReport:
     bs_profile = parse_profile_spec(config.profile, config.suite)
     eta = _eta_family_for(config, chart.q)
     fibers = _parse_fiber_list(config.fiber, 2, default=[(0.7, -1.2), (1.5, 0.4), (0.3, 0.9)])
+    check_samples(config.samples, len(fibers))
     samples, frames = _sample_frames(chart, config)
     gval = eta.value(frames.u)
     dgamma = frames.scalar_derivatives(eta.value)
@@ -276,6 +278,7 @@ def _run_spin7(config: SuiteConfig, chart) -> VerificationReport:
     bs_profile = parse_profile_spec(config.profile, config.suite)
     family = _section_family_for(config)
     fibers = _parse_fiber_list(config.fiber, 2, default=[(0.0, 0.0), (1.0, -2.0), (0.8, 0.5)])
+    check_samples(config.samples, len(fibers))
     samples, frames = _sample_frames(chart, config)
     sframe = spin7.spinor_frames()
     sec = g2.section_data(family, frames)

@@ -153,6 +153,8 @@ def test_parse_report_round_trips_bytes(make_report):
 # -- the template JSON emitter at its edges ---------------------------------------------
 
 _SPECIAL = [-0.0, 5e-324, 1e16, 1e-7, 123456789.0, float("nan"), float("inf"), float("-inf")]
+# a negative NaN with a payload: equal to no value, and other bits than np.nan's
+_NAN2 = np.array([0xFFF8_0000_0000_0123], dtype=np.uint64).view(np.float64)[0]
 # a quote, a backslash, newlines, non-ASCII text, format fields, and the
 # header line that the points are spliced in at
 _AWKWARD = 'q"b\\s\nnl \u00e9\u4e2d {} %s\n  "points": []'
@@ -197,6 +199,15 @@ def _report(u, t, residuals, criteria, config=_CFG, provenance=None):
             lambda: _report(np.ones((2, 1)), np.ones((2, 1)), {_AWKWARD.replace("\n", " "): [0.0, 1.0]},
                             {"{" + _AWKWARD.replace("\n", " "): [0.0, 1.0]}),
             id="awkward-column-keys",
+        ),
+        # each distinct bit pattern is converted once: 0.0 and -0.0 compare
+        # equal but print differently, and neither NaN equals itself
+        pytest.param(
+            lambda: _report([[0.0, np.nan], [-0.0, _NAN2], [0.0, 1.5], [-0.0, np.nan], [1.5, -0.0], [0.0, _NAN2]],
+                            [[1.5], [1.5], [-0.0], [0.0], [1.5], [-0.0]],
+                            {"r": [np.nan, 0.0, -0.0, 0.5, 0.5, _NAN2]},
+                            {"c": [0.0, -0.0, 0.0, 2e-3, 2e-3, -0.0]}),
+            id="repeated-values",
         ),
     ],
 )

@@ -36,8 +36,14 @@ from conftest import rng_for
         (make_eta_family, "coord", {"axes": 2}, "unknown coord eta keys ['axes']; allowed: ['axis']"),
         (make_eta_family, "zero", {"c": 1.0}, "unknown zero eta keys ['c']; allowed: []"),
         (make_eta_family, "sinphi", {}, "unknown eta kind 'sinphi'"),
+        # axis 0 would read u_q through a negative index, and 2.9 would truncate to 2
+        (make_eta_family, "coord", {"axis": 0}, "coord axis must be an integer index >= 1, got 0"),
+        (make_eta_family, "coord", {"axis": 2.9}, "coord axis must be an integer index >= 1, got 2.9"),
+        (make_eta_family, "coord", {"axis": -1.0}, "coord axis must be an integer index >= 1, got -1"),
+        (make_eta_family, "coord", {"axis": float("nan")}, "coord axis must be an integer index >= 1, got nan"),
     ],
-    ids=["const-rea", "hol-no-coeffs", "strip-k", "section-nosuch", "coord-axes", "zero-c", "eta-sinphi"],
+    ids=["const-rea", "hol-no-coeffs", "strip-k", "section-nosuch", "coord-axes", "zero-c", "eta-sinphi",
+         "coord-axis-0", "coord-axis-2.9", "coord-axis-negative", "coord-axis-nan"],
 )
 def test_factories_reject_unknown_kinds_and_keys(factory, kind, params, message):
     # a misspelled key used to be ignored: const with rea=1 was G = 0

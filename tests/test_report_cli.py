@@ -8,6 +8,7 @@ import pytest
 from twistcal.cli import main
 from twistcal.errors import ConfigError
 from twistcal.report import (
+    MAX_ROWS,
     SEPARATION,
     SuiteConfig,
     VerificationReport,
@@ -447,7 +448,7 @@ _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--sa
         (_CAYLEY + ["--section", "equatorial-hol:c0r=1"], "unknown equatorial-hol key 'c0r'"),
         (_COASSOC + ["--section", "const:c=2,x=1"], "unknown const eta keys ['x']"),
         (_COASSOC + ["--section", "coord:axes=1"], "unknown coord eta keys ['axes']"),
-        (_COASSOC + ["--section", "coord:axis=1.5"], "coord axis must be an integer in 1..2, got 1.5"),
+        (_COASSOC + ["--section", "coord:axis=1.5"], "coord axis must be an integer index >= 1, got 1.5"),
         # a pass band above the FAIL level would report clear failures as PASS
         (_VERIFY + ["--tol-verdict", "0.0011"],
          f"tol_verdict must be at most the FAIL separation {SEPARATION!r}, got 0.0011"),
@@ -463,6 +464,15 @@ _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--sa
         (_VERIFY + ["--profile", "u=2"],
          "unknown stenzel-lagrangian profile keys ['u']; allowed: ['vp', 'vpp']"),
         (_VERIFY + ["--profile", "linear"], "profile 'linear' does not apply to stenzel-lagrangian"),
+        # a job that would not fit in memory is refused before anything is allocated
+        (["verify", "g2-associative", "--samples", "100000000000"],
+         f"100000000000 samples exceed the cap of {MAX_ROWS} rows per job"),
+        (_CAYLEY + ["--samples", str(MAX_ROWS // 3 + 1)],
+         f"{MAX_ROWS // 3 + 1} samples x 3 fibre tuples exceed the cap of {MAX_ROWS} rows per job"),
+        (_VERIFY + ["--samples", str(MAX_ROWS + 1)], f"{MAX_ROWS + 1} samples exceed the cap of {MAX_ROWS} rows per job"),
+        (["table", "veronese", "--samples", "100000000000"],
+         f"100000000000 samples exceed the cap of {MAX_ROWS} rows per job"),
+        (_COASSOC + ["--section", "coord:axis=0"], "coord axis must be an integer index >= 1, got 0"),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys):
