@@ -44,7 +44,7 @@ _CONFIG_KEYS = {
 def _read_config_file(path: str) -> dict:
     values: dict = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -60,6 +60,8 @@ def _read_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: bad value {val!r} for {key}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config file: {path} is not UTF-8 text") from None
     return values
 
 

@@ -30,8 +30,8 @@ every profile exactly when it is at u = v = 1.
 Every monomial with h horizontal indices carries the weight u^h v^(k-h), so
 the form at weights (u, v) is the unit-weight form pulled back by
 D = diag(u, u, u, u, v, v, v).  The residuals contract the dense unit tensors
-(built once from ``phi_form(1, 1)``/``psi_form(1, 1)``) with D-scaled tangent
-vectors and scale any free index of the result by D.
+(``unit_tensor``, built once per table) with D-scaled tangent vectors and
+scale any free index of the result by D.
 """
 
 from __future__ import annotations
@@ -39,16 +39,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-from .numerics import blocked, row_norms
+from .numerics import Profile, blocked, row_norms
 from .submanifold import AdaptedFramePoint
 
 __all__ = [
-    "BSProfile",
     "UNIT_PROFILE",
     "nabla_f_coeffs",
     "phi_form",
@@ -62,30 +59,7 @@ __all__ = [
     "section_data",
 ]
 
-@dataclass(frozen=True)
-class BSProfile:
-    """Positive fibre-metric weights; constants or functions of the radius."""
-
-    u: Callable[[float], float] | float = 1.0
-    v: Callable[[float], float] | float = 1.0
-
-    def at(self, r):
-        """(u, v) at the fibre radius r, or at every entry of an array of radii."""
-        r = np.asarray(r, dtype=float)
-        uu, vv = (
-            np.broadcast_to(w(r) if callable(w) else float(w), r.shape) for w in (self.u, self.v)
-        )
-        bad = (uu <= 0) | (vv <= 0)
-        if bad.any():
-            i = np.unravel_index(np.argmax(bad), bad.shape)
-            raise DomainError(
-                f"profile weights must be positive, got u={uu[i]:g}, v={vv[i]:g} "
-                f"at fibre radius r={r[i]:g}"
-            )
-        return uu[()], vv[()]
-
-
-UNIT_PROFILE = BSProfile()
+UNIT_PROFILE = Profile(1.0, 1.0)
 
 
 # N[j, k, m] = sum_ab _NABLA_F[k, m, a, b] Gamma[j, a, b], antisymmetric in k, m
@@ -136,6 +110,15 @@ def antisymmetrise(table, dim: int, u: float, v: float) -> np.ndarray:
         w = sign * u**h * v ** (k - h)
         for perm, flip in zip(perms, odd):
             out[tuple(idx[p] for p in perm)] = -w if flip else w
+    return out
+
+
+@lru_cache(maxsize=None)
+def unit_tensor(table, dim: int) -> np.ndarray:
+    """The unit-weight dense tensor of a signed index table, built once per
+    table and read-only."""
+    out = antisymmetrise(table, dim, 1.0, 1.0)
+    out.flags.writeable = False
     return out
 
 
@@ -222,28 +205,20 @@ def tangent_basis_eta_f(point: AdaptedFramePoint, gamma_val, dgamma, t) -> np.nd
     return lifted_basis(vert + per_point(deriv, fdim, 2), (5, 6), 7)
 
 
-@lru_cache(maxsize=1)
-def _unit_tensors() -> tuple[np.ndarray, np.ndarray]:
-    """Dense unit-weight phi (7, 7, 7) and psi (7, 7, 7, 7), read-only."""
-    out = (phi_form(1.0, 1.0), psi_form(1.0, 1.0))
-    for t in out:
-        t.flags.writeable = False
-    return out
-
-
-def _weights(profile: BSProfile, fiber) -> np.ndarray:
-    """Diagonal of D at the fibre points (t1, a, b): (..., 7) rows
-    (u, u, u, u, v, v, v); the radius is the det-convention norm of
-    t1 f^1 + a f^2 + b f^3."""
+def _fibre_radius(fiber) -> np.ndarray:
+    """The det-convention norm of the fibre point t1 f^1 + a f^2 + b f^3
+    given as (t1, a, b)."""
     t1, a, b = (np.asarray(x, dtype=float) for x in fiber)
-    u, v = profile.at(np.sqrt(2.0 * (t1 * t1 + a * a + b * b)))
-    return np.stack([u, u, u, u, v, v, v], axis=-1)
+    return np.sqrt(2.0 * (t1 * t1 + a * a + b * b))
 
 
-def scaled_rows(vectors, d: np.ndarray):
-    """The vectors (each (..., dim)) scaled by D (..., dim), as the rows of an
-    (N, k, dim) array; also D as (N, dim) and the broadcast leading shape."""
-    vecs = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in vectors)), axis=-2)
+def scaled_rows(vectors, profile: Profile, r):
+    """The vectors (each (..., dim)) scaled by D = diag(u, u, u, u, v, .., v),
+    the profile weights at the fibre radii r, as the rows of an (N, k, dim)
+    array; also D as (N, dim) and the broadcast leading shape."""
+    u, v = profile.at(r)
+    vecs = np.stack(np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in vectors)), axis=-2)
+    d = np.stack([u] * 4 + [v] * (vecs.shape[-1] - 4), axis=-1)
     vecs = d[..., None, :] * vecs
     lead, (k, dim) = vecs.shape[:-2], vecs.shape[-2:]
     d = np.broadcast_to(d, lead + (dim,)).reshape(-1, dim)
@@ -251,12 +226,12 @@ def scaled_rows(vectors, d: np.ndarray):
 
 
 def associative_residual(
-    e1, e2, f1, profile: BSProfile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)
+    e1, e2, f1, profile: Profile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)
 ):
     """|E_2 ⌟ E_1 ⌟ F_1 ⌟ psi| with the displayed psi, per leading index of
     the vectors (each (..., 7)) and of the fibre point (t1, a, b)."""
-    vecs, d, lead = scaled_rows((f1, e1, e2), _weights(profile, fiber))
-    psi = _unit_tensors()[1].reshape(49, 49)
+    vecs, d, lead = scaled_rows((f1, e1, e2), profile, _fibre_radius(fiber))
+    psi = unit_tensor(PSI_TABLE, 7).reshape(49, 49)
 
     def kernel(v, dd):
         # psi(F_1, E_1, ., .) as the bivector F_1 (x) E_1 against psi, then E_2
@@ -270,12 +245,12 @@ _TRIPLES = tuple(np.array(list(itertools.combinations(range(4), 3))).T)
 
 
 def coassociative_residual(
-    e1, e2, f2, f3, profile: BSProfile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)
+    e1, e2, f2, f3, profile: Profile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)
 ):
     """max |phi| over the four triples of the tangent basis (E_1, E_2, F_2, F_3),
     per leading index of the vectors and of the fibre point (gamma, t2, t3)."""
-    vecs, _, lead = scaled_rows((e1, e2, f2, f3), _weights(profile, fiber))
-    phi = _unit_tensors()[0].reshape(7, -1)
+    vecs, _, lead = scaled_rows((e1, e2, f2, f3), profile, _fibre_radius(fiber))
+    phi = unit_tensor(PHI_TABLE, 7).reshape(7, -1)
 
     def kernel(v):
         # values[:, a, b, c] = phi(v[a], v[b], v[c])

@@ -1,4 +1,5 @@
-"""Finite-difference plumbing shared by the geometric modules.
+"""Finite-difference plumbing shared by the geometric modules, and the
+radial profile type that the Stenzel, G2 and Spin(7) metrics are built from.
 
 Central differences with one Richardson extrapolation level; the relative
 step is scaled by (1 + |u|).  All quantities verified downstream involve at
@@ -8,9 +9,12 @@ most first derivatives of smooth frame fields, so the resulting accuracy
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
-from .errors import ImmersionDegenerateError
+from .errors import DomainError, ImmersionDegenerateError
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -20,6 +24,32 @@ DEFAULT_FD_STEP = 1e-5
 BLOCK = 64
 
 DEPENDENT_TOL = 1e-10  # gram_schmidt raises on a row whose projected norm is below
+
+
+@dataclass(frozen=True)
+class Profile:
+    """A pair of positive radial functions, each a constant or a callable of
+    the radius: the Stenzel potential derivatives (v', v'') or the
+    Bryant-Salamon fibre weights (u, v).  Only their positivity enters a
+    verdict."""
+
+    a: Callable[[float], float] | float
+    b: Callable[[float], float] | float
+
+    def at(self, r):
+        """(a, b) at the radius r, or at every entry of an array of radii."""
+        r = np.asarray(r, dtype=float)
+        aa, bb = (
+            np.broadcast_to(np.asarray(w(r) if callable(w) else w, dtype=float), r.shape)
+            for w in (self.a, self.b)
+        )
+        bad = (aa <= 0) | (bb <= 0)
+        if bad.any():
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise DomainError(
+                f"profile values must be positive, got ({aa[i]:g}, {bb[i]:g}) at radius r={r[i]:g}"
+            )
+        return aa[()], bb[()]
 
 
 def row_norms(u) -> np.ndarray:

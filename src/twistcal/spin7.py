@@ -36,8 +36,8 @@ Cayley 4-planes.
 Every monomial of Phi with h horizontal indices carries u^h v^(4-h), so Phi
 at weights (u, v) is the unit-weight Phi pulled back by
 D = diag(u, u, u, u, v, v, v, v).  The residuals contract one dense unit
-tensor, built once from ``phi_form(1, 1)``, with D-scaled tangent vectors and
-scale the free indices of the result by D.
+tensor (``g2.unit_tensor`` of ``PHI_TABLE``) with D-scaled tangent vectors
+and scale the free indices of the result by D.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ import numpy as np
 from .errors import DomainError
 from .octonion import left_mult_matrix, oct_mul, standard_pinor_context
 from .submanifold import AdaptedFramePoint
-from .g2 import BSProfile, UNIT_PROFILE, SectionData, antisymmetrise, lifted_basis, per_point, scaled_rows
-from .numerics import blocked, row_norms
+from .g2 import UNIT_PROFILE, SectionData, antisymmetrise, lifted_basis, per_point, scaled_rows, unit_tensor
+from .numerics import Profile, blocked, row_norms
 
 __all__ = [
     "SpinorFrame",
@@ -186,21 +186,6 @@ def phi_form(u: float, v: float) -> np.ndarray:
     return antisymmetrise(PHI_TABLE, 8, u, v)
 
 
-@lru_cache(maxsize=1)
-def _unit_phi() -> np.ndarray:
-    """Dense unit-weight Phi of shape (8, 8, 8, 8), read-only."""
-    out = phi_form(1.0, 1.0)
-    out.flags.writeable = False
-    return out
-
-
-def _weights(profile: BSProfile, fiber_r) -> np.ndarray:
-    """Diagonal of D: Phi at weights (u, v) is the unit Phi pulled back by D;
-    (..., 8) for an array of fibre radii."""
-    u, v = profile.at(fiber_r)
-    return np.stack([u, u, u, u, v, v, v, v], axis=-1)
-
-
 def tangent_basis_v_plus(
     point: AdaptedFramePoint,
     frame: SpinorFrame,
@@ -233,7 +218,7 @@ _A, _B, _C = np.array([(1, 2, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2)]).T
 
 def _eta_rows(vecs: np.ndarray, d: np.ndarray) -> np.ndarray:
     """eta of each row of D-scaled vectors ``vecs`` (N, 4, 8), with D (N, 8)."""
-    phi = _unit_phi().reshape(64, 64)
+    phi = unit_tensor(PHI_TABLE, 8).reshape(64, 64)
     # Phi_1(a, b, ., .) as the bivector a (x) b against Phi, then c
     ab = (vecs[:, _A, :, None] * vecs[:, _B, None, :]).reshape(-1, 4, 64)
     cross = (ab @ phi).reshape(-1, 4, 8, 8)
@@ -244,7 +229,7 @@ def _eta_rows(vecs: np.ndarray, d: np.ndarray) -> np.ndarray:
     return d[:, :, None] * eta * d[:, None, :]
 
 
-def cayley_eta(e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r=0.0):
+def cayley_eta(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
     """The 2-form eta(E_1, E_2, F_1, F_2) as its (8, 8) antisymmetric
     coefficient matrix, evaluated termwise; (..., 8, 8) per leading index of
     the vectors (each (..., 8)) and of the fibre radius.
@@ -254,21 +239,21 @@ def cayley_eta(e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r=0.0):
     are D h and D t, and Phi(X, head, ., .) = D Phi_1(t, h, ., .) D, so
     eta = D [sum (h ^ t) + Phi_1(t, h, ., .)] D.
     """
-    vecs, d, lead = scaled_rows((e1, e2, f1, f2), _weights(profile, fiber_r))
+    vecs, d, lead = scaled_rows((e1, e2, f1, f2), profile, fiber_r)
     return blocked(_eta_rows, vecs, d).reshape(lead + (8, 8))
 
 
-def cayley_residual(e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r=0.0):
+def cayley_residual(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
     """Norm of eta over the basis 2-forms e^{ij}, i < j, per leading index."""
     eta = cayley_eta(e1, e2, f1, f2, profile, fiber_r)
     return (row_norms(eta.reshape(eta.shape[:-2] + (64,))) / np.sqrt(2.0))[()]
 
 
-def calibration_gap(e1, e2, f1, f2, profile: BSProfile = UNIT_PROFILE, fiber_r=0.0):
+def calibration_gap(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
     """| |Phi(E_1, E_2, F_1, F_2)| - vol(E_1, E_2, F_1, F_2) | (metric volume),
     per leading index of the vectors and of the fibre radius."""
-    vecs, _, lead = scaled_rows((e1, e2, f1, f2), _weights(profile, fiber_r))
-    phi = _unit_phi().reshape(64, 64)
+    vecs, _, lead = scaled_rows((e1, e2, f1, f2), profile, fiber_r)
+    phi = unit_tensor(PHI_TABLE, 8).reshape(64, 64)
 
     def kernel(v):
         val = ((v[:, 0, :, None] * v[:, 1, None, :]).reshape(-1, 64) @ phi).reshape(-1, 8, 8)

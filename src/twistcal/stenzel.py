@@ -21,17 +21,15 @@ the form is invariant under complex orthogonal transformations and the guard
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ChartError, DomainError
-from .numerics import DEFAULT_FD_STEP, directional_derivative, row_norms
+from .numerics import DEFAULT_FD_STEP, Profile, directional_derivative, row_norms
 from .submanifold import AdaptedFramePoint, ImmersionChart, adapted_frame
 from .submanifold import with_normal_frame  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 
 __all__ = [
-    "StenzelProfile",
     "DEFAULT_PROFILE",
     "constant_mu",
     "psi_map",
@@ -48,27 +46,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StenzelProfile:
-    """Radial profile derivatives; both must stay positive for r > 0."""
-
-    vprime: Callable[[float], float]
-    vprimeprime: Callable[[float], float]
-
-    def at(self, r):
-        """(v', v'') at a radius, or elementwise over an array of radii."""
-        shape = np.shape(r)
-        vp = np.broadcast_to(np.asarray(self.vprime(r), dtype=float), shape)[()]
-        vpp = np.broadcast_to(np.asarray(self.vprimeprime(r), dtype=float), shape)[()]
-        if np.any(vp <= 0) or np.any(vpp <= 0):
-            raise DomainError("profile derivatives must be positive")
-        return vp, vpp
-
-
-DEFAULT_PROFILE = StenzelProfile(
-    vprime=lambda r: 1.0 + r * r,
-    vprimeprime=lambda r: 2.0 * r + 1.0,
-)
+# (v', v'') at the quadric radius |z|
+DEFAULT_PROFILE = Profile(lambda r: 1.0 + r * r, lambda r: 2.0 * r + 1.0)
 
 
 def constant_mu(coeffs) -> np.ndarray:
@@ -103,7 +82,7 @@ def psi_map(x, xi) -> np.ndarray:
 Z0_GUARD = 0.1  # the coefficient chart needs |z_0| above this
 
 
-def stenzel_coeffs(z, profile: StenzelProfile = DEFAULT_PROFILE) -> np.ndarray:
+def stenzel_coeffs(z, profile: Profile = DEFAULT_PROFILE) -> np.ndarray:
     """Hermitian coefficient matrix a_jk (j, k = 1..n) at a quadric point;
     (..., n+1) points give (..., n, n) matrices."""
     z = np.asarray(z, dtype=complex)
@@ -119,7 +98,7 @@ def stenzel_coeffs(z, profile: StenzelProfile = DEFAULT_PROFILE) -> np.ndarray:
     return herm + sym
 
 
-def omega_value(z, v, w, profile: StenzelProfile = DEFAULT_PROFILE):
+def omega_value(z, v, w, profile: Profile = DEFAULT_PROFILE):
     """omega(v, w) for tangent vectors given in the re-based coordinates;
     broadcasts over leading axes."""
     a = stenzel_coeffs(z, profile)
@@ -129,7 +108,7 @@ def omega_value(z, v, w, profile: StenzelProfile = DEFAULT_PROFILE):
     return (0.5j * np.sum(a * pair, axis=(-2, -1))).real[()]
 
 
-def omega_matrix(z, tangents, profile: StenzelProfile = DEFAULT_PROFILE) -> np.ndarray:
+def omega_matrix(z, tangents, profile: Profile = DEFAULT_PROFILE) -> np.ndarray:
     """omega(V_i, V_l) for every pair of tangent rows V of shape (..., m, n+1).
 
     With S = V' a V'^H (V' the rows without slot 0), the pairing matrix is
@@ -287,7 +266,7 @@ def bracket_factor(y, vp, vpp):
 
 
 def mixed_pairing_closed_form(
-    point: TwistedConormalPoint, profile: StenzelProfile = DEFAULT_PROFILE
+    point: TwistedConormalPoint, profile: Profile = DEFAULT_PROFILE
 ) -> np.ndarray:
     """The proof-side omega(E_i, F_j) = a_i t_j cosh^2(sqrt y) / y * bracket,
     as the (..., q, n-q) block; zero where y = 0.
@@ -313,7 +292,7 @@ def lagrangian_columns(
     mu,
     samples,
     fiber_values,
-    profile: StenzelProfile = DEFAULT_PROFILE,
+    profile: Profile = DEFAULT_PROFILE,
     fd_step: float = DEFAULT_FD_STEP,
 ):
     """Per-sample maximal |omega| over all tangent pairs and the criterion
@@ -334,7 +313,7 @@ def lagrangian_samples(
     mu,
     samples,
     fiber_values,
-    profile: StenzelProfile = DEFAULT_PROFILE,
+    profile: Profile = DEFAULT_PROFILE,
     fd_step: float = DEFAULT_FD_STEP,
 ):
     """:func:`lagrangian_columns` one sample at a time: yields dicts with the

@@ -21,8 +21,9 @@ from .errors import ConfigError, TwistcalError
 from .examples import make_eta_family, make_section_family
 from .report import SuiteConfig, VerificationReport, check_keys, check_samples
 from .submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
-from .g2 import BSProfile, UNIT_PROFILE
-from .stenzel import DEFAULT_PROFILE, StenzelProfile, constant_mu
+from .g2 import UNIT_PROFILE
+from .numerics import Profile
+from .stenzel import DEFAULT_PROFILE, constant_mu
 
 __all__ = ["run_suite", "suite_names", "parse_section_spec", "parse_profile_spec"]
 
@@ -39,7 +40,7 @@ def _parse_number(text: str, what: str) -> float:
 
 
 def _parse_params(blob: str) -> dict:
-    """"key=value,key=value" with finite numeric values."""
+    """"key=value,key=value" with finite numeric values; a key may appear once."""
     params = {}
     if not blob:
         return params
@@ -49,7 +50,10 @@ def _parse_params(blob: str) -> dict:
         if "=" not in item:
             raise ConfigError(f"malformed parameter {item!r} (expected key=value)")
         key, val = item.split("=", 1)
-        params[key.strip()] = _parse_number(val, f"parameter {key.strip()!r}")
+        key = key.strip()
+        if key in params:
+            raise ConfigError(f"parameter {key!r} is given more than once")
+        params[key] = _parse_number(val, f"parameter {key!r}")
     return params
 
 
@@ -106,19 +110,14 @@ def parse_profile_spec(spec: str, suite: str):
     if spec == "linear":
         if stenzel_suite:
             raise ConfigError(f"profile 'linear' does not apply to {suite}; use unit or vp=..,vpp=..")
-        return BSProfile(u=lambda r: 1.0 + r, v=lambda r: 1.0 + 2.0 * r)
+        return Profile(lambda r: 1.0 + r, lambda r: 1.0 + 2.0 * r)
+    keys, what = (("vp", "vpp"), "derivatives") if stenzel_suite else (("u", "v"), "weights u, v")
     params = _parse_params(spec)
-    if stenzel_suite:
-        check_keys(f"{suite} profile", params, ("vp", "vpp"))
-        vp, vpp = params.get("vp", 1.0), params.get("vpp", 1.0)
-        if vp <= 0 or vpp <= 0:
-            raise ConfigError("profile derivatives must be positive")
-        return StenzelProfile(vprime=lambda r: vp, vprimeprime=lambda r: vpp)
-    check_keys(f"{suite} profile", params, ("u", "v"))
-    bs = BSProfile(u=params.get("u", 1.0), v=params.get("v", 1.0))
-    if bs.u <= 0 or bs.v <= 0:
-        raise ConfigError("profile weights u, v must be positive")
-    return bs
+    check_keys(f"{suite} profile", params, keys)
+    values = [params.get(key, 1.0) for key in keys]
+    if any(x <= 0 for x in values):
+        raise ConfigError(f"profile {what} must be positive")
+    return Profile(*values)
 
 
 def _parse_fiber_list(spec: str, width: int, default):

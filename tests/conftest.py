@@ -630,7 +630,7 @@ def _pointwise_weights(profile, r: float, dim: int) -> np.ndarray:
 def pointwise_associative(e1, e2, f1, profile, fiber) -> float:
     t1, a, b = fiber
     d = _pointwise_weights(profile, float(np.sqrt(2.0 * (t1 * t1 + a * a + b * b))), 7)
-    one_form = (d * f1) @ g2._unit_tensors()[1].reshape(7, -1)
+    one_form = (d * f1) @ g2.unit_tensor(g2.PSI_TABLE, 7).reshape(7, -1)
     one_form = (d * e1) @ one_form.reshape(7, -1)
     one_form = (d * e2) @ one_form.reshape(7, -1)
     return float(np.linalg.norm(d * one_form))
@@ -640,14 +640,14 @@ def pointwise_coassociative(e1, e2, f2, f3, profile, fiber) -> float:
     t1, a, b = fiber
     d = _pointwise_weights(profile, float(np.sqrt(2.0 * (t1 * t1 + a * a + b * b))), 7)
     vecs = d * np.array([e1, e2, f2, f3])
-    values = vecs @ (vecs @ g2._unit_tensors()[0].reshape(7, -1)).reshape(4, 7, 7) @ vecs.T
+    values = vecs @ (vecs @ g2.unit_tensor(g2.PHI_TABLE, 7).reshape(7, -1)).reshape(4, 7, 7) @ vecs.T
     return float(max(abs(values[a, b, c]) for a, b, c in itertools.combinations(range(4), 3)))
 
 
 def pointwise_cayley(e1, e2, f1, f2, profile, r: float) -> float:
     d = _pointwise_weights(profile, r, 8)
     vecs = d * np.array([e1, e2, f1, f2])
-    phi = spin7._unit_phi()
+    phi = g2.unit_tensor(spin7.PHI_TABLE, 8)
     heads = ((1, 2, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2))
     cross = np.array(
         [vecs[c] @ (vecs[b] @ (vecs[a] @ phi.reshape(8, -1)).reshape(8, -1)).reshape(8, 8) for a, b, c in heads]
@@ -660,7 +660,7 @@ def pointwise_cayley(e1, e2, f1, f2, profile, r: float) -> float:
 def pointwise_calibration_gap(e1, e2, f1, f2, profile, r: float) -> float:
     d = _pointwise_weights(profile, r, 8)
     vecs = d * np.array([e1, e2, f1, f2])
-    val = spin7._unit_phi()
+    val = g2.unit_tensor(spin7.PHI_TABLE, 8)
     for w in vecs:
         val = w @ val.reshape(8, -1)
     vol = float(np.sqrt(max(np.linalg.det(vecs @ vecs.T), 0.0)))

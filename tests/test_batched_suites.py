@@ -14,7 +14,9 @@ from twistcal import g2, spin7
 from twistcal.cli import main
 from twistcal.errors import DomainError
 from twistcal.examples import make_eta_family, make_section_family
+from twistcal.numerics import Profile
 from twistcal.report import SuiteConfig
+from twistcal.stenzel import DEFAULT_PROFILE
 from twistcal.submanifold import adapted_frame, get_chart
 from twistcal.suites import run_suite
 
@@ -72,7 +74,7 @@ def stack():
     frames = adapted_frame(chart, chart.sample(rng_for(21), 70))
     family = make_section_family("sinphi", C=0.7, D=-0.4)
     fibers = np.array([[0.4, -1.1], [1.3, 0.2], [-0.6, 0.9]])
-    return frames, family, fibers, g2.BSProfile(u=lambda r: 1.0 + r, v=lambda r: 1.0 + 2.0 * r)
+    return frames, family, fibers, Profile(lambda r: 1.0 + r, lambda r: 1.0 + 2.0 * r)
 
 
 def test_section_data_rows_match_single_points(stack):
@@ -149,10 +151,22 @@ def test_spin7_basis_and_residuals_rows_match_single_points(stack):
             assert profile.at(r[i, j]) == (u[i, j], v[i, j])
 
 
-def test_profile_names_the_first_non_positive_weight():
-    profile = g2.BSProfile(u=lambda r: 1.0 - r)
-    with pytest.raises(DomainError, match=r"u=-0\.5, v=1 at fibre radius r=1\.5"):
-        profile.at(np.array([0.5, 1.5, 2.5]))
+def test_profile_at_broadcasts_and_names_the_first_non_positive_radius():
+    # a constant and a callable slot broadcast against the radii alike
+    r = np.array([[0.5, 1.5], [2.5, 0.0]])
+    a, b = Profile(lambda r: 1.0 + r, 2.0).at(r)
+    np.testing.assert_array_equal(a, 1.0 + r)
+    np.testing.assert_array_equal(b, np.full(r.shape, 2.0))
+    assert Profile(3.0, 4.0).at(1.0) == (3.0, 4.0)
+    for r in rng_for(10).uniform(0.1, 10.0, size=20):
+        vp, vpp = DEFAULT_PROFILE.at(float(r))
+        assert vp > 0 and vpp > 0
+    with pytest.raises(DomainError, match=r"got \(-0\.5, 1\) at radius r=1\.5"):
+        Profile(lambda r: 1.0 - r, 1.0).at(np.array([0.5, 1.5, 2.5]))
+    with pytest.raises(DomainError, match=r"got \(1, -1\) at radius r=2"):
+        Profile(1.0, -1.0).at(2.0)
+    with pytest.raises(DomainError, match=r"got \(1, 0\) at radius r=0\.25"):
+        Profile(1.0, 0.0).at([[0.25, 3.0]])
 
 
 # -- families and the nabla f table ----------------------------------------------------------

@@ -24,6 +24,7 @@ from conftest import (
 from twistcal import g2, spin7
 from twistcal.errors import GradeError
 from twistcal.exterior import dense_tensor
+from twistcal.numerics import Profile
 
 # (library form, bitmask oracle form, dimension of the total space, degree)
 FORMS = {
@@ -68,9 +69,11 @@ def test_tables_match_bitmask_forms(name):
 
 
 def test_cached_unit_tensors_are_the_unit_tables():
-    phi, psi = g2._unit_tensors()
-    cases = ((phi, g2.phi_form), (psi, g2.psi_form), (spin7._unit_phi(), spin7.phi_form))
-    for cached, build in cases:
+    cases = ((g2.PHI_TABLE, 7, g2.phi_form), (g2.PSI_TABLE, 7, g2.psi_form),
+             (spin7.PHI_TABLE, 8, spin7.phi_form))
+    for table, dim, build in cases:
+        cached = g2.unit_tensor(table, dim)
+        assert cached is g2.unit_tensor(table, dim)
         assert not cached.flags.writeable
         assert cached.tobytes() == build(1.0, 1.0).tobytes()
 
@@ -98,7 +101,7 @@ def test_dense_tensor_needs_a_homogeneous_form():
 
 def _random_case(rng, dim, count):
     u, v = rng.uniform(0.3, 2.5, size=2)
-    return g2.BSProfile(u=u, v=v), u, v, rng.standard_normal((count, dim))
+    return Profile(u, v), u, v, rng.standard_normal((count, dim))
 
 
 def test_associative_residual_matches_bitmask_chain():

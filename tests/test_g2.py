@@ -6,8 +6,6 @@ from twistcal import spin7
 from twistcal.exterior import InnerSpace, asd_sd_split, form_inner, hodge
 from twistcal.examples import make_eta_family, make_section_family
 from twistcal.g2 import (
-    BSProfile,
-    UNIT_PROFILE,
     associative_residual,
     coassociative_residual,
     dbar_f_residual,
@@ -18,6 +16,7 @@ from twistcal.g2 import (
     tangent_basis_e_sigma,
     tangent_basis_eta_f,
 )
+from twistcal.numerics import Profile
 from twistcal.submanifold import adapted_frame, get_chart, rotate_frame_field, with_normal_frame
 
 from conftest import (
@@ -234,7 +233,7 @@ def test_associative_residual_normal_centre_formula():
     t1 = -0.7
     e1, e2, f1 = tangent_basis_e_sigma(point, sec, t1)
     for uu, vv in ((1.0, 1.0), (1.7, 0.6)):
-        profile = BSProfile(u=uu, v=vv)
+        profile = Profile(uu, vv)
         res = associative_residual(e1, e2, f1, profile, fiber=(t1, sec.a, sec.b))
         b = [e1[5], e2[5]]
         c = [e1[6], e2[6]]
@@ -294,7 +293,7 @@ def test_associative_verdict_profile_independent():
     bad = make_section_family("const", re=1.0, im=0.0)
     for _ in range(5):
         uu, vv = rng.uniform(0.2, 3.0, size=2)
-        profile = BSProfile(u=uu, v=vv)
+        profile = Profile(uu, vv)
         sec_g = g2.section_data(good, point)
         e1, e2, f1 = tangent_basis_e_sigma(point, sec_g, 0.9)
         assert associative_residual(e1, e2, f1, profile, fiber=(0.9, sec_g.a, sec_g.b)) < 1e-6

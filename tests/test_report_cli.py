@@ -16,6 +16,7 @@ from twistcal.report import (
     parse_report,
 )
 from twistcal.examples import make_section_family
+from twistcal.numerics import Profile
 from twistcal.stenzel import DEFAULT_PROFILE
 from twistcal.suites import (
     MAX_COEFF_INDEX,
@@ -151,8 +152,10 @@ def test_profile_spec_parsing():
     assert parse_profile_spec("unit", "g2-associative").at(0.5) == (1.0, 1.0)
     assert parse_profile_spec("unit", "stenzel-lagrangian") is DEFAULT_PROFILE
     assert parse_profile_spec("linear", "spin7-cayley").at(1.0) == (2.0, 3.0)
-    assert parse_profile_spec("u=2,v=0.5", "g2-coassociative").at(1.0) == (2.0, 0.5)
-    assert parse_profile_spec("vp=3,vpp=4", "stenzel-lagrangian").at(1.0) == (3.0, 4.0)
+    # constants stay plain floats, and an absent key reads 1
+    assert parse_profile_spec("u=2,v=0.5", "g2-coassociative") == Profile(2.0, 0.5)
+    assert parse_profile_spec("vp=3,vpp=4", "stenzel-lagrangian") == Profile(3.0, 4.0)
+    assert parse_profile_spec("vpp=4", "stenzel-lagrangian") == Profile(1.0, 4.0)
     with pytest.raises(ConfigError):
         parse_profile_spec("w=1", "g2-associative")
     # each suite reads only its own profile, so the other suite's keys are rejected
@@ -259,12 +262,17 @@ def test_cli_config_file_and_flag_override(tmp_path):
     assert json.loads(out.read_bytes())["config"]["samples"] == 1
 
 
-def test_cli_bad_config_file(tmp_path):
+def test_cli_bad_config_file(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("nonsense line\n")
     assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
     cfg_file.write_text("unknown_key=3\n")
     assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
+    # a file that is not UTF-8 text is a config error, not a UnicodeDecodeError
+    cfg_file.write_bytes(b"\xff\xfesamples=2\n")
+    capsys.readouterr()
+    assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot read config file: {cfg_file} is not UTF-8 text\n"
 
 
 def test_cli_config_file_rejects_a_suite_line(tmp_path, capsys):
@@ -473,6 +481,12 @@ _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--sa
         (["table", "veronese", "--samples", "100000000000"],
          f"100000000000 samples exceed the cap of {MAX_ROWS} rows per job"),
         (_COASSOC + ["--section", "coord:axis=0"], "coord axis must be an integer index >= 1, got 0"),
+        (_VERIFY + ["--profile", "vp=-1"], "profile derivatives must be positive"),
+        (_VERIFY + ["--profile", "vpp=0"], "profile derivatives must be positive"),
+        # a repeated key is rejected, not resolved to its last value
+        (_CAYLEY + ["--section", "equatorial-hol:c1re=1,c1re=2"], "parameter 'c1re' is given more than once"),
+        (_CAYLEY + ["--section", "const:re=1, re=2"], "parameter 're' is given more than once"),
+        (_CAYLEY + ["--profile", "u=1,u=2"], "parameter 'u' is given more than once"),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys):

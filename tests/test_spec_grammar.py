@@ -1,4 +1,5 @@
-"""Property test of the --section, --mu, --profile and --fiber grammars.
+"""Property tests of the --section, --mu, --profile and --fiber grammars and
+of --config files.
 
 Every generated command must end in a verdict or a one-line diagnosis: exit
 0, 1 or 2, no exception out of ``cli.main`` and at most one line on stderr.
@@ -7,6 +8,8 @@ The examples are derandomised, so a run is reproducible.
 
 import contextlib
 import io
+import os
+import tempfile
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -71,8 +74,54 @@ def _flag(name, values):
          section=[f"--section=veronese-strip:k-{LONG}im=1"], mu=[], profile=[], fiber=[])
 def test_spec_grammar_ends_in_a_verdict_or_one_line(suite, chart, samples, section, mu, profile, fiber):
     argv = ["verify", suite, "--chart", chart, "--samples", str(samples), *section, *mu, *profile, *fiber]
+    _assert_verdict_or_one_line(argv)
+
+
+def _assert_verdict_or_one_line(argv):
     out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1
+
+
+# config-file values per key; OUT stands for a writable directory
+CONFIG_VALUES = {
+    "chart": st.sampled_from(CHARTS + ["nosuch", ""]),
+    "section": SPECS,
+    "mu": MU,
+    "samples": st.sampled_from(["1", "2", "0", "-1", "1.5", "x", "", "100000000000"]),
+    "seed": st.sampled_from(["0", "7", "-1", "x", LONG]),
+    "fd_step": st.one_of(NUMBERS, st.sampled_from(["1e-5", "1e-10", "1e-3"])),
+    "tol_verdict": st.one_of(NUMBERS, st.sampled_from(["1e-4", "1e-3"])),
+    "profile": st.one_of(SPECS, PARTS),
+    "fiber": FIBERS,
+    "format": st.sampled_from(["json", "csv", "xml", ""]),
+    "out": st.sampled_from(["OUT/r.out", "OUT/missing/r.out", "OUT", ""]),
+}
+KNOWN_LINES = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+    lambda key: CONFIG_VALUES[key].map(lambda value: f"{key}={value}")
+)
+# unknown keys, lines without '=', comments and blank lines
+OTHER_LINES = st.sampled_from([
+    "suite=spin7-cayley", "tol_algebraic=1e-30", "x=1", "=1", "samples", "nonsense line", "# samples=5", "",
+])
+# lines may repeat; the last line of a key wins
+CONFIG_LINES = st.lists(
+    st.one_of(KNOWN_LINES.map(str.encode), OTHER_LINES.map(str.encode), st.binary(max_size=12)),
+    max_size=5,
+).map(b"\n".join)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(suite=st.sampled_from(SUITES), body=CONFIG_LINES)
+# a file that is not UTF-8 text once raised UnicodeDecodeError out of main
+@example(suite="g2-associative", body=b"\xff\xfesamples=2")
+def test_config_file_ends_in_a_verdict_or_one_line(suite, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "suite.cfg")
+        with open(path, "wb") as fh:
+            # one sample unless a generated line sets another count
+            fh.write(b"samples=1\n" + body.replace(b"OUT", tmp.encode()))
+        _assert_verdict_or_one_line(["verify", suite, "--config", path])

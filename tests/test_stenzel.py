@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from twistcal.errors import ChartError, DomainError
+from twistcal.numerics import Profile
 from twistcal.stenzel import (
-    DEFAULT_PROFILE,
-    StenzelProfile,
     bracket_factor,
     closed_form_tangents,
     constant_mu,
@@ -80,7 +79,7 @@ def test_coeffs_hermitian_random_points():
 def test_coeffs_real_point_drops_second_derivative_term():
     # at a real quadric point only the first profile derivative survives
     z = np.array([0.6, 0.8, 0.0, 0.0, 0.0], dtype=complex)
-    profile = StenzelProfile(vprime=lambda r: 2.5, vprimeprime=lambda r: 7.0)
+    profile = Profile(2.5, 7.0)
     a = stenzel_coeffs(z, profile)
     w = z[1:].real
     expected = (np.eye(4) + np.outer(w, w) / abs(z[0]) ** 2) * 2.5
@@ -88,7 +87,7 @@ def test_coeffs_real_point_drops_second_derivative_term():
 
 
 def test_coeffs_collapse_to_identity():
-    profile = StenzelProfile(vprime=lambda r: 1.0, vprimeprime=lambda r: 1e-300)
+    profile = Profile(1.0, 1e-300)
     z = np.zeros(5, dtype=complex)
     z[0] = 1.0
     a = stenzel_coeffs(z, profile)
@@ -219,16 +218,6 @@ def test_bracket_factor_positive():
         vp = rng.uniform(1e-3, 10.0)
         vpp = rng.uniform(1e-3, 10.0)
         assert bracket_factor(y, vp, vpp) > 0.0
-
-
-def test_profile_positivity_enforced():
-    bad = StenzelProfile(vprime=lambda r: -1.0, vprimeprime=lambda r: 1.0)
-    with pytest.raises(DomainError):
-        bad.at(1.0)
-    rng = rng_for(10)
-    for r in rng.uniform(0.1, 10.0, size=20):
-        vp, vpp = DEFAULT_PROFILE.at(float(r))
-        assert vp > 0 and vpp > 0
 
 
 def test_fiber_radius_identity():
