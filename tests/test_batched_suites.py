@@ -16,7 +16,6 @@ from twistcal.errors import DomainError
 from twistcal.examples import make_eta_family, make_section_family
 from twistcal.numerics import Profile
 from twistcal.report import SuiteConfig
-from twistcal.stenzel import DEFAULT_PROFILE
 from twistcal.submanifold import adapted_frame, get_chart
 from twistcal.suites import run_suite
 
@@ -151,16 +150,15 @@ def test_spin7_basis_and_residuals_rows_match_single_points(stack):
             assert profile.at(r[i, j]) == (u[i, j], v[i, j])
 
 
-def test_profile_at_broadcasts_and_names_the_first_non_positive_radius():
-    # a constant and a callable slot broadcast against the radii alike
+def test_profile_at_broadcasts_constant_and_callable_slots():
     r = np.array([[0.5, 1.5], [2.5, 0.0]])
     a, b = Profile(lambda r: 1.0 + r, 2.0).at(r)
     np.testing.assert_array_equal(a, 1.0 + r)
     np.testing.assert_array_equal(b, np.full(r.shape, 2.0))
     assert Profile(3.0, 4.0).at(1.0) == (3.0, 4.0)
-    for r in rng_for(10).uniform(0.1, 10.0, size=20):
-        vp, vpp = DEFAULT_PROFILE.at(float(r))
-        assert vp > 0 and vpp > 0
+
+
+def test_profile_names_the_first_non_positive_weight():
     with pytest.raises(DomainError, match=r"got \(-0\.5, 1\) at radius r=1\.5"):
         Profile(lambda r: 1.0 - r, 1.0).at(np.array([0.5, 1.5, 2.5]))
     with pytest.raises(DomainError, match=r"got \(1, -1\) at radius r=2"):

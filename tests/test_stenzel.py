@@ -6,6 +6,7 @@ import pytest
 from twistcal.errors import ChartError, DomainError
 from twistcal.numerics import Profile
 from twistcal.stenzel import (
+    DEFAULT_PROFILE,
     bracket_factor,
     closed_form_tangents,
     constant_mu,
@@ -218,6 +219,16 @@ def test_bracket_factor_positive():
         vp = rng.uniform(1e-3, 10.0)
         vpp = rng.uniform(1e-3, 10.0)
         assert bracket_factor(y, vp, vpp) > 0.0
+
+
+def test_profile_positivity_enforced():
+    bad = Profile(lambda r: -1.0, lambda r: 1.0)
+    with pytest.raises(DomainError):
+        bad.at(1.0)
+    rng = rng_for(10)
+    for r in rng.uniform(0.1, 10.0, size=20):
+        vp, vpp = DEFAULT_PROFILE.at(float(r))
+        assert vp > 0 and vpp > 0
 
 
 def test_fiber_radius_identity():
