@@ -4,7 +4,7 @@ Subcommands:
 
     twistcal list                      registered suites, charts, tables
     twistcal verify SUITE [flags]      run a verification suite
-    twistcal table NAME [flags]        compare FD frame data to a golden table
+    twistcal table NAME [flags]        compare frame data to a golden table
 
 ``verify`` accepts a flat key=value config file (--config) with the same keys
 as the flags; flags override the file.  Exit codes: 0 verdict PASS, 1 verdict
@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ConfigError, TwistcalError
-from .report import SuiteConfig, check_fd_step, check_samples, check_seed, emit
+from .report import SuiteConfig, check_samples, check_seed, emit
 from .suites import run_suite, suite_names
 
 _CONFIG_KEYS = {
@@ -32,7 +32,6 @@ _CONFIG_KEYS = {
     "mu": str,
     "samples": int,
     "seed": int,
-    "fd_step": float,
     "tol_verdict": float,
     "profile": str,
     "fiber": str,
@@ -42,7 +41,9 @@ _CONFIG_KEYS = {
 
 
 def _read_config_file(path: str) -> dict:
+    """The keys of a flat key=value file; a key may appear once."""
     values: dict = {}
+    lines: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -54,6 +55,10 @@ def _read_config_file(path: str) -> dict:
                 key, val = (part.strip() for part in line.split("=", 1))
                 if key not in _CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in lines:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} is given more than once "
+                                      f"(first on line {lines[key]})")
+                lines[key] = lineno
                 try:
                     values[key] = _CONFIG_KEYS[key](val)
                 except ValueError:
@@ -97,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--mu", help="conormal twist spec, e.g. 0.3e1 (stenzel suite)")
     verify.add_argument("--samples", type=int)
     verify.add_argument("--seed", type=int)
-    verify.add_argument("--fd-step", type=float, dest="fd_step")
     verify.add_argument("--tol-verdict", type=float, dest="tol_verdict")
     verify.add_argument("--profile")
     verify.add_argument("--fiber", help="semicolon-separated fibre tuples, e.g. -2;0;1.5")
@@ -113,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("name")
     table.add_argument("--samples", type=int, default=50)
     table.add_argument("--seed", type=int, default=0)
-    table.add_argument("--fd-step", type=float, dest="fd_step", default=1e-5)
 
     sub.add_parser("list", help="print registered suites, charts and tables")
     return parser
@@ -156,7 +159,6 @@ def _cmd_table(args) -> int:
 
     check_samples(args.samples)
     check_seed(args.seed)
-    check_fd_step(args.fd_step)
     try:
         table = golden_table(args.name)
     except TwistcalError as exc:
@@ -164,7 +166,7 @@ def _cmd_table(args) -> int:
     chart = get_chart(table["chart"])
     tol = float(table["tolerance"])
     rng = np.random.default_rng(args.seed)
-    res = golden_residuals(args.name, chart.sample(rng, args.samples), args.fd_step)
+    res = golden_residuals(args.name, chart.sample(rng, args.samples))
     worst = float(np.max(res["max"]))
     status = "PASS" if worst < tol else "FAIL"
     print(f"table {args.name}: worst residual {worst:.3e} over {args.samples} points -> {status}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import g2
 from .errors import ConfigError, DomainError
-from .numerics import DEFAULT_FD_STEP
+from .numerics import strict_arithmetic
 from .report import check_keys
 from .submanifold import (
     ImmersionChart,
@@ -54,18 +54,18 @@ def equatorial_chart() -> ImmersionChart:
     classical adapted frame."""
 
     def xmap(u):
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(u)
         r2 = (u[..., None, :] @ u[..., :, None])[..., 0]
-        out = np.zeros(u.shape[:-1] + (5,))
+        out = np.zeros(u.shape[:-1] + (5,), np.result_type(u, float))
         out[..., :1] = (r2 - 1.0) / (r2 + 1.0)
         out[..., 1:3] = 2.0 * u / (r2 + 1.0)
         return out
 
     def frame_field(u):
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(u)
         u1, u2 = u[..., 0], u[..., 1]
         d = u1 * u1 + u2 * u2 + 1.0
-        out = np.zeros(u.shape[:-1] + (4, 5))
+        out = np.zeros(u.shape[:-1] + (4, 5), np.result_type(u, float))
         out[..., 0, :3] = np.stack([2 * u1, 1 - u1 * u1 + u2 * u2, -2 * u1 * u2], axis=-1)
         out[..., 1, :3] = np.stack([2 * u2, -2 * u1 * u2, 1 + u1 * u1 - u2 * u2], axis=-1)
         out[..., :2, :3] /= d[..., None, None]
@@ -86,15 +86,16 @@ def equatorial_chart() -> ImmersionChart:
 # -- Veronese immersion ------------------------------------------------------
 # Every chart function below maps u of shape (..., 2) to (..., 5) points or
 # (..., 4, 5) frames; vectors are stacked on the last axis and scalar fields
-# carry a trailing axis of length 1 so that they broadcast against them.
+# carry a trailing axis of length 1 so that they broadcast against them.  All
+# of them keep the dtype of u, so a complex step passes through.
 
 _SQ3 = math.sqrt(3.0)
 
 
 def _vec(like, *components):
     """Stack per-point components (arrays shaped like ``like``, or constants)
-    on a new last axis."""
-    out = np.empty(np.shape(like) + (len(components),))
+    on a new last axis, in their common dtype."""
+    out = np.empty(np.shape(like) + (len(components),), np.result_type(like, *components))
     for i, c in enumerate(components):
         out[..., i] = c
     return out
@@ -133,7 +134,7 @@ _W_HAT = np.array([0.0, 0.0, 0.0, -_SQ3 / 2.0, 0.5])
 
 def _angles(u):
     """phi and theta of chart points (..., 2), and the sine and cosine of phi."""
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
     phi, theta = u[..., 0], u[..., 1]
     return phi, theta, np.sin(phi), np.cos(phi)
 
@@ -221,20 +222,32 @@ def compose_antipodal(chart: ImmersionChart) -> ImmersionChart:
 @dataclass(frozen=True)
 class SectionFamily:
     """A coefficient function over a chart, broadcasting over leading axes
-    from chart points (..., q) to values (...): complex G = a + ib for the
-    rank-two twists, whose |section|^2 is 2 |G|^2 in the determinant
-    convention, or real gamma (``dtype=float``) for the rank-one ones."""
+    from chart points (..., q): complex G = a + ib for the rank-two twists,
+    whose |section|^2 is 2 |G|^2 in the determinant convention, or real
+    gamma for the rank-one ones (``rank_two=False``).
+
+    ``evaluator`` maps (N, q) rows to real parts, (N, 2) as (a, b) or (N,)
+    as gamma, each a real-analytic expression in u, so that a complex step
+    through :meth:`parts` differentiates it.
+    """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    dtype: type = complex
+    rank_two: bool = True
+
+    def parts(self, u):
+        """The real parts at a chart point or at every row of a stack, shape
+        (..., 2) or (...); a complex step passes through.  A point goes
+        through as a stack of one row, since numpy's scalar arithmetic may
+        round differently from its array loops."""
+        u = np.asarray(u)
+        u = u.astype(np.result_type(u, float), copy=False)
+        values = np.asarray(self.evaluator(u.reshape(-1, u.shape[-1])))
+        return values.reshape(u.shape[:-1] + values.shape[1:])[()]
 
     def value(self, u):
-        """The coefficient at a chart point or at every row of a stack.  A
-        point goes through as a stack of one row, since numpy's scalar
-        arithmetic may round differently from its array loops."""
-        u = np.asarray(u, dtype=float)
-        values = np.asarray(self.evaluator(u.reshape(-1, u.shape[-1])), dtype=self.dtype)
-        return values.reshape(u.shape[:-1])[()]
+        """G = a + ib, or gamma, at a chart point or at every row of a stack."""
+        values = self.parts(u)
+        return (values[..., 0] + 1j * values[..., 1])[()] if self.rank_two else values
 
 
 def _kind_params(what: str, kinds: dict, kind: str, params: dict) -> dict:
@@ -269,19 +282,20 @@ def make_section_family(kind: str, **params) -> SectionFamily:
     """
     params = _kind_params("section", _SECTION_KINDS, kind, params)
     if kind == "zero":
-        ev = lambda u: np.zeros(u.shape[:-1], dtype=complex)
+        ev = lambda u: np.zeros(u.shape[:-1] + (2,))
     elif kind == "const":
-        c = complex(params["re"], params["im"])
-        ev = lambda u: np.full(u.shape[:-1], c)
+        c = (float(params["re"]), float(params["im"]))
+        ev = lambda u: np.full(u.shape[:-1] + (2,), c)
     elif kind == "equatorial-hol":
         coeffs = [complex(c) for c in params["coeffs"]]
 
         def ev(u):
-            z = u[..., 0] + 1j * u[..., 1]
-            h = np.zeros(z.shape, dtype=complex)
+            # Horner's rule for H(x + iy) in real pairs
+            x, y = u[..., 0], u[..., 1]
+            hr = hi = np.zeros_like(x)
             for c in reversed(coeffs):
-                h = h * z + c
-            return h * (z * z.conjugate() + 1.0)
+                hr, hi = hr * x - hi * y + c.real, hr * y + hi * x + c.imag
+            return np.stack([hr, hi], axis=-1) * (x * x + y * y + 1.0)[..., None]
 
     else:
         if kind == "sinphi":
@@ -290,12 +304,15 @@ def make_section_family(kind: str, **params) -> SectionFamily:
             terms = {int(k): complex(c) for k, c in params["coeffs"].items()}
 
         def ev(u):
+            # c_k exp(ikw) = c_k (cos k theta + i sin k theta) tan(phi/2)^k
             phi, theta = u[..., 0], u[..., 1]
             t = np.tan(phi / 2.0)
-            total = np.zeros(u.shape[:-1], dtype=complex)
+            a = b = np.zeros_like(phi)
             for k, c in terms.items():
-                total += c * np.exp(1j * k * theta) * t**k
-            return np.sin(phi) * total
+                ck, sk, tk = np.cos(k * theta), np.sin(k * theta), t**k
+                a = a + (c.real * ck - c.imag * sk) * tk
+                b = b + (c.real * sk + c.imag * ck) * tk
+            return np.stack([a, b], axis=-1) * np.sin(phi)[..., None]
 
     return SectionFamily(ev)
 
@@ -318,24 +335,19 @@ def make_eta_family(kind: str, **params) -> SectionFamily:
             raise ConfigError(f"coord axis must be an integer index >= 1, got {params['axis']:g}")
         axis = int(params["axis"]) - 1
         ev = lambda u: u[..., axis]
-    return SectionFamily(ev, float)
+    return SectionFamily(ev, rank_two=False)
 
 
 # -- holomorphicity PDE ------------------------------------------------------
 
 
-def pde_residual(
-    family: SectionFamily,
-    chart: ImmersionChart,
-    u,
-    fd_step: float = DEFAULT_FD_STEP,
-) -> complex:
+def pde_residual(family: SectionFamily, chart: ImmersionChart, u) -> complex:
     """dG(e_1) + i dG(e_2) - (p + iq) G at a chart point: the two components
     of :func:`twistcal.g2.dbar_f_residual` as one complex number.
 
     A rank-two twist coefficient G is holomorphic when it vanishes.
     """
-    point = adapted_frame(chart, u, fd_step)
+    point = adapted_frame(chart, u)
     return complex(*g2.dbar_f_residual(point.gamma, g2.section_data(family, point)))
 
 
@@ -419,7 +431,6 @@ def frame_change_check(
     theta: float,
     C: float = 1.0,
     D: float = 0.0,
-    fd_step: float = DEFAULT_FD_STEP,
 ) -> dict:
     """Residuals of the overlap identities between the two Veronese charts.
 
@@ -465,18 +476,18 @@ def frame_change_check(
     )
 
     # transformed section coefficients satisfy the hatted PDE
-    def hat_family_value(uh):
+    def hat_parts(uh):
         phh, thh = uh[..., 0], uh[..., 1]
         a_hat = -C * np.cos(phh) * np.cos(thh) - D * np.sin(thh)
         b_hat = C * np.sin(thh) - D * np.cos(phh) * np.cos(thh)
-        return a_hat + 1j * b_hat
+        return np.stack([a_hat, b_hat], axis=-1)
 
-    hat_family = SectionFamily(hat_family_value)
-    res["hat_pde"] = abs(pde_residual(hat_family, chart_hat, u_hat, fd_step))
+    hat_family = SectionFamily(hat_parts)
+    res["hat_pde"] = abs(pde_residual(hat_family, chart_hat, u_hat))
 
     # the transformed coefficients agree with transporting sigma itself
     sigma = C * sp * f2 + D * sp * f3
-    g_hat = hat_family_value(u_hat)
+    g_hat = hat_family.value(u_hat)
     sigma_hat = g_hat.real * f2h + g_hat.imag * f3h
     res["sigma_transport"] = float(np.max(np.abs(sigma - sigma_hat)))
     res["max"] = max(v for k, v in res.items() if k != "max") if res else 0.0
@@ -559,8 +570,8 @@ def _eval_expr(expr: str, variables: dict):
     return walk(tree.body)
 
 
-def golden_residuals(name: str, u, fd_step: float = DEFAULT_FD_STEP) -> dict:
-    """Compare the FD frame data against the reference coefficient table.
+def golden_residuals(name: str, u) -> dict:
+    """Compare the frame data against the reference coefficient table.
 
     ``u`` is one chart point (q,) or a stack (P, q); each table expression
     is evaluated once over the stack, and every residual has one value per
@@ -568,7 +579,8 @@ def golden_residuals(name: str, u, fd_step: float = DEFAULT_FD_STEP) -> dict:
     """
     table = golden_table(name)
     chart = get_chart(table["chart"])
-    point = adapted_frame(chart, u, fd_step)
+    with strict_arithmetic(f"table {name!r}"):
+        point = adapted_frame(chart, u)
     variables = {v: point.u[..., i] for i, v in enumerate(table["variables"])}
 
     expected = np.zeros_like(point.gamma)

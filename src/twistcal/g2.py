@@ -145,11 +145,11 @@ class SectionData:
 
 def section_data(family, point: AdaptedFramePoint) -> SectionData:
     """G = a + ib and its derivatives along e_1, e_2 at a frame point or a
-    stack; every row and direction goes through one FD call on G at the
-    point's ``fd_step``."""
-    g = family.value(point.u)
-    dg = point.scalar_derivatives(family.value)
-    return SectionData(a=g.real, b=g.imag, da=dg.real, db=dg.imag)
+    stack; every row and direction goes through one complex-step call on the
+    real parts (a, b)."""
+    ab = family.parts(point.u)
+    dab = point.scalar_derivatives(family.parts)
+    return SectionData(a=ab[..., 0], b=ab[..., 1], da=dab[..., 0], db=dab[..., 1])
 
 
 def per_point(x, fibre_ndim: int, trailing: int = 0) -> np.ndarray:

@@ -17,7 +17,6 @@ __all__ = [
     "SuiteConfig",
     "check_keys",
     "check_positive",
-    "check_fd_step",
     "check_samples",
     "check_seed",
     "VerificationReport",
@@ -30,11 +29,6 @@ __all__ = [
 # The largest accepted --tol-verdict: a wider PASS band would swallow clear
 # failures.
 SEPARATION = 1e-3
-
-# The accepted --fd-step range.  Above it the FD truncation error turns clear
-# PASS configs MIXED or FAIL (1e-2 does), below it round-off does (1e-14 does);
-# 1e-10 still runs, with visible FD noise.
-FD_STEP_RANGE = (1e-10, 1e-3)
 
 
 # The most rows (samples x fibre tuples, or samples of a table) one job may
@@ -70,13 +64,6 @@ def check_keys(what: str, params: dict, allowed) -> None:
         raise ConfigError(f"unknown {what} keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-def check_fd_step(value: float) -> None:
-    check_positive("fd_step", value)
-    lo, hi = FD_STEP_RANGE
-    if not lo <= value <= hi:
-        raise ConfigError(f"fd_step must lie in [{lo!r}, {hi!r}], got {value!r}")
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str
@@ -84,7 +71,6 @@ class SuiteConfig:
     section: str = "zero"
     samples: int = 50
     seed: int = 0
-    fd_step: float = 1e-5
     tol_verdict: float = 1e-4
     profile: str = "unit"
     fiber: str = ""
@@ -98,7 +84,6 @@ class SuiteConfig:
         if self.tol_verdict > SEPARATION:
             raise ConfigError(f"tol_verdict must be at most the FAIL separation {SEPARATION!r}, "
                               f"got {self.tol_verdict!r}")
-        check_fd_step(self.fd_step)
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
         return self

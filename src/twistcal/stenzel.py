@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartError, DomainError
-from .numerics import DEFAULT_FD_STEP, Profile, directional_derivative, row_norms
+from .numerics import Profile, directional_derivative, row_norms
 from .submanifold import AdaptedFramePoint, ImmersionChart, adapted_frame
 from .submanifold import with_normal_frame  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 
@@ -56,13 +56,25 @@ def constant_mu(coeffs) -> np.ndarray:
     return np.asarray(coeffs, dtype=float)
 
 
-def _sinhc(x):
-    """sinh(x)/x, elementwise."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-6
-    x2 = x * x
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 + x2 / 6.0 + x2 * x2 / 120.0, np.sinh(safe) / safe)[()]
+def _cosh_sinhc(s):
+    """cosh(sqrt s) and sinh(sqrt s)/sqrt s, elementwise: both are analytic
+    in s, so a complex step through s = xi . xi passes through."""
+    s = np.asarray(s)
+    r = np.sqrt(s)
+    small = np.abs(s.real) < 1e-12
+    safe = np.where(small, 1.0, r)
+    return np.cosh(r), np.where(small, 1.0 + s / 6.0 + s * s / 120.0, np.sinh(safe) / safe)
+
+
+def _psi_parts(x, xi) -> np.ndarray:
+    """The real and imaginary parts of :func:`psi_map` as a (..., 2, n+1)
+    array, each real-analytic in (x, xi), so that a complex step through them
+    differentiates both."""
+    s = (xi * xi).sum(axis=-1)
+    if np.any(np.abs((x * xi).sum(axis=-1).real) > 1e-9 * (1.0 + np.sqrt(np.abs(s.real)))):
+        raise DomainError("cotangent vector must be orthogonal to the base point")
+    ch, shc = _cosh_sinhc(s)
+    return np.stack(np.broadcast_arrays(x * ch[..., None], xi * shc[..., None]), axis=-2)
 
 
 def psi_map(x, xi) -> np.ndarray:
@@ -71,12 +83,8 @@ def psi_map(x, xi) -> np.ndarray:
     Broadcasts over leading axes: (..., n+1) points and covectors give
     (..., n+1) quadric points.
     """
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    r = row_norms(xi)
-    if np.any(np.abs((x[..., None, :] @ xi[..., :, None])[..., 0, 0]) > 1e-9 * (1.0 + r)):
-        raise DomainError("cotangent vector must be orthogonal to the base point")
-    return x * np.cosh(r)[..., None] + 1j * xi * _sinhc(r)[..., None]
+    parts = _psi_parts(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
+    return parts[..., 0, :] + 1j * parts[..., 1, :]
 
 
 Z0_GUARD = 0.1  # the coefficient chart needs |z_0| above this
@@ -167,21 +175,15 @@ def _rows_times(coeffs, vectors):
     return (np.asarray(coeffs)[..., None, :] @ vectors)[..., 0, :]
 
 
-def twisted_conormal_point(
-    chart: ImmersionChart,
-    mu,
-    u,
-    t,
-    fd_step: float = DEFAULT_FD_STEP,
-) -> TwistedConormalPoint:
-    """Assemble the point and its FD tangent basis, re-based at the frame.
+def twisted_conormal_point(chart: ImmersionChart, mu, u, t) -> TwistedConormalPoint:
+    """Assemble the point and its tangent basis, re-based at the frame.
 
     ``mu`` holds the (q,) coefficients of the twist.  ``u`` and ``t`` are
     one chart point (q,) and fibre coordinate (n-q,), or stacks (P, q) and
-    (P, n-q); the whole FD stencil of every point goes through one stacked
-    call of the total-space map.
+    (P, n-q); every direction of every point goes through one stacked
+    complex-step call of the total-space map.
     """
-    point = adapted_frame(chart, u, fd_step)
+    point = adapted_frame(chart, u)
     q, n = chart.q, chart.n
     t = np.asarray(t, dtype=float)
     if t.shape != point.u.shape[:-1] + (n - q,):
@@ -189,21 +191,24 @@ def twisted_conormal_point(
     frame_fn = chart.frame_field
 
     def total_map(params):
+        # (..., 2, n+1): the real and imaginary parts of the quadric point
         uu, tt = params[..., :q], params[..., q:]
         frame = frame_fn(uu)
         xi = _rows_times(tt, frame[..., q:, :]) + _rows_times(mu, frame[..., :q, :])
-        return psi_map(chart.xmap(uu), xi)
+        return _psi_parts(chart.xmap(uu), xi)
 
     params0 = np.concatenate([point.u, t], axis=-1)
-    rot = _rotation(point)
-    z = (rot @ total_map(params0)[..., None])[..., 0]
+    rot_t = np.swapaxes(_rotation(point), -1, -2)
+    z = total_map(params0) @ rot_t
+    z = z[..., 0, :] + 1j * z[..., 1, :]
 
-    # stencil directions: (velocity_i, 0) for the base, (0, unit_k) for the fibre
+    # directions: (velocity_i, 0) for the base, (0, unit_k) for the fibre
     dirs = np.zeros(point.u.shape[:-1] + (n, n))
     dirs[..., :q, :q] = point.velocities
     dirs[..., q:, q:] = np.eye(n - q)
-    dz = directional_derivative(total_map, params0[..., None, :], dirs, fd_step)
-    tangents = dz @ np.swapaxes(rot, -1, -2)
+    dz = directional_derivative(total_map, params0[..., None, :], dirs)
+    dz = dz[..., 0, :] + 1j * dz[..., 1, :]
+    tangents = dz @ rot_t
 
     a = np.broadcast_to(np.asarray(mu, dtype=float), point.u.shape)
     y = ((t[..., None, :] @ t[..., :, None]) + (a[..., None, :] @ a[..., :, None]))[..., 0, 0]
@@ -219,15 +224,11 @@ def twisted_conormal_point(
 
 
 def closed_form_tangents(
-    chart: ImmersionChart,
-    mu,
-    u,
-    t,
-    fd_step: float = DEFAULT_FD_STEP,
+    chart: ImmersionChart, mu, u, t
 ) -> tuple[TwistedConormalPoint, np.ndarray, np.ndarray]:
-    """The main path's FD tangents, plus their closed forms.
+    """The main path's tangents, plus their closed forms.
 
-    Returns (fd_point, E_closed, F_closed) for one point or a stack.  The
+    Returns (point, E_closed, F_closed) for one point or a stack.  The
     proof derives E_i and F_j at the centre of a normal frame, where the
     twist's coefficients a = mu have the covariant derivative
     da_il = sum_m mu_m gamma[i, m, l]; the radial terms in a . da_i drop,
@@ -235,12 +236,12 @@ def closed_form_tangents(
     the normal rows also turn along e_i, by C_il = sum_k t_k
     gamma[i, q+k, q+l], so E_i gains sum_l C_il F_l.
     """
-    fd_point = twisted_conormal_point(chart, mu, u, t, fd_step)
+    point = twisted_conormal_point(chart, mu, u, t)
     q, n = chart.q, chart.n
-    gamma = fd_point.frame_point.gamma  # (..., q, n, n)
-    a, t = fd_point.mu_coeffs, fd_point.t
-    y = np.asarray(fd_point.y)[..., None, None]
-    ch, sh = np.cosh(np.sqrt(y)), _sinhc(np.sqrt(y))
+    gamma = point.frame_point.gamma  # (..., q, n, n)
+    a, t = point.mu_coeffs, point.t
+    y = np.asarray(point.y)[..., None, None]
+    ch, sh = _cosh_sinhc(y)
     radial = (ch - sh) / np.where(y > 0, y, 1.0)  # ch - sh is 0 at y = 0
     xi = np.concatenate([a, t], axis=-1)[..., None, :]  # fibre covector on slots 1..n
     eye = np.eye(n)
@@ -254,7 +255,7 @@ def closed_form_tangents(
     turn = np.concatenate([a_hat + da, -a_normal], axis=-1)
     e_closed = np.concatenate([-1j * sh * a[..., :, None], ch * eye[:q] + 1j * sh * turn], axis=-1)
     c = _rows_times(t[..., None, :], gamma[..., q:, q:])
-    return fd_point, e_closed + c @ f_closed, f_closed
+    return point, e_closed + c @ f_closed, f_closed
 
 
 def bracket_factor(y, vp, vpp):
@@ -288,12 +289,7 @@ def mixed_pairing_closed_form(
 
 
 def lagrangian_columns(
-    chart: ImmersionChart,
-    mu,
-    samples,
-    fiber_values,
-    profile: Profile = DEFAULT_PROFILE,
-    fd_step: float = DEFAULT_FD_STEP,
+    chart: ImmersionChart, mu, samples, fiber_values, profile: Profile = DEFAULT_PROFILE
 ):
     """Per-sample maximal |omega| over all tangent pairs and the criterion
     |mu(u)|, as (P,) columns, with the stacked ``TwistedConormalPoint`` and
@@ -302,26 +298,21 @@ def lagrangian_columns(
     All samples go through one stacked ``twisted_conormal_point`` and one
     ``omega_matrix`` contraction.
     """
-    pts = twisted_conormal_point(chart, mu, samples, fiber_values, fd_step)
+    pts = twisted_conormal_point(chart, mu, samples, fiber_values)
     omega = omega_matrix(pts.z, pts.all_tangents(), profile)
     worst = np.max(np.abs(omega), axis=(-2, -1))
     return worst, row_norms(pts.mu_coeffs), pts, omega
 
 
 def lagrangian_samples(
-    chart: ImmersionChart,
-    mu,
-    samples,
-    fiber_values,
-    profile: Profile = DEFAULT_PROFILE,
-    fd_step: float = DEFAULT_FD_STEP,
+    chart: ImmersionChart, mu, samples, fiber_values, profile: Profile = DEFAULT_PROFILE
 ):
     """:func:`lagrangian_columns` one sample at a time: yields dicts with the
     chart point, fiber coordinates, the residual, the criterion value and the
     sample's ``TwistedConormalPoint``."""
     samples = np.asarray(samples, dtype=float)
     fiber_values = np.asarray(fiber_values, dtype=float)
-    worst, mu_norm, pts, _ = lagrangian_columns(chart, mu, samples, fiber_values, profile, fd_step)
+    worst, mu_norm, pts, _ = lagrangian_columns(chart, mu, samples, fiber_values, profile)
     for i, (u, t) in enumerate(zip(samples, fiber_values)):
         yield {
             "u": u,

@@ -3,7 +3,7 @@
 An :class:`ImmersionChart` is a coordinate patch of an immersed submanifold
 of the unit sphere together with its adapted orthonormal frame field (rows
 e_1..e_q, nu_{q+1}..nu_n, all tangent to the sphere).  From it we
-compute, by finite differences:
+compute, by complex-step derivatives (see :mod:`twistcal.numerics`):
 
 * connection coefficients Gamma^l_{jk} = <P(D_{e_j} frame_k), frame_l> with
   P the projection onto T S^n,
@@ -24,13 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ImmersionDegenerateError
-from .numerics import (
-    DEFAULT_FD_STEP,
-    directional_derivative,
-    gram_schmidt,
-    jacobian,
-    row_norms,
-)
+from .numerics import directional_derivative, gram_schmidt, jacobian, row_norms
 
 __all__ = [
     "ImmersionChart",
@@ -56,7 +50,8 @@ class ImmersionChart:
 
     ``xmap`` and ``frame_field`` map chart points of shape (..., q) to
     points (..., n+1) and frames (..., n, n+1); they must broadcast over the
-    leading axes.
+    leading axes and be complex-safe, since their derivatives are complex
+    steps.
     """
 
     name: str
@@ -102,7 +97,6 @@ class AdaptedFramePoint:
     gamma: np.ndarray  # (q, n, n)
     second_fund: np.ndarray  # (n-q, q, q)
     velocities: np.ndarray  # (q, q)
-    fd_step: float
 
     def __len__(self) -> int:
         if self.u.ndim == 1:
@@ -121,15 +115,14 @@ class AdaptedFramePoint:
             gamma=self.gamma[i],
             second_fund=self.second_fund[i],
             velocities=self.velocities[i],
-            fd_step=self.fd_step,
         )
 
     def scalar_derivatives(self, field) -> np.ndarray:
         """d(field)(e_j) for a scalar or small-array chart function, shape
         (q, *out) or (P, q, *out) for a stack; every row and direction goes
-        through one FD call at the point's ``fd_step``, so ``field`` must
-        broadcast like a chart function."""
-        return directional_derivative(field, self.u[..., None, :], self.velocities, self.fd_step)
+        through one complex-step call, so ``field`` must broadcast and be
+        complex-safe like a chart function."""
+        return directional_derivative(field, self.u[..., None, :], self.velocities)
 
 
 def _first(rows: np.ndarray, bad: np.ndarray, single: bool) -> str:
@@ -155,14 +148,12 @@ def _domain_rows(chart: ImmersionChart, u) -> tuple[np.ndarray, bool]:
     return rows, single
 
 
-def adapted_frame(
-    chart: ImmersionChart, u, fd_step: float = DEFAULT_FD_STEP
-) -> AdaptedFramePoint:
+def adapted_frame(chart: ImmersionChart, u) -> AdaptedFramePoint:
     """Evaluate the adapted frame and its first-order data at a chart point
     u of shape (q,), or at every row of a stack of shape (P, q).
 
-    Every FD stencil of every row goes through one stacked call of the chart
-    functions.  A row outside the safe domain, off the sphere or at a
+    The derivatives of every row go through one stacked call of each chart
+    function.  A row outside the safe domain, off the sphere or at a
     degenerate point raises, naming the first such row.
     """
     q, n = chart.q, chart.n
@@ -174,7 +165,7 @@ def adapted_frame(
             f"chart {chart.name!r} does not map into the unit sphere "
             f"at u={_first(rows, off_sphere, single)}"
         )
-    jac = jacobian(chart.xmap, rows, fd_step)  # (P, n+1, q)
+    jac = jacobian(chart.xmap, rows)  # (P, n+1, q)
     degenerate = np.linalg.svd(jac, compute_uv=False).min(axis=-1) < 1e-8
     if degenerate.any():
         raise ImmersionDegenerateError(
@@ -192,7 +183,7 @@ def adapted_frame(
 
     # derivatives of the frame along every e_j: (P, q, n, n+1), projected
     # onto T S^n, then paired with the frame
-    dframe = directional_derivative(chart.frame_field, rows[:, None, :], velocities, fd_step)
+    dframe = directional_derivative(chart.frame_field, rows[:, None, :], velocities)
     xs = x[:, None, None, :]
     dframe = dframe - (dframe @ np.swapaxes(xs, -1, -2)) * xs
     gamma = dframe @ np.swapaxes(frame, -1, -2)[:, None]
@@ -207,7 +198,6 @@ def adapted_frame(
         gamma=gamma,
         second_fund=second_fund,
         velocities=velocities,
-        fd_step=fd_step,
     )
     return point[0] if single else point
 
@@ -348,7 +338,7 @@ def normal_frame_field(chart: ImmersionChart, u0):
     base = chart.frame_field(centres)
 
     def project_to(u):
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(u)
         if not single and u.shape[0] != len(centres):
             raise DomainError(f"a field with {len(centres)} centres needs them on the first axis")
         rows = u.reshape(-1, q)

@@ -22,7 +22,7 @@ from .examples import make_eta_family, make_section_family
 from .report import SuiteConfig, VerificationReport, check_keys, check_samples
 from .submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
 from .g2 import UNIT_PROFILE
-from .numerics import Profile
+from .numerics import Profile, strict_arithmetic
 from .stenzel import DEFAULT_PROFILE, constant_mu
 
 __all__ = ["run_suite", "suite_names", "parse_section_spec", "parse_profile_spec"]
@@ -197,7 +197,7 @@ def _run_stenzel(config: SuiteConfig, chart) -> VerificationReport:
     samples = chart.sample(rng, config.samples)
     fibers = _sample_fibers(rng, config.samples, chart.n - chart.q)
     omega_max, mu_norm, pts, omega = stenzel.lagrangian_columns(
-        chart, mu, samples, fibers, st_profile, config.fd_step
+        chart, mu, samples, fibers, st_profile
     )
     report = VerificationReport.build(
         config, samples, fibers, {"omega_max": omega_max}, {"mu_norm": mu_norm}
@@ -217,7 +217,7 @@ def _sample_frames(chart, config: SuiteConfig):
     """The sampled chart points and their adapted frames, as one stack."""
     rng = np.random.default_rng(config.seed)
     samples = chart.sample(rng, config.samples)
-    return samples, adapted_frame(chart, samples, config.fd_step)
+    return samples, adapted_frame(chart, samples)
 
 
 def _pair_report(config, samples, fibers, residuals: dict, criteria: dict) -> VerificationReport:
@@ -313,15 +313,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         chart = get_chart(config.chart)
     except TwistcalError as exc:
         raise ConfigError(str(exc)) from None
-    # an overflow or invalid operation raises at its first occurrence instead
-    # of warning and carrying inf/nan into a residual that may still read 0
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            report = _SUITES[config.suite](config, chart)
-    except FloatingPointError as exc:
-        raise TwistcalError(
-            f"suite {config.suite!r}: {exc}; an input is too large for double precision"
-        ) from None
+    with strict_arithmetic(f"suite {config.suite!r}"):
+        report = _SUITES[config.suite](config, chart)
     _check_finite(report)
     return report
 

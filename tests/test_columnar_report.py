@@ -40,7 +40,7 @@ README_CONFIGS = [
     pytest.param(SuiteConfig("g2-coassociative", "veronese-antipodal", "const:c=2"), id="readme-coassoc"),
     pytest.param(SuiteConfig("spin7-cayley", "equatorial", "zero"), id="readme-cayley"),
     pytest.param(SuiteConfig("spin7-cayley", "veronese", "const:re=0.4", seed=4), id="readme-cayley-fail"),
-    pytest.param(SuiteConfig("stenzel-lagrangian", "veronese", "0", fd_step=1e-10), id="readme-fd-mixed"),
+    pytest.param(SuiteConfig("stenzel-lagrangian", "veronese", "0", seed=7), id="readme-veronese-pass"),
 ]
 
 

@@ -432,12 +432,12 @@ _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--sa
     [
         (["table", "veronese", "--samples", "0"], "samples must be >= 1, got 0"),
         (["table", "veronese", "--samples", "-3"], "samples must be >= 1, got -3"),
-        (["table", "veronese", "--fd-step", "0"], "fd_step must be a finite positive number, got 0.0"),
-        (["table", "veronese", "--fd-step", "nan"], "fd_step must be a finite positive number, got nan"),
-        (["table", "veronese", "--fd-step", "-1e-5"], "fd_step must be a finite positive number, got -1e-05"),
+        (_VERIFY + ["--tol-verdict", "0"], "tol_verdict must be a finite positive number, got 0.0"),
+        (_VERIFY + ["--tol-verdict", "-1e-5"], "tol_verdict must be a finite positive number, got -1e-05"),
+        (_VERIFY + ["--tol-verdict", "inf"], "tol_verdict must be a finite positive number, got inf"),
         (["table", "nosuch"], "unknown golden table 'nosuch'"),
-        (_VERIFY + ["--fd-step", "nan"], "fd_step must be a finite positive number, got nan"),
-        (_VERIFY + ["--fd-step", "inf"], "fd_step must be a finite positive number, got inf"),
+        (["verify", "nosuch"], "unknown suite 'nosuch'"),
+        (_VERIFY + ["--chart", "nosuch"], "unknown chart 'nosuch'"),
         (_VERIFY + ["--tol-verdict", "nan"], "tol_verdict must be a finite positive number, got nan"),
         (_CAYLEY + ["--fiber", "a;b"], "fiber entry needs a number, got 'a'"),
         (_CAYLEY + ["--fiber=1e400,0"], "fiber entry must be finite, got '1e400'"),
@@ -462,10 +462,10 @@ _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--sa
          f"tol_verdict must be at most the FAIL separation {SEPARATION!r}, got 0.0011"),
         # the Stenzel suite samples its fibres; a --fiber must not be echoed and ignored
         (_VERIFY + ["--fiber=9;9"], "fiber does not apply to the stenzel-lagrangian suite"),
-        # steps outside the FD range give truncation error or round-off above the tolerances
-        (_VERIFY + ["--fd-step", "1e-2"], "fd_step must lie in [1e-10, 0.001], got 0.01"),
-        (_VERIFY + ["--fd-step", "1e-300"], "fd_step must lie in [1e-10, 0.001], got 1e-300"),
-        (["table", "veronese", "--fd-step", "1e-14"], "fd_step must lie in [1e-10, 0.001], got 1e-14"),
+        # a twist index or section kind that does not exist
+        (_VERIFY + ["--mu", "0.3e3"], "mu index 3 out of range 1..2"),
+        (_CAYLEY + ["--section", "nosuch"], "unknown section kind 'nosuch'"),
+        (_COASSOC + ["--section", "sinphi"], "unknown eta kind 'sinphi'"),
         # a profile key or preset that the suite does not read is rejected, not ignored
         (["verify", "g2-associative", "--chart", "veronese", "--section", "sinphi:C=1,D=0",
           "--profile", "vp=2"], "unknown g2-associative profile keys ['vp']; allowed: ['u', 'v']"),
@@ -520,13 +520,36 @@ def test_overflowing_input_exits_1_with_one_line(argv, suite, operation, capsys)
 
 
 def test_config_validation_requires_finite_values():
-    for field in ("fd_step", "tol_verdict"):
-        for value in (float("nan"), float("inf"), 0.0, -1e-5):
-            with pytest.raises(ConfigError, match=field):
-                SuiteConfig(suite="s", **{field: value}).validate()
-    SuiteConfig(suite="s", fd_step=1e-7, tol_verdict=1e-3).validate()
+    for value in (float("nan"), float("inf"), 0.0, -1e-5):
+        with pytest.raises(ConfigError, match="tol_verdict"):
+            SuiteConfig(suite="s", tol_verdict=value).validate()
     for value in (1e-10, 1e-3):
-        SuiteConfig(suite="s", fd_step=value).validate()
+        SuiteConfig(suite="s", tol_verdict=value).validate()
+
+
+def test_cli_rejects_the_removed_fd_step(tmp_path, capsys):
+    # every derivative is a complex step, so no step is left to set
+    for argv in (_VERIFY, ["table", "veronese", "--samples", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--fd-step", "1e-5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fd-step 1e-5" in capsys.readouterr().err
+    cfg_file = tmp_path / "suite.cfg"
+    cfg_file.write_text("samples=1\nfd_step=1e-5\n")
+    assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg_file}:2: unknown key 'fd_step'\n"
+
+
+def test_config_file_key_given_twice_is_exit_2(tmp_path, capsys):
+    # the second value is not silently kept: both lines are named
+    cfg_file = tmp_path / "suite.cfg"
+    cfg_file.write_text("samples=1\n# samples=5\nseed=3\nsamples=2\n")
+    assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {cfg_file}:4: key 'samples' is given more than once (first on line 1)\n"
+    )
 
 
 def test_stenzel_fiber_is_rejected_from_file_and_run_suite(tmp_path):

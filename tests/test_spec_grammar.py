@@ -83,6 +83,7 @@ def _assert_verdict_or_one_line(argv):
         code = main(argv)
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1
+    return code
 
 
 # config-file values per key; OUT stands for a writable directory
@@ -92,7 +93,6 @@ CONFIG_VALUES = {
     "mu": MU,
     "samples": st.sampled_from(["1", "2", "0", "-1", "1.5", "x", "", "100000000000"]),
     "seed": st.sampled_from(["0", "7", "-1", "x", LONG]),
-    "fd_step": st.one_of(NUMBERS, st.sampled_from(["1e-5", "1e-10", "1e-3"])),
     "tol_verdict": st.one_of(NUMBERS, st.sampled_from(["1e-4", "1e-3"])),
     "profile": st.one_of(SPECS, PARTS),
     "fiber": FIBERS,
@@ -102,11 +102,12 @@ CONFIG_VALUES = {
 KNOWN_LINES = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
     lambda key: CONFIG_VALUES[key].map(lambda value: f"{key}={value}")
 )
-# unknown keys, lines without '=', comments and blank lines
+# unknown or removed keys, lines without '=', comments and blank lines
 OTHER_LINES = st.sampled_from([
-    "suite=spin7-cayley", "tol_algebraic=1e-30", "x=1", "=1", "samples", "nonsense line", "# samples=5", "",
+    "suite=spin7-cayley", "tol_algebraic=1e-30", "fd_step=1e-5", "x=1", "=1", "samples", "nonsense line",
+    "# samples=5", "",
 ])
-# lines may repeat; the last line of a key wins
+# lines may repeat, and a key given twice is exit 2
 CONFIG_LINES = st.lists(
     st.one_of(KNOWN_LINES.map(str.encode), OTHER_LINES.map(str.encode), st.binary(max_size=12)),
     max_size=5,
@@ -118,10 +119,20 @@ CONFIG_LINES = st.lists(
 @given(suite=st.sampled_from(SUITES), body=CONFIG_LINES)
 # a file that is not UTF-8 text once raised UnicodeDecodeError out of main
 @example(suite="g2-associative", body=b"\xff\xfesamples=2")
+# a repeated key once ran with its last value
+@example(suite="spin7-cayley", body=b"samples=1\nseed=2\nsamples=2")
 def test_config_file_ends_in_a_verdict_or_one_line(suite, body):
+    keys = [line.split(b"=", 1)[0].strip() for line in body.split(b"\n")
+            if b"=" in line and not line.strip().startswith(b"#")]
+    if b"samples" not in keys:
+        # one sample unless a generated line sets the count
+        body = b"samples=1\n" + body
+        keys.append(b"samples")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "suite.cfg")
         with open(path, "wb") as fh:
-            # one sample unless a generated line sets another count
-            fh.write(b"samples=1\n" + body.replace(b"OUT", tmp.encode()))
-        _assert_verdict_or_one_line(["verify", suite, "--config", path])
+            fh.write(body.replace(b"OUT", tmp.encode()))
+        code = _assert_verdict_or_one_line(["verify", suite, "--config", path])
+    if len(set(keys)) < len(keys):
+        # a key given twice is never resolved to one of its values
+        assert code == 2

@@ -3,7 +3,7 @@ import pytest
 
 from twistcal import g2, spin7
 from twistcal.errors import DomainError
-from twistcal.examples import make_section_family
+from twistcal.examples import SectionFamily, make_section_family
 from twistcal.octonion import standard_pinor_context
 from twistcal.spin7 import (
     cayley_residual,
@@ -21,6 +21,7 @@ from twistcal.submanifold import adapted_frame, get_chart, rotate_frame_field, w
 
 from conftest import (
     cayley_model_form,
+    central_difference,
     comass_estimate,
     cross3,
     multivector_of,
@@ -382,11 +383,10 @@ def test_dbar_vminus_normal_centre_reduces_to_cauchy_riemann():
     point = adapted_frame(nchart, u0)
     sf = spinor_frames()
 
-    def family_value(u):
-        return (u[..., 0] * 0.3 - u[..., 1] * 0.1) + 1j * (u[..., 0] * 0.5 + u[..., 1] * 0.7)
+    def family_parts(u):
+        return np.stack([u[..., 0] * 0.3 - u[..., 1] * 0.1, u[..., 0] * 0.5 + u[..., 1] * 0.7], axis=-1)
 
-    fam = make_section_family("zero")
-    sec = g2.section_data(type(fam)(family_value), point)
+    sec = g2.section_data(SectionFamily(family_parts), point)
     c3, c4 = dbar_vminus_residual(point.gamma, sf, sec)
     assert c3 == pytest.approx(sec.da[0] + sec.db[1], abs=1e-8)
     assert c4 == pytest.approx(-sec.da[1] + sec.db[0], abs=1e-8)
@@ -406,29 +406,20 @@ def test_dbar_vminus_matches_fd_of_covariant_derivative():
     sf = spinor_frames()
     rng = rng_for(10)
 
-    def family_value(u):
-        return np.sin(u[..., 0]) * np.cos(u[..., 1]) + 1j * np.cos(u[..., 0] + u[..., 1])
+    def family_parts(u):
+        return np.stack([np.sin(u[..., 0]) * np.cos(u[..., 1]), np.cos(u[..., 0] + u[..., 1])], axis=-1)
 
-    fam_cls = type(make_section_family("zero"))
-    fam = fam_cls(family_value)
+    fam = SectionFamily(family_parts)
     for u in chart.sample(rng, 3):
         point = adapted_frame(chart, u)
         sec = g2.section_data(fam, point)
         c3, c4 = dbar_vminus_residual(point.gamma, sf, sec)
         # oracle: differentiate the spinor field through the trivialisation
         # with an independent FD of the coefficient pair and the connection
-        from twistcal.numerics import directional_derivative
-
         omegas = spin_connection_ops(point.gamma)
         grads = []
         for i in range(2):
-            da = directional_derivative(
-                lambda uu: np.array(
-                    [family_value(uu).real, family_value(uu).imag]
-                ),
-                point.u,
-                point.velocities[i],
-            )
+            da = central_difference(family_parts, point.u, point.velocities[i])
             full = da[0] * sf.s[2] + da[1] * sf.s[3] + omegas[i] @ (
                 sec.a * sf.s[2] + sec.b * sf.s[3]
             )

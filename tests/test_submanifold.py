@@ -208,8 +208,8 @@ def test_normal_frame_matches_base_frame_values():
 
 def test_degenerate_chart_raises():
     def squash(u):
-        u = np.asarray(u, dtype=float)
-        x = np.zeros(u.shape[:-1] + (5,))
+        u = np.asarray(u)
+        x = np.zeros(u.shape[:-1] + (5,), u.dtype)
         x[..., 0] = np.cos(u[..., 0])
         x[..., 1] = np.sin(u[..., 0])
         return x  # ignores u2: rank deficient
