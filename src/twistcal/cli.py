@@ -91,7 +91,14 @@ def _attach_negative_values(argv) -> list:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: each parse fills a new namespace."""
-    parser = argparse.ArgumentParser(prog="twistcal", description=__doc__)
+
+    class Parser(argparse.ArgumentParser):
+        # a bad command line is one "config error:" line and exit 2, like
+        # every other bad input; the subcommand parsers are of this class too
+        def error(self, message):
+            self.exit(2, f"config error: {message}\n")
+
+    parser = Parser(prog="twistcal", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
     verify = sub.add_parser("verify", help="run a named verification suite")

@@ -1,11 +1,12 @@
 """Derivative plumbing shared by the geometric modules, and the radial
 profile type that the Stenzel, G2 and Spin(7) metrics are built from.
 
-Every derivative on the verdict path is a first derivative of a real-analytic
-map (chart ``xmap`` and ``frame_field``, the Stenzel total-space map, section
-coefficients), taken by the complex step f'(u) w = Im f(u + i h w) / h at
-h = 1e-30 (Squire and Trapp, SIAM Rev. 40 (1998); Martins, Sturdza and
-Alonso, ACM TOMS 29 (2003)): one evaluation of ``f`` per direction, no
+Every derivative is a first derivative of a real-analytic map (chart
+``xmap`` and ``frame_field``, section coefficients, and the Stenzel
+total-space map that the closed-form tangents are checked against), taken
+by the complex step f'(u) w = Im f(u + i h w) / h at h = 1e-30 (Squire and
+Trapp, SIAM Rev. 40 (1998); Martins, Sturdza and Alonso, ACM TOMS 29
+(2003)): one evaluation of ``f`` per direction, no
 cancellation, and no step to choose, since the truncation error, of order
 h^2 |f^(3)|, lies far below round-off.  So ``f`` must be complex-safe:
 bilinear, analytic arithmetic with no ``conj``, ``abs`` or cast to float,

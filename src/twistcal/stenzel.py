@@ -16,6 +16,12 @@ Evaluation always re-bases coordinates by the orthogonal transformation that
 sends the adapted frame (x, e, nu) at the base point to the standard basis;
 the form is invariant under complex orthogonal transformations and the guard
 |z_0| >= cosh sqrt(y) >= 1 then holds automatically.
+
+In those coordinates a point of the twisted conormal bundle and its tangents
+E_i, F_j are closed forms in the fibre coordinates t, the twist mu and the
+adapted frame's connection coefficients gamma, so the verify path takes no
+derivative past ``adapted_frame``.  ``closed_form_tangents`` sets them next
+to the complex-step derivatives of the total-space map, as their oracle.
 """
 
 from __future__ import annotations
@@ -175,19 +181,81 @@ def _rows_times(coeffs, vectors):
     return (np.asarray(coeffs)[..., None, :] @ vectors)[..., 0, :]
 
 
+def _fibre_point(chart: ImmersionChart, mu, u, t):
+    """The adapted frame at u, the fibre coordinates t, the twist
+    coefficients a and y = |t|^2 + |a|^2, for one point or a stack."""
+    point = adapted_frame(chart, u)
+    t = np.asarray(t, dtype=float)
+    if t.shape != point.u.shape[:-1] + (chart.n - chart.q,):
+        raise DomainError("fiber coordinate count must be n - q")
+    a = np.broadcast_to(np.asarray(mu, dtype=float), point.u.shape)
+    y = ((t[..., None, :] @ t[..., :, None]) + (a[..., None, :] @ a[..., :, None]))[..., 0, 0]
+    return point, t, a, y
+
+
+def _closed_tangents(gamma, a, t, y):
+    """The proof's E_i and F_j in the chart's own adapted frame, re-based.
+
+    The proof derives E_i and F_j at the centre of a normal frame, where the
+    twist's coefficients a = mu have the covariant derivative
+    da_il = sum_m mu_m gamma[i, m, l]; the radial terms in a . da_i drop,
+    because gamma's tangent block is antisymmetric.  In the chart's own frame
+    the normal rows also turn along e_i, by C_il = sum_k t_k
+    gamma[i, q+k, q+l], so E_i gains sum_l C_il F_l.
+    """
+    q, n = a.shape[-1], gamma.shape[-1]
+    y = np.asarray(y)[..., None, None]
+    ch, sh = _cosh_sinhc(y)
+    radial = (ch - sh) / np.where(y > 0, y, 1.0)  # ch - sh is 0 at y = 0
+    xi = np.concatenate([a, t], axis=-1)[..., None, :]  # fibre covector on slots 1..n
+    eye = np.eye(n)
+
+    f_closed = np.concatenate(
+        [t[..., :, None] * sh, 1j * (sh * eye[q:] + t[..., :, None] * radial * xi)], axis=-1
+    )
+    da = _rows_times(a[..., None, :], gamma[..., :q, :q])
+    a_hat = _rows_times(t[..., None, :], gamma[..., q:, :q])  # sum_k t_k A^k
+    a_normal = (gamma[..., q:, :q] @ a[..., None, :, None])[..., 0]  # sum_j a_j A^k_ij
+    turn = np.concatenate([a_hat + da, -a_normal], axis=-1)
+    e_closed = np.concatenate([-1j * sh * a[..., :, None], ch * eye[:q] + 1j * sh * turn], axis=-1)
+    c = _rows_times(t[..., None, :], gamma[..., q:, q:])
+    return e_closed + c @ f_closed, f_closed
+
+
 def twisted_conormal_point(chart: ImmersionChart, mu, u, t) -> TwistedConormalPoint:
     """Assemble the point and its tangent basis, re-based at the frame.
 
     ``mu`` holds the (q,) coefficients of the twist.  ``u`` and ``t`` are
     one chart point (q,) and fibre coordinate (n-q,), or stacks (P, q) and
-    (P, n-q); every direction of every point goes through one stacked
-    complex-step call of the total-space map.
+    (P, n-q).  Everything is read from the adapted frame's gamma, with no
+    derivative of the total-space map: the point is
+    z = (cosh sqrt y, i sinhc(y) a, i sinhc(y) t), with
+    sinhc(y) = sinh(sqrt y)/sqrt y, and the tangents are the proof's closed
+    forms.
     """
-    point = adapted_frame(chart, u)
+    point, t, a, y = _fibre_point(chart, mu, u, t)
+    ch, shc = _cosh_sinhc(y)
+    xi = np.concatenate([a, t], axis=-1)
+    z = np.concatenate([ch[..., None], 1j * shc[..., None] * xi], axis=-1)
+    tangents_e, tangents_f = _closed_tangents(point.gamma, a, t, y)
+    return TwistedConormalPoint(
+        frame_point=point,
+        t=t,
+        mu_coeffs=a,
+        y=y[()],
+        z=z,
+        tangents_e=tangents_e,
+        tangents_f=tangents_f,
+    )
+
+
+def _differentiated_point(chart: ImmersionChart, mu, u, t) -> TwistedConormalPoint:
+    """The point and its tangents from the total-space map: psi of the
+    cotangent vector, rotated by the frame, and one stacked complex step of
+    it along every base and fibre direction.  Past the adapted frame and y
+    it shares no code with the closed forms, which makes it their oracle."""
+    point, t, a, y = _fibre_point(chart, mu, u, t)
     q, n = chart.q, chart.n
-    t = np.asarray(t, dtype=float)
-    if t.shape != point.u.shape[:-1] + (n - q,):
-        raise DomainError("fiber coordinate count must be n - q")
     frame_fn = chart.frame_field
 
     def total_map(params):
@@ -209,9 +277,6 @@ def twisted_conormal_point(chart: ImmersionChart, mu, u, t) -> TwistedConormalPo
     dz = directional_derivative(total_map, params0[..., None, :], dirs)
     dz = dz[..., 0, :] + 1j * dz[..., 1, :]
     tangents = dz @ rot_t
-
-    a = np.broadcast_to(np.asarray(mu, dtype=float), point.u.shape)
-    y = ((t[..., None, :] @ t[..., :, None]) + (a[..., None, :] @ a[..., :, None]))[..., 0, 0]
     return TwistedConormalPoint(
         frame_point=point,
         t=t,
@@ -226,36 +291,18 @@ def twisted_conormal_point(chart: ImmersionChart, mu, u, t) -> TwistedConormalPo
 def closed_form_tangents(
     chart: ImmersionChart, mu, u, t
 ) -> tuple[TwistedConormalPoint, np.ndarray, np.ndarray]:
-    """The main path's tangents, plus their closed forms.
+    """The closed-form tangents next to a point whose tangents are the
+    complex-step derivatives of the total-space map.
 
     Returns (point, E_closed, F_closed) for one point or a stack.  The
-    proof derives E_i and F_j at the centre of a normal frame, where the
-    twist's coefficients a = mu have the covariant derivative
-    da_il = sum_m mu_m gamma[i, m, l]; the radial terms in a . da_i drop,
-    because gamma's tangent block is antisymmetric.  In the chart's own frame
-    the normal rows also turn along e_i, by C_il = sum_k t_k
-    gamma[i, q+k, q+l], so E_i gains sum_l C_il F_l.
+    closed forms are those of :func:`twisted_conormal_point`; the point is
+    independent of them, so the pair checks the verify path.
     """
-    point = twisted_conormal_point(chart, mu, u, t)
-    q, n = chart.q, chart.n
-    gamma = point.frame_point.gamma  # (..., q, n, n)
-    a, t = point.mu_coeffs, point.t
-    y = np.asarray(point.y)[..., None, None]
-    ch, sh = _cosh_sinhc(y)
-    radial = (ch - sh) / np.where(y > 0, y, 1.0)  # ch - sh is 0 at y = 0
-    xi = np.concatenate([a, t], axis=-1)[..., None, :]  # fibre covector on slots 1..n
-    eye = np.eye(n)
-
-    f_closed = np.concatenate(
-        [t[..., :, None] * sh, 1j * (sh * eye[q:] + t[..., :, None] * radial * xi)], axis=-1
+    point = _differentiated_point(chart, mu, u, t)
+    e_closed, f_closed = _closed_tangents(
+        point.frame_point.gamma, point.mu_coeffs, point.t, point.y
     )
-    da = _rows_times(a[..., None, :], gamma[..., :q, :q])
-    a_hat = _rows_times(t[..., None, :], gamma[..., q:, :q])  # sum_k t_k A^k
-    a_normal = (gamma[..., q:, :q] @ a[..., None, :, None])[..., 0]  # sum_j a_j A^k_ij
-    turn = np.concatenate([a_hat + da, -a_normal], axis=-1)
-    e_closed = np.concatenate([-1j * sh * a[..., :, None], ch * eye[:q] + 1j * sh * turn], axis=-1)
-    c = _rows_times(t[..., None, :], gamma[..., q:, q:])
-    return point, e_closed + c @ f_closed, f_closed
+    return point, e_closed, f_closed
 
 
 def bracket_factor(y, vp, vpp):

@@ -188,6 +188,15 @@ def _eta_family_for(config: SuiteConfig, q: int):
 
 
 def _run_stenzel(config: SuiteConfig, chart) -> VerificationReport:
+    """The Lagrangian residual and the twist criterion at every sample, with
+    two cross-checks.  ``diagnostic.closed_form_gap.max`` holds the mixed
+    block omega(E_i, F_j), a contraction of the tangents with the Stenzel
+    Kaehler form, against the proof's final formula in a, t and y, which
+    reads no tangent: the two are computed independently.  At mu = 0 both
+    sides vanish identically and the gap reads exactly 0, so it carries
+    information only for a nonzero twist.
+    ``diagnostic.bracket_factor.min`` is the least bracketed profile factor,
+    which the proof needs positive."""
     if config.fiber:
         raise ConfigError("fiber does not apply to the stenzel-lagrangian suite, "
                           "which samples its fibre coordinates")

@@ -7,10 +7,13 @@ and the per-sample scalar closed form for the suite's two diagnostics.
 """
 
 import dataclasses
+import itertools
+import sys
 
 import numpy as np
 import pytest
 
+from twistcal.cli import main
 from twistcal.errors import DomainError, ImmersionDegenerateError
 from twistcal.examples import golden_residuals, golden_table_names
 from twistcal.numerics import directional_derivative, gram_schmidt, jacobian
@@ -22,6 +25,7 @@ from twistcal.stenzel import (
     mixed_pairing_closed_form,
     omega_matrix,
     omega_value,
+    twisted_conormal_point,
 )
 from twistcal.submanifold import (
     ImmersionChart,
@@ -246,6 +250,15 @@ NATIVE_FRAME_CONFIGS = STENZEL_CONFIGS + [
 ]
 
 
+def _assert_matches_differentiated_route(pts, oracle):
+    # z and every tangent of the verify path's point, against the point whose
+    # tangents are complex-step derivatives of the total-space map
+    for name in ("z", "tangents_e", "tangents_f"):
+        got, want = getattr(pts, name), getattr(oracle, name)
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want))), name
+
+
 @pytest.mark.parametrize("config", NATIVE_FRAME_CONFIGS)
 def test_mixed_block_needs_no_normal_frame(config):
     # the suite reads the mixed block in the chart's own adapted frame, where
@@ -256,32 +269,53 @@ def test_mixed_block_needs_no_normal_frame(config):
     _, _, pts, omega = lagrangian_columns(chart, mu, samples, fibers, profile)
     mixed = omega[:, :q, q:]
     bound = 1e-7 * (1.0 + np.max(np.abs(mixed)))
-    # the closed forms read Gamma from the main path's frame, whose
-    # derivatives are exact to round-off, so they agree with its tangents
-    # at every sample
-    _, e_closed, f_closed = closed_form_tangents(chart, mu, samples, fibers)
-    assert np.max(np.abs(pts.tangents_e - e_closed)) <= 1e-12 * (1.0 + np.max(np.abs(e_closed)))
-    assert np.max(np.abs(pts.tangents_f - f_closed)) <= 1e-12 * (1.0 + np.max(np.abs(f_closed)))
-    c = np.einsum("pk,pikl->pil", fibers, pts.frame_point.gamma[:, :, q:, q:])
-    normal_frame_e = e_closed - c @ f_closed
-    route = omega_matrix(pts.z, np.concatenate([normal_frame_e, f_closed], axis=-2), profile)
+    # the suite's point is read from Gamma in closed form; the oracle
+    # differentiates the total-space map, at every sample
+    oracle, _, _ = closed_form_tangents(chart, mu, samples, fibers)
+    _assert_matches_differentiated_route(pts, oracle)
+    c = np.einsum("pk,pikl->pil", fibers, oracle.frame_point.gamma[:, :, q:, q:])
+    normal_frame_e = oracle.tangents_e - c @ oracle.tangents_f
+    route = omega_matrix(oracle.z, np.concatenate([normal_frame_e, oracle.tangents_f], axis=-2), profile)
     assert np.max(np.abs(mixed - route[:, :q, q:])) <= bound
     assert np.max(np.abs(mixed - mixed_pairing_closed_form(pts, profile))) <= bound
 
 
 @pytest.mark.parametrize("name", chart_names())
 def test_closed_form_tangents_match_the_main_path(name):
-    # the closed forms read in the chart's own frame, against the complex-step
-    # tangents of the suite's stacked point, for a zero and a nonzero twist
-    chart = get_chart(name)
-    rng = rng_for(8)
-    samples = chart.sample(rng, 12)
-    fibers = _sample_fibers(rng, 12, chart.n - chart.q)
-    for mu in ([0.0, 0.0], [0.4, -1.1]):
-        fd_pt, e_closed, f_closed = closed_form_tangents(chart, constant_mu(mu), samples, fibers)
-        assert e_closed.shape == fd_pt.tangents_e.shape
-        assert np.max(np.abs(fd_pt.tangents_e - e_closed)) <= 1e-12
-        assert np.max(np.abs(fd_pt.tangents_f - f_closed)) <= 1e-12
+    # the verify path's closed-form point against the differentiated one, on
+    # the samples a 250-sample job draws at seeds 1 and 2, for a zero twist
+    # and a twist along each tangent direction
+    for mu, seed in itertools.product(("0", "0.3e1", "0.3e2"), (1, 2)):
+        config = SuiteConfig("stenzel-lagrangian", name, mu, samples=250, seed=seed, profile="unit")
+        chart, _, mu_coeffs, samples, fibers = stenzel_job_inputs(config)
+        pts = twisted_conormal_point(chart, mu_coeffs, samples, fibers)
+        oracle, e_closed, f_closed = closed_form_tangents(chart, mu_coeffs, samples, fibers)
+        _assert_matches_differentiated_route(pts, oracle)
+        assert np.array_equal(pts.tangents_e, e_closed)
+        assert np.array_equal(pts.tangents_f, f_closed)
+
+
+def test_verify_path_takes_no_derivative_of_the_total_space_map(monkeypatch, tmp_path):
+    # a Stenzel job differentiates the chart twice (the xmap Jacobian and the
+    # frame derivative); closed_form_tangents adds the total-space step, so
+    # its point is the differentiated route and not the verify path's
+    calls = []
+
+    def counted(f, u, w):
+        calls.append(f)
+        return directional_derivative(f, u, w)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twistcal.") and getattr(module, "directional_derivative", None) is directional_derivative:
+            monkeypatch.setattr(module, "directional_derivative", counted)
+    argv = ["verify", "stenzel-lagrangian", "--samples", "2", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert len(calls) == 2
+    calls.clear()
+    chart = get_chart("veronese")
+    samples = chart.sample(rng_for(3), 2)
+    closed_form_tangents(chart, constant_mu([0.3, 0.0]), samples, _sample_fibers(rng_for(4), 2, 2))
+    assert len(calls) == 3
 
 
 # -- (d) complex-step derivatives -----------------------------------------------------------

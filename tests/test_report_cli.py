@@ -533,11 +533,43 @@ def test_cli_rejects_the_removed_fd_step(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--fd-step", "1e-5"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --fd-step 1e-5" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: unrecognized arguments: --fd-step 1e-5\n"
     cfg_file = tmp_path / "suite.cfg"
     cfg_file.write_text("samples=1\nfd_step=1e-5\n")
     assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
     assert capsys.readouterr().err == f"config error: {cfg_file}:2: unknown key 'fd_step'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        pytest.param(["nosuch"], "argument command: invalid choice: 'nosuch'", id="unknown-command"),
+        pytest.param(["verify"], "the following arguments are required: suite", id="missing-suite"),
+        pytest.param(_VERIFY + ["--format", "xml"], "argument --format: invalid choice: 'xml'", id="bad-format"),
+        pytest.param(["table", "veronese", "--samples", "x"], "argument --samples: invalid int value: 'x'",
+                     id="bad-int"),
+    ],
+)
+def test_bad_command_line_is_one_config_error_line(argv, err, capsys):
+    # argparse's own errors read like every other bad input: no usage line.
+    # Only the start of the message is pinned; argparse words the list of
+    # choices differently across Python versions.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {err}") and captured.err.count("\n") == 1
+    assert captured.err.endswith("\n")
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: twistcal") and captured.err == ""
 
 
 def test_config_file_key_given_twice_is_exit_2(tmp_path, capsys):
