@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import json
 import math
 import operator
@@ -535,6 +536,16 @@ def golden_table(name: str) -> dict:
     return tables[name]
 
 
+@functools.lru_cache(maxsize=1024)
+def _parse_expr(expr: str) -> ast.expr:
+    """The syntax tree of a table expression, parsed once per process; the
+    tree is only walked, never changed."""
+    try:
+        return ast.parse(expr, mode="eval").body
+    except SyntaxError:
+        raise DomainError(f"table expression {expr!r} does not parse") from None
+
+
 def _eval_expr(expr: str, variables: dict):
     """Value of a table expression; variables may be numbers or arrays."""
 
@@ -563,11 +574,7 @@ def _eval_expr(expr: str, variables: dict):
             f"{type(node).__name__} is not allowed in table expression {expr!r}"
         )
 
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError:
-        raise DomainError(f"table expression {expr!r} does not parse") from None
-    return walk(tree.body)
+    return walk(_parse_expr(expr))
 
 
 def golden_residuals(name: str, u) -> dict:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -132,12 +133,14 @@ class VerificationReport:
             for name, col in columns.items():
                 aggregates[f"{kind}.{name}.max"] = float(np.max(col))
                 aggregates[f"{kind}.{name}.median"] = _median(col)
-        prov = {"version": __version__, "config": config.echo()}
+        echo = config.echo()
+        # provenance gets its own copy, so that editing it leaves config as is
+        prov = {"version": __version__, "config": dict(echo)}
         if provenance:
             prov.update(provenance)
         return VerificationReport(
             suite=config.suite,
-            config=config.echo(),
+            config=echo,
             u=u,
             t=np.asarray(t, dtype=float),
             residuals=residuals,
@@ -200,21 +203,23 @@ def _median(col: np.ndarray) -> float:
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _row_template(report: VerificationReport) -> str:
-    """One point of the top-level ``points`` array as ``json.dumps(sort_keys=True,
-    indent=2)`` lays it out, with a ``{}`` field for each value."""
+def _point_pieces(report: VerificationReport) -> list:
+    """The literal text around the values of one point of the top-level
+    ``points`` array, as ``json.dumps(sort_keys=True, indent=2)`` lays it out:
+    one more piece than a point has values.  The pieces are cut at a NUL,
+    which ``json.dumps`` escapes in every key, so no key can forge a cut."""
 
     def block(opening: str, closing: str, fields: list) -> str:
         inner = ",".join("\n        " + f for f in fields)
         return opening + inner + "\n      " * bool(fields) + closing
 
     def keyed(columns: dict) -> list:
-        return [json.dumps(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in columns]
+        return [json.dumps(k) + ": \0" for k in columns]
 
-    return ("    {{\n      \"criteria\": " + block("{{", "}}", keyed(report.criteria))
-            + ",\n      \"residuals\": " + block("{{", "}}", keyed(report.residuals))
-            + ",\n      \"status\": {},\n      \"t\": " + block("[", "]", ["{}"] * report.t.shape[1])
-            + ",\n      \"u\": " + block("[", "]", ["{}"] * report.u.shape[1]) + "\n    }}")
+    return ("    {\n      \"criteria\": " + block("{", "}", keyed(report.criteria))
+            + ",\n      \"residuals\": " + block("{", "}", keyed(report.residuals))
+            + ",\n      \"status\": \0,\n      \"t\": " + block("[", "]", ["\0"] * report.t.shape[1])
+            + ",\n      \"u\": " + block("[", "]", ["\0"] * report.u.shape[1]) + "\n    }").split("\0")
 
 
 def _column_texts(values: np.ndarray, spelling: dict | None = None) -> list:
@@ -236,10 +241,10 @@ def _column_texts(values: np.ndarray, spelling: dict | None = None) -> list:
 
 def _points_json(report: VerificationReport) -> str:
     """The report's ``points`` array as ``json.dumps(sort_keys=True, indent=2)``
-    writes it, filled column by column into one row template.  ``repr`` of a
-    finite float is the text ``json`` writes for it, and each distinct value of
-    the report is converted to text once; the residual and criterion keys are
-    in sorted order, as the report keeps them."""
+    writes it, in one join of each point's literal pieces interleaved with its
+    value texts.  ``repr`` of a finite float is the text ``json`` writes for
+    it, and each distinct value of the report is converted to text once; the
+    residual and criterion keys are in sorted order, as the report keeps them."""
     n = len(report.status)
     if n == 0:
         return "[]"
@@ -248,7 +253,12 @@ def _points_json(report: VerificationReport) -> str:
     statuses = report.status.tolist()
     status_text = {s: json.dumps(s) for s in set(statuses)}
     fields.insert(len(report.criteria) + len(report.residuals), map(status_text.__getitem__, statuses))
-    return "[\n" + ",\n".join(map(_row_template(report).format, *fields)) + "\n  ]"
+    opening, *pieces = _point_pieces(report)
+    # every point but the first opens with the separator after the one before
+    columns = [chain(("[\n" + opening,), repeat(",\n" + opening, n - 1))]
+    for texts, piece in zip(fields, pieces):
+        columns += [texts, repeat(piece)]
+    return "".join(chain(chain.from_iterable(zip(*columns)), ("\n  ]",)))
 
 
 def emit(report: VerificationReport, fmt: str = "json") -> bytes:

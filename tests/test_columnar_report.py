@@ -4,7 +4,7 @@
 per (sample, fibre) pair, as the report layer did before it held columns.  The
 JSON and CSV bytes of every report must equal what that oracle writes from the
 same values.  The JSON must also equal ``json.dumps`` of the report's own
-``to_dict``, which the template emitter writes without building.
+``to_dict``, which the JSON emitter writes without building.
 """
 
 import json
@@ -105,6 +105,17 @@ def test_synthetic_columns_match_record_oracle(residuals, criteria):
     _assert_matches_oracle(_columns(residuals, criteria), _CFG)
 
 
+def test_build_echoes_the_config_once_and_provenance_owns_its_copy(monkeypatch):
+    calls = []
+    echo = SuiteConfig.echo
+    monkeypatch.setattr(SuiteConfig, "echo", lambda self: calls.append(self) or echo(self))
+    report = _columns({"r": [0.0]}, {"c": [0.0]})
+    assert len(calls) == 1
+    assert report.provenance["config"] == report.config == _CFG.echo()
+    report.provenance["config"]["samples"] = 99
+    assert report.config["samples"] == _CFG.samples
+
+
 def test_statuses_at_the_tolerance_and_separation_levels():
     tol = _CFG.tol_verdict
     report = _columns(
@@ -150,7 +161,7 @@ def test_parse_report_round_trips_bytes(make_report):
     assert list(back.criteria) == list(report.criteria)
 
 
-# -- the template JSON emitter at its edges ---------------------------------------------
+# -- the JSON emitter at its edges ------------------------------------------------------
 
 _SPECIAL = [-0.0, 5e-324, 1e16, 1e-7, 123456789.0, float("nan"), float("inf"), float("-inf")]
 # a negative NaN with a payload: equal to no value, and other bits than np.nan's
@@ -199,6 +210,15 @@ def _report(u, t, residuals, criteria, config=_CFG, provenance=None):
             lambda: _report(np.ones((2, 1)), np.ones((2, 1)), {_AWKWARD.replace("\n", " "): [0.0, 1.0]},
                             {"{" + _AWKWARD.replace("\n", " "): [0.0, 1.0]}),
             id="awkward-column-keys",
+        ),
+        # the first point has an opening piece of its own, and a one-point
+        # report has no other
+        pytest.param(lambda: _report([[0.5, -0.0]], [[1.5]], {"r": [1e-5]}, {"c": [2e-3]}), id="one-point"),
+        # the pieces around the values are cut at a NUL, which json escapes
+        pytest.param(
+            lambda: _report(np.ones((2, 1)), np.ones((2, 1)), {'r\x00\t"': [0.0, 1.0], "\x00": [1.0, 0.5]},
+                            {'"\tc\x00': [0.0, 1.0]}),
+            id="nul-tab-quote-keys",
         ),
         # each distinct bit pattern is converted once: 0.0 and -0.0 compare
         # equal but print differently, and neither NaN equals itself

@@ -343,6 +343,26 @@ def test_every_table_expression_matches_the_eval_route():
                 assert np.broadcast_to(stacked, (5,))[i] == pytest.approx(expected, rel=1e-15, abs=1e-15)
 
 
+def test_table_expressions_are_parsed_once_and_tables_are_handed_out_fresh(monkeypatch):
+    import ast
+
+    from twistcal.examples import _parse_expr
+
+    _parse_expr.cache_clear()
+    parsed = []
+    parse = ast.parse
+    monkeypatch.setattr(ast, "parse", lambda source, *a, **k: parsed.append(source) or parse(source, *a, **k))
+    points = get_chart("veronese").sample(rng_for(5), 4)
+    first = golden_residuals("veronese", points)
+    # a caller that edits the table it was handed changes no later job
+    golden_table("veronese")["gamma"][0]["expr"] = "1e9"
+    second = golden_residuals("veronese", points)
+    assert parsed and len(parsed) == len(set(parsed))
+    assert "1e9" not in parsed
+    for key in first:
+        assert np.array_equal(first[key], second[key])
+
+
 @pytest.mark.parametrize(
     "expr",
     [

@@ -1,13 +1,17 @@
-"""Property tests of the --section, --mu, --profile and --fiber grammars and
-of --config files.
+"""Property tests of the --section, --mu, --profile and --fiber grammars, of
+--config files, of the other ``verify`` flags and of the ``table`` command.
 
 Every generated command must end in a verdict or a one-line diagnosis: exit
 0, 1 or 2, no exception out of ``cli.main`` and at most one line on stderr.
+A flag value that argparse rejects leaves ``cli.main`` as ``SystemExit(2)``
+after its one ``config error:`` line; the flag tests take that as exit 2.
 The examples are derandomised, so a run is reproducible.
 """
 
 import contextlib
+import csv
 import io
+import json
 import os
 import tempfile
 
@@ -136,3 +140,117 @@ def test_config_file_ends_in_a_verdict_or_one_line(suite, body):
     if len(set(keys)) < len(keys):
         # a key given twice is never resolved to one of its values
         assert code == 2
+
+
+# command-line values of the flags that the grammar tests above give only in
+# --config files.  The valid values are drawn more often than the others, so
+# that about half of the commands reach a verdict; every sample count that
+# runs is small, and the large ones pass MAX_ROWS at any fibre count.
+
+
+def _values(valid, invalid):
+    return st.sampled_from(valid * (2 * len(invalid) // len(valid) + 1) + invalid)
+
+
+SAMPLES = _values(["1", "2", " 3 "], ["0", "-1", "1.5", "x", "", "100001", "100000000000", LONG])
+SEEDS = _values(["0", "7", "-0", str(2**64)], ["-1", "x", "", LONG])
+TOLERANCES = _values(["1e-4", "1e-3", "5e-324", "0.3e-3"],
+                     ["1.0001e-3", "0", "-1e-4", "nan", "1e400", "-inf", "", "abc", "1_0"])
+FORMATS = _values(["json", "csv"], ["xml", "JSON", ""])
+OUTS = _values(["OUT/r.out", ""], ["OUT/missing/r.out", "OUT"])
+
+
+# a PASS and a FAIL job over the equatorial chart for each family of suites
+JOBS = st.sampled_from([
+    ("stenzel-lagrangian", "--mu=0"),
+    ("stenzel-lagrangian", "--mu=0.3e1"),
+    ("g2-associative", "--section=sinphi:C=1,D=0"),
+    ("g2-coassociative", "--section=zero"),
+    ("spin7-cayley", "--section=zero"),
+    ("spin7-cayley", "--section=sinphi:C=1,D=0"),
+])
+
+
+def _cli_flag(name, values):
+    """No flag, ``--name=value``, or ``--name`` and the value as two words."""
+    return st.one_of(
+        st.just([]),
+        values.map(lambda v: [f"--{name}={v}"]),
+        values.map(lambda v: [f"--{name}", v]),
+    )
+
+
+def _value(flag, default):
+    """The value that a ``_cli_flag`` draw gives, in either form."""
+    return flag[-1].split("=", 1)[-1] if flag else default
+
+
+def _run(argv):
+    """Exit code, stdout bytes and stderr text of one ``cli.main`` call, with
+    argparse's ``SystemExit`` taken as its exit code."""
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+def _assert_config_error_line(err):
+    assert err.startswith("config error: ") and err.endswith("\n") and err.count("\n") == 1, err
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    job=JOBS,
+    samples=_cli_flag("samples", SAMPLES),
+    seed=_cli_flag("seed", SEEDS),
+    tol=_cli_flag("tol-verdict", TOLERANCES),
+    fmt=_cli_flag("format", FORMATS),
+    out=_cli_flag("out", OUTS),
+    timestamp=st.sampled_from([[], ["--timestamp"]]),
+)
+def test_verify_flags_end_in_a_verdict_or_one_config_error(job, samples, seed, tol, fmt, out, timestamp):
+    suite, twist = job
+    with tempfile.TemporaryDirectory() as tmp:
+        flags = [arg.replace("OUT", tmp) for arg in samples + seed + tol + fmt + out + timestamp]
+        # one sample unless the generated flags set the count
+        argv = ["verify", suite, "--chart=equatorial", twist, *([] if samples else ["--samples", "1"]), *flags]
+        code, stdout, err = _run(argv)
+        if code == 2:
+            _assert_config_error_line(err)
+            return
+        assert code in (0, 1) and err == ""
+        verdict = ("PASS",) if code == 0 else ("FAIL", "MIXED")
+        path = _value(out, "").replace("OUT", tmp)
+        if path:
+            line = stdout.decode()
+            assert line.startswith(f"{suite}: verdict ") and line.endswith(f" -> {path}\n")
+            assert line.split()[2] in verdict
+            with open(path, "rb") as fh:
+                stdout = fh.read()
+        if _value(fmt, "json") == "csv":
+            statuses = [row["status"] for row in csv.DictReader(io.StringIO(stdout.decode()))]
+            assert statuses and (code == 0) == all(s == "PASS" for s in statuses)
+        else:
+            assert json.loads(stdout)["verdict"] in verdict
+
+
+TABLE_NAMES = st.sampled_from(["veronese", "equatorial", "nosuch", "", "Veronese"])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=TABLE_NAMES, samples=_cli_flag("samples", SAMPLES), seed=_cli_flag("seed", SEEDS))
+def test_table_flags_end_in_a_verdict_or_one_config_error(name, samples, seed):
+    code, stdout, err = _run(["table", name, *(samples or ["--samples", "2"]), *seed])
+    if code == 2:
+        _assert_config_error_line(err)
+        return
+    assert code in (0, 1) and err == ""
+    line = stdout.decode()
+    assert line.startswith(f"table {name}: worst residual ") and line.count("\n") == 1
+    assert line.endswith(" -> PASS\n" if code == 0 else " -> FAIL\n")
