@@ -93,10 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: each parse fills a new namespace."""
 
     class Parser(argparse.ArgumentParser):
-        # a bad command line is one "config error:" line and exit 2, like
-        # every other bad input; the subcommand parsers are of this class too
+        # a bad command line goes through main's one "config error:" handler,
+        # like every other bad input; the subcommand parsers are of this class too
         def error(self, message):
-            self.exit(2, f"config error: {message}\n")
+            raise ConfigError(message)
 
     parser = Parser(prog="twistcal", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -198,11 +198,11 @@ def _cmd_list() -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-    if args.command is None:
-        parser.print_help()
-        return 2
     try:
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        if args.command is None:
+            parser.print_help()
+            return 2
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "table":

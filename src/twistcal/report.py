@@ -114,8 +114,7 @@ class VerificationReport:
     provenance: dict
 
     @staticmethod
-    def build(config: SuiteConfig, u, t, residuals: dict, criteria: dict,
-              provenance: dict | None = None) -> "VerificationReport":
+    def build(config: SuiteConfig, u, t, residuals: dict, criteria: dict) -> "VerificationReport":
         """Classify the rows (PASS when the largest residual and the largest
         criterion are below ``tol_verdict``, FAIL when both are at or above
         it, else MIXED), aggregate each column, take the verdict."""
@@ -134,10 +133,6 @@ class VerificationReport:
                 aggregates[f"{kind}.{name}.max"] = float(np.max(col))
                 aggregates[f"{kind}.{name}.median"] = _median(col)
         echo = config.echo()
-        # provenance gets its own copy, so that editing it leaves config as is
-        prov = {"version": __version__, "config": dict(echo)}
-        if provenance:
-            prov.update(provenance)
         return VerificationReport(
             suite=config.suite,
             config=echo,
@@ -148,7 +143,8 @@ class VerificationReport:
             status=status,
             aggregates=aggregates,
             verdict=verdict,
-            provenance=prov,
+            # provenance gets its own copy, so that editing it leaves config as is
+            provenance={"version": __version__, "config": dict(echo)},
         )
 
     def exit_code(self) -> int:

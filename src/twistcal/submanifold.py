@@ -9,7 +9,8 @@ compute, by complex-step derivatives (see :mod:`twistcal.numerics`):
   P the projection onto T S^n,
 * shape operators A^k_{ij} = <nabla_{e_i} nu_k, e_j> (symmetric per normal),
 * classification predicates: minimal, austere, and superminimal of either
-  sign for surfaces in S^4.
+  sign for surfaces in S^4; the austere and superminimal residuals are exact
+  suprema over the unit normals, in closed form.
 
 Orientation convention: a frame (f_1, ..., f_n) of T_x S^n is positively
 oriented when det[x, f_1, ..., f_n] > 0 in R^{n+1}.
@@ -224,10 +225,7 @@ class Classification:
         return "none"
 
 
-AUSTERE_NORMAL_SAMPLES = 16  # random unit normals tested beyond the coordinate axes
-
 _JT = np.array([[0.0, -1.0], [1.0, 0.0]])  # J_T e1 = e2, J_T e2 = -e1
-_SUPERMINIMAL_ANGLES = np.linspace(0.0, np.pi, 9)
 
 
 def trace_residual(second_fund) -> np.ndarray:
@@ -240,58 +238,31 @@ def superminimal_residual(matrices, sign: float) -> np.ndarray:
     """Deviation of a surface in S^4 from superminimality of sign ``sign``.
 
     ``matrices`` holds the shape operators (A^3, A^4), shape (..., 2, 2, 2).
-    The residual is the largest entry of A^{J_N nu} - sign J_T A^nu over the
-    unit normals nu = cos(theta) nu_3 + sin(theta) nu_4 at nine angles in
-    [0, pi], per leading index.
+    At the unit normal nu = cos(theta) nu_3 + sin(theta) nu_4,
+    A^{J_N nu} - sign J_T A^nu = cos(theta) P + sin(theta) Q with
+    P = A^4 - sign J_T A^3 and Q = -A^3 - sign J_T A^4, so the residual, the
+    largest entry over every unit normal, is max_ij hypot(P_ij, Q_ij), per
+    leading index.
     """
     m = np.asarray(matrices, dtype=float)
-    c = np.cos(_SUPERMINIMAL_ANGLES)[:, None, None]
-    s = np.sin(_SUPERMINIMAL_ANGLES)[:, None, None]
-    a3, a4 = m[..., None, 0, :, :], m[..., None, 1, :, :]
-    a_nu = c * a3 + s * a4
-    a_jn = c * a4 - s * a3  # A^{J_N nu}
-    return np.max(np.abs(a_jn - sign * _JT @ a_nu), axis=(-3, -2, -1))
-
-
-def _austere_residual(matrices: np.ndarray, directions: np.ndarray) -> float:
-    """Worst deviation of the shape-operator spectra from +- symmetry."""
-    worst = 0.0
-    for d in directions:
-        a_nu = np.tensordot(d, matrices, axes=1)
-        scale = 1.0 + np.linalg.norm(a_nu)
-        eig = np.linalg.eigvalsh(a_nu)
-        order = np.argsort(-np.abs(eig))
-        eig = list(eig[order])
-        local = 0.0
-        while eig:
-            lam = eig.pop(0)
-            if not eig:
-                local = max(local, abs(lam))
-                break
-            partner = int(np.argmin([abs(lam + mu) for mu in eig]))
-            local = max(local, abs(lam + eig.pop(partner)))
-        worst = max(worst, local / scale)
-    return worst
+    a3, a4 = m[..., 0, :, :], m[..., 1, :, :]
+    p, q = a4 - sign * (_JT @ a3), -a3 - sign * (_JT @ a4)
+    return np.max(np.hypot(p, q), axis=(-2, -1))
 
 
 def classify_matrices(matrices, tol: float = 1e-6) -> Classification:
-    """Classify from raw shape-operator matrices A^{q+1..n} (each q x q)."""
+    """Classify from raw shape-operator matrices A^{q+1..n} (each q x q).
+
+    For q <= 2 a shape operator has a +- symmetric spectrum exactly when it
+    is traceless, so the austere residual is sup_nu |tr A^nu| over the unit
+    normals, the length of the vector of traces.
+    """
     matrices = np.asarray(matrices, dtype=float)
     m, q, _ = matrices.shape
+    if q > 2:
+        raise DomainError(f"austerity is classified for q <= 2, not q={q}")
     trace_res = float(trace_residual(matrices))
-    minimal = trace_res < tol
-
-    if m == 1:
-        directions = np.array([[1.0]])
-    else:
-        # unit normals: coordinate axes plus a deterministic sample of the sphere
-        rng = np.random.default_rng(1234)
-        extra = rng.standard_normal((AUSTERE_NORMAL_SAMPLES, m))
-        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        directions = np.vstack([np.eye(m), extra])
-    austere_res = _austere_residual(matrices, directions)
-    austere = austere_res < tol
-
+    austere_res = float(np.linalg.norm(np.trace(matrices, axis1=-2, axis2=-1)))
     residuals = {"trace": trace_res, "austere": austere_res}
     sm_plus = sm_minus = False
     if q == 2 and m == 2:
@@ -301,8 +272,8 @@ def classify_matrices(matrices, tol: float = 1e-6) -> Classification:
         sm_minus = residuals["superminimal_minus"] < tol
 
     return Classification(
-        minimal=minimal,
-        austere=austere,
+        minimal=trace_res < tol,
+        austere=austere_res < tol,
         superminimal_plus=sm_plus,
         superminimal_minus=sm_minus,
         residuals=residuals,

@@ -379,17 +379,23 @@ def test_gram_schmidt_on_a_stack():
 
 
 def test_superminimal_residual_is_the_angle_loop():
-    jt = np.array([[0.0, -1.0], [1.0, 0.0]])
+    # the closed form is the supremum of the residual over the whole circle
+    # of unit normals: a dense sweep reads at most it, and at least cos(pi/N)
+    # of it, N being the number of angles
+    count = 100_000
+    theta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)[:, None, None]
+    c, s = np.cos(theta), np.sin(theta)
     rng = rng_for(9)
-    for _ in range(50):
+    for _ in range(10):
         a3, a4 = rng.standard_normal((2, 2, 2))
+        a3, a4 = a3 + a3.T, a4 + a4.T
+        a_nu, a_jn = c * a3 + s * a4, c * a4 - s * a3
+        jt_a_nu = np.stack([-a_nu[:, 1], a_nu[:, 0]], axis=1)  # J_T e1 = e2, J_T e2 = -e1
         for sign in (1.0, -1.0):
-            worst = 0.0
-            for theta in np.linspace(0.0, np.pi, 9):
-                a_nu = np.cos(theta) * a3 + np.sin(theta) * a4
-                a_jn = np.cos(theta) * a4 - np.sin(theta) * a3
-                worst = max(worst, float(np.max(np.abs(a_jn - sign * (jt @ a_nu)))))
-            assert float(superminimal_residual(np.array([a3, a4]), sign)) == worst
+            sweep = float(np.max(np.abs(a_jn - sign * jt_a_nu)))
+            closed = float(superminimal_residual(np.array([a3, a4]), sign))
+            assert sweep <= closed + 1e-9
+            assert closed * np.cos(np.pi / count) <= sweep + 1e-12
 
 
 # -- golden tables over a stack -------------------------------------------------------------

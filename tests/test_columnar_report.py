@@ -171,9 +171,15 @@ _NAN2 = np.array([0xFFF8_0000_0000_0123], dtype=np.uint64).view(np.float64)[0]
 _AWKWARD = 'q"b\\s\nnl \u00e9\u4e2d {} %s\n  "points": []'
 
 
-def _report(u, t, residuals, criteria, config=_CFG, provenance=None):
+def _report(u, t, residuals, criteria, config=_CFG):
     return VerificationReport.build(config, np.asarray(u, dtype=float), np.asarray(t, dtype=float),
-                                    residuals, criteria, provenance)
+                                    residuals, criteria)
+
+
+def _timestamped(report):
+    # the CLI adds --timestamp to a built report's provenance
+    report.provenance["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return report
 
 
 @pytest.mark.parametrize(
@@ -202,8 +208,7 @@ def _report(u, t, residuals, criteria, config=_CFG, provenance=None):
             id="awkward-config-strings",
         ),
         pytest.param(
-            lambda: _report(np.ones((2, 2)), np.ones((2, 1)), {"r": [0.0, 1.0]}, {"c": [0.0, 1.0]},
-                            provenance={"timestamp": datetime.now(timezone.utc).isoformat()}),
+            lambda: _timestamped(_report(np.ones((2, 2)), np.ones((2, 1)), {"r": [0.0, 1.0]}, {"c": [0.0, 1.0]})),
             id="timestamp",
         ),
         pytest.param(

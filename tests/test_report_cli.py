@@ -414,8 +414,7 @@ def test_cli_rejects_removed_tolerance_knobs(tmp_path):
     # accepted that would look as if it did
     cfg_file = tmp_path / "suite.cfg"
     for key in ("tol_algebraic", "tol_geometric"):
-        with pytest.raises(SystemExit):
-            main(["verify", "g2-associative", "--samples", "1", "--" + key.replace("_", "-"), "1e-30"])
+        assert main(["verify", "g2-associative", "--samples", "1", "--" + key.replace("_", "-"), "1e-30"]) == 2
         cfg_file.write_text(f"{key}=1e-30\n")
         assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
 
@@ -530,9 +529,7 @@ def test_config_validation_requires_finite_values():
 def test_cli_rejects_the_removed_fd_step(tmp_path, capsys):
     # every derivative is a complex step, so no step is left to set
     for argv in (_VERIFY, ["table", "veronese", "--samples", "2"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--fd-step", "1e-5"])
-        assert exc.value.code == 2
+        assert main(argv + ["--fd-step", "1e-5"]) == 2
         assert capsys.readouterr().err == "config error: unrecognized arguments: --fd-step 1e-5\n"
     cfg_file = tmp_path / "suite.cfg"
     cfg_file.write_text("samples=1\nfd_step=1e-5\n")
@@ -554,9 +551,7 @@ def test_bad_command_line_is_one_config_error_line(argv, err, capsys):
     # argparse's own errors read like every other bad input: no usage line.
     # Only the start of the message is pinned; argparse words the list of
     # choices differently across Python versions.
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {err}") and captured.err.count("\n") == 1

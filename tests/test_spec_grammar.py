@@ -3,8 +3,6 @@
 
 Every generated command must end in a verdict or a one-line diagnosis: exit
 0, 1 or 2, no exception out of ``cli.main`` and at most one line on stderr.
-A flag value that argparse rejects leaves ``cli.main`` as ``SystemExit(2)``
-after its one ``config error:`` line; the flag tests take that as exit 2.
 The examples are derandomised, so a run is reproducible.
 """
 
@@ -186,14 +184,10 @@ def _value(flag, default):
 
 
 def _run(argv):
-    """Exit code, stdout bytes and stderr text of one ``cli.main`` call, with
-    argparse's ``SystemExit`` taken as its exit code."""
+    """Exit code, stdout bytes and stderr text of one ``cli.main`` call."""
     out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
         out.flush()
     return code, out.buffer.getvalue(), err.getvalue()
 

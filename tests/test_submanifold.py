@@ -10,6 +10,7 @@ from twistcal.submanifold import (
     classify_matrices,
     get_chart,
     rotate_frame_field,
+    superminimal_residual,
     with_normal_frame,
 )
 
@@ -168,6 +169,57 @@ def test_classification_invariant_under_frame_rotation():
         exp4 = r_t @ (-sb * base.second_fund[0] + cb * base.second_fund[1]) @ r_t.T
         assert np.max(np.abs(p.second_fund[0] - exp3)) < 1e-6
         assert np.max(np.abs(p.second_fund[1] - exp4)) < 1e-6
+
+
+@pytest.mark.parametrize("name, sign", [("veronese", 1.0), ("veronese-hat", 1.0), ("veronese-antipodal", -1.0)])
+def test_veronese_superminimal_residuals_under_frame_rotation(name, sign):
+    # A^nu has eigenvalues +-1/sqrt(3) at every unit normal, so the
+    # wrong-sign residual, the largest entry of 2 J_T A^nu, is 2/sqrt(3)
+    # in every frame
+    chart = get_chart(name)
+    u = chart.sample(rng_for(6), 6)
+    for alpha, beta in ((1.9, 2.4), (0.3, 5.1), (4.4, 0.7)):
+        frames = adapted_frame(rotate_frame_field(chart, alpha, beta), u)
+        right = superminimal_residual(frames.second_fund, sign)
+        wrong = superminimal_residual(frames.second_fund, -sign)
+        assert np.max(right) < 1e-12
+        assert np.max(np.abs(wrong - 2.0 / np.sqrt(3.0))) < 1e-12
+
+
+def _sup_over_unit_vectors(f, m, rng):
+    """sup of f over the unit vectors of R^m: the best of 50,000 random unit
+    vectors, refined four times on a grid of 201 steps a side in the tangent
+    space there, each grid a twentieth as wide as the last."""
+    if m == 1:
+        return float(np.max(f(np.array([[1.0], [-1.0]]))))
+
+    def best_of(nu):
+        nu = nu / np.linalg.norm(nu, axis=1, keepdims=True)
+        return nu[np.argmax(f(nu))]
+
+    best = best_of(rng.standard_normal((50_000, m)))
+    for r in (0.2, 1e-2, 5e-4, 2.5e-5):
+        tangent = np.linalg.svd(best[None, :])[2][1:]
+        steps = np.linspace(-r, r, 201)
+        offsets = np.stack(np.meshgrid(*[steps] * (m - 1), indexing="ij"), -1).reshape(-1, m - 1)
+        best = best_of(best + offsets @ tangent)
+    return float(f(best[None, :])[0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_austere_residual_is_the_largest_trace_over_unit_normals(m):
+    # for q <= 2 a spectrum is +- symmetric exactly when it is traceless
+    rng = rng_for(10 + m)
+    for q in (1, 2):
+        for _ in range(3):
+            a = rng.standard_normal((m, q, q))
+            a = a + np.swapaxes(a, 1, 2)
+            sup = _sup_over_unit_vectors(
+                lambda nu: np.abs(np.trace(np.tensordot(nu, a, axes=1), axis1=1, axis2=2)), m, rng
+            )
+            assert abs(classify_matrices(a).residuals["austere"] - sup) <= 1e-9
+    with pytest.raises(DomainError):
+        classify_matrices(np.zeros((m, 3, 3)))
 
 
 # -- normal frames --------------------------------------------------------------------
