@@ -8,7 +8,11 @@ by the complex step f'(u) w = Im f(u + i h w) / h at h = 1e-30 (Squire and
 Trapp, SIAM Rev. 40 (1998); Martins, Sturdza and Alonso, ACM TOMS 29
 (2003)): one evaluation of ``f`` per direction, no
 cancellation, and no step to choose, since the truncation error, of order
-h^2 |f^(3)|, lies far below round-off.  So ``f`` must be complex-safe:
+h^2 |f^(3)|, lies far below round-off.  The real part of the same
+evaluation is f(u), whose h^2 term lies below round-off too, so
+:func:`complex_step` returns the value and the derivative together: the
+adapted frame reads each chart map and its derivatives from one
+evaluation, and needs no separate real one.  So ``f`` must be complex-safe:
 bilinear, analytic arithmetic with no ``conj``, ``abs`` or cast to float,
 domain checks on the real part, and a complex-valued map returns its real
 and imaginary parts as two real-analytic arrays.  A cast that drops an
@@ -80,15 +84,23 @@ def blocked(kernel, *arrays) -> np.ndarray:
     )
 
 
-def directional_derivative(f, u, w):
-    """d/ds f(u + s w) at s = 0, as Im f(u + i h w) / h.
+def complex_step(f, u, w):
+    """f(u) and d/ds f(u + s w) at s = 0, from one call of f at u + i h w:
+    the real part of that call is f(u) up to a term of order h^2 (below
+    round-off), and its imaginary part over h is the derivative.
 
     ``u`` and ``w`` are points and directions of shape (..., d), broadcast
-    against each other; ``f`` is called once, on the complex-stepped points,
-    and must map (..., d) to real-analytic values (..., *out).
+    against each other; ``f`` must map (..., d) to real-analytic values
+    (..., *out).  Every derivative in the package is one call of this.
     """
     u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
-    return np.asarray(f(u + (1j * STEP) * w)).imag / STEP
+    value = np.asarray(f(u + (1j * STEP) * w))
+    return value.real, value.imag / STEP
+
+
+def directional_derivative(f, u, w):
+    """d/ds f(u + s w) at s = 0, the derivative part of :func:`complex_step`."""
+    return complex_step(f, u, w)[1]
 
 
 def jacobian(f, u) -> np.ndarray:

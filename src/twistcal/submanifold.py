@@ -2,8 +2,11 @@
 
 An :class:`ImmersionChart` is a coordinate patch of an immersed submanifold
 of the unit sphere together with its adapted orthonormal frame field (rows
-e_1..e_q, nu_{q+1}..nu_n, all tangent to the sphere).  From it we
-compute, by complex-step derivatives (see :mod:`twistcal.numerics`):
+e_1..e_q, nu_{q+1}..nu_n, all tangent to the sphere).  From one
+complex-step evaluation of each chart map (see :mod:`twistcal.numerics`),
+whose real part is the point or frame and whose imaginary part its
+coordinate derivatives, and from the q x q Gram matrix of the Jacobian in
+closed form (q <= 2; no LAPACK call), we compute:
 
 * connection coefficients Gamma^l_{jk} = <P(D_{e_j} frame_k), frame_l> with
   P the projection onto T S^n,
@@ -25,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ImmersionDegenerateError
-from .numerics import directional_derivative, gram_schmidt, jacobian, row_norms
+from .numerics import complex_step, directional_derivative, gram_schmidt, row_norms
 
 __all__ = [
     "ImmersionChart",
@@ -149,45 +152,79 @@ def _domain_rows(chart: ImmersionChart, u) -> tuple[np.ndarray, bool]:
     return rows, single
 
 
+def _gram(cols) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest singular value (P,) and the inverse Gram matrix
+    g^-1 = (J^T J)^-1 (P, q, q) of each Jacobian J of a stack, given by its
+    columns j_k = cols[:, k] (P, q, n+1), in closed form for q <= 2.
+
+    det g = |j_1 ^ ... ^ j_q|^2 is |j_1|^2 for q = 1 and, for q = 2, the
+    sum of the squared 2 x 2 minors of J, which does not cancel as
+    g11 g22 - g12^2 does; then sigma_min = |j_1 ^ j_2| / sigma_max and
+    g^-1 = adj(g) / det g, with adj(g) = tr(g) I - g.  The inverse is zero
+    where det g is; a larger q raises.
+    """
+    q = cols.shape[1]
+    g = cols @ np.swapaxes(cols, -1, -2)
+    if q == 1:
+        det, adj = g[:, 0, 0], np.ones_like(g)
+        sigma_min = np.sqrt(det)
+    elif q == 2:
+        outer = cols[:, 0, :, None] * cols[:, 1, None, :]
+        minors = outer - np.swapaxes(outer, -1, -2)
+        det = 0.5 * np.einsum("pab,pab->p", minors, minors)
+        g11, g12, g22 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+        trace = g11 + g22
+        sigma_max = np.sqrt(0.5 * (trace + np.hypot(g11 - g22, 2.0 * g12)))
+        sigma_min = np.divide(np.sqrt(det), sigma_max, out=np.zeros_like(det), where=sigma_max > 0)
+        adj = trace[:, None, None] * np.eye(2) - g
+    else:
+        raise DomainError(f"adapted frames are computed for q <= 2, not q={q}")
+    inverse = np.divide(adj, det[:, None, None], out=np.zeros_like(adj), where=det[:, None, None] > 0)
+    return sigma_min, inverse
+
+
 def adapted_frame(chart: ImmersionChart, u) -> AdaptedFramePoint:
     """Evaluate the adapted frame and its first-order data at a chart point
     u of shape (q,), or at every row of a stack of shape (P, q).
 
-    The derivatives of every row go through one stacked call of each chart
-    function.  A row outside the safe domain, off the sphere or at a
-    degenerate point raises, naming the first such row.
+    Each chart function is called once, on the q complex coordinate steps
+    of every row: the real parts are the point and the frame, the imaginary
+    parts their coordinate derivatives.  A row outside the safe domain, off
+    the sphere or at a degenerate point raises, naming the first such row.
     """
     q, n = chart.q, chart.n
     rows, single = _domain_rows(chart, u)
-    x = chart.xmap(rows)
+    steps = rows[:, None, :]
+    # (P, q, n+1) each; the derivatives are the Jacobian's columns, as rows
+    points, cols = complex_step(chart.xmap, steps, np.eye(q))
+    x = points[:, 0]
     off_sphere = np.abs(row_norms(x) - 1.0) > 1e-9
     if off_sphere.any():
         raise DomainError(
             f"chart {chart.name!r} does not map into the unit sphere "
             f"at u={_first(rows, off_sphere, single)}"
         )
-    jac = jacobian(chart.xmap, rows)  # (P, n+1, q)
-    degenerate = np.linalg.svd(jac, compute_uv=False).min(axis=-1) < 1e-8
+    sigma_min, g_inv = _gram(cols)
+    degenerate = sigma_min < 1e-8
     if degenerate.any():
         raise ImmersionDegenerateError(
             f"chart {chart.name!r} is degenerate at u={_first(rows, degenerate, single)}"
         )
-    frame = np.asarray(chart.frame_field(rows), dtype=float)
-    if frame.shape != (rows.shape[0], n, n + 1):
+    frames, dframes = complex_step(chart.frame_field, steps, np.eye(q))
+    if frames.shape != (rows.shape[0], q, n, n + 1):
         raise DomainError("frame field must return an (n, n+1) array per point")
+    frame = frames[:, 0]
 
     # chart velocities: (d xmap) w_j = e_j, by the normal equations (the
     # e_j lie in the image of d xmap, so this is the least-squares solution)
-    jac_t = np.swapaxes(jac, -1, -2)
-    e_cols = np.swapaxes(frame[:, :q, :], -1, -2)
-    velocities = np.swapaxes(np.linalg.solve(jac_t @ jac, jac_t @ e_cols), -1, -2)
+    velocities = (frame[:, :q] @ np.swapaxes(cols, -1, -2)) @ g_inv
 
-    # derivatives of the frame along every e_j: (P, q, n, n+1), projected
-    # onto T S^n, then paired with the frame
-    dframe = directional_derivative(chart.frame_field, rows[:, None, :], velocities)
-    xs = x[:, None, None, :]
-    dframe = dframe - (dframe @ np.swapaxes(xs, -1, -2)) * xs
-    gamma = dframe @ np.swapaxes(frame, -1, -2)[:, None]
+    # derivatives of the frame along every e_j, sum_k w_jk d_k frame, as
+    # (P, q n, n+1) rows, projected onto T S^n, then paired with the frame
+    p = len(rows)
+    dframe = (velocities @ dframes.reshape(p, q, -1)).reshape(p, q * n, n + 1)
+    dframe = dframe - (dframe @ x[:, :, None]) * x[:, None, :]
+    gamma = (dframe @ np.swapaxes(frame, -1, -2)).reshape(p, q, n, n)
     second_fund = np.swapaxes(gamma[:, :, q:, :q], 1, 2)
 
     point = AdaptedFramePoint(

@@ -16,7 +16,7 @@ import pytest
 from twistcal.cli import main
 from twistcal.errors import DomainError, ImmersionDegenerateError
 from twistcal.examples import golden_residuals, golden_table_names
-from twistcal.numerics import directional_derivative, gram_schmidt, jacobian
+from twistcal.numerics import complex_step, directional_derivative, gram_schmidt, jacobian
 from twistcal.stenzel import (
     closed_form_tangents,
     constant_mu,
@@ -29,6 +29,7 @@ from twistcal.stenzel import (
 )
 from twistcal.submanifold import (
     ImmersionChart,
+    _gram,
     adapted_frame,
     chart_names,
     get_chart,
@@ -115,6 +116,83 @@ def test_adapted_frame_with_transported_normal_frame():
     frames = normal.frame_field(u)
     for i, p in enumerate(u):
         assert np.max(np.abs(frames[i] - normal.frame_field(p))) <= 1e-15
+
+
+def test_gram_algebra_matches_lapack():
+    # Gaussian columns scaled as a whole by 10^[-11, 2] and one by one by
+    # 10^[-1, 0], so sigma_min spans 1e-12 to 1e2 while each matrix stays well
+    # conditioned: the SVD is relatively accurate only up to eps times the
+    # condition number, and the normal equations, however they are solved,
+    # to its square; the e_j lie in the image of J, as the frame's tangent
+    # rows do
+    rng = rng_for(30)
+    count = 1000
+    for q in (1, 2):
+        jac = (
+            rng.standard_normal((count, 5, q))
+            * 10.0 ** rng.uniform(-11.0, 2.0, (count, 1, 1))
+            * 10.0 ** rng.uniform(-1.0, 0.0, (count, 1, q))
+        )
+        sigma_min, g_inv = _gram(np.swapaxes(jac, -1, -2))
+        oracle = np.linalg.svd(jac, compute_uv=False).min(axis=-1)
+        assert oracle.min() <= 1e-11 and oracle.max() >= 10.0
+        assert np.max(np.abs(sigma_min - oracle) / oracle) <= 1e-12
+        clear = (oracle < 0.99e-8) | (oracle > 1.01e-8)
+        assert np.array_equal((sigma_min < 1e-8)[clear], (oracle < 1e-8)[clear])
+        tangents = rng.standard_normal((count, q, q)) @ np.swapaxes(jac, -1, -2)
+        velocities = (tangents @ jac) @ g_inv
+        for i in np.flatnonzero(oracle >= 1e-8):
+            expected = np.linalg.lstsq(jac[i], tangents[i].T, rcond=None)[0].T
+            assert np.max(np.abs(velocities[i] - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # columns 1e-6 apart: the 2 x 2 minors keep sigma_min to eps times the
+    # condition number (about 1e7), where g11 g22 - g12^2 keeps about two digits
+    j1 = rng.standard_normal((count, 5))
+    cols = np.stack([j1, j1 + 1e-6 * rng.standard_normal((count, 5))], axis=1)
+    oracle = np.linalg.svd(cols, compute_uv=False).min(axis=-1)
+    assert np.max(np.abs(_gram(cols)[0] - oracle) / oracle) <= 1e-7
+
+
+def test_adapted_frame_rejects_q_above_two():
+    def three_sphere(u):
+        u = np.asarray(u)
+        a, b, c = u[..., 0], u[..., 1], u[..., 2]
+        x = np.zeros(u.shape[:-1] + (5,), u.dtype)
+        x[..., 0] = np.cos(a)
+        x[..., 1] = np.sin(a) * np.cos(b)
+        x[..., 2] = np.sin(a) * np.sin(b) * np.cos(c)
+        x[..., 3] = np.sin(a) * np.sin(b) * np.sin(c)
+        return x
+
+    chart = ImmersionChart(
+        name="three-sphere", q=3, n=4, xmap=three_sphere,
+        sample_box=np.array([[0.5, 1.0]] * 3), frame_field=unread_frame,
+    )
+    with pytest.raises(DomainError, match=r"q=3"):
+        adapted_frame(chart, np.array([0.7, 0.8, 0.9]))
+
+
+@pytest.mark.parametrize("name", ["equatorial", "veronese", "great-circle"])
+def test_adapted_frame_evaluates_each_chart_map_once_without_lapack(monkeypatch, name):
+    def refused(*args, **kwargs):
+        raise AssertionError("adapted_frame called np.linalg")
+
+    for routine in ("svd", "solve", "lstsq", "inv"):
+        monkeypatch.setattr(np.linalg, routine, refused)
+    chart = CHARTS[name]
+    calls = []
+
+    def counted(f):
+        def call(u):
+            calls.append(f)
+            return f(u)
+
+        return call
+
+    counted_chart = dataclasses.replace(
+        chart, xmap=counted(chart.xmap), frame_field=counted(chart.frame_field)
+    )
+    adapted_frame(counted_chart, chart.sample(rng_for(31), 5))
+    assert calls == [chart.xmap, chart.frame_field]
 
 
 @pytest.mark.parametrize("name", sorted(CHARTS))
@@ -296,18 +374,18 @@ def test_closed_form_tangents_match_the_main_path(name):
 
 
 def test_verify_path_takes_no_derivative_of_the_total_space_map(monkeypatch, tmp_path):
-    # a Stenzel job differentiates the chart twice (the xmap Jacobian and the
-    # frame derivative); closed_form_tangents adds the total-space step, so
-    # its point is the differentiated route and not the verify path's
+    # a Stenzel job makes two complex steps, one call of each chart map in
+    # adapted_frame; closed_form_tangents adds the total-space step, so its
+    # point is the differentiated route and not the verify path's
     calls = []
 
     def counted(f, u, w):
         calls.append(f)
-        return directional_derivative(f, u, w)
+        return complex_step(f, u, w)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("twistcal.") and getattr(module, "directional_derivative", None) is directional_derivative:
-            monkeypatch.setattr(module, "directional_derivative", counted)
+        if name.startswith("twistcal.") and getattr(module, "complex_step", None) is complex_step:
+            monkeypatch.setattr(module, "complex_step", counted)
     argv = ["verify", "stenzel-lagrangian", "--samples", "2", "--out", str(tmp_path / "r.json")]
     assert main(argv) == 0
     assert len(calls) == 2

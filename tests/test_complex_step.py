@@ -16,7 +16,7 @@ import pytest
 from twistcal import g2
 from twistcal.cli import main
 from twistcal.examples import make_eta_family, make_section_family
-from twistcal.numerics import directional_derivative
+from twistcal.numerics import complex_step, directional_derivative
 from twistcal.stenzel import constant_mu, psi_map, twisted_conormal_point
 from twistcal.submanifold import (
     _REGISTRY,
@@ -54,6 +54,20 @@ def test_chart_derivatives_match_central_differences(name):
         exact = directional_derivative(fn, u, w)
         assert exact.shape == fn(u).shape
         assert np.max(np.abs(exact - central_difference(fn, u, w))) <= TOL
+
+
+@pytest.mark.parametrize("name", chart_names())
+def test_the_stepped_call_reads_the_point_and_frame(name):
+    # adapted_frame reads x and the frame from the real parts of its stepped
+    # calls; they may differ from a real evaluation only in the last place
+    # (complex and real sin, division and sqrt may round differently)
+    chart = get_chart(name)
+    u = chart.sample(rng_for(22), 1000)
+    for fn in (chart.xmap, chart.frame_field):
+        plain = fn(u)
+        stepped, _ = complex_step(fn, u[:, None, :], np.eye(chart.q))
+        assert np.max(np.abs(plain)) <= 1.0
+        assert np.max(np.abs(stepped - plain[:, None])) <= 2.3e-16
 
 
 SECTIONS = [
