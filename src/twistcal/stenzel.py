@@ -20,18 +20,20 @@ the form is invariant under complex orthogonal transformations and the guard
 In those coordinates a point of the twisted conormal bundle and its tangents
 E_i, F_j are closed forms in the fibre coordinates t, the twist mu and the
 adapted frame's connection coefficients gamma, so the verify path takes no
-derivative past ``adapted_frame``.  ``closed_form_tangents`` sets them next
-to the complex-step derivatives of the total-space map, as their oracle.
+derivative past ``adapted_frame``.  Their oracle, ``closed_form_tangents``,
+takes that same point and reads z and the tangents again from one complex
+step of the total-space map: its real part is z, its imaginary parts the
+tangents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ChartError, DomainError
-from .numerics import Profile, directional_derivative, row_norms
+from .numerics import Profile, complex_step, row_norms
 from .submanifold import AdaptedFramePoint, ImmersionChart, adapted_frame
 from .submanifold import with_normal_frame  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 
@@ -171,55 +173,9 @@ class TwistedConormalPoint:
         )
 
 
-def _rotation(point: AdaptedFramePoint) -> np.ndarray:
-    """Orthogonal matrix sending (x, e, nu) to the standard basis rows."""
-    return np.concatenate([point.x[..., None, :], point.frame], axis=-2)
-
-
 def _rows_times(coeffs, vectors):
     """sum_l coeffs[..., l] vectors[..., l, :], broadcasting the leading axes."""
     return (np.asarray(coeffs)[..., None, :] @ vectors)[..., 0, :]
-
-
-def _fibre_point(chart: ImmersionChart, mu, u, t):
-    """The adapted frame at u, the fibre coordinates t, the twist
-    coefficients a and y = |t|^2 + |a|^2, for one point or a stack."""
-    point = adapted_frame(chart, u)
-    t = np.asarray(t, dtype=float)
-    if t.shape != point.u.shape[:-1] + (chart.n - chart.q,):
-        raise DomainError("fiber coordinate count must be n - q")
-    a = np.broadcast_to(np.asarray(mu, dtype=float), point.u.shape)
-    y = ((t[..., None, :] @ t[..., :, None]) + (a[..., None, :] @ a[..., :, None]))[..., 0, 0]
-    return point, t, a, y
-
-
-def _closed_tangents(gamma, a, t, y):
-    """The proof's E_i and F_j in the chart's own adapted frame, re-based.
-
-    The proof derives E_i and F_j at the centre of a normal frame, where the
-    twist's coefficients a = mu have the covariant derivative
-    da_il = sum_m mu_m gamma[i, m, l]; the radial terms in a . da_i drop,
-    because gamma's tangent block is antisymmetric.  In the chart's own frame
-    the normal rows also turn along e_i, by C_il = sum_k t_k
-    gamma[i, q+k, q+l], so E_i gains sum_l C_il F_l.
-    """
-    q, n = a.shape[-1], gamma.shape[-1]
-    y = np.asarray(y)[..., None, None]
-    ch, sh = _cosh_sinhc(y)
-    radial = (ch - sh) / np.where(y > 0, y, 1.0)  # ch - sh is 0 at y = 0
-    xi = np.concatenate([a, t], axis=-1)[..., None, :]  # fibre covector on slots 1..n
-    eye = np.eye(n)
-
-    f_closed = np.concatenate(
-        [t[..., :, None] * sh, 1j * (sh * eye[q:] + t[..., :, None] * radial * xi)], axis=-1
-    )
-    da = _rows_times(a[..., None, :], gamma[..., :q, :q])
-    a_hat = _rows_times(t[..., None, :], gamma[..., q:, :q])  # sum_k t_k A^k
-    a_normal = (gamma[..., q:, :q] @ a[..., None, :, None])[..., 0]  # sum_j a_j A^k_ij
-    turn = np.concatenate([a_hat + da, -a_normal], axis=-1)
-    e_closed = np.concatenate([-1j * sh * a[..., :, None], ch * eye[:q] + 1j * sh * turn], axis=-1)
-    c = _rows_times(t[..., None, :], gamma[..., q:, q:])
-    return e_closed + c @ f_closed, f_closed
 
 
 def twisted_conormal_point(chart: ImmersionChart, mu, u, t) -> TwistedConormalPoint:
@@ -228,89 +184,100 @@ def twisted_conormal_point(chart: ImmersionChart, mu, u, t) -> TwistedConormalPo
     ``mu`` holds the (q,) coefficients of the twist.  ``u`` and ``t`` are
     one chart point (q,) and fibre coordinate (n-q,), or stacks (P, q) and
     (P, n-q).  Everything is read from the adapted frame's gamma, with no
-    derivative of the total-space map: the point is
-    z = (cosh sqrt y, i sinhc(y) a, i sinhc(y) t), with
-    sinhc(y) = sinh(sqrt y)/sqrt y, and the tangents are the proof's closed
-    forms.
+    derivative of the total-space map.  With a = mu, xi = (a, t) the fibre
+    covector on slots 1..n, y = |xi|^2 and sinhc(y) = sinh(sqrt y)/sqrt y,
+    the point is z = (cosh sqrt y, i sinhc(y) xi).
+
+    The tangents are the proof's E_i and F_j in the chart's own adapted
+    frame.  The proof derives them at the centre of a normal frame, where
+    the twist's coefficients have the covariant derivative
+    da_il = sum_m mu_m gamma[i, m, l]; the radial terms in a . da_i drop,
+    because gamma's tangent block is antisymmetric.  In the chart's own frame
+    the normal rows also turn along e_i, by C_il = sum_k t_k
+    gamma[i, q+k, q+l], so E_i gains sum_l C_il F_l.
     """
-    point, t, a, y = _fibre_point(chart, mu, u, t)
+    point = adapted_frame(chart, u)
+    q, n = chart.q, chart.n
+    t = np.asarray(t, dtype=float)
+    if t.shape != point.u.shape[:-1] + (n - q,):
+        raise DomainError("fiber coordinate count must be n - q")
+    a = np.broadcast_to(np.asarray(mu, dtype=float), point.u.shape)
+    y = ((t[..., None, :] @ t[..., :, None]) + (a[..., None, :] @ a[..., :, None]))[..., 0, 0]
     ch, shc = _cosh_sinhc(y)
     xi = np.concatenate([a, t], axis=-1)
     z = np.concatenate([ch[..., None], 1j * shc[..., None] * xi], axis=-1)
-    tangents_e, tangents_f = _closed_tangents(point.gamma, a, t, y)
-    return TwistedConormalPoint(
-        frame_point=point,
-        t=t,
-        mu_coeffs=a,
-        y=y[()],
-        z=z,
-        tangents_e=tangents_e,
-        tangents_f=tangents_f,
+
+    # the per-point scalars, broadcast over the (row, slot) axes of the tangents
+    gamma, eye = point.gamma, np.eye(n)
+    ch, sh, yy = ch[..., None, None], shc[..., None, None], y[..., None, None]
+    radial = (ch - sh) / np.where(yy > 0, yy, 1.0)  # ch - sh is 0 at y = 0
+    tangents_f = np.concatenate(
+        [t[..., :, None] * sh, 1j * (sh * eye[q:] + t[..., :, None] * radial * xi[..., None, :])],
+        axis=-1,
     )
-
-
-def _differentiated_point(chart: ImmersionChart, mu, u, t) -> TwistedConormalPoint:
-    """The point and its tangents from the total-space map: psi of the
-    cotangent vector, rotated by the frame, and one stacked complex step of
-    it along every base and fibre direction.  Past the adapted frame and y
-    it shares no code with the closed forms, which makes it their oracle."""
-    point, t, a, y = _fibre_point(chart, mu, u, t)
-    q, n = chart.q, chart.n
-    frame_fn = chart.frame_field
-
-    def total_map(params):
-        # (..., 2, n+1): the real and imaginary parts of the quadric point
-        uu, tt = params[..., :q], params[..., q:]
-        frame = frame_fn(uu)
-        xi = _rows_times(tt, frame[..., q:, :]) + _rows_times(mu, frame[..., :q, :])
-        return _psi_parts(chart.xmap(uu), xi)
-
-    params0 = np.concatenate([point.u, t], axis=-1)
-    rot_t = np.swapaxes(_rotation(point), -1, -2)
-    z = total_map(params0) @ rot_t
-    z = z[..., 0, :] + 1j * z[..., 1, :]
-
-    # directions: (velocity_i, 0) for the base, (0, unit_k) for the fibre
-    dirs = np.zeros(point.u.shape[:-1] + (n, n))
-    dirs[..., :q, :q] = point.velocities
-    dirs[..., q:, q:] = np.eye(n - q)
-    dz = directional_derivative(total_map, params0[..., None, :], dirs)
-    dz = dz[..., 0, :] + 1j * dz[..., 1, :]
-    tangents = dz @ rot_t
+    da = _rows_times(a[..., None, :], gamma[..., :q, :q])
+    a_hat = _rows_times(t[..., None, :], gamma[..., q:, :q])  # sum_k t_k A^k
+    a_normal = (gamma[..., q:, :q] @ a[..., None, :, None])[..., 0]  # sum_j a_j A^k_ij
+    turn = np.concatenate([a_hat + da, -a_normal], axis=-1)
+    tangents_e = np.concatenate([-1j * sh * a[..., :, None], ch * eye[:q] + 1j * sh * turn], axis=-1)
+    c = _rows_times(t[..., None, :], gamma[..., q:, q:])
     return TwistedConormalPoint(
         frame_point=point,
         t=t,
         mu_coeffs=a,
         y=y[()],
         z=z,
-        tangents_e=tangents[..., :q, :],
-        tangents_f=tangents[..., q:, :],
+        tangents_e=tangents_e + c @ tangents_f,
+        tangents_f=tangents_f,
     )
 
 
 def closed_form_tangents(
     chart: ImmersionChart, mu, u, t
 ) -> tuple[TwistedConormalPoint, np.ndarray, np.ndarray]:
-    """The closed-form tangents next to a point whose tangents are the
-    complex-step derivatives of the total-space map.
+    """The closed-form tangents next to the same point with z and tangents
+    taken from the total-space map instead.
 
     Returns (point, E_closed, F_closed) for one point or a stack.  The
-    closed forms are those of :func:`twisted_conormal_point`; the point is
-    independent of them, so the pair checks the verify path.
+    closed forms are those of :func:`twisted_conormal_point`.  The returned
+    point is that point with z and its tangents replaced by one complex step
+    of the total-space map (psi of the cotangent vector) along the base
+    directions (velocity_i, 0) and the fibre directions (0, unit_k),
+    re-based by the frame rows (x, e, nu): the real part is z and the
+    imaginary parts are the tangents.  Past the adapted frame they share no
+    code with the closed forms, so the pair checks the verify path.
     """
-    point = _differentiated_point(chart, mu, u, t)
-    e_closed, f_closed = _closed_tangents(
-        point.frame_point.gamma, point.mu_coeffs, point.t, point.y
-    )
-    return point, e_closed, f_closed
+    closed = twisted_conormal_point(chart, mu, u, t)
+    point = closed.frame_point
+    q, n = chart.q, chart.n
+
+    def total_map(params):
+        # (..., 2, n+1): the real and imaginary parts of the quadric point
+        uu, tt = params[..., :q], params[..., q:]
+        frame = chart.frame_field(uu)
+        xi = _rows_times(tt, frame[..., q:, :]) + _rows_times(mu, frame[..., :q, :])
+        return _psi_parts(chart.xmap(uu), xi)
+
+    dirs = np.zeros(point.u.shape[:-1] + (n, n))
+    dirs[..., :q, :q] = point.velocities
+    dirs[..., q:, q:] = np.eye(n - q)
+    params = np.concatenate([point.u, closed.t], axis=-1)[..., None, :]
+    value, deriv = complex_step(total_map, params, dirs)
+    rebase = np.swapaxes(np.concatenate([point.x[..., None, :], point.frame], axis=-2), -1, -2)
+    parts = np.concatenate([value[..., :1, :, :], deriv], axis=-3) @ rebase[..., None, :, :]
+    stepped = parts[..., 0, :] + 1j * parts[..., 1, :]
+    z, tangents = stepped[..., 0, :], stepped[..., 1:, :]
+    differentiated = replace(closed, z=z, tangents_e=tangents[..., :q, :], tangents_f=tangents[..., q:, :])
+    return differentiated, closed.tangents_e, closed.tangents_f
 
 
 def bracket_factor(y, vp, vpp):
     """(1 - tanh(sqrt y)/sqrt y + tanh^2 sqrt y) v' + 4 sinh^2(sqrt y) v'',
-    elementwise."""
-    ry = np.sqrt(y)
+    elementwise; 0 at y = 0, its limit, since the v' bracket is about 4y/3."""
+    y = np.asarray(y)
+    ry = np.sqrt(np.where(y > 0, y, 1.0))
     th = np.tanh(ry)
-    return (1.0 - th / ry + th * th) * vp + 4.0 * np.sinh(ry) ** 2 * vpp
+    return np.where(y > 0, (1.0 - th / ry + th * th) * vp + 4.0 * np.sinh(ry) ** 2 * vpp, 0.0)[()]
 
 
 def mixed_pairing_closed_form(

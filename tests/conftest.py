@@ -95,6 +95,36 @@ def great_circle_chart() -> ImmersionChart:
     )
 
 
+LATITUDE_R = 0.4  # the latitude of latitude_chart
+
+
+def latitude_chart(sign: float = 1.0) -> ImmersionChart:
+    """A non-minimal q = 2 chart: the latitude sphere x = (cos r s, sin r, 0)
+    of S^4 at r = LATITUDE_R, with s the equatorial chart's stereographic S^2.  Its frame is the
+    equatorial tangent rows e_1, e_2, nu_3 = sign (-sin r s, cos r, 0) and
+    nu_4 = -e_5, positively oriented for sign = 1.  Its shape operators are
+    A^3 = -sign tan r I and A^4 = 0, so |tr A| = 2 tan r at every point."""
+    equatorial = get_chart("equatorial")
+    cos_r, sin_r = math.cos(LATITUDE_R), math.sin(LATITUDE_R)
+
+    def xmap(u):
+        s = equatorial.xmap(u)[..., :3]
+        out = np.zeros(s.shape[:-1] + (5,), s.dtype)
+        out[..., :3], out[..., 3] = cos_r * s, sin_r
+        return out
+
+    def frame_field(u):
+        out = equatorial.frame_field(u)
+        out[..., 2, :3] = -sign * sin_r * equatorial.xmap(u)[..., :3]
+        out[..., 2, 3] = sign * cos_r
+        return out
+
+    return ImmersionChart(
+        name="latitude", q=2, n=4, xmap=xmap,
+        sample_box=equatorial.sample_box, frame_field=frame_field,
+    )
+
+
 def unread_frame(u):
     """A frame field for charts whose frame must never be evaluated."""
     raise AssertionError("the frame field was read")

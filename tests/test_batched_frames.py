@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from twistcal import stenzel
 from twistcal.cli import main
 from twistcal.errors import DomainError, ImmersionDegenerateError
 from twistcal.examples import golden_residuals, golden_table_names
@@ -371,6 +372,29 @@ def test_closed_form_tangents_match_the_main_path(name):
         _assert_matches_differentiated_route(pts, oracle)
         assert np.array_equal(pts.tangents_e, e_closed)
         assert np.array_equal(pts.tangents_f, f_closed)
+
+
+def test_oracle_point_does_not_read_the_closed_forms(monkeypatch):
+    # the oracle differentiates the verify path's point: a perturbation of
+    # that point's z and tangents reaches the closed forms it returns, and not
+    # the z and tangents it takes from the total-space map
+    chart, mu = get_chart("veronese"), constant_mu([0.3, -0.2])
+    samples, fibers = chart.sample(rng_for(5), 4), _sample_fibers(rng_for(6), 4, 2)
+    want, e_want, f_want = closed_form_tangents(chart, mu, samples, fibers)
+    original = stenzel.twisted_conormal_point
+
+    def perturbed(*args):
+        pt = original(*args)
+        return dataclasses.replace(
+            pt, z=pt.z + 0.5, tangents_e=pt.tangents_e + 0.5j, tangents_f=pt.tangents_f - 0.5
+        )
+
+    monkeypatch.setattr(stenzel, "twisted_conormal_point", perturbed)
+    got, e_got, f_got = closed_form_tangents(chart, mu, samples, fibers)
+    for name in ("z", "tangents_e", "tangents_f"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(e_got, e_want + 0.5j)
+    assert np.array_equal(f_got, f_want - 0.5)
 
 
 def test_verify_path_takes_no_derivative_of_the_total_space_map(monkeypatch, tmp_path):

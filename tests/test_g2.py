@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from twistcal import g2
 from twistcal import spin7
+from twistcal.cli import main
 from twistcal.exterior import InnerSpace, asd_sd_split, form_inner, hodge
 from twistcal.examples import make_eta_family, make_section_family
 from twistcal.g2 import (
@@ -404,6 +407,19 @@ def test_parallel_eta_residuals():
     res = _parallel_e(coord, eq, u)
     # d(u1)(e_1) = (1 + |u|^2)/2 and d(u1)(e_2) = 0 in this chart
     assert res == pytest.approx((1.0 + u @ u) / 2.0, rel=1e-8)
+
+
+def test_parallel_eta_residual_reads_the_e2_derivative(tmp_path):
+    # eta = u_2 f^1 over the equatorial chart has d gamma(e_1) = 0, so only the
+    # e_2 term of the criterion sees that it is not parallel
+    assert parallel_e_residual(np.array([0.0, -0.7])) == 0.7
+    out = tmp_path / "e.json"
+    argv = ["verify", "g2-coassociative", "--chart", "equatorial", "--section", "coord:axis=2",
+            "--samples", "20", "--seed", "7", "--out", str(out)]
+    assert main(argv) == 1
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "FAIL"
+    assert abs(report["aggregates"]["criterion.parallel_e.max"] - 4.849376445541088) <= 1e-9
 
 
 def test_parallel_eta_fd_cross_check():

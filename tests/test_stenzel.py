@@ -221,6 +221,17 @@ def test_bracket_factor_positive():
         assert bracket_factor(y, vp, vpp) > 0.0
 
 
+def test_bracket_factor_is_zero_at_the_zero_section():
+    # the v' bracket is about 4y/3 near y = 0, so the factor's limit there is
+    # 0; tanh(sqrt y)/sqrt y must not be evaluated at the 0/0
+    assert bracket_factor(0.0, 1.0, 1.0) == 0.0
+    y = np.array([0.0, 1e-6, 0.5])
+    got = bracket_factor(y, 2.0, 0.5)
+    assert got[0] == 0.0
+    assert np.array_equal(got[1:], [bracket_factor(v, 2.0, 0.5) for v in y[1:]])
+    assert got[1] == pytest.approx(2.0 * 4e-6 / 3.0 + 4.0 * 1e-6 * 0.5, rel=1e-5)
+
+
 def test_profile_positivity_enforced():
     bad = Profile(lambda r: -1.0, lambda r: 1.0)
     with pytest.raises(DomainError):

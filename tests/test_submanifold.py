@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from twistcal import submanifold
 from twistcal.errors import DomainError, ImmersionDegenerateError
 from twistcal.examples import golden_residuals
 from twistcal.submanifold import (
@@ -11,10 +14,13 @@ from twistcal.submanifold import (
     get_chart,
     rotate_frame_field,
     superminimal_residual,
+    trace_residual,
     with_normal_frame,
 )
+from twistcal.report import SuiteConfig
+from twistcal.suites import run_suite
 
-from conftest import rng_for, unread_frame
+from conftest import LATITUDE_R, latitude_chart, rng_for, unread_frame
 
 
 # -- frame construction ----------------------------------------------------------
@@ -220,6 +226,33 @@ def test_austere_residual_is_the_largest_trace_over_unit_normals(m):
             assert abs(classify_matrices(a).residuals["austere"] - sup) <= 1e-9
     with pytest.raises(DomainError):
         classify_matrices(np.zeros((m, 3, 3)))
+
+
+# -- a non-minimal base ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_latitude_sphere_trace_is_two_tan_r(sign):
+    # tr A^3 = -2 sign tan r: |tr| reads 2 tan r for nu_3 and for -nu_3 alike,
+    # where a signed trace would read 0 for one of them
+    chart = latitude_chart(sign)
+    frames = adapted_frame(chart, chart.sample(rng_for(21), 8))
+    assert np.all(np.linalg.det(np.concatenate([frames.x[:, None, :], frames.frame], axis=1)) * sign > 0)
+    traces = np.trace(frames.second_fund, axis1=-2, axis2=-1)
+    assert np.max(np.abs(traces - [-2.0 * sign * math.tan(LATITUDE_R), 0.0])) <= 1e-12
+    assert np.max(np.abs(trace_residual(frames.second_fund) - 2.0 * math.tan(LATITUDE_R))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "suite, fiber", [("g2-associative", "-2;1.5"), ("spin7-cayley", "1,-2;0.8,0.5")]
+)
+def test_zero_section_over_a_non_minimal_base_fails(monkeypatch, suite, fiber):
+    # the theorem needs a minimal base: over the latitude sphere the untwisted
+    # bundle is not calibrated at fibres away from zero, and trace_a says why
+    monkeypatch.setitem(submanifold._REGISTRY, "latitude", latitude_chart())
+    report = run_suite(SuiteConfig(suite, "latitude", "zero", samples=10, seed=7, fiber=fiber))
+    assert report.verdict == "FAIL"
+    assert report.aggregates["criterion.trace_a.max"] == pytest.approx(2.0 * math.tan(LATITUDE_R), abs=1e-12)
 
 
 # -- normal frames --------------------------------------------------------------------
