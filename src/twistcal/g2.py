@@ -29,9 +29,11 @@ every profile exactly when it is at u = v = 1.
 
 Every monomial with h horizontal indices carries the weight u^h v^(k-h), so
 the form at weights (u, v) is the unit-weight form pulled back by
-D = diag(u, u, u, u, v, v, v).  The residuals contract the dense unit tensors
-(``unit_tensor``, built once per table) with D-scaled tangent vectors and
-scale any free index of the result by D.
+D = diag(u, u, u, u, v, v, v).  The dense residuals, the tests' oracle,
+contract the unit tensors (``unit_tensor``, built once per table) with D-scaled
+tangent vectors and scale any free index of the result by D.  The verify path's
+``lifted_*`` residuals contract only E_1 and E_2, with the unit tensors
+restricted to the fixed unit slots of the fibre vectors F_j (``*_SLOTS``).
 """
 
 from __future__ import annotations
@@ -54,12 +56,19 @@ __all__ = [
     "tangent_basis_eta_f",
     "associative_residual",
     "coassociative_residual",
+    "lifted_associative_residual",
+    "lifted_coassociative_residual",
     "dbar_f_residual",
     "parallel_e_residual",
     "section_data",
 ]
 
 UNIT_PROFILE = Profile(1.0, 1.0)
+
+# the slots of the unit fibre vectors F_1 = k_1 and (F_2, F_3) = (k_2, k_3),
+# which each tangent basis and its lifted residual both read
+ASSOCIATIVE_SLOTS = (4,)
+COASSOCIATIVE_SLOTS = (5, 6)
 
 
 # N[j, k, m] = sum_ab _NABLA_F[k, m, a, b] Gamma[j, a, b], antisymmetric in k, m
@@ -167,8 +176,7 @@ def lifted_basis(vert: np.ndarray, fibre_dirs, dim: int) -> np.ndarray:
     out = np.zeros(vert.shape[:-2] + (2 + len(fibre_dirs), dim))
     out[..., 0, 0] = out[..., 1, 1] = 1.0
     out[..., :2, dim - vert.shape[-1] :] = vert
-    for row, col in enumerate(fibre_dirs, start=2):
-        out[..., row, col] = 1.0
+    out[..., np.arange(2, 2 + len(fibre_dirs)), list(fibre_dirs)] = 1.0
     return out
 
 
@@ -186,7 +194,7 @@ def tangent_basis_e_sigma(point: AdaptedFramePoint, sec: SectionData, t1) -> np.
     a, b = (per_point(x, fdim)[..., None, None] for x in (sec.a, sec.b))
     vert = t1[..., None, None] * n[..., 0, :] + a * n[..., 1, :] + b * n[..., 2, :]
     deriv = np.stack([np.zeros_like(sec.da), sec.da, sec.db], axis=-1)
-    return lifted_basis(vert + per_point(deriv, fdim, 2), (4,), 7)
+    return lifted_basis(vert + per_point(deriv, fdim, 2), ASSOCIATIVE_SLOTS, 7)
 
 
 def tangent_basis_eta_f(point: AdaptedFramePoint, gamma_val, dgamma, t) -> np.ndarray:
@@ -202,7 +210,7 @@ def tangent_basis_eta_f(point: AdaptedFramePoint, gamma_val, dgamma, t) -> np.nd
     vert = t2 * n[..., 1, :] + t3 * n[..., 2, :] + g * n[..., 0, :]
     dgamma = np.asarray(dgamma, dtype=float)
     deriv = np.stack([dgamma, np.zeros_like(dgamma), np.zeros_like(dgamma)], axis=-1)
-    return lifted_basis(vert + per_point(deriv, fdim, 2), (5, 6), 7)
+    return lifted_basis(vert + per_point(deriv, fdim, 2), COASSOCIATIVE_SLOTS, 7)
 
 
 def _fibre_radius(fiber) -> np.ndarray:
@@ -225,6 +233,11 @@ def scaled_rows(vectors, profile: Profile, r):
     return vecs.reshape(-1, k, dim), d, lead
 
 
+def outer_pairs(v) -> np.ndarray:
+    """The outer products v[n, 0] (x) v[n, 1] of an (N, k, dim) stack as (N, dim^2)."""
+    return (v[:, 0, :, None] * v[:, 1, None, :]).reshape(len(v), -1)
+
+
 def associative_residual(
     e1, e2, f1, profile: Profile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)
 ):
@@ -235,7 +248,7 @@ def associative_residual(
 
     def kernel(v, dd):
         # psi(F_1, E_1, ., .) as the bivector F_1 (x) E_1 against psi, then E_2
-        one_form = (v[:, 0, :, None] * v[:, 1, None, :]).reshape(-1, 49) @ psi
+        one_form = outer_pairs(v) @ psi
         return row_norms(dd * (v[:, 2, None, :] @ one_form.reshape(-1, 7, 7))[:, 0])
 
     return blocked(kernel, vecs, d).reshape(lead)[()]
@@ -258,6 +271,35 @@ def coassociative_residual(
         return np.max(np.abs(values[(slice(None),) + _TRIPLES]), axis=-1)
 
     return blocked(kernel, vecs).reshape(lead)[()]
+
+
+def lifted_associative_residual(e1, e2, profile: Profile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)):
+    """``associative_residual`` with F_1 the unit k_1: |D chi| with
+    chi = v psi_1(k_1, E_1, E_2, .), E D-scaled."""
+    vecs, d, lead = scaled_rows((e1, e2), profile, _fibre_radius(fiber))
+    (slot,) = ASSOCIATIVE_SLOTS
+    psi = unit_tensor(PSI_TABLE, 7)[slot].reshape(49, 7)
+
+    def kernel(v, dd):
+        return dd[:, slot] * row_norms(dd * (outer_pairs(v) @ psi))
+
+    return blocked(kernel, vecs, d).reshape(lead)[()]
+
+
+def lifted_coassociative_residual(e1, e2, profile: Profile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)):
+    """``coassociative_residual`` with (F_2, F_3) the unit (k_2, k_3): its four
+    triples are v phi_1(E_1, E_2, k_2|k_3) and v^2 phi_1(E_i, k_2, k_3), E D-scaled."""
+    vecs, d, lead = scaled_rows((e1, e2), profile, _fibre_radius(fiber))
+    s, t = COASSOCIATIVE_SLOTS
+    phi = unit_tensor(PHI_TABLE, 7)
+    planes, line = phi[:, :, [s, t]].reshape(49, 2), phi[:, s, t]
+
+    def kernel(v, dd):
+        w = dd[:, s, None]
+        values = np.concatenate([w * (outer_pairs(v) @ planes), w * w * (v @ line)], axis=-1)
+        return np.max(np.abs(values), axis=-1)
+
+    return blocked(kernel, vecs, d).reshape(lead)[()]
 
 
 def dbar_f_residual(gamma: np.ndarray, sec: SectionData):

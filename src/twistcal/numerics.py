@@ -33,9 +33,9 @@ from .errors import DomainError, ImmersionDegenerateError, TwistcalError
 
 STEP = 1e-30  # the imaginary step h of every derivative
 
-# Rows per block of the dense calibration-form contractions.  It bounds their
-# temporaries: the largest Cayley one is 64 x 4 x 64 doubles (128 KB) per
-# block, where a whole 3,000-point job at once would need 6 MB.
+# Rows per block of the calibration-form contractions.  It bounds their
+# temporaries: the verify path's largest is 64 x 64 doubles (32 KB), the dense
+# oracle's 64 x 4 x 64 (128 KB), where a 3,000-point job at once needs 6 MB.
 BLOCK = 64
 
 DEPENDENT_TOL = 1e-10  # gram_schmidt raises on a row whose projected norm is below

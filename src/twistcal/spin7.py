@@ -35,9 +35,11 @@ Cayley 4-planes.
 
 Every monomial of Phi with h horizontal indices carries u^h v^(4-h), so Phi
 at weights (u, v) is the unit-weight Phi pulled back by
-D = diag(u, u, u, u, v, v, v, v).  The residuals contract one dense unit
+D = diag(u, u, u, u, v, v, v, v).  The dense residuals contract one unit
 tensor (``g2.unit_tensor`` of ``PHI_TABLE``) with D-scaled tangent vectors
-and scale the free indices of the result by D.
+and scale the free indices of the result by D; they are the tests' oracle.
+The verify path reads both residuals from E_1, E_2 in one pass, with eta and
+Phi restricted to the unit fibre slots s_1, s_2 (``lifted_cayley_residuals``).
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ import numpy as np
 from .errors import DomainError
 from .octonion import left_mult_matrix, oct_mul, standard_pinor_context
 from .submanifold import AdaptedFramePoint
-from .g2 import UNIT_PROFILE, SectionData, antisymmetrise, lifted_basis, per_point, scaled_rows, unit_tensor
+from .g2 import (UNIT_PROFILE, SectionData, antisymmetrise, lifted_basis, outer_pairs, per_point,
+                 scaled_rows, unit_tensor)
 from .numerics import Profile, blocked, row_norms
 
 __all__ = [
@@ -62,6 +65,7 @@ __all__ = [
     "tangent_basis_v_plus",
     "cayley_residual",
     "calibration_gap",
+    "lifted_cayley_residuals",
     "dbar_vminus_residual",
     "phi_form",
 ]
@@ -186,6 +190,11 @@ def phi_form(u: float, v: float) -> np.ndarray:
     return antisymmetrise(PHI_TABLE, 8, u, v)
 
 
+# the slots of the unit fibre vectors (F_1, F_2) = (s_1, s_2) of the tangent
+# basis, which tangent_basis_v_plus and lifted_cayley_residuals both read
+CAYLEY_SLOTS = (4, 5)
+
+
 def tangent_basis_v_plus(
     point: AdaptedFramePoint,
     frame: SpinorFrame,
@@ -208,7 +217,7 @@ def tangent_basis_v_plus(
     fiber_spinor = t[..., 0, None] * s[0] + t[..., 1, None] * s[1] + a * s[2] + b * s[3]
     da, db = (per_point(x, fdim, 1)[..., None] for x in (sec.da, sec.db))
     vert_oct = da * s[2] + db * s[3] + (omegas @ fiber_spinor[..., None, :, None])[..., 0]
-    return lifted_basis(frame.components(vert_oct), (4, 5), 8)
+    return lifted_basis(frame.components(vert_oct), CAYLEY_SLOTS, 8)
 
 
 # summand pair p of eta has head vector p and the cross product of the other
@@ -256,12 +265,44 @@ def calibration_gap(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0
     phi = unit_tensor(PHI_TABLE, 8).reshape(64, 64)
 
     def kernel(v):
-        val = ((v[:, 0, :, None] * v[:, 1, None, :]).reshape(-1, 64) @ phi).reshape(-1, 8, 8)
+        val = (outer_pairs(v) @ phi).reshape(-1, 8, 8)
         return (v[:, 2, None, :] @ val @ v[:, 3, :, None])[:, 0, 0]
 
     phi_val = blocked(kernel, vecs)
     vol = np.sqrt(np.maximum(np.linalg.det(vecs @ np.swapaxes(vecs, -1, -2)), 0.0))
     return np.abs(np.abs(phi_val) - vol).reshape(lead)[()]
+
+
+@lru_cache(maxsize=1)
+def cayley_kernel() -> np.ndarray:
+    """K[8 a + b, 8 i + j] = eta_1(e_a, e_b, s_1, s_2)[i, j], read-only: _eta_rows
+    on the 64 basis pairs, built once; its entries are exact, in {-2, 0, 2}."""
+    eye = np.eye(8)
+    rows = np.broadcast_arrays(eye[:, None], eye[None, :], *(eye[i] for i in CAYLEY_SLOTS))
+    out = _eta_rows(np.stack(rows, axis=2).reshape(64, 4, 8), np.ones((64, 8))).reshape(64, 64)
+    out.flags.writeable = False
+    return out
+
+
+def lifted_cayley_residuals(e1, e2, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
+    """(``cayley_residual``, ``calibration_gap``) with (F_1, F_2) the unit
+    (s_1, s_2), in one pass over D-scaled E's: eta = v^2 D [(E_1 (x) E_2) K] D,
+    Phi = v^2 E_1 Phi_1[:, :, s_1, s_2] E_2 and vol = v^2 |E_1' ^ E_2'| (' drops s_1, s_2)."""
+    vecs, d, lead = scaled_rows((e1, e2), profile, fiber_r)
+    s, t = CAYLEY_SLOTS
+    phi = unit_tensor(PHI_TABLE, 8)[:, :, s, t].reshape(64)
+    base = [i for i in range(8) if i not in CAYLEY_SLOTS]
+
+    def kernel(v, dd):
+        pairs = outer_pairs(v)
+        eta = dd[:, :, None] * (pairs @ cayley_kernel()).reshape(-1, 8, 8) * dd[:, None, :]
+        gram = v[:, :, base] @ np.swapaxes(v[:, :, base], -1, -2)
+        area = np.sqrt(np.maximum(gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] ** 2, 0.0))
+        gap = np.abs(np.abs(pairs @ phi) - area)
+        return dd[:, s, None] ** 2 * np.stack([row_norms(eta.reshape(-1, 64)) / np.sqrt(2.0), gap], axis=-1)
+
+    out = blocked(kernel, vecs, d)
+    return out[:, 0].reshape(lead)[()], out[:, 1].reshape(lead)[()]
 
 
 def dbar_vminus_residual(gamma: np.ndarray, frame: SpinorFrame, sec: SectionData):

@@ -256,9 +256,9 @@ def _run_g2_associative(config: SuiteConfig, chart) -> VerificationReport:
     samples, frames = _sample_frames(chart, config)
     sec, criteria = _holomorphy_criteria(frames, family)
     t1 = fibers[:, 0]
-    e1, e2, f1 = np.moveaxis(g2.tangent_basis_e_sigma(frames, sec, t1), -2, 0)
-    res = g2.associative_residual(
-        e1, e2, f1, bs_profile, fiber=(t1, sec.a[:, None], sec.b[:, None])
+    e1, e2 = np.moveaxis(g2.tangent_basis_e_sigma(frames, sec, t1)[..., :2, :], -2, 0)
+    res = g2.lifted_associative_residual(
+        e1, e2, bs_profile, fiber=(t1, sec.a[:, None], sec.b[:, None])
     )
     return _pair_report(config, samples, fibers, {"associative": res}, criteria)
 
@@ -275,9 +275,9 @@ def _run_g2_coassociative(config: SuiteConfig, chart) -> VerificationReport:
         "neg_superminimal": superminimal_residual(frames.second_fund, -1.0),
         "parallel_e": g2.parallel_e_residual(dgamma),
     }
-    e1, e2, f2, f3 = np.moveaxis(g2.tangent_basis_eta_f(frames, gval, dgamma, fibers), -2, 0)
-    res = g2.coassociative_residual(
-        e1, e2, f2, f3, bs_profile, fiber=(gval[:, None], fibers[:, 0], fibers[:, 1])
+    e1, e2 = np.moveaxis(g2.tangent_basis_eta_f(frames, gval, dgamma, fibers)[..., :2, :], -2, 0)
+    res = g2.lifted_coassociative_residual(
+        e1, e2, bs_profile, fiber=(gval[:, None], fibers[:, 0], fibers[:, 1])
     )
     return _pair_report(config, samples, fibers, {"coassociative": res}, criteria)
 
@@ -292,12 +292,9 @@ def _run_spin7(config: SuiteConfig, chart) -> VerificationReport:
     sec = g2.section_data(family, frames)
     c3, c4 = spin7.dbar_vminus_residual(frames.gamma, sframe, sec)
     criteria = {"trace_a": trace_residual(frames.second_fund), "dbar_vminus": np.hypot(c3, c4)}
-    e1, e2, f1, f2 = np.moveaxis(spin7.tangent_basis_v_plus(frames, sframe, sec, fibers), -2, 0)
+    e1, e2 = np.moveaxis(spin7.tangent_basis_v_plus(frames, sframe, sec, fibers)[..., :2, :], -2, 0)
     r = np.sqrt(np.sum(fibers * fibers, axis=-1) + sec.a[:, None] ** 2 + sec.b[:, None] ** 2)
-    residuals = {
-        "cayley": spin7.cayley_residual(e1, e2, f1, f2, bs_profile, r),
-        "calibration_gap": spin7.calibration_gap(e1, e2, f1, f2, bs_profile, r),
-    }
+    residuals = dict(zip(("cayley", "calibration_gap"), spin7.lifted_cayley_residuals(e1, e2, bs_profile, r)))
     return _pair_report(config, samples, fibers, residuals, criteria)
 
 

@@ -7,6 +7,8 @@ stacked public function must give, row by row, what its single-point call
 gives.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,10 @@ from twistcal.examples import make_eta_family, make_section_family
 from twistcal.numerics import Profile
 from twistcal.report import SuiteConfig
 from twistcal.submanifold import adapted_frame, get_chart
-from twistcal.suites import run_suite
+from twistcal.suites import _eta_family_for, _sample_frames, _section_family_for, parse_profile_spec, run_suite
 
 from conftest import job_config, nabla_f_fd_oracle, pointwise_suite, records_of, rng_for
-from workloads import WORKLOADS
+from workloads import WORKLOADS, job_argv
 
 ROW_TOL = 1e-15
 
@@ -54,6 +56,111 @@ def test_stacked_suite_matches_pointwise_chain(config):
             assert new_vals.keys() == old_vals.keys()
             for key, o in old_vals.items():
                 assert abs(new_vals[key] - o) <= 1e-7 + 1e-9 * abs(o), (key, new_vals[key], o)
+
+
+# -- the verify path's lifted residuals against the dense functions ----------------------
+
+WEIGHTED_CONFIGS = [
+    pytest.param(dataclasses.replace(p.values[0], profile="u=2,v=0.5"), id=f"{p.id}-u2v05")
+    for p in BENCHMARK_CONFIGS
+]
+
+
+def _dense_residuals(config, report):
+    """The residual columns of ``report`` recomputed by the dense functions on
+    the full lifted bases (E_1, E_2, F_j) of its job, with the tangent vectors
+    and section data built as the suite builds them."""
+    chart = get_chart(config.chart)
+    profile = parse_profile_spec(config.profile, config.suite)
+    samples, frames = _sample_frames(chart, config)
+    fibers = report.t[: len(report.t) // len(samples)]
+    if config.suite == "g2-coassociative":
+        eta = _eta_family_for(config, chart.q)
+        gval = eta.value(frames.u)
+        basis = g2.tangent_basis_eta_f(frames, gval, frames.scalar_derivatives(eta.value), fibers)
+        fiber = (gval[:, None], fibers[:, 0], fibers[:, 1])
+        return basis, {"coassociative": g2.coassociative_residual(*np.moveaxis(basis, -2, 0), profile, fiber)}
+    sec = g2.section_data(_section_family_for(config), frames)
+    if config.suite == "g2-associative":
+        basis = g2.tangent_basis_e_sigma(frames, sec, fibers[:, 0])
+        fiber = (fibers[:, 0], sec.a[:, None], sec.b[:, None])
+        return basis, {"associative": g2.associative_residual(*np.moveaxis(basis, -2, 0), profile, fiber)}
+    basis = spin7.tangent_basis_v_plus(frames, spin7.spinor_frames(), sec, fibers)
+    r = np.sqrt(np.sum(fibers * fibers, axis=-1) + sec.a[:, None] ** 2 + sec.b[:, None] ** 2)
+    vecs = np.moveaxis(basis, -2, 0)
+    return basis, {"cayley": spin7.cayley_residual(*vecs, profile, r),
+                   "calibration_gap": spin7.calibration_gap(*vecs, profile, r)}
+
+
+@pytest.mark.parametrize("config", BENCHMARK_CONFIGS + WEIGHTED_CONFIGS)
+def test_suite_residuals_equal_the_dense_functions_on_the_lifted_basis(config):
+    report = run_suite(config)
+    _, dense = _dense_residuals(config, report)
+    assert dense.keys() == report.residuals.keys()
+    for key, want in dense.items():
+        want, got = np.reshape(want, -1), report.residuals[key]
+        worst = np.argmax(np.abs(got - want) - 1e-13 * np.abs(want))
+        assert abs(got[worst] - want[worst]) <= 1e-11 + 1e-13 * abs(want[worst]), (key, worst)
+
+
+DENSE_RESIDUALS = ((g2, "associative_residual"), (g2, "coassociative_residual"),
+                   (spin7, "cayley_residual"), (spin7, "calibration_gap"), (spin7, "cayley_eta"))
+
+
+def test_forms_verify_path_calls_no_dense_residual(monkeypatch, tmp_path):
+    calls = []
+    for module, name in DENSE_RESIDUALS:
+        def counted(*args, _f=getattr(module, name), **kwargs):
+            calls.append(_f.__name__)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for name in ("forms-unit", "forms-linear-wide"):
+        for job in WORKLOADS[name]:
+            code = main(job_argv(job, 1, str(tmp_path / "r.json")))
+            assert code == (0 if job.expected == "PASS" else 1), job.label
+    assert calls == []
+    # the guard sees the dense functions, which the tests call as the oracle
+    spin7.calibration_gap(*np.eye(8)[:4])
+    assert calls == ["calibration_gap"]
+
+
+def test_cayley_kernel_is_exact_and_read_only():
+    k = spin7.cayley_kernel()
+    assert k is spin7.cayley_kernel() and k.shape == (64, 64) and not k.flags.writeable
+    assert set(np.unique(k)) == {-2.0, 0.0, 2.0}
+
+
+# The Harvey-Lawson identities at u = v = 1, where every D factor is 1, on the
+# suites' own residual columns against the calibration value and volume taken
+# here from the dense forms: Phi^2 + |eta|^2 / 16 = vol^2 and
+# phi^2 + |chi|^2 = vol^2.  FAIL jobs, where the residuals are O(1); in the
+# associative ones E_1 and E_2 both have k_2 and k_3 parts, so that every psi
+# monomial holding k_1 enters chi (with sinphi:C=1,D=0 a flipped sign of
+# (1,3,4,6) or (0,3,4,5) goes unseen, E_2 having no k_2 part there).
+HARVEY_LAWSON = [
+    pytest.param(SuiteConfig("spin7-cayley", "veronese", "sinphi:C=1,D=0", samples=20, seed=7), id="cayley-veronese"),
+    pytest.param(SuiteConfig("spin7-cayley", "equatorial", "const:re=0.4", samples=20, seed=7), id="cayley-equatorial"),
+    pytest.param(SuiteConfig("g2-associative", "equatorial", "sinphi:C=0.5,D=0.7", samples=20, seed=7), id="assoc-equatorial"),
+    pytest.param(SuiteConfig("g2-associative", "veronese-antipodal", "sinphi:C=0.5,D=0.7", samples=20, seed=7),
+                 id="assoc-antipodal"),
+]
+
+
+@pytest.mark.parametrize("config", HARVEY_LAWSON)
+def test_harvey_lawson_identity_on_the_suite_residuals(config):
+    report = run_suite(config)
+    basis, _ = _dense_residuals(config, report)
+    basis = basis.reshape(-1, *basis.shape[-2:])
+    vol2 = np.linalg.det(basis @ np.swapaxes(basis, -1, -2))
+    if config.suite == "spin7-cayley":
+        calib = np.einsum("ijkl,ni,nj,nk,nl->n", spin7.phi_form(1.0, 1.0), *np.moveaxis(basis, 1, 0))
+        defect = report.residuals["cayley"] ** 2 / 16.0
+    else:
+        calib = np.einsum("ijk,ni,nj,nk->n", g2.phi_form(1.0, 1.0), *np.moveaxis(basis, 1, 0))
+        defect = report.residuals["associative"] ** 2
+    assert np.max(defect / vol2) > 0.01  # the identity is tested away from calibrated planes
+    assert np.max(np.abs(calib**2 + defect - vol2) / vol2) <= 1e-12
 
 
 # -- stacked public functions against their single-point calls ---------------------------
@@ -216,14 +323,14 @@ def test_stacked_nabla_f_matches_fd_oracle(name):
 
 
 def test_nan_residual_at_one_sample_exits_1_and_names_the_point(monkeypatch, tmp_path, capsys):
-    original = g2.associative_residual
+    original = g2.lifted_associative_residual
 
     def broken(*args, **kwargs):
         res = np.array(original(*args, **kwargs))
         res[3, 1] = np.nan
         return res
 
-    monkeypatch.setattr(g2, "associative_residual", broken)
+    monkeypatch.setattr(g2, "lifted_associative_residual", broken)
     code = main(["verify", "g2-associative", "--chart", "veronese", "--section", "sinphi:C=1,D=0",
                  "--samples", "5", "--seed", "3", "--out", str(tmp_path / "r.json")])
     assert code == 1
