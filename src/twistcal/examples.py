@@ -9,6 +9,7 @@ natural adapted frame is the Veronese one with the two normals swapped).
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
 import functools
 import json
@@ -519,7 +520,10 @@ _EXPR_BINARY = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def _load_tables() -> dict:
+    """The golden-table file, parsed once per process.  Shared and only read:
+    :func:`golden_table` hands out copies."""
     path = resources.files("twistcal").joinpath("data/golden_tables.json")
     with path.open() as fh:
         return json.load(fh)
@@ -529,11 +533,16 @@ def golden_table_names() -> list[str]:
     return sorted(_load_tables())
 
 
-def golden_table(name: str) -> dict:
+def _table(name: str) -> dict:
     tables = _load_tables()
     if name not in tables:
         raise DomainError(f"unknown golden table {name!r}; have {sorted(tables)}")
     return tables[name]
+
+
+def golden_table(name: str) -> dict:
+    """A fresh copy of one golden table, which the caller may change."""
+    return copy.deepcopy(_table(name))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -584,7 +593,7 @@ def golden_residuals(name: str, u) -> dict:
     is evaluated once over the stack, and every residual has one value per
     point.
     """
-    table = golden_table(name)
+    table = _table(name)
     chart = get_chart(table["chart"])
     with strict_arithmetic(f"table {name!r}"):
         point = adapted_frame(chart, u)

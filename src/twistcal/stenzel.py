@@ -2,7 +2,8 @@
 Lagrangian test for twisted conormal bundles.
 
 ``psi_map`` identifies a cotangent vector (x, xi) with the quadric point
-x cosh|xi| + i (xi/|xi|) sinh|xi|.  The Kaehler form is
+x cosh|xi| + i (xi/|xi|) sinh|xi|.  The Kaehler form of the Stenzel metric
+(Stenzel, Manuscripta Math. 80 (1993)) is
 
     omega = (i/2) sum_{j,k>=1} a_jk dz_j ^ dconj(z)_k,
     a_jk  = (delta_jk + z_j conj(z_k) / |z_0|^2) v'
@@ -10,7 +11,8 @@ x cosh|xi| + i (xi/|xi|) sinh|xi|.  The Kaehler form is
 
 valid on the coordinate patch z_0 != 0, with v', v'' > 0 radial profile
 scalars (only positivity matters for every verdict here, so the profile is
-injected rather than solved for).
+injected rather than solved for).  ``stenzel_coeffs``, ``omega_value`` and
+``omega_matrix`` evaluate it at any quadric point; they are the tests' oracle.
 
 Evaluation always re-bases coordinates by the orthogonal transformation that
 sends the adapted frame (x, e, nu) at the base point to the standard basis;
@@ -24,6 +26,13 @@ derivative past ``adapted_frame``.  Their oracle, ``closed_form_tangents``,
 takes that same point and reads z and the tangents again from one complex
 step of the total-space map: its real part is z, its imaginary parts the
 tangents.
+
+The point is z = (cosh sqrt y, i w) with w = sinhc(y) xi real, and there the
+coefficient matrix is the real rank-one update
+a = v' I + beta w w^T, beta = v' / cosh^2 sqrt y + 4 v''.  So the verify
+path pairs the tangent rows V = R + i I (without slot 0) as
+omega = -Im(V a V^H) = M^T - M with M = I a R^T: real matrix products on the
+real and imaginary parts of the rows, with no complex coefficient matrix.
 """
 
 from __future__ import annotations
@@ -221,13 +230,15 @@ def twisted_conormal_point(chart: ImmersionChart, mu, u, t) -> TwistedConormalPo
     turn = np.concatenate([a_hat + da, -a_normal], axis=-1)
     tangents_e = np.concatenate([-1j * sh * a[..., :, None], ch * eye[:q] + 1j * sh * turn], axis=-1)
     c = _rows_times(t[..., None, :], gamma[..., q:, q:])
+    # the real c on the interleaved real and imaginary parts of the rows
+    turned = (c @ tangents_f.view(float)).view(complex)
     return TwistedConormalPoint(
         frame_point=point,
         t=t,
         mu_coeffs=a,
         y=y[()],
         z=z,
-        tangents_e=tangents_e + c @ tangents_f,
+        tangents_e=tangents_e + turned,
         tangents_f=tangents_f,
     )
 
@@ -280,11 +291,10 @@ def bracket_factor(y, vp, vpp):
     return np.where(y > 0, (1.0 - th / ry + th * th) * vp + 4.0 * np.sinh(ry) ** 2 * vpp, 0.0)[()]
 
 
-def mixed_pairing_closed_form(
-    point: TwistedConormalPoint, profile: Profile = DEFAULT_PROFILE
-) -> np.ndarray:
+def mixed_pairing_closed_form(point: TwistedConormalPoint, bracket) -> np.ndarray:
     """The proof-side omega(E_i, F_j) = a_i t_j cosh^2(sqrt y) / y * bracket,
-    as the (..., q, n-q) block; zero where y = 0.
+    as the (..., q, n-q) block; zero where y = 0.  ``bracket`` is
+    :func:`bracket_factor` at the point's y and profile values, one per point.
 
     The proof derives it at the centre of a normal frame, but it holds in the
     chart's own adapted frame too.  There E_i differs from its normal-frame
@@ -296,26 +306,43 @@ def mixed_pairing_closed_form(
     """
     y = np.asarray(point.y)[..., None, None]
     safe = np.where(y > 0, y, 1.0)
-    vp, vpp = profile.at(np.linalg.norm(point.z, axis=-1)[..., None, None])
     ch = np.cosh(np.sqrt(safe))
     a_t = point.mu_coeffs[..., :, None] * point.t[..., None, :]
-    return np.where(y > 0, a_t * ch * ch / safe * bracket_factor(safe, vp, vpp), 0.0)
+    return np.where(y > 0, a_t * ch * ch / safe * np.asarray(bracket)[..., None, None], 0.0)
+
+
+def _rotated_pairing(point: TwistedConormalPoint, vp, vpp) -> np.ndarray:
+    """omega(V_i, V_l) over all tangent rows of a point built in the rotated
+    coordinates, from the real rank-one a = v' I + beta w w^T of the module
+    docstring: M^T - M with M = I a R^T.  ``omega_matrix`` is its oracle."""
+    z0 = point.z[..., 0].real
+    if np.any(np.abs(z0) <= Z0_GUARD):
+        raise ChartError("coefficient chart needs |z_0| above the guard; re-base first")
+    w = point.z[..., 1:].imag
+    rows = point.all_tangents()[..., 1:]
+    vp, vpp = np.asarray(vp)[..., None, None], np.asarray(vpp)[..., None, None]
+    beta = vp / (z0 * z0)[..., None, None] + 4.0 * vpp
+    a = vp * np.eye(w.shape[-1]) + beta * (w[..., :, None] * w[..., None, :])
+    m = (rows.imag @ a) @ np.swapaxes(rows.real, -1, -2)
+    return np.swapaxes(m, -1, -2) - m
 
 
 def lagrangian_columns(
     chart: ImmersionChart, mu, samples, fiber_values, profile: Profile = DEFAULT_PROFILE
 ):
-    """Per-sample maximal |omega| over all tangent pairs and the criterion
-    |mu(u)|, as (P,) columns, with the stacked ``TwistedConormalPoint`` and
-    its (P, n, n) ``omega_matrix``.
+    """Per-sample maximal |omega| over all tangent pairs, the criterion
+    |mu(u)| and the :func:`bracket_factor`, as (P,) columns, with the stacked
+    ``TwistedConormalPoint`` and its (P, n, n) pairing matrix omega.
 
-    All samples go through one stacked ``twisted_conormal_point`` and one
-    ``omega_matrix`` contraction.
+    All samples go through one stacked ``twisted_conormal_point``, one
+    evaluation of the profile at |z| and one real pairing of the tangent
+    rows, whose oracle is ``omega_matrix``.
     """
     pts = twisted_conormal_point(chart, mu, samples, fiber_values)
-    omega = omega_matrix(pts.z, pts.all_tangents(), profile)
+    vp, vpp = profile.at(np.linalg.norm(pts.z, axis=-1))
+    omega = _rotated_pairing(pts, vp, vpp)
     worst = np.max(np.abs(omega), axis=(-2, -1))
-    return worst, row_norms(pts.mu_coeffs), pts, omega
+    return worst, row_norms(pts.mu_coeffs), bracket_factor(pts.y, vp, vpp), pts, omega
 
 
 def lagrangian_samples(
@@ -326,7 +353,7 @@ def lagrangian_samples(
     sample's ``TwistedConormalPoint``."""
     samples = np.asarray(samples, dtype=float)
     fiber_values = np.asarray(fiber_values, dtype=float)
-    worst, mu_norm, pts, _ = lagrangian_columns(chart, mu, samples, fiber_values, profile)
+    worst, mu_norm, _, pts, _ = lagrangian_columns(chart, mu, samples, fiber_values, profile)
     for i, (u, t) in enumerate(zip(samples, fiber_values)):
         yield {
             "u": u,

@@ -130,6 +130,11 @@ def _parse_fiber_list(spec: str, width: int, default):
         vals = [_parse_number(x, "fiber entry") for x in chunk.split(",") if x != ""]
         if len(vals) != width:
             raise ConfigError(f"fiber tuple {chunk!r} needs {width} entries")
+        # every forms suite squares the fibre radius, its first expression
+        # that overflows; a tuple whose squares already do cannot be evaluated
+        if math.isinf(sum(x * x for x in vals)):
+            raise ConfigError(f"fiber tuple {chunk!r} is too large: the sum of its squares "
+                              "overflows double precision")
         out.append(vals)
     return np.array(out)
 
@@ -205,7 +210,7 @@ def _run_stenzel(config: SuiteConfig, chart) -> VerificationReport:
     rng = np.random.default_rng(config.seed)
     samples = chart.sample(rng, config.samples)
     fibers = _sample_fibers(rng, config.samples, chart.n - chart.q)
-    omega_max, mu_norm, pts, omega = stenzel.lagrangian_columns(
+    omega_max, mu_norm, bracket, pts, omega = stenzel.lagrangian_columns(
         chart, mu, samples, fibers, st_profile
     )
     report = VerificationReport.build(
@@ -214,11 +219,9 @@ def _run_stenzel(config: SuiteConfig, chart) -> VerificationReport:
     # cross-checks at every sample: the mixed omega block against its
     # proof-side scalars, and positivity of the bracketed profile factor
     mixed = omega[..., : chart.q, chart.q :]
-    gap = np.max(np.abs(mixed - stenzel.mixed_pairing_closed_form(pts, st_profile)))
-    vp, vpp = st_profile.at(np.linalg.norm(pts.z, axis=-1))
-    bracket_min = np.min(stenzel.bracket_factor(pts.y, vp, vpp))
+    gap = np.max(np.abs(mixed - stenzel.mixed_pairing_closed_form(pts, bracket)))
     report.aggregates["diagnostic.closed_form_gap.max"] = float(gap)
-    report.aggregates["diagnostic.bracket_factor.min"] = float(bracket_min)
+    report.aggregates["diagnostic.bracket_factor.min"] = float(np.min(bracket))
     return report
 
 
@@ -319,21 +322,60 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         chart = get_chart(config.chart)
     except TwistcalError as exc:
         raise ConfigError(str(exc)) from None
-    with strict_arithmetic(f"suite {config.suite!r}"):
-        report = _SUITES[config.suite](config, chart)
+    runner, what = _SUITES[config.suite], f"suite {config.suite!r}"
+    with strict_arithmetic(what):
+        try:
+            report = runner(config, chart)
+        except FloatingPointError as exc:
+            _raise_at_first_broken_row(runner, config, chart, f"{what}: {exc}")
+            raise
     _check_finite(report)
     return report
+
+
+def _first_nonfinite(report: VerificationReport):
+    """(row, key, value) of the first non-finite residual or criterion, or None."""
+    items = [*report.residuals.items(), *report.criteria.items()]
+    finite = np.isfinite(np.array([col for _, col in items], dtype=float))
+    if finite.all():
+        return None
+    i = int(np.argmin(finite.all(axis=0)))
+    key, value = next((k, col[i].item()) for k, col in items if not np.isfinite(col[i]))
+    return i, key, value
+
+
+def _raise_at_first_broken_row(runner, config: SuiteConfig, chart, cause: str):
+    """Name the point at which a suite's arithmetic overflowed or went invalid.
+
+    The suite runs again with inf and nan let through, and the first row that
+    they leave non-finite is named.  Each row is computed from its own sample
+    and fibre, so no earlier row broke in a way that reaches its values; an
+    overflow that no value reads (such as a fibre radius at constant weights)
+    leaves every row finite.  Returns, for the caller to raise the original
+    error, then and when that run fails otherwise.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            report = runner(config, chart)
+        except TwistcalError:
+            return
+    found = _first_nonfinite(report)
+    if found is None:
+        return
+    i, key, value = found
+    raise TwistcalError(
+        f"{cause}; the first row it makes non-finite is u={report.u[i].tolist()}, "
+        f"t={report.t[i].tolist()} ({key}={value}); an input is too large for double precision"
+    )
 
 
 def _check_finite(report: VerificationReport):
     """One isfinite over the residual and criterion columns; a failure names
     the first row with a non-finite value."""
-    items = [*report.residuals.items(), *report.criteria.items()]
-    finite = np.isfinite(np.array([col for _, col in items], dtype=float))
-    if finite.all():
+    found = _first_nonfinite(report)
+    if found is None:
         return
-    i = int(np.argmin(finite.all(axis=0)))
-    key, value = next((k, col[i].item()) for k, col in items if not np.isfinite(col[i]))
+    i, key, value = found
 
     def row(columns):
         return {k: col[i].item() for k, col in columns.items()}

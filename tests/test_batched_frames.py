@@ -51,7 +51,7 @@ from conftest import (
     stenzel_job_inputs,
     unread_frame,
 )
-from workloads import WORKLOADS
+from workloads import WORKLOADS, job_argv
 
 
 def _charts():
@@ -345,7 +345,7 @@ def test_mixed_block_needs_no_normal_frame(config):
     # does not see that term, because the cotangent fibre is isotropic
     chart, profile, mu, samples, fibers = stenzel_job_inputs(config)
     q = chart.q
-    _, _, pts, omega = lagrangian_columns(chart, mu, samples, fibers, profile)
+    _, _, bracket, pts, omega = lagrangian_columns(chart, mu, samples, fibers, profile)
     mixed = omega[:, :q, q:]
     bound = 1e-7 * (1.0 + np.max(np.abs(mixed)))
     # the suite's point is read from Gamma in closed form; the oracle
@@ -356,7 +356,36 @@ def test_mixed_block_needs_no_normal_frame(config):
     normal_frame_e = oracle.tangents_e - c @ oracle.tangents_f
     route = omega_matrix(oracle.z, np.concatenate([normal_frame_e, oracle.tangents_f], axis=-2), profile)
     assert np.max(np.abs(mixed - route[:, :q, q:])) <= bound
-    assert np.max(np.abs(mixed - mixed_pairing_closed_form(pts, profile))) <= bound
+    assert np.max(np.abs(mixed - mixed_pairing_closed_form(pts, bracket))) <= bound
+
+
+@pytest.mark.parametrize("config", NATIVE_FRAME_CONFIGS)
+def test_rotated_pairing_equals_the_dense_omega_matrix(config):
+    # the verify path pairs the tangents through the real rank-one form of a
+    # at the rotated point; the dense Hermitian a of stenzel_coeffs is its oracle
+    chart, profile, mu, samples, fibers = stenzel_job_inputs(config)
+    _, _, _, pts, omega = lagrangian_columns(chart, mu, samples, fibers, profile)
+    dense = omega_matrix(pts.z, pts.all_tangents(), profile)
+    assert omega.shape == dense.shape == (len(samples), chart.n, chart.n)
+    assert np.all(np.abs(omega - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+
+
+def test_stenzel_verify_path_calls_no_dense_kaehler_form(monkeypatch, tmp_path):
+    calls = []
+    for name in ("stenzel_coeffs", "omega_matrix"):
+        def counted(*args, _f=getattr(stenzel, name), **kwargs):
+            calls.append(_f.__name__)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(stenzel, name, counted)
+    for job in WORKLOADS["frames-fd"]:
+        if job.argv[1] == "stenzel-lagrangian":
+            code = main(job_argv(job, 1, str(tmp_path / "r.json")))
+            assert code == (0 if job.expected == "PASS" else 1), job.label
+    assert calls == []
+    # the guard sees the dense form, which the tests call as the oracle
+    stenzel.omega_matrix(np.array([1.0, 0, 0, 0, 0]), np.eye(5)[1:])
+    assert calls == ["omega_matrix", "stenzel_coeffs"]
 
 
 @pytest.mark.parametrize("name", chart_names())

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 import subprocess
 import sys
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from twistcal.cli import main
-from twistcal.errors import ConfigError
+from twistcal.errors import ConfigError, TwistcalError
 from twistcal.report import (
     MAX_ROWS,
     SEPARATION,
@@ -16,8 +18,8 @@ from twistcal.report import (
     parse_report,
 )
 from twistcal.examples import make_section_family
-from twistcal.numerics import Profile
-from twistcal.stenzel import DEFAULT_PROFILE
+from twistcal.numerics import Profile, strict_arithmetic
+from twistcal.stenzel import DEFAULT_PROFILE, lagrangian_columns
 from twistcal.suites import (
     MAX_COEFF_INDEX,
     _section_family_for,
@@ -26,6 +28,8 @@ from twistcal.suites import (
     parse_section_spec,
     run_suite,
 )
+
+from conftest import stenzel_job_inputs
 
 
 # -- report serialisation --------------------------------------------------------
@@ -495,27 +499,99 @@ def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys):
     assert captured.err.startswith(f"config error: {message}")
 
 
+_BROKEN_ROW = re.compile(r"the first row it makes non-finite is u=(\[.*?\]), t=(\[.*?\]) \(")
+
+
+def _named_row(err):
+    """The (u, t) row that an overflow message names."""
+    match = _BROKEN_ROW.search(err)
+    assert match, err
+    return [ast.literal_eval(group) for group in match.groups()]
+
+
 @pytest.mark.parametrize(
-    "argv, suite, operation",
+    "argv, chunk",
     [
-        (["verify", "g2-associative", "--fiber", "1e308", "--samples", "2"], "g2-associative", "multiply"),
-        (["verify", "g2-associative", "--fiber=1e200"], "g2-associative", "multiply"),
-        (["verify", "g2-coassociative", "--fiber=1e200,0"], "g2-coassociative", "multiply"),
-        (["verify", "spin7-cayley", "--fiber=1e200,0"], "spin7-cayley", "multiply"),
-        (["verify", "stenzel-lagrangian", "--mu", "1000e1"], "stenzel-lagrangian", "cosh"),
+        (["verify", "g2-associative", "--fiber", "1e308", "--samples", "2"], "1e308"),
+        (["verify", "g2-associative", "--fiber=1e200"], "1e200"),
+        (["verify", "g2-coassociative", "--fiber=1e200,0"], "1e200,0"),
+        (["verify", "spin7-cayley", "--fiber=1e200,0"], "1e200,0"),
+        (["verify", "spin7-cayley", "--chart", "equatorial", "--fiber=1e308,0"], "1e308,0"),
+        # each entry squares to a finite number, their sum does not
+        (["verify", "spin7-cayley", "--fiber=0,0;1.1e154,1.1e154"], "1.1e154,1.1e154"),
     ],
-    ids=["associative-1e308", "associative-1e200", "coassociative", "cayley", "stenzel-mu"],
+    ids=["associative-1e308", "associative-1e200", "coassociative", "cayley", "cayley-1e308", "cayley-sum"],
 )
-def test_overflowing_input_exits_1_with_one_line(argv, suite, operation, capsys):
+def test_a_fibre_whose_squared_radius_overflows_exits_2(argv, chunk, capsys):
     # an inf fibre radius must not pass: unit weights never read it, so the
     # residual would stay 0
-    assert main(argv) == 1
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"diagnostic failure: suite {suite!r}: overflow encountered in {operation}; "
-        "an input is too large for double precision\n"
+        f"config error: fiber tuple {chunk!r} is too large: the sum of its squares overflows double precision\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, suite, operation, fiber",
+    [
+        (["verify", "stenzel-lagrangian", "--mu", "1000e1"], "stenzel-lagrangian", "cosh", None),
+        (["verify", "stenzel-lagrangian", "--chart", "veronese", "--mu", "1000e1"], "stenzel-lagrangian",
+         "cosh", None),
+        # the real pairing of the tangents overflows long before cosh does
+        (["verify", "stenzel-lagrangian", "--chart", "veronese", "--mu", "300e1"], "stenzel-lagrangian",
+         "multiply", None),
+        # below the fibre bound, the linear weights overflow
+        (["verify", "spin7-cayley", "--profile", "linear", "--fiber=1e100,0"], "spin7-cayley", "multiply",
+         [1e100, 0.0]),
+        (["verify", "g2-coassociative", "--profile", "linear", "--fiber=1e100,0"], "g2-coassociative",
+         "multiply", [1e100, 0.0]),
+        (["verify", "spin7-cayley", "--profile", "u=1e300,v=1e300"], "spin7-cayley", "multiply", [0.0, 0.0]),
+    ],
+    ids=["stenzel-mu", "stenzel-veronese-mu", "stenzel-pairing", "cayley-linear", "coassociative-linear",
+         "cayley-weights"],
+)
+def test_overflowing_input_exits_1_and_names_the_first_broken_row(argv, suite, operation, fiber, capsys):
+    # every row of these jobs overflows, so the message names the first
+    # sample with the first fibre
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"diagnostic failure: suite {suite!r}: overflow encountered in {operation}; "
+        "the first row it makes non-finite is u="
+    )
+    assert captured.err.endswith("; an input is too large for double precision\n")
+    assert captured.err.count("\n") == 1
+    flags = dict(zip(argv[2::2], argv[3::2]))
+    config = SuiteConfig(suite, flags.get("--chart", "equatorial"), flags.get("--mu", "zero"))
+    _, _, _, samples, fibers = stenzel_job_inputs(config)
+    u, t = _named_row(captured.err)
+    assert u == samples[0].tolist()
+    assert t == (fibers[0].tolist() if fiber is None else fiber)
+
+
+def test_an_overflow_names_the_first_row_whose_own_arithmetic_overflows(capsys):
+    # at this twist some fibre radii overflow the Stenzel pairing and some do
+    # not; the named row is the first whose own evaluation overflows
+    config = SuiteConfig("stenzel-lagrangian", "veronese", "143.1e1", samples=20, seed=0)
+    chart, profile, mu, samples, fibers = stenzel_job_inputs(config)
+    broken = []
+    for u, t in zip(samples, fibers):
+        try:
+            with strict_arithmetic("row"):
+                lagrangian_columns(chart, mu, u[None], t[None], profile)
+            broken.append(False)
+        except TwistcalError:
+            broken.append(True)
+    first = broken.index(True)
+    assert 0 < first and not all(broken[first:])
+    argv = ["verify", "stenzel-lagrangian", "--chart", "veronese", "--mu", "143.1e1", "--samples", "20"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "overflow encountered in" in err
+    assert _named_row(err) == [samples[first].tolist(), fibers[first].tolist()]
 
 
 def test_config_validation_requires_finite_values():

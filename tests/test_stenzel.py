@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from twistcal.stenzel import (
     psi_map,
     stenzel_coeffs,
     twisted_conormal_point,
+    _rotated_pairing,
 )
 from twistcal.submanifold import get_chart
 
@@ -100,6 +102,49 @@ def test_coeffs_chart_guard():
     z[1] = 1.0
     with pytest.raises(ChartError):
         stenzel_coeffs(z)
+    # the verify path's real pairing keeps the guard
+    pt = twisted_conormal_point(get_chart("equatorial"), constant_mu([0.2, 0.0]), [0.3, 0.4], [0.5, 0.1])
+    with pytest.raises(ChartError):
+        _rotated_pairing(dataclasses.replace(pt, z=np.where(np.arange(5) == 0, 0.05, pt.z)), 1.0, 1.0)
+
+
+def test_rotated_coefficients_are_a_real_rank_one_update():
+    # the stenzel_coeffs formula at z = (cosh s, i sinh(s)/s xi), n = 4,
+    # reduces to a = v' I + beta w w^T with w = sinh(s)/s xi and
+    # beta = v' / cosh^2 s + 4 v''; and for any real symmetric a and complex
+    # rows V = R + i I, Re((i/2)(S - S^T)) with S = V a V^H is M^T - M, M = I a R^T
+    import sympy as sp
+
+    n = 4
+    s, vp, vpp = sp.symbols("s v1 v2", positive=True)
+    xi = sp.symbols(f"xi1:{n + 1}", real=True)
+    w = [sp.sinh(s) / s * x for x in xi]
+    z0, zz = sp.cosh(s), [sp.I * x for x in w]
+    a = sp.Matrix(n, n, lambda j, k: (
+        (sp.KroneckerDelta(j, k) + zz[j] * sp.conjugate(zz[k]) / sp.Abs(z0) ** 2) * vp
+        + 2 * sp.re(sp.conjugate(zz[j]) * zz[k] - sp.conjugate(z0) / z0 * zz[j] * zz[k]) * vpp
+    ))
+    beta = vp / sp.cosh(s) ** 2 + 4 * vpp
+    closed = vp * sp.eye(n) + beta * sp.Matrix(w) * sp.Matrix(w).T
+    assert (a - closed).applyfunc(sp.expand) == sp.zeros(n, n)
+
+    re_rows = sp.Matrix(2, n, sp.symbols(f"r1:{2 * n + 1}", real=True))
+    im_rows = sp.Matrix(2, n, sp.symbols(f"i1:{2 * n + 1}", real=True))
+    sym = sp.Matrix(n, n, lambda j, k: sp.Symbol(f"a{min(j, k)}{max(j, k)}", real=True))
+    rows = re_rows + sp.I * im_rows
+    pairing = rows * sym * rows.H
+    m = im_rows * sym * re_rows.T
+    omega = (sp.I / 2 * (pairing - pairing.T)).applyfunc(sp.expand).applyfunc(sp.re)
+    assert (omega - (m.T - m)).applyfunc(sp.expand) == sp.zeros(2, 2)
+
+    # the numbers: stenzel_coeffs against the closed form at one such point
+    rng = rng_for(3)
+    xi_num = rng.standard_normal(n)
+    s_num = float(np.linalg.norm(xi_num))
+    values = {s: s_num, vp: 1.7, vpp: 0.6, **dict(zip(xi, xi_num))}
+    z = np.concatenate([[np.cosh(s_num)], 1j * np.sinh(s_num) / s_num * xi_num])
+    want = np.array(closed.subs(values).evalf(), dtype=float)
+    assert np.max(np.abs(stenzel_coeffs(z, Profile(1.7, 0.6)) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # -- tangent bases ---------------------------------------------------------------------
@@ -155,7 +200,8 @@ def test_mixed_pairing_matches_proof_formula():
         u = chart.sample(rng, 1)[0]
         t = rng.uniform(0.4, 1.5, size=2)
         fd_pt, e_cf, f_cf = closed_form_tangents(chart, mu, u, t)
-        block = mixed_pairing_closed_form(fd_pt)
+        vp, vpp = DEFAULT_PROFILE.at(np.linalg.norm(fd_pt.z))
+        block = mixed_pairing_closed_form(fd_pt, bracket_factor(fd_pt.y, vp, vpp))
         assert block.shape == (2, 2)
         for i in range(2):
             for j in range(2):
