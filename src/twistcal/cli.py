@@ -26,17 +26,19 @@ from .errors import ConfigError, TwistcalError
 from .report import SuiteConfig, check_samples, check_seed, emit
 from .suites import run_suite, suite_names
 
+# Each verify key, as a config-file line and as a flag: the keyword arguments
+# of its flag, from which the file reader takes the type (str by default).
 _CONFIG_KEYS = {
-    "chart": str,
-    "section": str,
-    "mu": str,
-    "samples": int,
-    "seed": int,
-    "tol_verdict": float,
-    "profile": str,
-    "fiber": str,
-    "format": str,
-    "out": str,
+    "chart": {},
+    "section": {"help": "section spec, e.g. sinphi:C=1,D=0"},
+    "mu": {"help": "conormal twist spec, e.g. 0.3e1 (stenzel suite)"},
+    "samples": {"type": int},
+    "seed": {"type": int},
+    "tol_verdict": {"type": float},
+    "profile": {},
+    "fiber": {"help": "semicolon-separated fibre tuples, e.g. -2;0;1.5"},
+    "format": {"choices": ("json", "csv")},
+    "out": {"help": "write the report here instead of stdout"},
 }
 
 
@@ -60,7 +62,7 @@ def _read_config_file(path: str) -> dict:
                                       f"(first on line {lines[key]})")
                 lines[key] = lineno
                 try:
-                    values[key] = _CONFIG_KEYS[key](val)
+                    values[key] = _CONFIG_KEYS[key].get("type", str)(val)
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: bad value {val!r} for {key}") from None
     except OSError as exc:
@@ -104,16 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite")
     verify.add_argument("--config", help="flat key=value config file")
-    verify.add_argument("--chart")
-    verify.add_argument("--section", help="section spec, e.g. sinphi:C=1,D=0")
-    verify.add_argument("--mu", help="conormal twist spec, e.g. 0.3e1 (stenzel suite)")
-    verify.add_argument("--samples", type=int)
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--tol-verdict", type=float, dest="tol_verdict")
-    verify.add_argument("--profile")
-    verify.add_argument("--fiber", help="semicolon-separated fibre tuples, e.g. -2;0;1.5")
-    verify.add_argument("--format", choices=("json", "csv"))
-    verify.add_argument("--out", help="write the report here instead of stdout")
+    for key, kwargs in _CONFIG_KEYS.items():
+        verify.add_argument("--" + key.replace("_", "-"), **kwargs)
     verify.add_argument(
         "--timestamp",
         action="store_true",
@@ -130,44 +124,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    values = _read_config_file(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    values["suite"] = args.suite
-    mu = values.pop("mu", None)
-    if mu is not None:
-        if values["suite"] != "stenzel-lagrangian":
-            raise ConfigError("--mu only applies to the stenzel-lagrangian suite")
-        values["section"] = mu
-    fmt = values.pop("format", "json")
-    out_path = values.pop("out", "")
-    config = SuiteConfig(fmt=fmt, out=out_path, **values)
+    flags = {key: getattr(args, key) for key in _CONFIG_KEYS if getattr(args, key) is not None}
+    values = {"suite": args.suite}
+    # mu is the Stenzel suite's spelling of section: it is resolved within each
+    # source, so that a flag overrides a file line of either spelling
+    for source, given in ((args.config, _read_config_file(args.config) if args.config else {}),
+                          ("command line", flags)):
+        if "mu" in given:
+            if args.suite != "stenzel-lagrangian":
+                raise ConfigError("--mu only applies to the stenzel-lagrangian suite")
+            if "section" in given:
+                raise ConfigError(f"{source}: the twist is given more than once, as mu and as section")
+            given["section"] = given.pop("mu")
+        values.update(given)
+    config = SuiteConfig(fmt=values.pop("format", "json"), **values)
     report = run_suite(config)
     if args.timestamp:
         report.provenance["timestamp"] = datetime.now(timezone.utc).isoformat()
-    payload = emit(report, fmt)
-    if out_path:
+    payload = emit(report, config.fmt)
+    if config.out:
         try:
-            with open(out_path, "wb") as fh:
+            with open(config.out, "wb") as fh:
                 fh.write(payload)
         except OSError as exc:
             raise ConfigError(f"cannot write report: {exc}") from None
-        print(f"{report.suite}: verdict {report.verdict} ({len(report.status)} points) -> {out_path}")
+        print(f"{report.suite}: verdict {report.verdict} ({len(report.status)} points) -> {config.out}")
     else:
         sys.stdout.buffer.write(payload)
     return report.exit_code()
 
 
 def _cmd_table(args) -> int:
-    from .examples import golden_residuals, golden_table
+    from .examples import _table, golden_residuals
     from .submanifold import get_chart
 
     check_samples(args.samples)
     check_seed(args.seed)
     try:
-        table = golden_table(args.name)
+        table = _table(args.name)  # shared and only read: no copy
     except TwistcalError as exc:
         raise ConfigError(str(exc)) from None
     chart = get_chart(table["chart"])

@@ -7,6 +7,11 @@ is PASS when both sides are below ``tol_verdict``, FAIL when some residual
 and some criterion are both at or above it, and MIXED when one side is below
 it and the other not.  A MIXED point contradicts the equivalence under test
 or shows that a side's numerical error has reached the tolerance.
+
+``run_suite`` parses a job once, before any arithmetic, and reports its first
+bad input in this order: the config's own values, the suite, the chart, a
+``--fiber`` that does not apply, the profile, the twist, the fibre tuples and
+the row cap.  The runners only compute.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from . import g2, spin7, stenzel
 from .errors import ConfigError, TwistcalError
 from .examples import make_eta_family, make_section_family
 from .report import SuiteConfig, VerificationReport, check_keys, check_samples
-from .submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
+from .submanifold import ImmersionChart, adapted_frame, get_chart, superminimal_residual, trace_residual
 from .g2 import UNIT_PROFILE
 from .numerics import Profile, strict_arithmetic
 from .stenzel import DEFAULT_PROFILE, constant_mu
@@ -67,11 +72,11 @@ def parse_section_spec(spec: str):
 _MU_PATTERN = re.compile(r"^([0-9eE.+-]*?)e(\d+)$")
 
 
-def parse_mu_spec(spec: str, q: int) -> np.ndarray:
-    """The (q,) coefficients of mu: "<coeff>e<index>" for coeff * e^index;
-    "zero" or any number equal to zero ("0", "0.0", "-0") for the zero form.
+def parse_mu_spec(config: SuiteConfig, chart: ImmersionChart) -> np.ndarray:
+    """The (q,) coefficients of mu on ``chart`` from ``config.section``: "<coeff>e<index>" for
+    coeff * e^index; "zero" or any number equal to zero ("0", "0.0", "-0") for the zero form.
     The pattern is tried first, because "0.3e1" is also a float literal."""
-    spec = (spec or "zero").strip()
+    spec, q = (config.section or "zero").strip(), chart.q
     match = _MU_PATTERN.match(spec)
     if not match:
         try:
@@ -158,9 +163,9 @@ _COEFF_KEYS = {"equatorial-hol": (r"c(\d+)(re|im)", " (expected c<i>re or c<i>im
                "veronese-strip": (r"k(-?\d+)(re|im)", "")}
 
 
-def _section_family_for(config: SuiteConfig):
-    """The section family of a --section spec; each equatorial-hol or veronese-strip
-    key adds its value to the real or imaginary part of one of the ``coeffs``."""
+def _section_family_for(config: SuiteConfig, chart: ImmersionChart):
+    """The section family of a --section spec, alike on every chart; each equatorial-hol
+    or veronese-strip key adds its value to the real or imaginary part of one of the ``coeffs``."""
     kind, params = parse_section_spec(config.section)
     if kind not in _COEFF_KEYS:
         return make_section_family(kind, **params)
@@ -180,19 +185,19 @@ def _section_family_for(config: SuiteConfig):
     return make_section_family(kind, coeffs=[coeffs.get(i, 0.0) for i in range(degree + 1)])
 
 
-def _eta_family_for(config: SuiteConfig, q: int):
+def _eta_family_for(config: SuiteConfig, chart: ImmersionChart):
     kind, params = parse_section_spec(config.section)
     eta = make_eta_family(kind, **params)
     axis = params.get("axis", 1)
-    if kind == "coord" and axis > q:
-        raise ConfigError(f"coord axis must be an integer in 1..{q}, got {axis:g}")
+    if kind == "coord" and axis > chart.q:
+        raise ConfigError(f"coord axis must be an integer in 1..{chart.q}, got {axis:g}")
     return eta
 
 
 # -- suite runners -------------------------------------------------------------
 
 
-def _run_stenzel(config: SuiteConfig, chart) -> VerificationReport:
+def _run_stenzel(config: SuiteConfig, chart, st_profile, mu, _) -> VerificationReport:
     """The Lagrangian residual and the twist criterion at every sample, with
     two cross-checks.  ``diagnostic.closed_form_gap.max`` holds the mixed
     block omega(E_i, F_j), a contraction of the tangents with the Stenzel
@@ -201,12 +206,7 @@ def _run_stenzel(config: SuiteConfig, chart) -> VerificationReport:
     sides vanish identically and the gap reads exactly 0, so it carries
     information only for a nonzero twist.
     ``diagnostic.bracket_factor.min`` is the least bracketed profile factor,
-    which the proof needs positive."""
-    if config.fiber:
-        raise ConfigError("fiber does not apply to the stenzel-lagrangian suite, "
-                          "which samples its fibre coordinates")
-    st_profile = parse_profile_spec(config.profile, config.suite)
-    mu = parse_mu_spec(config.section, chart.q)
+    which the proof needs positive.  It samples its fibres, one per sample."""
     rng = np.random.default_rng(config.seed)
     samples = chart.sample(rng, config.samples)
     fibers = _sample_fibers(rng, config.samples, chart.n - chart.q)
@@ -251,11 +251,7 @@ def _holomorphy_criteria(frames, family):
     return sec, {"trace_a": trace_residual(frames.second_fund), "dbar_f": np.hypot(r2, r3)}
 
 
-def _run_g2_associative(config: SuiteConfig, chart) -> VerificationReport:
-    bs_profile = parse_profile_spec(config.profile, config.suite)
-    family = _section_family_for(config)
-    fibers = _parse_fiber_list(config.fiber, 1, default=[-2.0, 0.0, 1.5])
-    check_samples(config.samples, len(fibers))
+def _run_g2_associative(config: SuiteConfig, chart, bs_profile, family, fibers) -> VerificationReport:
     samples, frames = _sample_frames(chart, config)
     sec, criteria = _holomorphy_criteria(frames, family)
     t1 = fibers[:, 0]
@@ -266,11 +262,7 @@ def _run_g2_associative(config: SuiteConfig, chart) -> VerificationReport:
     return _pair_report(config, samples, fibers, {"associative": res}, criteria)
 
 
-def _run_g2_coassociative(config: SuiteConfig, chart) -> VerificationReport:
-    bs_profile = parse_profile_spec(config.profile, config.suite)
-    eta = _eta_family_for(config, chart.q)
-    fibers = _parse_fiber_list(config.fiber, 2, default=[(0.7, -1.2), (1.5, 0.4), (0.3, 0.9)])
-    check_samples(config.samples, len(fibers))
+def _run_g2_coassociative(config: SuiteConfig, chart, bs_profile, eta, fibers) -> VerificationReport:
     samples, frames = _sample_frames(chart, config)
     gval = eta.value(frames.u)
     dgamma = frames.scalar_derivatives(eta.value)
@@ -285,11 +277,7 @@ def _run_g2_coassociative(config: SuiteConfig, chart) -> VerificationReport:
     return _pair_report(config, samples, fibers, {"coassociative": res}, criteria)
 
 
-def _run_spin7(config: SuiteConfig, chart) -> VerificationReport:
-    bs_profile = parse_profile_spec(config.profile, config.suite)
-    family = _section_family_for(config)
-    fibers = _parse_fiber_list(config.fiber, 2, default=[(0.0, 0.0), (1.0, -2.0), (0.8, 0.5)])
-    check_samples(config.samples, len(fibers))
+def _run_spin7(config: SuiteConfig, chart, bs_profile, family, fibers) -> VerificationReport:
     samples, frames = _sample_frames(chart, config)
     sframe = spin7.spinor_frames()
     sec = g2.section_data(family, frames)
@@ -301,11 +289,13 @@ def _run_spin7(config: SuiteConfig, chart) -> VerificationReport:
     return _pair_report(config, samples, fibers, residuals, criteria)
 
 
+# Each suite's runner, twist parser (taking config and chart), fibre-tuple width and
+# the tuples it runs without a --fiber; width 0: it samples its fibres, takes no --fiber.
 _SUITES = {
-    "stenzel-lagrangian": _run_stenzel,
-    "g2-associative": _run_g2_associative,
-    "g2-coassociative": _run_g2_coassociative,
-    "spin7-cayley": _run_spin7,
+    "stenzel-lagrangian": (_run_stenzel, parse_mu_spec, 0, ()),
+    "g2-associative": (_run_g2_associative, _section_family_for, 1, (-2.0, 0.0, 1.5)),
+    "g2-coassociative": (_run_g2_coassociative, _eta_family_for, 2, ((0.7, -1.2), (1.5, 0.4), (0.3, 0.9))),
+    "spin7-cayley": (_run_spin7, _section_family_for, 2, ((0.0, 0.0), (1.0, -2.0), (0.8, 0.5))),
 }
 
 
@@ -313,21 +303,36 @@ def suite_names() -> list[str]:
     return sorted(_SUITES)
 
 
-def run_suite(config: SuiteConfig) -> VerificationReport:
-    """Run a registered suite; deterministic for a fixed config and seed."""
+def _parse_job(config: SuiteConfig):
+    """(chart, profile, twist, fibers) of a job, parsed in the order of the
+    module docstring; ``fibers`` is None for a suite that samples its own."""
     config.validate()
     if config.suite not in _SUITES:
         raise ConfigError(f"unknown suite {config.suite!r}; have {suite_names()}")
+    _, parse_twist, width, default = _SUITES[config.suite]
     try:
         chart = get_chart(config.chart)
     except TwistcalError as exc:
         raise ConfigError(str(exc)) from None
-    runner, what = _SUITES[config.suite], f"suite {config.suite!r}"
+    if config.fiber and not width:
+        raise ConfigError(f"fiber does not apply to the {config.suite} suite, "
+                          "which samples its fibre coordinates")
+    profile = parse_profile_spec(config.profile, config.suite)
+    twist = parse_twist(config, chart)
+    fibers = _parse_fiber_list(config.fiber, width, default) if width else None
+    check_samples(config.samples, len(fibers) if width else 1)
+    return chart, profile, twist, fibers
+
+
+def run_suite(config: SuiteConfig) -> VerificationReport:
+    """Run a registered suite; deterministic for a fixed config and seed."""
+    inputs, runner, what = _parse_job(config), _SUITES[config.suite][0], f"suite {config.suite!r}"
+    run = lambda: runner(config, *inputs)
     with strict_arithmetic(what):
         try:
-            report = runner(config, chart)
+            report = run()
         except FloatingPointError as exc:
-            _raise_at_first_broken_row(runner, config, chart, f"{what}: {exc}")
+            _raise_at_first_broken_row(run, f"{what}: {exc}")
             raise
     _check_finite(report)
     return report
@@ -344,7 +349,7 @@ def _first_nonfinite(report: VerificationReport):
     return i, key, value
 
 
-def _raise_at_first_broken_row(runner, config: SuiteConfig, chart, cause: str):
+def _raise_at_first_broken_row(run, cause: str):
     """Name the point at which a suite's arithmetic overflowed or went invalid.
 
     The suite runs again with inf and nan let through, and the first row that
@@ -356,7 +361,7 @@ def _raise_at_first_broken_row(runner, config: SuiteConfig, chart, cause: str):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            report = runner(config, chart)
+            report = run()
         except TwistcalError:
             return
     found = _first_nonfinite(report)

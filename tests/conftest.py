@@ -543,9 +543,7 @@ def pointwise_omega_max(chart, mu_coeffs, u, t, profile=DEFAULT_PROFILE):
 def stenzel_job_inputs(config):
     """(chart, profile, mu, samples, fibers) of a Stenzel suite config, drawn
     as ``suites._run_stenzel`` draws them."""
-    chart = get_chart(config.chart)
-    profile = suites.parse_profile_spec(config.profile, config.suite)
-    mu = suites.parse_mu_spec(config.section, chart.q)
+    chart, profile, mu, _ = suites._parse_job(config)
     rng = np.random.default_rng(config.seed)
     samples = chart.sample(rng, config.samples)
     fibers = suites._sample_fibers(rng, config.samples, chart.n - chart.q)
@@ -724,18 +722,14 @@ def pointwise_calibration_gap(e1, e2, f1, f2, profile, r: float) -> float:
 
 def pointwise_suite(config) -> "PointwiseReport":
     """The report of a g2-* or spin7-cayley run, one (sample, fibre) pair at a time."""
-    chart = get_chart(config.chart)
-    bs_profile = suites.parse_profile_spec(config.profile, config.suite)
+    chart, bs_profile, twist, fibers = suites._parse_job(config)
     samples, frames = suites._sample_frames(chart, config)
     points = []
     if config.suite == "g2-coassociative":
-        eta = suites._eta_family_for(config, chart.q)
-        default = [(0.7, -1.2), (1.5, 0.4), (0.3, 0.9)]
-        fibers = suites._parse_fiber_list(config.fiber, 2, default=default)
         for u, point in zip(samples, frames):
-            gval = float(eta.value(point.u))
+            gval = float(twist.value(point.u))
             dgamma = np.array(
-                [float(directional_derivative(eta.value, point.u, w))
+                [float(directional_derivative(twist.value, point.u, w))
                  for w in point.velocities]
             )
             criteria = {
@@ -748,16 +742,10 @@ def pointwise_suite(config) -> "PointwiseReport":
                 points.append(PointRecord(list(u), list(t), {"coassociative": res}, dict(criteria)))
         return pointwise_report(config, points)
 
-    family = suites._section_family_for(config)
     sframe = spin7.spinor_frames()
     spin = config.suite == "spin7-cayley"
-    if spin:
-        default = [(0.0, 0.0), (1.0, -2.0), (0.8, 0.5)]
-    else:
-        default = [-2.0, 0.0, 1.5]
-    fibers = suites._parse_fiber_list(config.fiber, 2 if spin else 1, default=default)
     for u, point in zip(samples, frames):
-        sec = pointwise_section_data(family, point)
+        sec = pointwise_section_data(twist, point)
         trace = float(trace_residual(point.second_fund))
         if spin:
             dbar = {"dbar_vminus": float(np.hypot(*pointwise_dbar_vminus(point.gamma, sframe, sec)))}

@@ -19,7 +19,7 @@ from twistcal.examples import make_eta_family, make_section_family
 from twistcal.numerics import Profile
 from twistcal.report import SuiteConfig
 from twistcal.submanifold import adapted_frame, get_chart
-from twistcal.suites import _eta_family_for, _sample_frames, _section_family_for, parse_profile_spec, run_suite
+from twistcal.suites import _parse_job, _sample_frames, run_suite
 
 from conftest import job_config, nabla_f_fd_oracle, pointwise_suite, records_of, rng_for
 from workloads import WORKLOADS, job_argv
@@ -66,21 +66,18 @@ WEIGHTED_CONFIGS = [
 ]
 
 
-def _dense_residuals(config, report):
-    """The residual columns of ``report`` recomputed by the dense functions on
-    the full lifted bases (E_1, E_2, F_j) of its job, with the tangent vectors
-    and section data built as the suite builds them."""
-    chart = get_chart(config.chart)
-    profile = parse_profile_spec(config.profile, config.suite)
+def _dense_residuals(config):
+    """The residual columns of the job's report recomputed by the dense functions
+    on the full lifted bases (E_1, E_2, F_j), with the tangent vectors and
+    section data built as the suite builds them."""
+    chart, profile, twist, fibers = _parse_job(config)
     samples, frames = _sample_frames(chart, config)
-    fibers = report.t[: len(report.t) // len(samples)]
     if config.suite == "g2-coassociative":
-        eta = _eta_family_for(config, chart.q)
-        gval = eta.value(frames.u)
-        basis = g2.tangent_basis_eta_f(frames, gval, frames.scalar_derivatives(eta.value), fibers)
+        gval = twist.value(frames.u)
+        basis = g2.tangent_basis_eta_f(frames, gval, frames.scalar_derivatives(twist.value), fibers)
         fiber = (gval[:, None], fibers[:, 0], fibers[:, 1])
         return basis, {"coassociative": g2.coassociative_residual(*np.moveaxis(basis, -2, 0), profile, fiber)}
-    sec = g2.section_data(_section_family_for(config), frames)
+    sec = g2.section_data(twist, frames)
     if config.suite == "g2-associative":
         basis = g2.tangent_basis_e_sigma(frames, sec, fibers[:, 0])
         fiber = (fibers[:, 0], sec.a[:, None], sec.b[:, None])
@@ -95,7 +92,7 @@ def _dense_residuals(config, report):
 @pytest.mark.parametrize("config", BENCHMARK_CONFIGS + WEIGHTED_CONFIGS)
 def test_suite_residuals_equal_the_dense_functions_on_the_lifted_basis(config):
     report = run_suite(config)
-    _, dense = _dense_residuals(config, report)
+    _, dense = _dense_residuals(config)
     assert dense.keys() == report.residuals.keys()
     for key, want in dense.items():
         want, got = np.reshape(want, -1), report.residuals[key]
@@ -150,7 +147,7 @@ HARVEY_LAWSON = [
 @pytest.mark.parametrize("config", HARVEY_LAWSON)
 def test_harvey_lawson_identity_on_the_suite_residuals(config):
     report = run_suite(config)
-    basis, _ = _dense_residuals(config, report)
+    basis, _ = _dense_residuals(config)
     basis = basis.reshape(-1, *basis.shape[-2:])
     vol2 = np.linalg.det(basis @ np.swapaxes(basis, -1, -2))
     if config.suite == "spin7-cayley":

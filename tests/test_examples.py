@@ -364,20 +364,23 @@ def test_table_expressions_are_parsed_once_and_tables_are_handed_out_fresh(monke
 
 
 def test_a_table_job_parses_the_table_file_at_most_once(monkeypatch, capsys):
+    import copy
     import json
 
     from twistcal.cli import main
     from twistcal.examples import _load_tables
 
-    loads = []
-    load = json.load
+    loads, copies = [], []
+    load, deepcopy = json.load, copy.deepcopy
     monkeypatch.setattr(json, "load", lambda fh, *a, **k: loads.append(fh) or load(fh, *a, **k))
+    # the job reads the shared table and copies none of it
+    monkeypatch.setattr(copy, "deepcopy", lambda x, *a, **k: copies.append(x) or deepcopy(x, *a, **k))
     _load_tables.cache_clear()
     for name in golden_table_names():
         before = len(loads)
         assert main(["table", name, "--samples", "3"]) == 0
         assert len(loads) - before <= 1, name
-    assert len(loads) == 1
+    assert len(loads) == 1 and copies == []
     # the unknown-name message still lists every table
     assert main(["table", "nosuch", "--samples", "3"]) == 2
     assert "have ['equatorial', 'veronese', 'veronese-hat']" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from twistcal.cli import main
+from twistcal.cli import _CONFIG_KEYS, main
 from twistcal.errors import ConfigError, TwistcalError
 from twistcal.report import (
     MAX_ROWS,
@@ -20,9 +20,10 @@ from twistcal.report import (
 from twistcal.examples import make_section_family
 from twistcal.numerics import Profile, strict_arithmetic
 from twistcal.stenzel import DEFAULT_PROFILE, lagrangian_columns
+from twistcal.submanifold import get_chart
 from twistcal.suites import (
     MAX_COEFF_INDEX,
-    _section_family_for,
+    _parse_job,
     parse_mu_spec,
     parse_profile_spec,
     parse_section_spec,
@@ -134,22 +135,26 @@ def test_section_spec_parsing():
 
 
 def test_mu_spec_parsing():
-    mu = parse_mu_spec("0.3e1", 2)
-    assert np.allclose(mu, [0.3, 0.0])
-    assert np.allclose(parse_mu_spec("0", 2), 0.0)
+    equatorial = get_chart("equatorial")  # q = 2
+
+    def mu(spec):
+        return parse_mu_spec(SuiteConfig("stenzel-lagrangian", section=spec), equatorial)
+
+    assert np.allclose(mu("0.3e1"), [0.3, 0.0])
+    assert np.allclose(mu("0"), 0.0)
     # any spelling of a finite zero is the zero form
     for zero in ("0.0", "-0", "+0.0", "00", "zero", "", " "):
-        np.testing.assert_array_equal(parse_mu_spec(zero, 2), [0.0, 0.0])
+        np.testing.assert_array_equal(mu(zero), [0.0, 0.0])
     # the <coeff>e<index> pattern wins over the float reading of "0.3e1"
-    assert np.allclose(parse_mu_spec("-2e2", 2), [0.0, -2.0])
+    assert np.allclose(mu("-2e2"), [0.0, -2.0])
     with pytest.raises(ConfigError):
-        parse_mu_spec("0.3e9", 2)
+        mu("0.3e9")
     with pytest.raises(ConfigError, match="malformed mu spec"):
-        parse_mu_spec("garbage", 2)
+        mu("garbage")
     with pytest.raises(ConfigError, match="malformed mu spec"):
-        parse_mu_spec("nan", 2)
+        mu("nan")
     with pytest.raises(ConfigError, match=r"mu spec '1\.5' needs an index, e\.g\. 1\.5e1"):
-        parse_mu_spec("1.5", 2)
+        mu("1.5")
 
 
 def test_profile_spec_parsing():
@@ -239,31 +244,43 @@ def test_cli_exit_codes(tmp_path):
     assert main(["verify", "g2-associative", "--chart", "nowhere"]) == 2
 
 
-def test_cli_config_file_and_flag_override(tmp_path):
-    cfg_file = tmp_path / "suite.cfg"
-    cfg_file.write_text("chart=veronese\nsection=sinphi:C=1,D=0\nsamples=2\nseed=3\n")
-    out = tmp_path / "r.json"
-    code = main(
-        ["verify", "g2-associative", "--config", str(cfg_file), "--out", str(out)]
-    )
-    assert code == 0
-    raw = json.loads(out.read_bytes())
-    assert raw["config"]["samples"] == 2
-    # flag overrides the file
-    code = main(
-        [
-            "verify",
-            "g2-associative",
-            "--config",
-            str(cfg_file),
-            "--samples",
-            "1",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    assert json.loads(out.read_bytes())["config"]["samples"] == 1
+# per verify key: a suite, a value that changes its report, and another value
+_KEY_CASES = {
+    "chart": ("g2-associative", "veronese", "veronese-hat"),
+    "section": ("g2-associative", "sinphi:C=1,D=0", "const:re=0.4"),
+    "mu": ("stenzel-lagrangian", "0.3e1", "0"),
+    "samples": ("g2-associative", "2", "1"),
+    "seed": ("g2-associative", "3", "4"),
+    "tol_verdict": ("g2-associative", "1e-05", "1e-06"),
+    "profile": ("g2-associative", "u=2,v=0.5", "linear"),
+    "fiber": ("g2-associative", "-2;0.5", "1"),
+    "format": ("g2-associative", "csv", "json"),
+    "out": ("g2-associative", "a.json", "b.json"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+def test_cli_config_file_and_flag_override(key, tmp_path, monkeypatch, capsysbinary):
+    # a file line gives the bytes that its flag gives, and a flag overrides a
+    # file line of the same key
+    suite, value, other = _KEY_CASES[key]
+    flag = f"--{key.replace('_', '-')}={value}"
+    samples = [] if key == "samples" else ["--samples", "2"]
+    monkeypatch.chdir(tmp_path)
+
+    def run(line, *flags):
+        (tmp_path / "c.cfg").write_text(line)
+        code = main(["verify", suite, *samples, "--config", "c.cfg", *flags])
+        written = {}
+        for path in tmp_path.glob("*.json"):
+            written[path.name] = path.read_bytes()
+            path.unlink()
+        return code, capsysbinary.readouterr(), written
+
+    by_flag = run("", flag)
+    assert by_flag != run("")
+    assert run(f"{key}={value}\n") == by_flag
+    assert run(f"{key}={other}\n", flag) == by_flag
 
 
 def test_cli_bad_config_file(tmp_path, capsys):
@@ -465,6 +482,9 @@ _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--sa
          f"tol_verdict must be at most the FAIL separation {SEPARATION!r}, got 0.0011"),
         # the Stenzel suite samples its fibres; a --fiber must not be echoed and ignored
         (_VERIFY + ["--fiber=9;9"], "fiber does not apply to the stenzel-lagrangian suite"),
+        # mu is the Stenzel suite's spelling of section: both is one key given
+        # twice, not a silent choice of one twist
+        (_VERIFY + ["--section", "0.3e1"], "command line: the twist is given more than once, as mu and as section"),
         # a twist index or section kind that does not exist
         (_VERIFY + ["--mu", "0.3e3"], "mu index 3 out of range 1..2"),
         (_CAYLEY + ["--section", "nosuch"], "unknown section kind 'nosuch'"),
@@ -653,6 +673,23 @@ def test_config_file_key_given_twice_is_exit_2(tmp_path, capsys):
     assert captured.err == (
         f"config error: {cfg_file}:4: key 'samples' is given more than once (first on line 1)\n"
     )
+    cfg_file.write_text("mu=0\nsection=0.3e1\n")
+    assert main(["verify", "stenzel-lagrangian", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg_file}: the twist is given more than once, as mu and as section\n"
+    )
+
+
+def test_a_twist_flag_overrides_a_file_line_of_the_other_spelling(tmp_path, capsys):
+    # flags override the file whichever spelling of the twist each uses
+    cfg_file = tmp_path / "suite.cfg"
+    argv = ["verify", "stenzel-lagrangian", "--samples", "2", "--config", str(cfg_file)]
+    for line, flags, code in (("mu=0.3e1", ["--section", "0"], 0), ("section=0", ["--mu", "0.3e1"], 1)):
+        cfg_file.write_text(line + "\n")
+        assert main(argv + flags) == code
+        by_file_and_flag = capsys.readouterr()
+        assert main(argv[:4] + flags) == code
+        assert capsys.readouterr() == by_file_and_flag
 
 
 def test_stenzel_fiber_is_rejected_from_file_and_run_suite(tmp_path):
@@ -678,7 +715,7 @@ def test_equatorial_hol_reads_every_coefficient():
     assert run_suite(config).aggregates != zero.aggregates
     expected = make_section_family("equatorial-hol", coeffs=[0, 0, 0, 0, 1])
     u = np.array([0.3, -0.4])
-    assert _section_family_for(config).value(u) == expected.value(u)
+    assert _parse_job(config)[2].value(u) == expected.value(u)
 
 
 @pytest.mark.parametrize(
