@@ -120,6 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("list", help="print registered suites, charts and tables")
+    # each command's own parser, by name: main hands a command's arguments to
+    # it directly, as the top parser would after reading the name
+    parser.commands = sub.choices
     return parser
 
 
@@ -132,7 +135,7 @@ def _cmd_verify(args) -> int:
                           ("command line", flags)):
         if "mu" in given:
             if args.suite != "stenzel-lagrangian":
-                raise ConfigError("--mu only applies to the stenzel-lagrangian suite")
+                raise ConfigError(f"{source}: mu only applies to the stenzel-lagrangian suite")
             if "section" in given:
                 raise ConfigError(f"{source}: the twist is given more than once, as mu and as section")
             given["section"] = given.pop("mu")
@@ -192,8 +195,13 @@ def _cmd_list() -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        # the top parser reads only an empty argv, --help and an unknown command
+        if argv and argv[0] in parser.commands:
+            args = parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)
         if args.command is None:
             parser.print_help()
             return 2

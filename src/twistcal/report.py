@@ -6,8 +6,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
-from itertools import chain, repeat
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +89,13 @@ class SuiteConfig:
         return self
 
     def echo(self) -> dict:
-        return asdict(self)
+        """The fields by name.  Each is a string or a number, so this shallow
+        copy is as good as ``dataclasses.asdict``'s deep one."""
+        return dict(vars(self))
+
+
+# a row's status by ``failed + 2 * passed``
+_STATUSES = np.array(["MIXED", "FAIL", "PASS"])
 
 
 @dataclass
@@ -125,12 +130,13 @@ class VerificationReport:
         tol = config.tol_verdict
         passed = (res < tol).all(axis=1) & (crit < tol).all(axis=1)
         failed = (res >= tol).any(axis=1) & (crit >= tol).any(axis=1)
-        status = np.select([passed, failed], ["PASS", "FAIL"], "MIXED")
-        verdict = "PASS" if passed.all() else "MIXED" if (status == "MIXED").any() else "FAIL"
+        # a row is never both: passing leaves no value at or above tol
+        status = _STATUSES[failed + 2 * passed]
+        verdict = "PASS" if passed.all() else "FAIL" if (passed | failed).all() else "MIXED"
         aggregates = {}
         for kind, columns in (("residual", residuals), ("criterion", criteria)):
             for name, col in columns.items():
-                aggregates[f"{kind}.{name}.max"] = float(np.max(col))
+                aggregates[f"{kind}.{name}.max"] = float(col.max())
                 aggregates[f"{kind}.{name}.median"] = _median(col)
         echo = config.echo()
         return VerificationReport(
@@ -218,43 +224,51 @@ def _point_pieces(report: VerificationReport) -> list:
             + ",\n      \"u\": " + block("[", "]", ["\0"] * report.u.shape[1]) + "\n    }").split("\0")
 
 
-def _column_texts(values: np.ndarray, spelling: dict | None = None) -> list:
-    """The text of every value of an (N, K) float matrix, as K lists of N.
+def _column_texts(values: np.ndarray, spelling: dict | None = None) -> np.ndarray:
+    """The text of every value of an (N, K) float matrix, as an (N, K) object
+    array of ``str``.
 
     Each distinct bit pattern is converted once, by ``repr``, and its text is
-    gathered back into row order; ``spelling`` respells the ``repr`` of the
+    gathered back into place; ``spelling`` respells the ``repr`` of the
     non-finite values (``nan``, ``inf``, ``-inf``).
     Bits, not float equality, key the values: ``0.0 == -0.0`` but the two
     print differently, and NaN equals no value."""
-    bits = np.ascontiguousarray(values.T).view(np.uint64)
+    bits = np.ascontiguousarray(values).view(np.uint64)
     distinct, inverse = np.unique(bits, return_inverse=True)
     floats = distinct.view(np.float64)
     texts = list(map(repr, floats.tolist()))
     if spelling and not np.isfinite(floats).all():
         texts = list(map(spelling.get, texts, texts))
-    return np.array(texts, dtype=object)[inverse].reshape(bits.shape).tolist()
+    return np.array(texts, dtype=object)[inverse].reshape(bits.shape)
 
 
 def _points_json(report: VerificationReport) -> str:
     """The report's ``points`` array as ``json.dumps(sort_keys=True, indent=2)``
-    writes it, in one join of each point's literal pieces interleaved with its
-    value texts.  ``repr`` of a finite float is the text ``json`` writes for
-    it, and each distinct value of the report is converted to text once; the
-    residual and criterion keys are in sorted order, as the report keeps them."""
+    writes it, in one join of an (N, 2V + 1) object array: row i holds point
+    i's V value texts, each followed by its literal piece, after the piece
+    that opens the point.  ``repr`` of a finite float is the text ``json``
+    writes for it, and each distinct value of the report is converted to text
+    once; the residual and criterion keys are in sorted order, as the report
+    keeps them."""
     n = len(report.status)
     if n == 0:
         return "[]"
     values = np.hstack([_matrix(report.criteria, n), _matrix(report.residuals, n), report.t, report.u])
-    fields = _column_texts(values, _NONFINITE)
+    opening, *pieces = _point_pieces(report)
+    cells = np.empty((n, 2 * len(pieces) + 1), dtype=object)
+    # every point but the first opens with the separator after the one before
+    cells[:, 0] = ",\n" + opening
+    cells[0, 0] = "[\n" + opening
+    cells[:, 2::2] = np.array(pieces, dtype=object)
+    # the status is value k, between the residuals and t, as json sorts the keys
+    k = len(report.criteria) + len(report.residuals)
+    texts = _column_texts(values, _NONFINITE)
+    cells[:, 1:2 * k:2] = texts[:, :k]
     statuses = report.status.tolist()
     status_text = {s: json.dumps(s) for s in set(statuses)}
-    fields.insert(len(report.criteria) + len(report.residuals), map(status_text.__getitem__, statuses))
-    opening, *pieces = _point_pieces(report)
-    # every point but the first opens with the separator after the one before
-    columns = [chain(("[\n" + opening,), repeat(",\n" + opening, n - 1))]
-    for texts, piece in zip(fields, pieces):
-        columns += [texts, repeat(piece)]
-    return "".join(chain(chain.from_iterable(zip(*columns)), ("\n  ]",)))
+    cells[:, 2 * k + 1] = list(map(status_text.__getitem__, statuses))
+    cells[:, 2 * k + 3::2] = texts[:, k:]
+    return "".join(cells.ravel().tolist()) + "\n  ]"
 
 
 def emit(report: VerificationReport, fmt: str = "json") -> bytes:
@@ -277,7 +291,7 @@ def emit(report: VerificationReport, fmt: str = "json") -> bytes:
         values = np.hstack(
             [report.u, report.t, _matrix(report.residuals, n), _matrix(report.criteria, n)]
         )
-        writer.writerows(zip(range(n), report.status.tolist(), *_column_texts(values)))
+        writer.writerows(zip(range(n), report.status.tolist(), *_column_texts(values).T.tolist()))
         return buf.getvalue().encode()
     raise ConfigError(f"unknown format {fmt!r}")
 

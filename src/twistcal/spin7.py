@@ -104,13 +104,13 @@ class SpinorFrame:
 def spinor_frames(s1=None) -> SpinorFrame:
     """Build (s_1, s_2, s_3, s_4) from a unit spinor s_1 in V_+, an (8,) array.
 
-    Defaults to the first quaternion basis vector projected onto V_+; any
-    other gauge gives frames related by a rotation, and every reported
-    quantity is checked to be gauge independent.
+    Defaults to the first quaternion basis vector projected onto V_+, a frame
+    built once per process and shared, with a read-only ``s``; any other
+    gauge gives frames related by a rotation, and every reported quantity is
+    checked to be gauge independent.
     """
     if s1 is None:
-        s1 = np.zeros(8)
-        s1[0] = 1.0
+        return _default_spinor_frames()
     s1 = np.asarray(s1, dtype=float)
     s1 = _P_MINUS @ s1
     # keep the part where Gamma acts as j_L (left multiplication by e^1 e^2):
@@ -126,6 +126,13 @@ def spinor_frames(s1=None) -> SpinorFrame:
     s3 = 0.25 * (_GF[1] @ s1)
     s4 = 0.25 * (_GF[2] @ s1)
     return SpinorFrame(s=np.vstack([s1, s2, s3, s4]))
+
+
+@lru_cache(maxsize=1)
+def _default_spinor_frames() -> SpinorFrame:
+    frame = spinor_frames(np.eye(8)[0])
+    frame.s.flags.writeable = False
+    return frame
 
 
 @lru_cache(maxsize=1)

@@ -234,6 +234,20 @@ def _timestamped(report):
                             {"c": [0.0, -0.0, 0.0, 2e-3, 2e-3, -0.0]}),
             id="repeated-values",
         ),
+        # PASS, FAIL and MIXED rows interleaved, over wide u and t
+        pytest.param(
+            lambda: _report(np.arange(12.0).reshape(6, 2) / 7, -np.arange(18.0).reshape(6, 3) / 3,
+                            {"r": [0.0, 1.0, 1e-5, 2e-3, 0.0, 0.5], "gap": [0.0] * 6},
+                            {"c": [0.0, 1.0, 2e-3, 1e-6, 1e-9, 0.5]}),
+            id="pass-fail-mixed",
+        ),
+        # nan and +-inf in every kind of column, away from the first row in u
+        # and t; the nan row is MIXED, the +inf row FAIL and the -inf row PASS
+        pytest.param(
+            lambda: _report([[0.5, np.inf], [-np.inf, 0.0], [np.nan, 1.0]], [[1.0], [np.nan], [-np.inf]],
+                            {"r": [np.nan, np.inf, 0.0]}, {"c": [1.0, 1.0, -np.inf]}),
+            id="nan-and-infinities",
+        ),
     ],
 )
 def test_emitter_edge_cases_match_json_dumps_and_record_oracle(make_report):

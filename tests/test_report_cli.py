@@ -1,4 +1,6 @@
+import argparse
 import ast
+import dataclasses
 import json
 import re
 import subprocess
@@ -655,7 +657,7 @@ def test_bad_command_line_is_one_config_error_line(argv, err, capsys):
 
 
 def test_help_still_exits_0(capsys):
-    for argv in (["--help"], ["verify", "--help"]):
+    for argv in (["--help"], ["verify", "--help"], ["table", "--help"], ["-h", "verify"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
@@ -678,6 +680,42 @@ def test_config_file_key_given_twice_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error: {cfg_file}: the twist is given more than once, as mu and as section\n"
     )
+
+
+def test_a_misplaced_mu_names_its_source(tmp_path, capsys):
+    cfg_file = tmp_path / "suite.cfg"
+    cfg_file.write_text("mu=0.3e1\n")
+    assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg_file}: mu only applies to the stenzel-lagrangian suite\n"
+    )
+    assert main(["verify", "g2-associative", "--mu", "0.3e1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: command line: mu only applies to the stenzel-lagrangian suite\n"
+    )
+
+
+def test_a_verify_job_parses_its_argv_once_and_deep_copies_no_config(tmp_path, monkeypatch):
+    # the verify parser reads the arguments itself, not through the top
+    # parser, and the config is echoed by a shallow copy
+    calls = {"parse_known_args": 0, "asdict": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    parse = counted("parse_known_args", argparse.ArgumentParser.parse_known_args)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parse)
+    asdict = counted("asdict", dataclasses.asdict)
+    monkeypatch.setattr(dataclasses, "asdict", asdict)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twistcal") and hasattr(module, "asdict"):
+            monkeypatch.setattr(module, "asdict", asdict)
+    out = tmp_path / "r.json"
+    assert main(["verify", "g2-associative", "--samples", "2", "--fiber", "-1;0.5", "--out", str(out)]) == 0
+    assert calls == {"parse_known_args": 1, "asdict": 0}
 
 
 def test_a_twist_flag_overrides_a_file_line_of_the_other_spelling(tmp_path, capsys):

@@ -44,6 +44,17 @@ def test_default_spinor_frames_orthonormal():
     assert np.max(np.abs(sf.s @ sf.s.T - np.eye(4))) < 1e-12
 
 
+def test_default_spinor_frames_are_built_once_and_read_only():
+    sf = spinor_frames()
+    assert spinor_frames() is sf
+    with pytest.raises(ValueError):
+        sf.s[0, 0] = 2.0
+    # the explicit gauge of the default builds anew, bit for bit the same
+    built = spinor_frames(np.eye(8)[0])
+    assert built is not sf and built.s.flags.writeable
+    assert built.s.tobytes() == sf.s.tobytes()
+
+
 def test_gauge_rotated_frames_orthonormal():
     rng = rng_for(0)
     for _ in range(10):
