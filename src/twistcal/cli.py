@@ -100,10 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
         def error(self, message):
             raise ConfigError(message)
 
-    parser = Parser(prog="twistcal", description=__doc__)
+    # no abbreviated flags: a config file takes only whole keys, and a flag
+    # added later must not change what a shorter one means
+    parser = Parser(prog="twistcal", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command")
 
-    verify = sub.add_parser("verify", help="run a named verification suite")
+    verify = sub.add_parser("verify", help="run a named verification suite", allow_abbrev=False)
     verify.add_argument("suite")
     verify.add_argument("--config", help="flat key=value config file")
     for key, kwargs in _CONFIG_KEYS.items():
@@ -114,12 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="include a wall-clock timestamp in the provenance block",
     )
 
-    table = sub.add_parser("table", help="check a golden coefficient table")
+    table = sub.add_parser("table", help="check a golden coefficient table", allow_abbrev=False)
     table.add_argument("name")
     table.add_argument("--samples", type=int, default=50)
     table.add_argument("--seed", type=int, default=0)
 
-    sub.add_parser("list", help="print registered suites, charts and tables")
+    sub.add_parser("list", help="print registered suites, charts and tables", allow_abbrev=False)
     # each command's own parser, by name: main hands a command's arguments to
     # it directly, as the top parser would after reading the name
     parser.commands = sub.choices

@@ -48,7 +48,25 @@ __all__ = [
 ]
 
 
-# -- equatorial sphere -------------------------------------------------------
+# -- chart maps --------------------------------------------------------------
+# Every chart function below maps u of shape (..., 2) to a (..., 5) point or a
+# (..., 4, 5) frame, written entry by entry into one array; the Veronese ones
+# take one sin and one cos of each chart angle (sin 2x = 2 s c, cos 2x =
+# c^2 - s^2).  Each keeps the dtype of u, so a complex step passes through.
+
+_SQ3 = math.sqrt(3.0)
+_H3 = _SQ3 / 2.0
+
+
+def _entries(like, rows):
+    """The (..., len(rows), 5) array whose [..., i, j] is rows[i][j], an
+    array shaped like ``like[..., 0]`` or a constant, in the dtype of
+    ``like`` (at least float)."""
+    out = np.empty(like.shape[:-1] + (len(rows), 5), np.result_type(like, float))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
 def equatorial_chart() -> ImmersionChart:
@@ -57,136 +75,80 @@ def equatorial_chart() -> ImmersionChart:
 
     def xmap(u):
         u = np.asarray(u)
-        r2 = (u[..., None, :] @ u[..., :, None])[..., 0]
-        out = np.zeros(u.shape[:-1] + (5,), np.result_type(u, float))
-        out[..., :1] = (r2 - 1.0) / (r2 + 1.0)
-        out[..., 1:3] = 2.0 * u / (r2 + 1.0)
-        return out
+        u1, u2 = u[..., 0], u[..., 1]
+        inv = 1.0 / (u1 * u1 + u2 * u2 + 1.0)
+        return _entries(u, [(1.0 - 2.0 * inv, 2.0 * u1 * inv, 2.0 * u2 * inv, 0.0, 0.0)])[..., 0, :]
 
     def frame_field(u):
         u = np.asarray(u)
         u1, u2 = u[..., 0], u[..., 1]
-        d = u1 * u1 + u2 * u2 + 1.0
-        out = np.zeros(u.shape[:-1] + (4, 5), np.result_type(u, float))
-        out[..., 0, :3] = np.stack([2 * u1, 1 - u1 * u1 + u2 * u2, -2 * u1 * u2], axis=-1)
-        out[..., 1, :3] = np.stack([2 * u2, -2 * u1 * u2, 1 + u1 * u1 - u2 * u2], axis=-1)
-        out[..., :2, :3] /= d[..., None, None]
-        out[..., 2, 3] = 1.0
-        out[..., 3, 4] = -1.0
-        return out
+        inv = 1.0 / (u1 * u1 + u2 * u2 + 1.0)
+        a, b, m = u1 * u1 * inv, u2 * u2 * inv, -2.0 * u1 * u2 * inv
+        return _entries(u, [(2.0 * u1 * inv, inv - a + b, m, 0.0, 0.0),
+                            (2.0 * u2 * inv, m, inv + a - b, 0.0, 0.0),
+                            (0.0, 0.0, 0.0, 1.0, 0.0),
+                            (0.0, 0.0, 0.0, 0.0, -1.0)])
 
-    return ImmersionChart(
-        name="equatorial",
-        q=2,
-        n=4,
-        xmap=xmap,
-        sample_box=np.array([[-2.5, 2.5]] * 2),
-        frame_field=frame_field,
-    )
-
-
-# -- Veronese immersion ------------------------------------------------------
-# Every chart function below maps u of shape (..., 2) to (..., 5) points or
-# (..., 4, 5) frames; vectors are stacked on the last axis and scalar fields
-# carry a trailing axis of length 1 so that they broadcast against them.  All
-# of them keep the dtype of u, so a complex step passes through.
-
-_SQ3 = math.sqrt(3.0)
-
-
-def _vec(like, *components):
-    """Stack per-point components (arrays shaped like ``like``, or constants)
-    on a new last axis, in their common dtype."""
-    out = np.empty(np.shape(like) + (len(components),), np.result_type(like, *components))
-    for i, c in enumerate(components):
-        out[..., i] = c
-    return out
-
-
-def _veronese_point(x, y, z):
-    """The degree-two immersion of the radius-sqrt(3) sphere into S^4."""
-    return _vec(
-        x, x * y, x * z, y * z, (x * x - y * y) / 2.0, (x * x + y * y - 2.0 * z * z) / (2.0 * _SQ3)
-    ) / _SQ3
-
-
-def _y_vectors(theta):
-    s2, c2 = np.sin(2 * theta), np.cos(2 * theta)
-    s, c = np.sin(theta), np.cos(theta)
-    y1 = _vec(theta, s2, 0.0, 0.0, c2, 0.0)
-    y2 = _vec(theta, 0.0, c, s, 0.0, 0.0)
-    y3 = _vec(theta, c2, 0.0, 0.0, -s2, 0.0)
-    y4 = _vec(theta, 0.0, -s, c, 0.0, 0.0)
-    return y1, y2, y3, y4
-
-
-def _y_hat_vectors(theta):
-    s, c = np.sin(theta), np.cos(theta)
-    s2, c2 = np.sin(2 * theta), np.cos(2 * theta)
-    y1 = _vec(theta, s, 0.0, c, 0.0, 0.0)
-    y2 = _vec(theta, 0.0, _SQ3 * s * c, 0.0, _SQ3 / 2.0 * s * s, 0.5 * (1 - 3 * c * c))
-    y3 = _vec(theta, c, 0.0, -s, 0.0, 0.0)
-    y4 = _vec(theta, 0.0, c2, 0.0, 0.5 * s2, _SQ3 / 2.0 * s2)
-    return y1, y2, y3, y4
-
-
-_E5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-_W_HAT = np.array([0.0, 0.0, 0.0, -_SQ3 / 2.0, 0.5])
-
-
-def _angles(u):
-    """phi and theta of chart points (..., 2), and the sine and cosine of phi."""
-    u = np.asarray(u)
-    phi, theta = u[..., 0], u[..., 1]
-    return phi, theta, np.sin(phi), np.cos(phi)
+    box = np.array([[-2.5, 2.5]] * 2)
+    return ImmersionChart(name="equatorial", q=2, n=4, xmap=xmap, sample_box=box, frame_field=frame_field)
 
 
 def veronese_chart(which: str = "psi") -> ImmersionChart:
-    """Spherical-coordinate charts of the Veronese surface.
+    """Spherical-coordinate charts of the Veronese surface, the degree-two
+    immersion (xy, xz, yz, (x^2 - y^2)/2, (x^2 + y^2 - 2 z^2)/(2 sqrt 3))/sqrt 3
+    of the radius-sqrt(3) sphere into S^4.
 
     ``psi`` uses (phi, theta) with the z-axis pole; ``psi_hat`` uses the
     rotated coordinates (phi_hat, theta_hat) with the y-axis pole.  Both carry
-    the classical positively oriented adapted frames.
+    the classical positively oriented adapted frames, as rows (e_1, e_2,
+    nu_3, nu_4).
     """
     if which == "psi":
+        # (x, y, z) = sqrt 3 (sin phi cos theta, sin phi sin theta, cos phi)
 
         def xmap(u):
-            _, theta, sp, cp = _angles(u)
-            return _veronese_point(
-                _SQ3 * (sp * np.cos(theta)), _SQ3 * (sp * np.sin(theta)), _SQ3 * cp
-            )
+            s, c = np.sin(u), np.cos(u)
+            sp, st, cp, ct = s[..., 0], s[..., 1], c[..., 0], c[..., 1]
+            spp, h = sp * sp, _SQ3 * sp * cp
+            return _entries(s, [(_SQ3 * spp * st * ct, h * ct, h * st,
+                                 _H3 * spp * (ct * ct - st * st), 0.5 * spp - cp * cp)])[..., 0, :]
 
         def frame_field(u):
-            phi, theta, s, c = _angles(u)
-            s, c = s[..., None], c[..., None]
-            y1, y2, y3, y4 = _y_vectors(theta)
-            s2, c2 = np.sin(2 * phi)[..., None], np.cos(2 * phi)[..., None]
-            e1 = 0.5 * s2 * y1 + c2 * y2 + (_SQ3 / 2.0) * s2 * _E5
-            e2 = s * y3 + c * y4
-            nu3 = -c * y3 + s * y4
-            nu4 = 0.5 * ((1 + c * c) * y1 - s2 * y2 - _SQ3 * s * s * _E5)
-            return np.stack([e1, e2, nu3, nu4], axis=-2)
+            s, c = np.sin(u), np.cos(u)
+            sp, st, cp, ct = s[..., 0], s[..., 1], c[..., 0], c[..., 1]
+            h, c2p = sp * cp, cp * cp - sp * sp  # sin(2 phi) / 2, cos(2 phi)
+            s2t, c2t = 2.0 * st * ct, ct * ct - st * st
+            k = 0.5 * (1.0 + cp * cp)
+            return _entries(s, [(h * s2t, c2p * ct, c2p * st, h * c2t, _SQ3 * h),
+                                (sp * c2t, -cp * st, cp * ct, -sp * s2t, 0.0),
+                                (-cp * c2t, -sp * st, sp * ct, cp * s2t, 0.0),
+                                (k * s2t, -h * ct, -h * st, k * c2t, -_H3 * sp * sp)])
 
         box = np.array([[0.35, math.pi - 0.35], [0.35, 2 * math.pi - 0.35]])
         name = "veronese"
     elif which == "psi_hat":
+        # (x, y, z) = sqrt 3 (sin phi sin theta, cos phi, sin phi cos theta)
 
         def xmap(u):
-            _, theta, sp, cp = _angles(u)
-            return _veronese_point(
-                _SQ3 * (sp * np.sin(theta)), _SQ3 * cp, _SQ3 * (sp * np.cos(theta))
-            )
+            s, c = np.sin(u), np.cos(u)
+            sp, st, cp, ct = s[..., 0], s[..., 1], c[..., 0], c[..., 1]
+            spp, h, a = sp * sp, _SQ3 * sp * cp, sp * sp * st * st
+            return _entries(s, [(h * st, _SQ3 * spp * st * ct, h * ct, _H3 * (a - cp * cp),
+                                 0.5 * (a + cp * cp) - spp * ct * ct)])[..., 0, :]
 
         def frame_field(u):
-            phi, theta, s, c = _angles(u)
-            s, c = s[..., None], c[..., None]
-            y1, y2, y3, y4 = _y_hat_vectors(theta)
-            s2, c2 = np.sin(2 * phi)[..., None], np.cos(2 * phi)[..., None]
-            e1 = c2 * y1 + (s2 / _SQ3) * y2 - (s2 / _SQ3) * _W_HAT
-            e2 = c * y3 + s * y4
-            nu3 = s * y3 - c * y4
-            nu4 = -s * c * y1 + ((1 + c * c) / _SQ3) * y2 + ((1 + s * s) / _SQ3) * _W_HAT
-            return np.stack([e1, e2, nu3, nu4], axis=-2)
+            s, c = np.sin(u), np.cos(u)
+            sp, st, cp, ct = s[..., 0], s[..., 1], c[..., 0], c[..., 1]
+            s2p, c2p = 2.0 * sp * cp, cp * cp - sp * sp
+            s2t, c2t = 2.0 * st * ct, ct * ct - st * st
+            k = 1.0 + cp * cp
+            return _entries(s, [
+                (c2p * st, s2p * st * ct, c2p * ct, 0.5 * s2p * (st * st + 1.0), -_H3 * s2p * ct * ct),
+                (cp * ct, sp * c2t, -cp * st, 0.5 * sp * s2t, _H3 * sp * s2t),
+                (sp * ct, -cp * c2t, -sp * st, -0.5 * cp * s2t, -_H3 * cp * s2t),
+                (-0.5 * s2p * st, k * st * ct, -0.5 * s2p * ct, 0.5 * (k * st * st - 1.0 - sp * sp),
+                 _H3 * (1.0 - k * ct * ct)),
+            ])
 
         box = np.array([[0.35, math.pi - 0.35], [-math.pi / 2 + 0.35, 3 * math.pi / 2 - 0.35]])
         name = "veronese-hat"

@@ -9,7 +9,9 @@ coordinate derivatives, and from the q x q Gram matrix of the Jacobian in
 closed form (q <= 2; no LAPACK call), we compute:
 
 * connection coefficients Gamma^l_{jk} = <P(D_{e_j} frame_k), frame_l> with
-  P the projection onto T S^n,
+  P the projection onto T S^n, read as <D_{e_j} frame_k, frame_l>: P
+  removes only the component along x, to which every frame row is
+  orthogonal, so <P v, frame_l> = <v, frame_l>,
 * shape operators A^k_{ij} = <nabla_{e_i} nu_k, e_j> (symmetric per normal),
 * classification predicates: minimal, austere, and superminimal of either
   sign for surfaces in S^4; the austere and superminimal residuals are exact
@@ -220,10 +222,10 @@ def adapted_frame(chart: ImmersionChart, u) -> AdaptedFramePoint:
     velocities = (frame[:, :q] @ np.swapaxes(cols, -1, -2)) @ g_inv
 
     # derivatives of the frame along every e_j, sum_k w_jk d_k frame, as
-    # (P, q n, n+1) rows, projected onto T S^n, then paired with the frame
+    # (P, q n, n+1) rows, paired with the frame rows; these are tangent to
+    # the sphere, so the pairing needs no projection onto T S^n first
     p = len(rows)
     dframe = (velocities @ dframes.reshape(p, q, -1)).reshape(p, q * n, n + 1)
-    dframe = dframe - (dframe @ x[:, :, None]) * x[:, None, :]
     gamma = (dframe @ np.swapaxes(frame, -1, -2)).reshape(p, q, n, n)
     second_fund = np.swapaxes(gamma[:, :, q:, :q], 1, 2)
 

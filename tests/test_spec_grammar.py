@@ -3,7 +3,8 @@
 
 Every generated command must end in a verdict or a one-line diagnosis: exit
 0, 1 or 2, no exception out of ``cli.main`` and at most one line on stderr.
-The examples are derandomised, so a run is reproducible.
+The examples are derandomised, so a run is reproducible.  A flag is never
+abbreviated: every strict prefix of every flag is one config error.
 """
 
 import contextlib
@@ -13,10 +14,11 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from twistcal.cli import main
+from twistcal.cli import _build_parser, main
 from twistcal.suites import MAX_COEFF_INDEX
 
 SUITES = ["stenzel-lagrangian", "g2-associative", "g2-coassociative", "spin7-cayley"]
@@ -248,3 +250,45 @@ def test_table_flags_end_in_a_verdict_or_one_config_error(name, samples, seed):
     line = stdout.decode()
     assert line.startswith(f"table {name}: worst residual ") and line.count("\n") == 1
     assert line.endswith(" -> PASS\n" if code == 0 else " -> FAIL\n")
+
+
+# a value that each flag of a command accepts, None for a flag that takes none;
+# CFG stands for a config file and OUT for a writable path
+WHOLE_FLAGS = {
+    "verify": {"--config": "CFG", "--chart": "veronese", "--section": "zero", "--mu": "0",
+               "--samples": "1", "--seed": "7", "--tol-verdict": "1e-3", "--profile": "unit",
+               "--fiber": "0,0", "--format": "csv", "--out": "OUT", "--timestamp": None},
+    "table": {"--samples": "2", "--seed": "7"},
+}
+
+
+def _command(command, flag, value):
+    """The argv of one command that gives ``flag`` ``value`` (a list of
+    words); --mu applies only to the Stenzel suite, --fiber only to a forms one."""
+    if command == "table":
+        return ["table", "veronese", *value]
+    suite = "stenzel-lagrangian" if flag == "--mu" else "spin7-cayley"
+    return ["verify", suite, *([] if flag == "--samples" else ["--samples=1"]), *value]
+
+
+@pytest.mark.parametrize("command", sorted(WHOLE_FLAGS))
+def test_abbreviated_flags_are_one_config_error(command):
+    actions = _build_parser().commands[command]._actions
+    flags = {s for a in actions for s in a.option_strings if s not in ("-h", "--help")}
+    assert flags == set(WHOLE_FLAGS[command])
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "suite.cfg")
+        with open(config, "w") as fh:
+            fh.write("samples=1\n")
+        for flag, value in WHOLE_FLAGS[command].items():
+            if value is not None:
+                value = value.replace("CFG", config).replace("OUT", os.path.join(tmp, "r.out"))
+            forms = (lambda f: [f],) if value is None else (lambda f: [f, value], lambda f: [f"{f}={value}"])
+            # the whole flag runs the command, so each prefix below fails on the prefix alone
+            assert _run(_command(command, flag, forms[0](flag)))[0] in (0, 1), flag
+            for end in range(3, len(flag)):
+                for form in forms:
+                    argv = _command(command, flag, form(flag[:end]))
+                    code, _, err = _run(argv)
+                    assert code == 2, argv
+                    _assert_config_error_line(err)
