@@ -32,9 +32,10 @@ SEPARATION = 1e-3
 
 
 # The most rows (samples x fibre tuples, or samples of a table) one job may
-# hold, checked before anything is allocated.  At the cap, peak RSS measured
-# 441 MB for stenzel-lagrangian (about 4.2 KB a row, the most of any suite),
-# 212 MB for spin7-cayley and 245 MB for table veronese.
+# hold, checked before anything is allocated.  At the cap, peak RSS read
+# 266 MB for stenzel-lagrangian (the most of any suite), 177 MB for
+# spin7-cayley (99,999 rows) and 225 MB for table veronese: ru_maxrss of one
+# fresh process per job, writing --out, on a 2-vCPU Xeon with numpy 2.4.6.
 MAX_ROWS = 100_000
 
 
@@ -86,6 +87,8 @@ class SuiteConfig:
                               f"got {self.tol_verdict!r}")
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
+        if "\0" in self.out:  # open() would refuse it only after the suite has run
+            raise ConfigError(f"out path {self.out!r} holds a NUL byte")
         return self
 
     def echo(self) -> dict:

@@ -326,14 +326,16 @@ def _parse_job(config: SuiteConfig):
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run a registered suite; deterministic for a fixed config and seed."""
-    inputs, runner, what = _parse_job(config), _SUITES[config.suite][0], f"suite {config.suite!r}"
-    run = lambda: runner(config, *inputs)
-    with strict_arithmetic(what):
-        try:
-            report = run()
-        except FloatingPointError as exc:
-            _raise_at_first_broken_row(run, f"{what}: {exc}")
-            raise
+    inputs, runner = _parse_job(config), _SUITES[config.suite][0]
+    with strict_arithmetic(f"suite {config.suite!r}") as log:
+        report = runner(config, *inputs)
+        # a row reads only its own sample and fibre, so the first non-finite row is the
+        # first broken one; an overflow that no value reads leaves none
+        found = log.first and _first_nonfinite(report)
+        if found:
+            i, key, value = found
+            log.where = (f"; the first row it makes non-finite is u={report.u[i].tolist()}, "
+                         f"t={report.t[i].tolist()} ({key}={value})")
     _check_finite(report)
     return report
 
@@ -347,31 +349,6 @@ def _first_nonfinite(report: VerificationReport):
     i = int(np.argmin(finite.all(axis=0)))
     key, value = next((k, col[i].item()) for k, col in items if not np.isfinite(col[i]))
     return i, key, value
-
-
-def _raise_at_first_broken_row(run, cause: str):
-    """Name the point at which a suite's arithmetic overflowed or went invalid.
-
-    The suite runs again with inf and nan let through, and the first row that
-    they leave non-finite is named.  Each row is computed from its own sample
-    and fibre, so no earlier row broke in a way that reaches its values; an
-    overflow that no value reads (such as a fibre radius at constant weights)
-    leaves every row finite.  Returns, for the caller to raise the original
-    error, then and when that run fails otherwise.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            report = run()
-        except TwistcalError:
-            return
-    found = _first_nonfinite(report)
-    if found is None:
-        return
-    i, key, value = found
-    raise TwistcalError(
-        f"{cause}; the first row it makes non-finite is u={report.u[i].tolist()}, "
-        f"t={report.t[i].tolist()} ({key}={value}); an input is too large for double precision"
-    )
 
 
 def _check_finite(report: VerificationReport):

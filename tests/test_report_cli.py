@@ -344,6 +344,33 @@ def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys, where):
     assert err.startswith("config error: cannot write report: ") and str(out) in err
 
 
+def _count_runner_calls(monkeypatch, suite):
+    """A list that gains one entry at each call of ``suite``'s runner."""
+    import twistcal.suites as suites
+
+    runner, *rest = suites._SUITES[suite]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return runner(*args)
+
+    monkeypatch.setitem(suites._SUITES, suite, (counted, *rest))
+    return calls
+
+
+def test_an_out_path_with_a_nul_byte_is_a_config_error_before_the_suite_runs(tmp_path, monkeypatch, capsys):
+    # open() refuses the path with a ValueError, after the whole suite has run
+    calls = _count_runner_calls(monkeypatch, "g2-associative")
+    cfg_file = tmp_path / "nul.cfg"
+    cfg_file.write_bytes(b"out=/tmp/a\0b.json\nsamples=2\n")
+    assert main(["verify", "g2-associative", "--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: out path '/tmp/a\\x00b.json' holds a NUL byte\n"
+    assert calls == []
+
+
 def test_cli_calls_in_one_process_share_no_values(tmp_path):
     from twistcal.cli import _build_parser
 
@@ -614,6 +641,41 @@ def test_an_overflow_names_the_first_row_whose_own_arithmetic_overflows(capsys):
     err = capsys.readouterr().err
     assert "overflow encountered in" in err
     assert _named_row(err) == [samples[first].tolist(), fibers[first].tolist()]
+
+
+def test_an_overflowing_job_runs_its_suite_once(monkeypatch, capsys):
+    # the row is named from the one run's own report, not from a second run
+    calls = _count_runner_calls(monkeypatch, "spin7-cayley")
+    assert main(["verify", "spin7-cayley", "--profile", "linear", "--fiber=1e100,0"]) == 1
+    assert _named_row(capsys.readouterr().err)[1] == [1e100, 0.0]
+    assert len(calls) == 1
+
+
+def test_strict_arithmetic_runs_its_block_to_the_end_then_names_the_first_operation():
+    ran = []
+    with pytest.raises(TwistcalError) as exc:
+        with strict_arithmetic("block"):
+            np.cosh(np.array([1e3]))
+            np.array([np.inf]) - np.inf
+            ran.append(True)
+    assert ran == [True]
+    assert str(exc.value) == "block: overflow encountered in cosh; an input is too large for double precision"
+
+
+def test_an_error_after_a_logged_overflow_gives_way_to_the_overflow():
+    with pytest.raises(TwistcalError, match="^block: overflow encountered in exp; an input is too large"):
+        with strict_arithmetic("block"):
+            np.exp(np.array([1e3]))
+            raise TwistcalError("raised by the block")
+
+
+def test_a_lost_imaginary_part_still_raises_at_once():
+    ran = []
+    with pytest.raises(TwistcalError, match="^cast: Casting complex values to real discards the imaginary part"):
+        with strict_arithmetic("cast"):
+            np.zeros(1)[:] = np.array([1j])
+            ran.append(True)
+    assert ran == []
 
 
 def test_config_validation_requires_finite_values():
