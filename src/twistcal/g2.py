@@ -32,15 +32,17 @@ the form at weights (u, v) is the unit-weight form pulled back by
 D = diag(u, u, u, u, v, v, v).  The dense residuals, the tests' oracle,
 contract the unit tensors (``unit_tensor``, built once per table) with D-scaled
 tangent vectors and scale any free index of the result by D.  The verify path's
-``lifted_*`` residuals contract only E_1 and E_2, with the unit tensors
-restricted to the fixed unit slots of the fibre vectors F_j (``*_SLOTS``).
+``lifted_*`` residuals read the fibre vectors F_j at their fixed unit slots
+(``*_SLOTS``), so a form meets E_1 and E_2 only in the Plücker coordinates c_ab,
+a < b, of D-scaled E_1 ^ E_2 (Harvey and Lawson, Acta Math. 148 (1982)), one
+(rows, 21) array a block, against the exact 21 x 7 psi and 21 x 2 phi tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -69,6 +71,7 @@ UNIT_PROFILE = Profile(1.0, 1.0)
 # which each tangent basis and its lifted residual both read
 ASSOCIATIVE_SLOTS = (4,)
 COASSOCIATIVE_SLOTS = (5, 6)
+PAIRS = np.triu_indices(7, 1)  # the pairs a < b of the Plücker coordinates of a 7-dim plane
 
 
 # N[j, k, m] = sum_ab _NABLA_F[k, m, a, b] Gamma[j, a, b], antisymmetric in k, m
@@ -123,10 +126,11 @@ def antisymmetrise(table, dim: int, u: float, v: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def unit_tensor(table, dim: int) -> np.ndarray:
+def unit_tensor(table, dim: int, on_pairs: bool = False) -> np.ndarray:
     """The unit-weight dense tensor of a signed index table, built once per
-    table and read-only."""
+    table and read-only; ``on_pairs`` keeps its first two slots at the pairs a < b only."""
     out = antisymmetrise(table, dim, 1.0, 1.0)
+    out = out[np.triu_indices(dim, 1)] if on_pairs else out
     out.flags.writeable = False
     return out
 
@@ -213,11 +217,14 @@ def tangent_basis_eta_f(point: AdaptedFramePoint, gamma_val, dgamma, t) -> np.nd
     return lifted_basis(vert + per_point(deriv, fdim, 2), COASSOCIATIVE_SLOTS, 7)
 
 
+def fibre_radius(*parts) -> np.ndarray:
+    """sqrt of the sum of the squares of the parts, by np.hypot: it overflows only where that does."""
+    return reduce(np.hypot, parts)
+
+
 def _fibre_radius(fiber) -> np.ndarray:
-    """The det-convention norm of the fibre point t1 f^1 + a f^2 + b f^3
-    given as (t1, a, b)."""
-    t1, a, b = (np.asarray(x, dtype=float) for x in fiber)
-    return np.sqrt(2.0 * (t1 * t1 + a * a + b * b))
+    """The det-convention norm of the fibre point t1 f^1 + a f^2 + b f^3 given as (t1, a, b)."""
+    return np.sqrt(2.0) * fibre_radius(*fiber)
 
 
 def scaled_rows(vectors, profile: Profile, r):
@@ -225,12 +232,11 @@ def scaled_rows(vectors, profile: Profile, r):
     the profile weights at the fibre radii r, as the rows of an (N, k, dim)
     array; also D as (N, dim) and the broadcast leading shape."""
     u, v = profile.at(r)
-    vecs = np.stack(np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in vectors)), axis=-2)
-    d = np.stack([u] * 4 + [v] * (vecs.shape[-1] - 4), axis=-1)
+    vecs = np.stack(np.broadcast_arrays(*vectors), axis=-2)
+    d = np.repeat(np.stack([u, v], axis=-1), (4, vecs.shape[-1] - 4), axis=-1)
     vecs = d[..., None, :] * vecs
     lead, (k, dim) = vecs.shape[:-2], vecs.shape[-2:]
-    d = np.broadcast_to(d, lead + (dim,)).reshape(-1, dim)
-    return vecs.reshape(-1, k, dim), d, lead
+    return vecs.reshape(-1, k, dim), np.broadcast_to(d, lead + (dim,)).reshape(-1, dim), lead
 
 
 def outer_pairs(v) -> np.ndarray:
@@ -273,30 +279,36 @@ def coassociative_residual(
     return blocked(kernel, vecs).reshape(lead)[()]
 
 
+def plane_coords(v, pairs) -> np.ndarray:
+    """The Plücker coordinates c_ab = v_1a v_2b - v_1b v_2a of the planes spanned by the
+    rows v_1, v_2 of an (N, 2, dim) stack, one column per pair of ``pairs`` (a, b)."""
+    a, b = pairs
+    return v[:, 0, a] * v[:, 1, b] - v[:, 0, b] * v[:, 1, a]
+
+
 def lifted_associative_residual(e1, e2, profile: Profile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)):
     """``associative_residual`` with F_1 the unit k_1: |D chi| with
-    chi = v psi_1(k_1, E_1, E_2, .), E D-scaled."""
+    chi = v psi_1(k_1, E_1 ^ E_2, .), E D-scaled."""
     vecs, d, lead = scaled_rows((e1, e2), profile, _fibre_radius(fiber))
     (slot,) = ASSOCIATIVE_SLOTS
-    psi = unit_tensor(PSI_TABLE, 7)[slot].reshape(49, 7)
+    psi = unit_tensor(PSI_TABLE, 7, on_pairs=True)[:, slot]
 
     def kernel(v, dd):
-        return dd[:, slot] * row_norms(dd * (outer_pairs(v) @ psi))
+        return dd[:, slot] * row_norms(dd * (plane_coords(v, PAIRS) @ psi))
 
     return blocked(kernel, vecs, d).reshape(lead)[()]
 
 
 def lifted_coassociative_residual(e1, e2, profile: Profile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)):
     """``coassociative_residual`` with (F_2, F_3) the unit (k_2, k_3): its four
-    triples are v phi_1(E_1, E_2, k_2|k_3) and v^2 phi_1(E_i, k_2, k_3), E D-scaled."""
+    triples are v phi_1(E_1 ^ E_2, k_2|k_3) and v^2 phi_1(E_i, k_2, k_3), E D-scaled."""
     vecs, d, lead = scaled_rows((e1, e2), profile, _fibre_radius(fiber))
     s, t = COASSOCIATIVE_SLOTS
-    phi = unit_tensor(PHI_TABLE, 7)
-    planes, line = phi[:, :, [s, t]].reshape(49, 2), phi[:, s, t]
+    planes, line = unit_tensor(PHI_TABLE, 7, on_pairs=True)[:, [s, t]], unit_tensor(PHI_TABLE, 7)[:, s, t]
 
     def kernel(v, dd):
         w = dd[:, s, None]
-        values = np.concatenate([w * (outer_pairs(v) @ planes), w * w * (v @ line)], axis=-1)
+        values = np.concatenate([w * (plane_coords(v, PAIRS) @ planes), w * w * (v @ line)], axis=-1)
         return np.max(np.abs(values), axis=-1)
 
     return blocked(kernel, vecs, d).reshape(lead)[()]

@@ -34,12 +34,12 @@ from .errors import DomainError, ImmersionDegenerateError, TwistcalError
 
 STEP = 1e-30  # the imaginary step h of every derivative
 
-# Rows per block of the calibration-form contractions.  It bounds their
-# temporaries: the verify path's largest is 64 x 64 doubles (32 KB), the dense
-# oracle's 64 x 4 x 64 (128 KB), where a 3,000-point job at once needs 6 MB.
-# Unblocked, a 99,999-row spin7-cayley job peaked at 292 MB, not 177 MB, and
-# took 1.10-1.30 s, not 0.82-1.03 s (three runs each, 2-vCPU Xeon).
-BLOCK = 64
+# Rows per block of the calibration-form contractions, so that a job of up to
+# 1,024 rows runs as one block; the verify path's temporaries are (rows, <= 28).
+# A 99,999-row spin7-cayley job with --out peaked at 178 MB in 0.65-0.75 s, and
+# unblocked at 231 MB in 0.80-0.99 s (ru_maxrss of a fresh process, three runs
+# each, 2-vCPU Xeon, numpy 2.4.6).
+BLOCK = 1024
 
 DEPENDENT_TOL = 1e-10  # gram_schmidt raises on a row whose projected norm is below
 

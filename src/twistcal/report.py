@@ -33,9 +33,9 @@ SEPARATION = 1e-3
 
 # The most rows (samples x fibre tuples, or samples of a table) one job may
 # hold, checked before anything is allocated.  At the cap, peak RSS read
-# 266 MB for stenzel-lagrangian (the most of any suite), 177 MB for
-# spin7-cayley (99,999 rows) and 225 MB for table veronese: ru_maxrss of one
-# fresh process per job, writing --out, on a 2-vCPU Xeon with numpy 2.4.6.
+# 266 MB for stenzel-lagrangian (the most of any suite), 178 MB for
+# spin7-cayley (99,999 rows; CI fails it above 210 MB) and 225 MB for table
+# veronese: ru_maxrss of a fresh process per job, writing --out (2-vCPU Xeon, numpy 2.4.6).
 MAX_ROWS = 100_000
 
 

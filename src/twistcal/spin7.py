@@ -38,8 +38,9 @@ at weights (u, v) is the unit-weight Phi pulled back by
 D = diag(u, u, u, u, v, v, v, v).  The dense residuals contract one unit
 tensor (``g2.unit_tensor`` of ``PHI_TABLE``) with D-scaled tangent vectors
 and scale the free indices of the result by D; they are the tests' oracle.
-The verify path reads both residuals from E_1, E_2 in one pass, with eta and
-Phi restricted to the unit fibre slots s_1, s_2 (``lifted_cayley_residuals``).
+The verify path reads both residuals in one pass from the 15 Plücker
+coordinates of E_1 ^ E_2 on the base slots, with eta and Phi restricted to the
+unit fibre slots s_1, s_2 (``lifted_cayley_residuals``).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .errors import DomainError
 from .octonion import left_mult_matrix, oct_mul, standard_pinor_context
 from .submanifold import AdaptedFramePoint
 from .g2 import (UNIT_PROFILE, SectionData, antisymmetrise, lifted_basis, outer_pairs, per_point,
-                 scaled_rows, unit_tensor)
+                 plane_coords, scaled_rows, unit_tensor)
 from .numerics import Profile, blocked, row_norms
 
 __all__ = [
@@ -200,6 +201,9 @@ def phi_form(u: float, v: float) -> np.ndarray:
 # the slots of the unit fibre vectors (F_1, F_2) = (s_1, s_2) of the tangent
 # basis, which tangent_basis_v_plus and lifted_cayley_residuals both read
 CAYLEY_SLOTS = (4, 5)
+# the pairs a < b of the base slots, from which an E's s_1, s_2 parts drop out, and i < j
+BASE_PAIRS = tuple(np.take(np.delete(np.arange(8), CAYLEY_SLOTS), np.triu_indices(6, 1)))
+_I, _J = np.triu_indices(8, 1)
 
 
 def tangent_basis_v_plus(
@@ -280,33 +284,32 @@ def calibration_gap(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0
     return np.abs(np.abs(phi_val) - vol).reshape(lead)[()]
 
 
-@lru_cache(maxsize=1)
-def cayley_kernel() -> np.ndarray:
+@lru_cache(maxsize=None)
+def cayley_kernel(on_pairs: bool = False) -> np.ndarray:
     """K[8 a + b, 8 i + j] = eta_1(e_a, e_b, s_1, s_2)[i, j], read-only: _eta_rows
-    on the 64 basis pairs, built once; its entries are exact, in {-2, 0, 2}."""
+    on the 64 basis pairs, built once; its entries are exact, in {-2, 0, 2}.
+    ``on_pairs`` keeps its 15 x 28 block from BASE_PAIRS to the pairs i < j."""
     eye = np.eye(8)
     rows = np.broadcast_arrays(eye[:, None], eye[None, :], *(eye[i] for i in CAYLEY_SLOTS))
     out = _eta_rows(np.stack(rows, axis=2).reshape(64, 4, 8), np.ones((64, 8))).reshape(64, 64)
+    out = out.reshape(8, 8, 8, 8)[BASE_PAIRS][:, _I, _J] if on_pairs else out
     out.flags.writeable = False
     return out
 
 
 def lifted_cayley_residuals(e1, e2, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
-    """(``cayley_residual``, ``calibration_gap``) with (F_1, F_2) the unit
-    (s_1, s_2), in one pass over D-scaled E's: eta = v^2 D [(E_1 (x) E_2) K] D,
-    Phi = v^2 E_1 Phi_1[:, :, s_1, s_2] E_2 and vol = v^2 |E_1' ^ E_2'| (' drops s_1, s_2)."""
+    """(``cayley_residual``, ``calibration_gap``) with (F_1, F_2) the unit (s_1, s_2), in one
+    pass over the Plücker coordinates c of D-scaled E_1 ^ E_2 on BASE_PAIRS: eta_ij =
+    v^2 d_i d_j (c K)_ij, Phi = v^2 c . Phi_1(., ., s_1, s_2) and vol = v^2 |c|."""
     vecs, d, lead = scaled_rows((e1, e2), profile, fiber_r)
     s, t = CAYLEY_SLOTS
-    phi = unit_tensor(PHI_TABLE, 8)[:, :, s, t].reshape(64)
-    base = [i for i in range(8) if i not in CAYLEY_SLOTS]
+    eta_table, phi = cayley_kernel(on_pairs=True), unit_tensor(PHI_TABLE, 8)[(*BASE_PAIRS, s, t)]
 
     def kernel(v, dd):
-        pairs = outer_pairs(v)
-        eta = dd[:, :, None] * (pairs @ cayley_kernel()).reshape(-1, 8, 8) * dd[:, None, :]
-        gram = v[:, :, base] @ np.swapaxes(v[:, :, base], -1, -2)
-        area = np.sqrt(np.maximum(gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] ** 2, 0.0))
-        gap = np.abs(np.abs(pairs @ phi) - area)
-        return dd[:, s, None] ** 2 * np.stack([row_norms(eta.reshape(-1, 64)) / np.sqrt(2.0), gap], axis=-1)
+        c = plane_coords(v, BASE_PAIRS)
+        eta = row_norms(dd[:, _I] * dd[:, _J] * (c @ eta_table))
+        gap = np.abs(np.abs(c @ phi) - np.sqrt(np.sum(c * c, axis=-1)))
+        return dd[:, s, None] ** 2 * np.stack([eta, gap], axis=-1)
 
     out = blocked(kernel, vecs, d)
     return out[:, 0].reshape(lead)[()], out[:, 1].reshape(lead)[()]

@@ -135,8 +135,8 @@ def _parse_fiber_list(spec: str, width: int, default):
         vals = [_parse_number(x, "fiber entry") for x in chunk.split(",") if x != ""]
         if len(vals) != width:
             raise ConfigError(f"fiber tuple {chunk!r} needs {width} entries")
-        # every forms suite squares the fibre radius, its first expression
-        # that overflows; a tuple whose squares already do cannot be evaluated
+        # the Plücker coordinates multiply the fibre-sized vertical parts in
+        # pairs, so a tuple whose squares overflow cannot be evaluated
         if math.isinf(sum(x * x for x in vals)):
             raise ConfigError(f"fiber tuple {chunk!r} is too large: the sum of its squares "
                               "overflows double precision")
@@ -284,7 +284,7 @@ def _run_spin7(config: SuiteConfig, chart, bs_profile, family, fibers) -> Verifi
     c3, c4 = spin7.dbar_vminus_residual(frames.gamma, sframe, sec)
     criteria = {"trace_a": trace_residual(frames.second_fund), "dbar_vminus": np.hypot(c3, c4)}
     e1, e2 = np.moveaxis(spin7.tangent_basis_v_plus(frames, sframe, sec, fibers)[..., :2, :], -2, 0)
-    r = np.sqrt(np.sum(fibers * fibers, axis=-1) + sec.a[:, None] ** 2 + sec.b[:, None] ** 2)
+    r = g2.fibre_radius(fibers[:, 0], fibers[:, 1], sec.a[:, None], sec.b[:, None])
     residuals = dict(zip(("cayley", "calibration_gap"), spin7.lifted_cayley_residuals(e1, e2, bs_profile, r)))
     return _pair_report(config, samples, fibers, residuals, criteria)
 

@@ -12,11 +12,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twistcal import g2, spin7
+from twistcal import g2, numerics, spin7
 from twistcal.cli import main
 from twistcal.errors import DomainError
 from twistcal.examples import make_eta_family, make_section_family
-from twistcal.numerics import Profile
+from twistcal.numerics import Profile, gram_schmidt
 from twistcal.report import SuiteConfig
 from twistcal.submanifold import adapted_frame, get_chart
 from twistcal.suites import _parse_job, _sample_frames, run_suite
@@ -160,6 +160,35 @@ def test_harvey_lawson_identity_on_the_suite_residuals(config):
     assert np.max(np.abs(calib**2 + defect - vol2) / vol2) <= 1e-12
 
 
+# The coassociative Harvey-Lawson identity psi(xi)^2 + sum_{a<b<c} phi(e_a, e_b, e_c)^2 = 1
+# at u = v = 1 on an orthonormal basis of each tangent 4-plane xi of the coassociative
+# FAIL jobs.  Gram-Schmidt on (F_2, F_3, E_1, E_2) keeps the unit (k_2, k_3), so the
+# lifted residual of the orthonormalised E's is the largest |phi| over the four triples.
+# Those E's lie in the slots of e_1, e_2 and k_1, where every Plücker coordinate that
+# the lifted 21 x 2 table reads is 0; the random planes of test_dense_forms check it.
+COASSOCIATIVE_FAILS = [
+    pytest.param(SuiteConfig("g2-coassociative", "veronese", "coord:axis=1", samples=20, seed=7), id="veronese"),
+    pytest.param(SuiteConfig("g2-coassociative", "equatorial", "coord:axis=2", samples=20, seed=7), id="equatorial"),
+]
+
+
+@pytest.mark.parametrize("config", COASSOCIATIVE_FAILS)
+def test_coassociative_harvey_lawson_identity_on_an_orthonormal_basis(config):
+    assert run_suite(config).verdict == "FAIL"
+    basis, _ = _dense_residuals(config)
+    f2, f3, e1, e2 = np.moveaxis(gram_schmidt(basis.reshape(-1, 4, 7)[:, [2, 3, 0, 1]]), 1, 0)
+    assert np.array_equal(f2, np.broadcast_to(np.eye(7)[5], f2.shape))
+    assert np.array_equal(f3, np.broadcast_to(np.eye(7)[6], f3.shape))
+    psi = np.einsum("ijkl,ni,nj,nk,nl->n", g2.psi_form(1.0, 1.0), e1, e2, f2, f3)
+    triples = np.stack([np.einsum("ijk,ni,nj,nk->n", g2.phi_form(1.0, 1.0), *vecs)
+                        for vecs in ((e1, e2, f2), (e1, e2, f3), (e1, f2, f3), (e2, f2, f3))], axis=-1)
+    defect = np.sum(triples**2, axis=-1)
+    assert np.max(defect) > 0.01  # the identity is tested away from coassociative planes
+    assert np.max(np.abs(psi**2 + defect - 1.0)) <= 1e-12
+    lifted = g2.lifted_coassociative_residual(e1, e2)
+    assert np.max(np.abs(lifted - np.max(np.abs(triples), axis=-1))) <= 1e-13
+
+
 # -- stacked public functions against their single-point calls ---------------------------
 
 
@@ -171,13 +200,16 @@ def _rows_match(stacked, single_call, count):
 
 @pytest.fixture(scope="module")
 def stack():
-    """70 Veronese frames (two blocks of contractions), three fibres, a
-    chart-varying section and the linear profile."""
+    """70 Veronese frames, three fibres, a chart-varying section and the linear
+    profile, with blocks of 64 rows, so that the 210 stacked rows of each
+    contraction cross block boundaries."""
     chart = get_chart("veronese")
     frames = adapted_frame(chart, chart.sample(rng_for(21), 70))
     family = make_section_family("sinphi", C=0.7, D=-0.4)
     fibers = np.array([[0.4, -1.1], [1.3, 0.2], [-0.6, 0.9]])
-    return frames, family, fibers, Profile(lambda r: 1.0 + r, lambda r: 1.0 + 2.0 * r)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "BLOCK", 64)
+        yield frames, family, fibers, Profile(lambda r: 1.0 + r, lambda r: 1.0 + 2.0 * r)
 
 
 def test_section_data_rows_match_single_points(stack):
@@ -211,13 +243,14 @@ def test_g2_bases_and_residuals_rows_match_single_points(stack):
     assert basis.shape == (70, 3, 3, 7)
     fiber = (t1, sec.a[:, None], sec.b[:, None])
     res = g2.associative_residual(*np.moveaxis(basis, -2, 0), profile, fiber)
+    lifted = g2.lifted_associative_residual(*np.moveaxis(basis[..., :2, :], -2, 0), profile, fiber)
     eta = make_eta_family("coord", axis=2)
     gval, dgamma = eta.value(frames.u), frames.scalar_derivatives(eta.value)
     basis_f = g2.tangent_basis_eta_f(frames, gval, dgamma, fibers)
     assert basis_f.shape == (70, 3, 4, 7)
-    res_f = g2.coassociative_residual(
-        *np.moveaxis(basis_f, -2, 0), profile, (gval[:, None], fibers[:, 0], fibers[:, 1])
-    )
+    fiber_f = (gval[:, None], fibers[:, 0], fibers[:, 1])
+    res_f = g2.coassociative_residual(*np.moveaxis(basis_f, -2, 0), profile, fiber_f)
+    lifted_f = g2.lifted_coassociative_residual(*np.moveaxis(basis_f[..., :2, :], -2, 0), profile, fiber_f)
     for i in range(len(frames)):
         point, sec_i = frames[i], g2.section_data(family, frames[i])
         dg_i = point.scalar_derivatives(eta.value)
@@ -227,10 +260,14 @@ def test_g2_bases_and_residuals_rows_match_single_points(stack):
             assert np.max(np.abs(basis[i, j] - one)) <= ROW_TOL
             one_res = g2.associative_residual(*one, profile, (t[0], sec_i.a, sec_i.b))
             assert abs(res[i, j] - one_res) <= ROW_TOL
+            one_res = g2.lifted_associative_residual(*one[:2], profile, (t[0], sec_i.a, sec_i.b))
+            assert abs(lifted[i, j] - one_res) <= ROW_TOL * max(1.0, one_res)
             one_f = g2.tangent_basis_eta_f(point, gval[i], dg_i, t)
             assert np.max(np.abs(basis_f[i, j] - one_f)) <= ROW_TOL
             one_res = g2.coassociative_residual(*one_f, profile, (gval[i], *t))
             assert abs(res_f[i, j] - one_res) <= ROW_TOL
+            one_res = g2.lifted_coassociative_residual(*one_f[:2], profile, (gval[i], *t))
+            assert abs(lifted_f[i, j] - one_res) <= ROW_TOL * max(1.0, one_res)
 
 
 def test_spin7_basis_and_residuals_rows_match_single_points(stack):
@@ -243,6 +280,7 @@ def test_spin7_basis_and_residuals_rows_match_single_points(stack):
     vecs = np.moveaxis(basis, -2, 0)
     res = spin7.cayley_residual(*vecs, profile, r)
     gap = spin7.calibration_gap(*vecs, profile, r)
+    lifted = spin7.lifted_cayley_residuals(*vecs[:2], profile, r)
     u, v = profile.at(r)
     for i in range(len(frames)):
         sec_i = g2.section_data(family, frames[i])
@@ -251,6 +289,10 @@ def test_spin7_basis_and_residuals_rows_match_single_points(stack):
             assert np.max(np.abs(basis[i, j] - one)) <= ROW_TOL
             assert abs(res[i, j] - spin7.cayley_residual(*one, profile, r[i, j])) <= ROW_TOL
             assert abs(gap[i, j] - spin7.calibration_gap(*one, profile, r[i, j])) <= ROW_TOL
+            # a row on its own may sum its Plücker coordinates in another order, and the
+            # gap cancels |Phi| against the area, so its last bits may differ
+            for col, one_res in zip(lifted, spin7.lifted_cayley_residuals(*one[:2], profile, r[i, j])):
+                assert abs(col[i, j] - one_res) <= 10 * ROW_TOL * max(1.0, one_res)
             assert profile.at(r[i, j]) == (u[i, j], v[i, j])
 
 
