@@ -23,6 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ConfigError, TwistcalError
+from .numerics import in_blocks
 from .report import SuiteConfig, check_samples, check_seed, emit
 from .suites import run_suite, suite_names
 
@@ -171,8 +172,8 @@ def _cmd_table(args) -> int:
         raise ConfigError(str(exc)) from None
     chart = get_chart(table["chart"])
     tol = float(table["tolerance"])
-    rng = np.random.default_rng(args.seed)
-    res = golden_residuals(args.name, chart.sample(rng, args.samples))
+    samples = chart.sample(np.random.default_rng(args.seed), args.samples)
+    (res,) = in_blocks(lambda rows: ({"max": golden_residuals(args.name, samples[rows])["max"]},), args.samples)
     worst = float(np.max(res["max"]))
     status = "PASS" if worst < tol else "FAIL"
     print(f"table {args.name}: worst residual {worst:.3e} over {args.samples} points -> {status}")

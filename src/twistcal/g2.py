@@ -35,7 +35,7 @@ tangent vectors and scale any free index of the result by D.  The verify path's
 ``lifted_*`` residuals read the fibre vectors F_j at their fixed unit slots
 (``*_SLOTS``), so a form meets E_1 and E_2 only in the Plücker coordinates c_ab,
 a < b, of D-scaled E_1 ^ E_2 (Harvey and Lawson, Acta Math. 148 (1982)), one
-(rows, 21) array a block, against the exact 21 x 7 psi and 21 x 2 phi tables.
+(rows, 21) array a call, against the exact 21 x 7 psi and 21 x 2 phi tables.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .numerics import Profile, blocked, row_norms
+from .numerics import Profile, row_norms
 from .submanifold import AdaptedFramePoint
 
 __all__ = [
@@ -250,14 +250,9 @@ def associative_residual(
     """|E_2 ⌟ E_1 ⌟ F_1 ⌟ psi| with the displayed psi, per leading index of
     the vectors (each (..., 7)) and of the fibre point (t1, a, b)."""
     vecs, d, lead = scaled_rows((f1, e1, e2), profile, _fibre_radius(fiber))
-    psi = unit_tensor(PSI_TABLE, 7).reshape(49, 49)
-
-    def kernel(v, dd):
-        # psi(F_1, E_1, ., .) as the bivector F_1 (x) E_1 against psi, then E_2
-        one_form = outer_pairs(v) @ psi
-        return row_norms(dd * (v[:, 2, None, :] @ one_form.reshape(-1, 7, 7))[:, 0])
-
-    return blocked(kernel, vecs, d).reshape(lead)[()]
+    # psi(F_1, E_1, ., .) as the bivector F_1 (x) E_1 against psi, then E_2
+    one_form = outer_pairs(vecs) @ unit_tensor(PSI_TABLE, 7).reshape(49, 49)
+    return row_norms(d * (vecs[:, 2, None, :] @ one_form.reshape(-1, 7, 7))[:, 0]).reshape(lead)[()]
 
 
 _TRIPLES = tuple(np.array(list(itertools.combinations(range(4), 3))).T)
@@ -270,13 +265,9 @@ def coassociative_residual(
     per leading index of the vectors and of the fibre point (gamma, t2, t3)."""
     vecs, _, lead = scaled_rows((e1, e2, f2, f3), profile, _fibre_radius(fiber))
     phi = unit_tensor(PHI_TABLE, 7).reshape(7, -1)
-
-    def kernel(v):
-        # values[:, a, b, c] = phi(v[a], v[b], v[c])
-        values = v[:, None] @ (v @ phi).reshape(-1, 4, 7, 7) @ np.swapaxes(v, -1, -2)[:, None]
-        return np.max(np.abs(values[(slice(None),) + _TRIPLES]), axis=-1)
-
-    return blocked(kernel, vecs).reshape(lead)[()]
+    # values[:, a, b, c] = phi(v[a], v[b], v[c])
+    values = vecs[:, None] @ (vecs @ phi).reshape(-1, 4, 7, 7) @ np.swapaxes(vecs, -1, -2)[:, None]
+    return np.max(np.abs(values[(slice(None),) + _TRIPLES]), axis=-1).reshape(lead)[()]
 
 
 def plane_coords(v, pairs) -> np.ndarray:
@@ -292,11 +283,7 @@ def lifted_associative_residual(e1, e2, profile: Profile = UNIT_PROFILE, fiber=(
     vecs, d, lead = scaled_rows((e1, e2), profile, _fibre_radius(fiber))
     (slot,) = ASSOCIATIVE_SLOTS
     psi = unit_tensor(PSI_TABLE, 7, on_pairs=True)[:, slot]
-
-    def kernel(v, dd):
-        return dd[:, slot] * row_norms(dd * (plane_coords(v, PAIRS) @ psi))
-
-    return blocked(kernel, vecs, d).reshape(lead)[()]
+    return (d[:, slot] * row_norms(d * (plane_coords(vecs, PAIRS) @ psi))).reshape(lead)[()]
 
 
 def lifted_coassociative_residual(e1, e2, profile: Profile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)):
@@ -305,13 +292,9 @@ def lifted_coassociative_residual(e1, e2, profile: Profile = UNIT_PROFILE, fiber
     vecs, d, lead = scaled_rows((e1, e2), profile, _fibre_radius(fiber))
     s, t = COASSOCIATIVE_SLOTS
     planes, line = unit_tensor(PHI_TABLE, 7, on_pairs=True)[:, [s, t]], unit_tensor(PHI_TABLE, 7)[:, s, t]
-
-    def kernel(v, dd):
-        w = dd[:, s, None]
-        values = np.concatenate([w * (plane_coords(v, PAIRS) @ planes), w * w * (v @ line)], axis=-1)
-        return np.max(np.abs(values), axis=-1)
-
-    return blocked(kernel, vecs, d).reshape(lead)[()]
+    w = d[:, s, None]
+    values = np.concatenate([w * (plane_coords(vecs, PAIRS) @ planes), w * w * (vecs @ line)], axis=-1)
+    return np.max(np.abs(values), axis=-1).reshape(lead)[()]
 
 
 def dbar_f_residual(gamma: np.ndarray, sec: SectionData):

@@ -23,6 +23,7 @@ operation and raises it when the job ends, so the job runs once.
 
 from __future__ import annotations
 
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,11 +35,11 @@ from .errors import DomainError, ImmersionDegenerateError, TwistcalError
 
 STEP = 1e-30  # the imaginary step h of every derivative
 
-# Rows per block of the calibration-form contractions, so that a job of up to
-# 1,024 rows runs as one block; the verify path's temporaries are (rows, <= 28).
-# A 99,999-row spin7-cayley job with --out peaked at 178 MB in 0.65-0.75 s, and
-# unblocked at 231 MB in 0.80-0.99 s (ru_maxrss of a fresh process, three runs
-# each, 2-vCPU Xeon, numpy 2.4.6).
+# The most rows of a job in flight at once, read by in_blocks alone.  Every
+# calibration condition is pointwise, so a row reads only its own sample and
+# fibre, and each suite and table evaluates its frames, bases and residuals
+# block by block; every benchmark job (at most 300 rows) is one block.  At the
+# row cap, 4,096 rows read the same peak RSS (report.MAX_ROWS has the figures).
 BLOCK = 1024
 
 DEPENDENT_TOL = 1e-10  # gram_schmidt raises on a row whose projected norm is below
@@ -78,13 +79,29 @@ def row_norms(u) -> np.ndarray:
     return np.sqrt((u[..., None, :] @ u[..., :, None])[..., 0, 0])
 
 
-def blocked(kernel, *arrays) -> np.ndarray:
-    """``kernel`` applied to the leading axis of equally long arrays, BLOCK
-    rows at a time, with the results concatenated."""
-    n = len(arrays[0])
-    return np.concatenate(
-        [kernel(*(a[s : s + BLOCK] for a in arrays)) for s in range(0, n, BLOCK)]
-    )
+# the row index that submanifold names in the message of a bad chart point
+_ROW = re.compile(r"\(row (\d+)\)")
+
+
+def in_blocks(stage, count: int, per: int = 1) -> tuple:
+    """``stage`` on consecutive slices of ``range(count)``, with what it returns
+    joined: a tuple of dicts of arrays whose first axis runs over the slice.
+    Each of the ``count`` items (samples) makes ``per`` rows of a job, so a
+    slice holds at most BLOCK rows, or one item.  One slice, every benchmark
+    job's, comes back as the stage returned it, with no copy.  A ``(row i)``
+    named by an error in a slice is re-counted from the first item."""
+    step = max(BLOCK // per, 1)
+    parts = []
+    for start in range(0, count, step):
+        try:
+            parts.append(stage(slice(start, start + step)))
+        except TwistcalError as exc:
+            exc.args = (_ROW.sub(lambda m: f"(row {int(m[1]) + start})", str(exc)),)
+            raise
+    if len(parts) == 1:
+        return parts[0]
+    return tuple({k: np.concatenate([p[i][k] for p in parts]) for k in cols}
+                 for i, cols in enumerate(parts[0]))
 
 
 def complex_step(f, u, w):

@@ -32,10 +32,13 @@ SEPARATION = 1e-3
 
 
 # The most rows (samples x fibre tuples, or samples of a table) one job may
-# hold, checked before anything is allocated.  At the cap, peak RSS read
-# 266 MB for stenzel-lagrangian (the most of any suite), 178 MB for
-# spin7-cayley (99,999 rows; CI fails it above 210 MB) and 225 MB for table
-# veronese: ru_maxrss of a fresh process per job, writing --out (2-vCPU Xeon, numpy 2.4.6).
+# hold, checked before anything is allocated.  A job computes in blocks of
+# numerics.BLOCK rows, so at the cap its report takes most of its memory, and
+# emit sets the peak.  Peak RSS at the cap read 174 MB for stenzel-lagrangian
+# (100,000 rows), 154 MB for spin7-cayley, 146 MB for g2-coassociative and
+# 136 MB for g2-associative (99,999 rows each), and 41 MB for table veronese;
+# CI fails the first two above 210 MB and the table above 100 MB.  ru_maxrss of
+# a fresh process per job, writing --out, seven runs each (2-vCPU Xeon, numpy 2.4.6).
 MAX_ROWS = 100_000
 
 

@@ -55,7 +55,7 @@ from .octonion import left_mult_matrix, oct_mul, standard_pinor_context
 from .submanifold import AdaptedFramePoint
 from .g2 import (UNIT_PROFILE, SectionData, antisymmetrise, lifted_basis, outer_pairs, per_point,
                  plane_coords, scaled_rows, unit_tensor)
-from .numerics import Profile, blocked, row_norms
+from .numerics import Profile, row_norms
 
 __all__ = [
     "SpinorFrame",
@@ -260,7 +260,7 @@ def cayley_eta(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
     eta = D [sum (h ^ t) + Phi_1(t, h, ., .)] D.
     """
     vecs, d, lead = scaled_rows((e1, e2, f1, f2), profile, fiber_r)
-    return blocked(_eta_rows, vecs, d).reshape(lead + (8, 8))
+    return _eta_rows(vecs, d).reshape(lead + (8, 8))
 
 
 def cayley_residual(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
@@ -273,13 +273,8 @@ def calibration_gap(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0
     """| |Phi(E_1, E_2, F_1, F_2)| - vol(E_1, E_2, F_1, F_2) | (metric volume),
     per leading index of the vectors and of the fibre radius."""
     vecs, _, lead = scaled_rows((e1, e2, f1, f2), profile, fiber_r)
-    phi = unit_tensor(PHI_TABLE, 8).reshape(64, 64)
-
-    def kernel(v):
-        val = (outer_pairs(v) @ phi).reshape(-1, 8, 8)
-        return (v[:, 2, None, :] @ val @ v[:, 3, :, None])[:, 0, 0]
-
-    phi_val = blocked(kernel, vecs)
+    val = (outer_pairs(vecs) @ unit_tensor(PHI_TABLE, 8).reshape(64, 64)).reshape(-1, 8, 8)
+    phi_val = (vecs[:, 2, None, :] @ val @ vecs[:, 3, :, None])[:, 0, 0]
     vol = np.sqrt(np.maximum(np.linalg.det(vecs @ np.swapaxes(vecs, -1, -2)), 0.0))
     return np.abs(np.abs(phi_val) - vol).reshape(lead)[()]
 
@@ -304,15 +299,11 @@ def lifted_cayley_residuals(e1, e2, profile: Profile = UNIT_PROFILE, fiber_r=0.0
     vecs, d, lead = scaled_rows((e1, e2), profile, fiber_r)
     s, t = CAYLEY_SLOTS
     eta_table, phi = cayley_kernel(on_pairs=True), unit_tensor(PHI_TABLE, 8)[(*BASE_PAIRS, s, t)]
-
-    def kernel(v, dd):
-        c = plane_coords(v, BASE_PAIRS)
-        eta = row_norms(dd[:, _I] * dd[:, _J] * (c @ eta_table))
-        gap = np.abs(np.abs(c @ phi) - np.sqrt(np.sum(c * c, axis=-1)))
-        return dd[:, s, None] ** 2 * np.stack([eta, gap], axis=-1)
-
-    out = blocked(kernel, vecs, d)
-    return out[:, 0].reshape(lead)[()], out[:, 1].reshape(lead)[()]
+    c = plane_coords(vecs, BASE_PAIRS)
+    eta = row_norms(d[:, _I] * d[:, _J] * (c @ eta_table))
+    gap = np.abs(np.abs(c @ phi) - np.sqrt(np.sum(c * c, axis=-1)))
+    w = d[:, s] ** 2
+    return (w * eta).reshape(lead)[()], (w * gap).reshape(lead)[()]
 
 
 def dbar_vminus_residual(gamma: np.ndarray, frame: SpinorFrame, sec: SectionData):

@@ -11,13 +11,18 @@ or shows that a side's numerical error has reached the tolerance.
 ``run_suite`` parses a job once, before any arithmetic, and reports its first
 bad input in this order: the config's own values, the suite, the chart, a
 ``--fiber`` that does not apply, the profile, the twist, the fibre tuples and
-the row cap.  The runners only compute.
+the row cap.  The runners only compute.  Each draws all its samples (and the
+Stenzel suite its fibres) from one generator, then evaluates frames, tangent
+bases and residuals over blocks of samples (``numerics.in_blocks``): a row
+reads only its own sample and fibre, so the joined columns are those of one
+pass over the whole job.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from .examples import make_eta_family, make_section_family
 from .report import SuiteConfig, VerificationReport, check_keys, check_samples
 from .submanifold import ImmersionChart, adapted_frame, get_chart, superminimal_residual, trace_residual
 from .g2 import UNIT_PROFILE
-from .numerics import Profile, strict_arithmetic
+from .numerics import Profile, in_blocks, strict_arithmetic
 from .stenzel import DEFAULT_PROFILE, constant_mu
 
 __all__ = ["run_suite", "suite_names", "parse_section_spec", "parse_profile_spec"]
@@ -210,60 +215,52 @@ def _run_stenzel(config: SuiteConfig, chart, st_profile, mu, _) -> VerificationR
     rng = np.random.default_rng(config.seed)
     samples = chart.sample(rng, config.samples)
     fibers = _sample_fibers(rng, config.samples, chart.n - chart.q)
-    omega_max, mu_norm, bracket, pts, omega = stenzel.lagrangian_columns(
-        chart, mu, samples, fibers, st_profile
-    )
-    report = VerificationReport.build(
-        config, samples, fibers, {"omega_max": omega_max}, {"mu_norm": mu_norm}
-    )
-    # cross-checks at every sample: the mixed omega block against its
-    # proof-side scalars, and positivity of the bracketed profile factor
-    mixed = omega[..., : chart.q, chart.q :]
-    gap = np.max(np.abs(mixed - stenzel.mixed_pairing_closed_form(pts, bracket)))
-    report.aggregates["diagnostic.closed_form_gap.max"] = float(gap)
-    report.aggregates["diagnostic.bracket_factor.min"] = float(np.min(bracket))
+
+    def columns(rows):
+        omega_max, mu_norm, bracket, pts, omega = stenzel.lagrangian_columns(
+            chart, mu, samples[rows], fibers[rows], st_profile
+        )
+        # cross-checks at every sample: the mixed omega block against its
+        # proof-side scalars, and positivity of the bracketed profile factor
+        mixed = omega[..., : chart.q, chart.q :]
+        gap = np.max(np.abs(mixed - stenzel.mixed_pairing_closed_form(pts, bracket)), axis=(-2, -1))
+        return {"omega_max": omega_max}, {"mu_norm": mu_norm}, {"gap": gap, "bracket": bracket}
+
+    residuals, criteria, checks = in_blocks(columns, config.samples)
+    report = VerificationReport.build(config, samples, fibers, residuals, criteria)
+    report.aggregates["diagnostic.closed_form_gap.max"] = float(np.max(checks["gap"]))
+    report.aggregates["diagnostic.bracket_factor.min"] = float(np.min(checks["bracket"]))
     return report
 
 
-def _sample_frames(chart, config: SuiteConfig):
-    """The sampled chart points and their adapted frames, as one stack."""
-    rng = np.random.default_rng(config.seed)
-    samples = chart.sample(rng, config.samples)
-    return samples, adapted_frame(chart, samples)
-
-
-def _pair_report(config, samples, fibers, residuals: dict, criteria: dict) -> VerificationReport:
-    """The report with one row per (sample, fibre) pair, samples outermost,
-    from (P, F) residual and (P,) criterion arrays."""
-    count = len(fibers)
+def _run_pairs(config: SuiteConfig, chart, profile, twist, fibers, columns) -> VerificationReport:
+    """The report with one row per (sample, fibre) pair, samples outermost;
+    ``columns(frames, profile, twist, fibers)`` gives the (P, F) residual and
+    (P,) criterion columns of the adapted frames of a block of samples."""
+    samples = chart.sample(np.random.default_rng(config.seed), config.samples)
+    residuals, criteria = in_blocks(
+        lambda rows: columns(adapted_frame(chart, samples[rows]), profile, twist, fibers),
+        config.samples, len(fibers))
     return VerificationReport.build(
         config,
-        np.repeat(samples, count, axis=0),
+        np.repeat(samples, len(fibers), axis=0),
         np.tile(fibers, (len(samples), 1)),
         {k: np.reshape(v, -1) for k, v in residuals.items()},
-        {k: np.repeat(v, count) for k, v in criteria.items()},
+        {k: np.repeat(v, len(fibers)) for k, v in criteria.items()},
     )
 
 
-def _holomorphy_criteria(frames, family):
+def _g2_associative(frames, bs_profile, family, fibers):
     sec = g2.section_data(family, frames)
     r2, r3 = g2.dbar_f_residual(frames.gamma, sec)
-    return sec, {"trace_a": trace_residual(frames.second_fund), "dbar_f": np.hypot(r2, r3)}
-
-
-def _run_g2_associative(config: SuiteConfig, chart, bs_profile, family, fibers) -> VerificationReport:
-    samples, frames = _sample_frames(chart, config)
-    sec, criteria = _holomorphy_criteria(frames, family)
+    criteria = {"trace_a": trace_residual(frames.second_fund), "dbar_f": np.hypot(r2, r3)}
     t1 = fibers[:, 0]
     e1, e2 = np.moveaxis(g2.tangent_basis_e_sigma(frames, sec, t1)[..., :2, :], -2, 0)
-    res = g2.lifted_associative_residual(
-        e1, e2, bs_profile, fiber=(t1, sec.a[:, None], sec.b[:, None])
-    )
-    return _pair_report(config, samples, fibers, {"associative": res}, criteria)
+    res = g2.lifted_associative_residual(e1, e2, bs_profile, fiber=(t1, sec.a[:, None], sec.b[:, None]))
+    return {"associative": res}, criteria
 
 
-def _run_g2_coassociative(config: SuiteConfig, chart, bs_profile, eta, fibers) -> VerificationReport:
-    samples, frames = _sample_frames(chart, config)
+def _g2_coassociative(frames, bs_profile, eta, fibers):
     gval = eta.value(frames.u)
     dgamma = frames.scalar_derivatives(eta.value)
     criteria = {
@@ -274,28 +271,29 @@ def _run_g2_coassociative(config: SuiteConfig, chart, bs_profile, eta, fibers) -
     res = g2.lifted_coassociative_residual(
         e1, e2, bs_profile, fiber=(gval[:, None], fibers[:, 0], fibers[:, 1])
     )
-    return _pair_report(config, samples, fibers, {"coassociative": res}, criteria)
+    return {"coassociative": res}, criteria
 
 
-def _run_spin7(config: SuiteConfig, chart, bs_profile, family, fibers) -> VerificationReport:
-    samples, frames = _sample_frames(chart, config)
+def _spin7(frames, bs_profile, family, fibers):
     sframe = spin7.spinor_frames()
     sec = g2.section_data(family, frames)
     c3, c4 = spin7.dbar_vminus_residual(frames.gamma, sframe, sec)
     criteria = {"trace_a": trace_residual(frames.second_fund), "dbar_vminus": np.hypot(c3, c4)}
     e1, e2 = np.moveaxis(spin7.tangent_basis_v_plus(frames, sframe, sec, fibers)[..., :2, :], -2, 0)
     r = g2.fibre_radius(fibers[:, 0], fibers[:, 1], sec.a[:, None], sec.b[:, None])
-    residuals = dict(zip(("cayley", "calibration_gap"), spin7.lifted_cayley_residuals(e1, e2, bs_profile, r)))
-    return _pair_report(config, samples, fibers, residuals, criteria)
+    cayley, gap = spin7.lifted_cayley_residuals(e1, e2, bs_profile, r)
+    return {"cayley": cayley, "calibration_gap": gap}, criteria
 
 
 # Each suite's runner, twist parser (taking config and chart), fibre-tuple width and
 # the tuples it runs without a --fiber; width 0: it samples its fibres, takes no --fiber.
 _SUITES = {
     "stenzel-lagrangian": (_run_stenzel, parse_mu_spec, 0, ()),
-    "g2-associative": (_run_g2_associative, _section_family_for, 1, (-2.0, 0.0, 1.5)),
-    "g2-coassociative": (_run_g2_coassociative, _eta_family_for, 2, ((0.7, -1.2), (1.5, 0.4), (0.3, 0.9))),
-    "spin7-cayley": (_run_spin7, _section_family_for, 2, ((0.0, 0.0), (1.0, -2.0), (0.8, 0.5))),
+    "g2-associative": (partial(_run_pairs, columns=_g2_associative), _section_family_for, 1, (-2.0, 0.0, 1.5)),
+    "g2-coassociative": (partial(_run_pairs, columns=_g2_coassociative), _eta_family_for, 2,
+                         ((0.7, -1.2), (1.5, 0.4), (0.3, 0.9))),
+    "spin7-cayley": (partial(_run_pairs, columns=_spin7), _section_family_for, 2,
+                     ((0.0, 0.0), (1.0, -2.0), (0.8, 0.5))),
 }
 
 

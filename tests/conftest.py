@@ -32,8 +32,6 @@ from twistcal.submanifold import (
     ImmersionChart,
     adapted_frame,
     get_chart,
-    superminimal_residual,
-    trace_residual,
 )
 
 # pyproject's pytest ``pythonpath`` puts src/ on sys.path of this process only;
@@ -720,10 +718,43 @@ def pointwise_calibration_gap(e1, e2, f1, f2, profile, r: float) -> float:
     return abs(abs(float(val[0])) - vol)
 
 
+def forms_job_inputs(config):
+    """(chart, profile, twist, fibers, samples, frames) of a g2-* or spin7-cayley
+    config: the samples drawn as ``suites._run_pairs`` draws them, and their
+    adapted frames as one stack."""
+    chart, profile, twist, fibers = suites._parse_job(config)
+    samples = chart.sample(np.random.default_rng(config.seed), config.samples)
+    return chart, profile, twist, fibers, samples, adapted_frame(chart, samples)
+
+
+def pointwise_trace(second_fund) -> float:
+    """max_k |tr A^k| over one point's shape operators."""
+    return max(abs(float(np.trace(a))) for a in second_fund)
+
+
+# The superminimal residual is a supremum over the circle of unit normals.  A
+# sweep of SWEEP_ANGLES equally spaced normals reads it from below, to within a
+# factor cos(pi / SWEEP_ANGLES): a relative SWEEP_TOL of about 9.5e-6.
+SWEEP_ANGLES = 720
+SWEEP_TOL = 1.0 - math.cos(math.pi / SWEEP_ANGLES)
+
+
+def pointwise_superminimal(second_fund, sign: float, angles: int = SWEEP_ANGLES) -> float:
+    """The largest entry of A^{J_N nu} - sign J_T A^nu over ``angles`` unit
+    normals nu = cos(theta) nu_3 + sin(theta) nu_4 of one point, with
+    J_N nu = cos(theta) nu_4 - sin(theta) nu_3, J_T e_1 = e_2 and J_T e_2 = -e_1."""
+    theta = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)[:, None, None]
+    c, s = np.cos(theta), np.sin(theta)
+    a3, a4 = second_fund
+    a_nu, a_jn = c * a3 + s * a4, c * a4 - s * a3
+    jt_a_nu = np.stack([-a_nu[:, 1], a_nu[:, 0]], axis=1)
+    return float(np.max(np.abs(a_jn - sign * jt_a_nu)))
+
+
 def pointwise_suite(config) -> "PointwiseReport":
-    """The report of a g2-* or spin7-cayley run, one (sample, fibre) pair at a time."""
-    chart, bs_profile, twist, fibers = suites._parse_job(config)
-    samples, frames = suites._sample_frames(chart, config)
+    """The report of a g2-* or spin7-cayley run, one (sample, fibre) pair at a
+    time; its neg_superminimal reads the sweep of ``pointwise_superminimal``."""
+    _, bs_profile, twist, fibers, samples, frames = forms_job_inputs(config)
     points = []
     if config.suite == "g2-coassociative":
         for u, point in zip(samples, frames):
@@ -733,7 +764,7 @@ def pointwise_suite(config) -> "PointwiseReport":
                  for w in point.velocities]
             )
             criteria = {
-                "neg_superminimal": float(superminimal_residual(point.second_fund, -1.0)),
+                "neg_superminimal": pointwise_superminimal(point.second_fund, -1.0),
                 "parallel_e": float(abs(dgamma[0]) + abs(dgamma[1])),
             }
             for t in fibers:
@@ -746,7 +777,7 @@ def pointwise_suite(config) -> "PointwiseReport":
     spin = config.suite == "spin7-cayley"
     for u, point in zip(samples, frames):
         sec = pointwise_section_data(twist, point)
-        trace = float(trace_residual(point.second_fund))
+        trace = pointwise_trace(point.second_fund)
         if spin:
             dbar = {"dbar_vminus": float(np.hypot(*pointwise_dbar_vminus(point.gamma, sframe, sec)))}
         else:

@@ -47,6 +47,7 @@ from conftest import (
     job_config,
     pointwise_omega_max,
     pointwise_stenzel_diagnostics,
+    pointwise_superminimal,
     rng_for,
     stenzel_job_inputs,
     unread_frame,
@@ -514,16 +515,12 @@ def test_superminimal_residual_is_the_angle_loop():
     # of unit normals: a dense sweep reads at most it, and at least cos(pi/N)
     # of it, N being the number of angles
     count = 100_000
-    theta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)[:, None, None]
-    c, s = np.cos(theta), np.sin(theta)
     rng = rng_for(9)
     for _ in range(10):
         a3, a4 = rng.standard_normal((2, 2, 2))
         a3, a4 = a3 + a3.T, a4 + a4.T
-        a_nu, a_jn = c * a3 + s * a4, c * a4 - s * a3
-        jt_a_nu = np.stack([-a_nu[:, 1], a_nu[:, 0]], axis=1)  # J_T e1 = e2, J_T e2 = -e1
         for sign in (1.0, -1.0):
-            sweep = float(np.max(np.abs(a_jn - sign * jt_a_nu)))
+            sweep = pointwise_superminimal(np.array([a3, a4]), sign, count)
             closed = float(superminimal_residual(np.array([a3, a4]), sign))
             assert sweep <= closed + 1e-9
             assert closed * np.cos(np.pi / count) <= sweep + 1e-12
