@@ -29,13 +29,13 @@ every profile exactly when it is at u = v = 1.
 
 Every monomial with h horizontal indices carries the weight u^h v^(k-h), so
 the form at weights (u, v) is the unit-weight form pulled back by
-D = diag(u, u, u, u, v, v, v).  The dense residuals, the tests' oracle,
-contract the unit tensors (``unit_tensor``, built once per table) with D-scaled
-tangent vectors and scale any free index of the result by D.  The verify path's
-``lifted_*`` residuals read the fibre vectors F_j at their fixed unit slots
-(``*_SLOTS``), so a form meets E_1 and E_2 only in the Plücker coordinates c_ab,
-a < b, of D-scaled E_1 ^ E_2 (Harvey and Lawson, Acta Math. 148 (1982)), one
-(rows, 21) array a call, against the exact 21 x 7 psi and 21 x 2 phi tables.
+D = diag(u, u, u, u, v, v, v).  Each form kernel computes over the leading axes
+of a (..., k, 7) stack of D-scaled rows (``scaled_rows``).  The dense residuals,
+the tests' oracle, contract them with the unit tensors (``unit_tensor``) and
+scale any free index by D.  The verify path's ``lifted_*`` residuals take the
+plane E_1 ^ E_2 as the basis's first two rows and each F_j at its unit slot
+(``*_SLOTS``), so a form meets the plane only in its Plücker coordinates c_ab,
+a < b (Harvey and Lawson, Acta Math. 148 (1982)), through exact 21-row tables.
 """
 
 from __future__ import annotations
@@ -227,21 +227,17 @@ def _fibre_radius(fiber) -> np.ndarray:
     return np.sqrt(2.0) * fibre_radius(*fiber)
 
 
-def scaled_rows(vectors, profile: Profile, r):
-    """The vectors (each (..., dim)) scaled by D = diag(u, u, u, u, v, .., v),
-    the profile weights at the fibre radii r, as the rows of an (N, k, dim)
-    array; also D as (N, dim) and the broadcast leading shape."""
+def scaled_rows(rows, profile: Profile, r):
+    """A (..., k, dim) stack of rows scaled by D = diag(u, u, u, u, v, .., v), the
+    profile weights at the fibre radii r, and D as (..., dim)."""
     u, v = profile.at(r)
-    vecs = np.stack(np.broadcast_arrays(*vectors), axis=-2)
-    d = np.repeat(np.stack([u, v], axis=-1), (4, vecs.shape[-1] - 4), axis=-1)
-    vecs = d[..., None, :] * vecs
-    lead, (k, dim) = vecs.shape[:-2], vecs.shape[-2:]
-    return vecs.reshape(-1, k, dim), np.broadcast_to(d, lead + (dim,)).reshape(-1, dim), lead
+    d = np.repeat(np.stack([u, v], axis=-1), (4, rows.shape[-1] - 4), axis=-1)
+    return d[..., None, :] * rows, d
 
 
 def outer_pairs(v) -> np.ndarray:
-    """The outer products v[n, 0] (x) v[n, 1] of an (N, k, dim) stack as (N, dim^2)."""
-    return (v[:, 0, :, None] * v[:, 1, None, :]).reshape(len(v), -1)
+    """The outer products v[..., 0] (x) v[..., 1] of a (..., k, dim) stack as (..., dim^2)."""
+    return (v[..., 0, :, None] * v[..., 1, None, :]).reshape(v.shape[:-2] + (-1,))
 
 
 def associative_residual(
@@ -249,10 +245,10 @@ def associative_residual(
 ):
     """|E_2 ⌟ E_1 ⌟ F_1 ⌟ psi| with the displayed psi, per leading index of
     the vectors (each (..., 7)) and of the fibre point (t1, a, b)."""
-    vecs, d, lead = scaled_rows((f1, e1, e2), profile, _fibre_radius(fiber))
+    vecs, d = scaled_rows(np.stack(np.broadcast_arrays(f1, e1, e2), axis=-2), profile, _fibre_radius(fiber))
     # psi(F_1, E_1, ., .) as the bivector F_1 (x) E_1 against psi, then E_2
-    one_form = outer_pairs(vecs) @ unit_tensor(PSI_TABLE, 7).reshape(49, 49)
-    return row_norms(d * (vecs[:, 2, None, :] @ one_form.reshape(-1, 7, 7))[:, 0]).reshape(lead)[()]
+    one_form = (outer_pairs(vecs) @ unit_tensor(PSI_TABLE, 7).reshape(49, 49)).reshape(vecs.shape[:-2] + (7, 7))
+    return row_norms(d * (vecs[..., 2, None, :] @ one_form)[..., 0, :])[()]
 
 
 _TRIPLES = tuple(np.array(list(itertools.combinations(range(4), 3))).T)
@@ -263,38 +259,40 @@ def coassociative_residual(
 ):
     """max |phi| over the four triples of the tangent basis (E_1, E_2, F_2, F_3),
     per leading index of the vectors and of the fibre point (gamma, t2, t3)."""
-    vecs, _, lead = scaled_rows((e1, e2, f2, f3), profile, _fibre_radius(fiber))
+    vecs, _ = scaled_rows(np.stack(np.broadcast_arrays(e1, e2, f2, f3), axis=-2), profile, _fibre_radius(fiber))
     phi = unit_tensor(PHI_TABLE, 7).reshape(7, -1)
-    # values[:, a, b, c] = phi(v[a], v[b], v[c])
-    values = vecs[:, None] @ (vecs @ phi).reshape(-1, 4, 7, 7) @ np.swapaxes(vecs, -1, -2)[:, None]
-    return np.max(np.abs(values[(slice(None),) + _TRIPLES]), axis=-1).reshape(lead)[()]
+    # values[..., a, b, c] = phi(v[a], v[b], v[c])
+    rows = vecs[..., None, :, :]
+    values = rows @ (vecs @ phi).reshape(vecs.shape + (7,)) @ np.swapaxes(rows, -1, -2)
+    return np.max(np.abs(values[(..., *_TRIPLES)]), axis=-1)[()]
 
 
 def plane_coords(v, pairs) -> np.ndarray:
     """The Plücker coordinates c_ab = v_1a v_2b - v_1b v_2a of the planes spanned by the
-    rows v_1, v_2 of an (N, 2, dim) stack, one column per pair of ``pairs`` (a, b)."""
+    rows v_1, v_2 of a (..., 2, dim) stack, one column per pair of ``pairs`` (a, b)."""
     a, b = pairs
-    return v[:, 0, a] * v[:, 1, b] - v[:, 0, b] * v[:, 1, a]
+    return v[..., 0, a] * v[..., 1, b] - v[..., 0, b] * v[..., 1, a]
 
 
-def lifted_associative_residual(e1, e2, profile: Profile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)):
-    """``associative_residual`` with F_1 the unit k_1: |D chi| with
-    chi = v psi_1(k_1, E_1 ^ E_2, .), E D-scaled."""
-    vecs, d, lead = scaled_rows((e1, e2), profile, _fibre_radius(fiber))
+def lifted_associative_residual(plane, profile: Profile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)):
+    """``associative_residual`` with F_1 the unit k_1 and (E_1, E_2) the rows of
+    ``plane`` (..., 2, 7): |D chi| with chi = v psi_1(k_1, E_1 ^ E_2, .), E D-scaled."""
+    vecs, d = scaled_rows(plane, profile, _fibre_radius(fiber))
     (slot,) = ASSOCIATIVE_SLOTS
     psi = unit_tensor(PSI_TABLE, 7, on_pairs=True)[:, slot]
-    return (d[:, slot] * row_norms(d * (plane_coords(vecs, PAIRS) @ psi))).reshape(lead)[()]
+    return (d[..., slot] * row_norms(d * (plane_coords(vecs, PAIRS) @ psi)))[()]
 
 
-def lifted_coassociative_residual(e1, e2, profile: Profile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)):
-    """``coassociative_residual`` with (F_2, F_3) the unit (k_2, k_3): its four
-    triples are v phi_1(E_1 ^ E_2, k_2|k_3) and v^2 phi_1(E_i, k_2, k_3), E D-scaled."""
-    vecs, d, lead = scaled_rows((e1, e2), profile, _fibre_radius(fiber))
+def lifted_coassociative_residual(plane, profile: Profile = UNIT_PROFILE, fiber=(0.0, 0.0, 0.0)):
+    """``coassociative_residual`` with (F_2, F_3) the unit (k_2, k_3) and (E_1, E_2) the
+    rows of ``plane`` (..., 2, 7): its four triples are v phi_1(E_1 ^ E_2, k_2|k_3) and
+    v^2 phi_1(E_i, k_2, k_3), E D-scaled."""
+    vecs, d = scaled_rows(plane, profile, _fibre_radius(fiber))
     s, t = COASSOCIATIVE_SLOTS
     planes, line = unit_tensor(PHI_TABLE, 7, on_pairs=True)[:, [s, t]], unit_tensor(PHI_TABLE, 7)[:, s, t]
-    w = d[:, s, None]
+    w = d[..., s, None]
     values = np.concatenate([w * (plane_coords(vecs, PAIRS) @ planes), w * w * (vecs @ line)], axis=-1)
-    return np.max(np.abs(values), axis=-1).reshape(lead)[()]
+    return np.max(np.abs(values), axis=-1)[()]
 
 
 def dbar_f_residual(gamma: np.ndarray, sec: SectionData):

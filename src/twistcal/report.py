@@ -34,11 +34,12 @@ SEPARATION = 1e-3
 # The most rows (samples x fibre tuples, or samples of a table) one job may
 # hold, checked before anything is allocated.  A job computes in blocks of
 # numerics.BLOCK rows, so at the cap its report takes most of its memory, and
-# emit sets the peak.  Peak RSS at the cap read 174 MB for stenzel-lagrangian
-# (100,000 rows), 154 MB for spin7-cayley, 146 MB for g2-coassociative and
-# 136 MB for g2-associative (99,999 rows each), and 41 MB for table veronese;
-# CI fails the first two above 210 MB and the table above 100 MB.  ru_maxrss of
-# a fresh process per job, writing --out, seven runs each (2-vCPU Xeon, numpy 2.4.6).
+# emit, which joins the JSON text once and encodes it once, sets the peak.
+# Peak RSS at the cap read 127 MB for stenzel-lagrangian (100,000 rows), 126 MB
+# for spin7-cayley, 121 MB for g2-coassociative and 112 MB for g2-associative
+# (99,999 rows each), and 41 MB for table veronese; CI fails the first two above
+# 210 MB and the table above 100 MB.  ru_maxrss of a fresh process per job,
+# writing --out, two runs each (2-vCPU Xeon, numpy 2.4.6).
 MAX_ROWS = 100_000
 
 
@@ -248,17 +249,18 @@ def _column_texts(values: np.ndarray, spelling: dict | None = None) -> np.ndarra
     return np.array(texts, dtype=object)[inverse].reshape(bits.shape)
 
 
-def _points_json(report: VerificationReport) -> str:
-    """The report's ``points`` array as ``json.dumps(sort_keys=True, indent=2)``
-    writes it, in one join of an (N, 2V + 1) object array: row i holds point
-    i's V value texts, each followed by its literal piece, after the piece
-    that opens the point.  ``repr`` of a finite float is the text ``json``
+def _points_json(report: VerificationReport) -> list:
+    """The texts whose join is the report's ``points`` array as
+    ``json.dumps(sort_keys=True, indent=2)`` writes it, the cells of an
+    (N, 2V + 1) object array row by row: row i holds point i's V value texts,
+    each followed by its literal piece, after the piece that opens the point;
+    the last cell closes the array.  ``repr`` of a finite float is the text ``json``
     writes for it, and each distinct value of the report is converted to text
     once; the residual and criterion keys are in sorted order, as the report
     keeps them."""
     n = len(report.status)
     if n == 0:
-        return "[]"
+        return ["[]"]
     values = np.hstack([_matrix(report.criteria, n), _matrix(report.residuals, n), report.t, report.u])
     opening, *pieces = _point_pieces(report)
     cells = np.empty((n, 2 * len(pieces) + 1), dtype=object)
@@ -274,7 +276,8 @@ def _points_json(report: VerificationReport) -> str:
     status_text = {s: json.dumps(s) for s in set(statuses)}
     cells[:, 2 * k + 1] = list(map(status_text.__getitem__, statuses))
     cells[:, 2 * k + 3::2] = texts[:, k:]
-    return "".join(cells.ravel().tolist()) + "\n  ]"
+    cells[-1, -1] += "\n  ]"
+    return cells.ravel().tolist()
 
 
 def emit(report: VerificationReport, fmt: str = "json") -> bytes:
@@ -283,7 +286,7 @@ def emit(report: VerificationReport, fmt: str = "json") -> bytes:
         # the header's top-level "points" line is unique: json escapes the
         # newline that a string would need to forge it
         head, tail = json.dumps(report._header(), sort_keys=True, indent=2).split('\n  "points": []')
-        return "".join([head, '\n  "points": ', _points_json(report), tail, "\n"]).encode()
+        return "".join([head, '\n  "points": ', *_points_json(report), tail, "\n"]).encode()
     if fmt == "csv":
         n = len(report.status)
         buf = io.StringIO()

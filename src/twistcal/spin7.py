@@ -35,12 +35,12 @@ Cayley 4-planes.
 
 Every monomial of Phi with h horizontal indices carries u^h v^(4-h), so Phi
 at weights (u, v) is the unit-weight Phi pulled back by
-D = diag(u, u, u, u, v, v, v, v).  The dense residuals contract one unit
-tensor (``g2.unit_tensor`` of ``PHI_TABLE``) with D-scaled tangent vectors
-and scale the free indices of the result by D; they are the tests' oracle.
-The verify path reads both residuals in one pass from the 15 Plücker
-coordinates of E_1 ^ E_2 on the base slots, with eta and Phi restricted to the
-unit fibre slots s_1, s_2 (``lifted_cayley_residuals``).
+D = diag(u, u, u, u, v, v, v, v).  The dense residuals, the tests' oracle,
+contract one unit tensor (``g2.unit_tensor`` of ``PHI_TABLE``) with D-scaled
+(..., 4, 8) rows over their leading axes and scale the free indices by D.  The
+verify path takes the basis's first two rows, the plane E_1 ^ E_2, and reads
+both residuals in one pass from its 15 Plücker coordinates on the base slots,
+with eta and Phi restricted to the unit fibre slots s_1, s_2 (``lifted_cayley_residuals``).
 """
 
 from __future__ import annotations
@@ -237,16 +237,15 @@ _A, _B, _C = np.array([(1, 2, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2)]).T
 
 
 def _eta_rows(vecs: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """eta of each row of D-scaled vectors ``vecs`` (N, 4, 8), with D (N, 8)."""
+    """eta of each row of D-scaled vectors ``vecs`` (..., 4, 8), with D (..., 8)."""
     phi = unit_tensor(PHI_TABLE, 8).reshape(64, 64)
     # Phi_1(a, b, ., .) as the bivector a (x) b against Phi, then c
-    ab = (vecs[:, _A, :, None] * vecs[:, _B, None, :]).reshape(-1, 4, 64)
-    cross = (ab @ phi).reshape(-1, 4, 8, 8)
-    cross = (vecs[:, _C, None, :] @ cross).reshape(-1, 4, 8)
-    # pairs[n, i, j] = sum_p t_p[i] h_p[j]
+    ab = (vecs[..., _A, :, None] * vecs[..., _B, None, :]).reshape(vecs.shape[:-1] + (64,))
+    cross = (vecs[..., _C, None, :] @ (ab @ phi).reshape(vecs.shape + (8,)))[..., 0, :]
+    # pairs[..., i, j] = sum_p t_p[i] h_p[j]
     pairs = np.swapaxes(cross, -1, -2) @ vecs
-    eta = np.swapaxes(pairs, -1, -2) - pairs + (pairs.reshape(-1, 64) @ phi).reshape(pairs.shape)
-    return d[:, :, None] * eta * d[:, None, :]
+    eta = np.swapaxes(pairs, -1, -2) - pairs + (pairs.reshape(pairs.shape[:-2] + (64,)) @ phi).reshape(pairs.shape)
+    return d[..., :, None] * eta * d[..., None, :]
 
 
 def cayley_eta(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
@@ -259,8 +258,7 @@ def cayley_eta(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
     are D h and D t, and Phi(X, head, ., .) = D Phi_1(t, h, ., .) D, so
     eta = D [sum (h ^ t) + Phi_1(t, h, ., .)] D.
     """
-    vecs, d, lead = scaled_rows((e1, e2, f1, f2), profile, fiber_r)
-    return _eta_rows(vecs, d).reshape(lead + (8, 8))
+    return _eta_rows(*scaled_rows(np.stack(np.broadcast_arrays(e1, e2, f1, f2), axis=-2), profile, fiber_r))
 
 
 def cayley_residual(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
@@ -272,11 +270,11 @@ def cayley_residual(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0
 def calibration_gap(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
     """| |Phi(E_1, E_2, F_1, F_2)| - vol(E_1, E_2, F_1, F_2) | (metric volume),
     per leading index of the vectors and of the fibre radius."""
-    vecs, _, lead = scaled_rows((e1, e2, f1, f2), profile, fiber_r)
-    val = (outer_pairs(vecs) @ unit_tensor(PHI_TABLE, 8).reshape(64, 64)).reshape(-1, 8, 8)
-    phi_val = (vecs[:, 2, None, :] @ val @ vecs[:, 3, :, None])[:, 0, 0]
+    vecs, _ = scaled_rows(np.stack(np.broadcast_arrays(e1, e2, f1, f2), axis=-2), profile, fiber_r)
+    val = (outer_pairs(vecs) @ unit_tensor(PHI_TABLE, 8).reshape(64, 64)).reshape(vecs.shape[:-2] + (8, 8))
+    phi_val = (vecs[..., 2, None, :] @ val @ vecs[..., 3, :, None])[..., 0, 0]
     vol = np.sqrt(np.maximum(np.linalg.det(vecs @ np.swapaxes(vecs, -1, -2)), 0.0))
-    return np.abs(np.abs(phi_val) - vol).reshape(lead)[()]
+    return np.abs(np.abs(phi_val) - vol)[()]
 
 
 @lru_cache(maxsize=None)
@@ -292,18 +290,19 @@ def cayley_kernel(on_pairs: bool = False) -> np.ndarray:
     return out
 
 
-def lifted_cayley_residuals(e1, e2, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
-    """(``cayley_residual``, ``calibration_gap``) with (F_1, F_2) the unit (s_1, s_2), in one
-    pass over the Plücker coordinates c of D-scaled E_1 ^ E_2 on BASE_PAIRS: eta_ij =
-    v^2 d_i d_j (c K)_ij, Phi = v^2 c . Phi_1(., ., s_1, s_2) and vol = v^2 |c|."""
-    vecs, d, lead = scaled_rows((e1, e2), profile, fiber_r)
+def lifted_cayley_residuals(plane, profile: Profile = UNIT_PROFILE, fiber_r=0.0):
+    """(``cayley_residual``, ``calibration_gap``) with (F_1, F_2) the unit (s_1, s_2) and
+    (E_1, E_2) the rows of ``plane`` (..., 2, 8), in one pass over the Plücker coordinates c
+    of D-scaled E_1 ^ E_2 on BASE_PAIRS: eta_ij = v^2 d_i d_j (c K)_ij,
+    Phi = v^2 c . Phi_1(., ., s_1, s_2) and vol = v^2 |c|."""
+    vecs, d = scaled_rows(plane, profile, fiber_r)
     s, t = CAYLEY_SLOTS
     eta_table, phi = cayley_kernel(on_pairs=True), unit_tensor(PHI_TABLE, 8)[(*BASE_PAIRS, s, t)]
     c = plane_coords(vecs, BASE_PAIRS)
-    eta = row_norms(d[:, _I] * d[:, _J] * (c @ eta_table))
+    eta = row_norms(d[..., _I] * d[..., _J] * (c @ eta_table))
     gap = np.abs(np.abs(c @ phi) - np.sqrt(np.sum(c * c, axis=-1)))
-    w = d[:, s] ** 2
-    return (w * eta).reshape(lead)[()], (w * gap).reshape(lead)[()]
+    w = d[..., s] ** 2
+    return (w * eta)[()], (w * gap)[()]
 
 
 def dbar_vminus_residual(gamma: np.ndarray, frame: SpinorFrame, sec: SectionData):

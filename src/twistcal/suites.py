@@ -137,7 +137,7 @@ def _parse_fiber_list(spec: str, width: int, default):
         return np.array(default, dtype=float).reshape(-1, width)
     out = []
     for chunk in spec.split(";"):
-        vals = [_parse_number(x, "fiber entry") for x in chunk.split(",") if x != ""]
+        vals = [_parse_number(x, "fiber entry") for x in chunk.split(",")]
         if len(vals) != width:
             raise ConfigError(f"fiber tuple {chunk!r} needs {width} entries")
         # the Plücker coordinates multiply the fibre-sized vertical parts in
@@ -255,8 +255,8 @@ def _g2_associative(frames, bs_profile, family, fibers):
     r2, r3 = g2.dbar_f_residual(frames.gamma, sec)
     criteria = {"trace_a": trace_residual(frames.second_fund), "dbar_f": np.hypot(r2, r3)}
     t1 = fibers[:, 0]
-    e1, e2 = np.moveaxis(g2.tangent_basis_e_sigma(frames, sec, t1)[..., :2, :], -2, 0)
-    res = g2.lifted_associative_residual(e1, e2, bs_profile, fiber=(t1, sec.a[:, None], sec.b[:, None]))
+    plane = g2.tangent_basis_e_sigma(frames, sec, t1)[..., :2, :]
+    res = g2.lifted_associative_residual(plane, bs_profile, fiber=(t1, sec.a[:, None], sec.b[:, None]))
     return {"associative": res}, criteria
 
 
@@ -267,10 +267,8 @@ def _g2_coassociative(frames, bs_profile, eta, fibers):
         "neg_superminimal": superminimal_residual(frames.second_fund, -1.0),
         "parallel_e": g2.parallel_e_residual(dgamma),
     }
-    e1, e2 = np.moveaxis(g2.tangent_basis_eta_f(frames, gval, dgamma, fibers)[..., :2, :], -2, 0)
-    res = g2.lifted_coassociative_residual(
-        e1, e2, bs_profile, fiber=(gval[:, None], fibers[:, 0], fibers[:, 1])
-    )
+    plane = g2.tangent_basis_eta_f(frames, gval, dgamma, fibers)[..., :2, :]
+    res = g2.lifted_coassociative_residual(plane, bs_profile, fiber=(gval[:, None], fibers[:, 0], fibers[:, 1]))
     return {"coassociative": res}, criteria
 
 
@@ -279,9 +277,9 @@ def _spin7(frames, bs_profile, family, fibers):
     sec = g2.section_data(family, frames)
     c3, c4 = spin7.dbar_vminus_residual(frames.gamma, sframe, sec)
     criteria = {"trace_a": trace_residual(frames.second_fund), "dbar_vminus": np.hypot(c3, c4)}
-    e1, e2 = np.moveaxis(spin7.tangent_basis_v_plus(frames, sframe, sec, fibers)[..., :2, :], -2, 0)
+    plane = spin7.tangent_basis_v_plus(frames, sframe, sec, fibers)[..., :2, :]
     r = g2.fibre_radius(fibers[:, 0], fibers[:, 1], sec.a[:, None], sec.b[:, None])
-    cayley, gap = spin7.lifted_cayley_residuals(e1, e2, bs_profile, r)
+    cayley, gap = spin7.lifted_cayley_residuals(plane, bs_profile, r)
     return {"cayley": cayley, "calibration_gap": gap}, criteria
 
 

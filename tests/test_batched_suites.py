@@ -8,6 +8,7 @@ gives.
 """
 
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -188,7 +189,7 @@ def test_coassociative_harvey_lawson_identity_on_an_orthonormal_basis(config):
     defect = np.sum(triples**2, axis=-1)
     assert np.max(defect) > 0.01  # the identity is tested away from coassociative planes
     assert np.max(np.abs(psi**2 + defect - 1.0)) <= 1e-12
-    lifted = g2.lifted_coassociative_residual(e1, e2)
+    lifted = g2.lifted_coassociative_residual(np.stack([e1, e2], axis=-2))
     assert np.max(np.abs(lifted - np.max(np.abs(triples), axis=-1))) <= 1e-13
 
 
@@ -243,14 +244,14 @@ def test_g2_bases_and_residuals_rows_match_single_points(stack):
     assert basis.shape == (70, 3, 3, 7)
     fiber = (t1, sec.a[:, None], sec.b[:, None])
     res = g2.associative_residual(*np.moveaxis(basis, -2, 0), profile, fiber)
-    lifted = g2.lifted_associative_residual(*np.moveaxis(basis[..., :2, :], -2, 0), profile, fiber)
+    lifted = g2.lifted_associative_residual(basis[..., :2, :], profile, fiber)
     eta = make_eta_family("coord", axis=2)
     gval, dgamma = eta.value(frames.u), frames.scalar_derivatives(eta.value)
     basis_f = g2.tangent_basis_eta_f(frames, gval, dgamma, fibers)
     assert basis_f.shape == (70, 3, 4, 7)
     fiber_f = (gval[:, None], fibers[:, 0], fibers[:, 1])
     res_f = g2.coassociative_residual(*np.moveaxis(basis_f, -2, 0), profile, fiber_f)
-    lifted_f = g2.lifted_coassociative_residual(*np.moveaxis(basis_f[..., :2, :], -2, 0), profile, fiber_f)
+    lifted_f = g2.lifted_coassociative_residual(basis_f[..., :2, :], profile, fiber_f)
     for i in range(len(frames)):
         point, sec_i = frames[i], g2.section_data(family, frames[i])
         dg_i = point.scalar_derivatives(eta.value)
@@ -260,13 +261,13 @@ def test_g2_bases_and_residuals_rows_match_single_points(stack):
             assert np.max(np.abs(basis[i, j] - one)) <= ROW_TOL
             one_res = g2.associative_residual(*one, profile, (t[0], sec_i.a, sec_i.b))
             assert abs(res[i, j] - one_res) <= ROW_TOL
-            one_res = g2.lifted_associative_residual(*one[:2], profile, (t[0], sec_i.a, sec_i.b))
+            one_res = g2.lifted_associative_residual(one[:2], profile, (t[0], sec_i.a, sec_i.b))
             assert abs(lifted[i, j] - one_res) <= ROW_TOL * max(1.0, one_res)
             one_f = g2.tangent_basis_eta_f(point, gval[i], dg_i, t)
             assert np.max(np.abs(basis_f[i, j] - one_f)) <= ROW_TOL
             one_res = g2.coassociative_residual(*one_f, profile, (gval[i], *t))
             assert abs(res_f[i, j] - one_res) <= ROW_TOL
-            one_res = g2.lifted_coassociative_residual(*one_f[:2], profile, (gval[i], *t))
+            one_res = g2.lifted_coassociative_residual(one_f[:2], profile, (gval[i], *t))
             assert abs(lifted_f[i, j] - one_res) <= ROW_TOL * max(1.0, one_res)
 
 
@@ -280,7 +281,7 @@ def test_spin7_basis_and_residuals_rows_match_single_points(stack):
     vecs = np.moveaxis(basis, -2, 0)
     res = spin7.cayley_residual(*vecs, profile, r)
     gap = spin7.calibration_gap(*vecs, profile, r)
-    lifted = spin7.lifted_cayley_residuals(*vecs[:2], profile, r)
+    lifted = spin7.lifted_cayley_residuals(basis[..., :2, :], profile, r)
     u, v = profile.at(r)
     for i in range(len(frames)):
         sec_i = g2.section_data(family, frames[i])
@@ -291,9 +292,38 @@ def test_spin7_basis_and_residuals_rows_match_single_points(stack):
             assert abs(gap[i, j] - spin7.calibration_gap(*one, profile, r[i, j])) <= ROW_TOL
             # a row on its own may sum its Plücker coordinates in another order, and the
             # gap cancels |Phi| against the area, so its last bits may differ
-            for col, one_res in zip(lifted, spin7.lifted_cayley_residuals(*one[:2], profile, r[i, j])):
+            for col, one_res in zip(lifted, spin7.lifted_cayley_residuals(one[:2], profile, r[i, j])):
                 assert abs(col[i, j] - one_res) <= 10 * ROW_TOL * max(1.0, one_res)
             assert profile.at(r[i, j]) == (u[i, j], v[i, j])
+
+
+def test_lifted_residuals_of_a_plane_stack_equal_those_of_its_flattened_rows(stack):
+    # the suites pass (P, F, 2, dim) planes, and a report's bytes are those of its rows
+    # one by one: a row's value may not depend on the layout of the rows around it
+    frames, family, fibers, profile = stack
+    sec = g2.section_data(family, frames)
+    eta = make_eta_family("coord", axis=2)
+    gval, dgamma = eta.value(frames.u), frames.scalar_derivatives(eta.value)
+
+    def flat(x):
+        return np.broadcast_to(x, (len(frames), len(fibers))).ravel()
+
+    cases = (
+        (g2.lifted_associative_residual, g2.tangent_basis_e_sigma(frames, sec, fibers[:, 0]),
+         (fibers[:, 0], sec.a[:, None], sec.b[:, None])),
+        (g2.lifted_coassociative_residual, g2.tangent_basis_eta_f(frames, gval, dgamma, fibers),
+         (gval[:, None], fibers[:, 0], fibers[:, 1])),
+    )
+    for residual, basis, fiber in cases:
+        plane = basis[..., :2, :]
+        assert np.array_equal(residual(plane, profile, fiber).ravel(),
+                              residual(plane.reshape(-1, 2, 7), profile, tuple(map(flat, fiber))))
+    plane = spin7.tangent_basis_v_plus(frames, spin7.spinor_frames(), sec, fibers)[..., :2, :]
+    r = g2.fibre_radius(fibers[:, 0], fibers[:, 1], sec.a[:, None], sec.b[:, None])
+    stacked = spin7.lifted_cayley_residuals(plane, profile, r)
+    for col, flat_col in zip(stacked, spin7.lifted_cayley_residuals(plane.reshape(-1, 2, 8), profile, flat(r))):
+        assert col.shape == (len(frames), len(fibers))
+        assert np.array_equal(col.ravel(), flat_col)
 
 
 def test_profile_at_broadcasts_constant_and_callable_slots():
@@ -415,18 +445,13 @@ def test_a_job_of_several_blocks_gives_the_bytes_of_one_block(line, block, monke
     assert whole[0] == line.startswith("verify")
 
 
-def _rows(x):
-    x = np.asarray(x)
-    return x.size // x.shape[-1]
-
-
 # each spied name and the rows of its first array argument
 BLOCK_SPIES = [
     (suites, "adapted_frame", lambda chart, u, *_: len(u)),
     (stenzel, "lagrangian_columns", lambda chart, mu, samples, *_: len(samples)),
-    (g2, "lifted_associative_residual", lambda e1, *_, **__: _rows(e1)),
-    (g2, "lifted_coassociative_residual", lambda e1, *_, **__: _rows(e1)),
-    (spin7, "lifted_cayley_residuals", lambda e1, *_, **__: _rows(e1)),
+    (g2, "lifted_associative_residual", lambda plane, *_, **__: math.prod(plane.shape[:-2])),
+    (g2, "lifted_coassociative_residual", lambda plane, *_, **__: math.prod(plane.shape[:-2])),
+    (spin7, "lifted_cayley_residuals", lambda plane, *_, **__: math.prod(plane.shape[:-2])),
     (examples, "golden_residuals", lambda name, u: len(u)),
 ]
 

@@ -151,19 +151,20 @@ def test_lifted_residuals_equal_the_dense_ones_with_unit_fibre_vectors(seed):
     for profile in (Profile(*rng.uniform(0.3, 2.5, size=2)), Profile(lambda r: 1.0 + r, lambda r: 1.0 + 2.0 * r)):
         e7, e8 = rng.standard_normal((2, 40, 7)), rng.standard_normal((2, 40, 8))
         fiber, r = (rng.uniform(-1.0, 1.0, 40), 0.4, -0.3), rng.uniform(0.0, 2.0, 40)
+        plane7, plane8 = np.stack(e7, axis=-2), np.stack(e8, axis=-2)
         pairs = (
-            (g2.lifted_associative_residual(*e7, profile, fiber),
+            (g2.lifted_associative_residual(plane7, profile, fiber),
              g2.associative_residual(*e7, eye7[4], profile, fiber)),
-            (g2.lifted_coassociative_residual(*e7, profile, fiber),
+            (g2.lifted_coassociative_residual(plane7, profile, fiber),
              g2.coassociative_residual(*e7, eye7[5], eye7[6], profile, fiber)),
-            *zip(spin7.lifted_cayley_residuals(*e8, profile, r),
+            *zip(spin7.lifted_cayley_residuals(plane8, profile, r),
                  (spin7.cayley_residual(*e8, eye8[4], eye8[5], profile, r),
                   spin7.calibration_gap(*e8, eye8[4], eye8[5], profile, r))),
         )
         for lifted, dense in pairs:
             assert lifted.shape == (40,)
             np.testing.assert_allclose(lifted, dense, rtol=1e-12, atol=1e-12)
-    one = spin7.lifted_cayley_residuals(e8[0, 0], e8[1, 0], profile, r[0])
+    one = spin7.lifted_cayley_residuals(plane8[0], profile, r[0])
     assert all(np.ndim(x) == 0 for x in one)
 
 

@@ -489,6 +489,7 @@ _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--sa
         (_VERIFY + ["--chart", "nosuch"], "unknown chart 'nosuch'"),
         (_VERIFY + ["--tol-verdict", "nan"], "tol_verdict must be a finite positive number, got nan"),
         (_CAYLEY + ["--fiber", "a;b"], "fiber entry needs a number, got 'a'"),
+        (_CAYLEY + ["--fiber=1,2,"], "fiber entry needs a number, got ''"),
         (_CAYLEY + ["--fiber=1e400,0"], "fiber entry must be finite, got '1e400'"),
         (_CAYLEY + ["--section", "const:re=abc"], "parameter 're' needs a number, got 'abc'"),
         (_COASSOC + ["--section", "coord:axis=7"], "coord axis must be an integer in 1..2, got 7"),
