@@ -74,15 +74,22 @@ COASSOCIATIVE_SLOTS = (5, 6)
 PAIRS = np.triu_indices(7, 1)  # the pairs a < b of the Plücker coordinates of a 7-dim plane
 
 
-# N[j, k, m] = sum_ab _NABLA_F[k, m, a, b] Gamma[j, a, b], antisymmetric in k, m
-_NABLA_F = np.zeros((3, 3, 4, 4))
+def frame_table(gamma: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_ab Gamma[..., j, a, b] table[a, b, ...], j = 1, 2, for ``gamma`` (..., 2, 4, 4), as (..., 2, *out)."""
+    g = np.asarray(gamma, dtype=float)[..., :2, :4, :4]
+    lead = g.shape[:-2]
+    return (g.reshape(lead + (16,)) @ table.reshape(16, -1)).reshape(lead + table.shape[2:])
+
+
+# N[j, k, m] = sum_ab Gamma[j, a, b] _NABLA_F[a, b, k, m], antisymmetric in k, m
+_NABLA_F = np.zeros((4, 4, 3, 3))
 for _k, _m, _a, _b, _sign in (
     (0, 1, 3, 0, 1.0), (0, 1, 2, 1, -1.0),
     (0, 2, 2, 0, -1.0), (0, 2, 3, 1, -1.0),
     (1, 2, 1, 0, 1.0), (1, 2, 3, 2, -1.0),
 ):
-    _NABLA_F[_k, _m, _a, _b] = _sign
-    _NABLA_F[_m, _k, _a, _b] = -_sign
+    _NABLA_F[_a, _b, _k, _m] = _sign
+    _NABLA_F[_a, _b, _m, _k] = -_sign
 
 
 def nabla_f_coeffs(gamma: np.ndarray) -> np.ndarray:
@@ -92,9 +99,7 @@ def nabla_f_coeffs(gamma: np.ndarray) -> np.ndarray:
     (..., 2, 3, 3).  Valid in any adapted orthonormal frame; at a
     normal-frame centre the entries reduce to shape-operator combinations.
     """
-    g = np.asarray(gamma, dtype=float)[..., :2, :4, :4]
-    lead = g.shape[:-2]
-    return (g.reshape(lead + (16,)) @ _NABLA_F.reshape(9, 16).T).reshape(lead + (3, 3))
+    return frame_table(gamma, _NABLA_F)
 
 
 # The forms as signed index tables: rows (0-based indices, sign) of the

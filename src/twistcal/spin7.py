@@ -14,6 +14,11 @@ s_4 = 1/4 gamma(f^3) s_1} of V_-, built from the self-dual 2-forms
     f^1 = e^1^e^2 + nu^3^nu^4,  f^2 = e^1^nu^3 - e^2^nu^4,
     f^3 = e^1^nu^4 + e^2^nu^3.
 
+The spin connection preserves S_-, so the tangent bases and the dbar criterion
+work in (s_1, .., s_4) components, through one (2, 4, 4) table linear in Gamma
+(``SpinorFrame.connection``); in every gauge J_- = -Gamma has the matrix
+[[0, 1], [-1, 0]] on (s_3, s_4), applied as its transpose to rows (``_J_MINUS``).
+
 The total tangent space at a bundle point is modelled on an 8-dim space with
 ordered basis (e_1, e_2, nu_3, nu_4, s_1, s_2, s_3, s_4); the metric weights
 are u^2 on the horizontal and v^2 on the vertical block, and the 4-form
@@ -46,15 +51,15 @@ with eta and Phi restricted to the unit fibre slots s_1, s_2 (``lifted_cayley_re
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DomainError
 from .octonion import left_mult_matrix, oct_mul, standard_pinor_context
 from .submanifold import AdaptedFramePoint
-from .g2 import (UNIT_PROFILE, SectionData, antisymmetrise, lifted_basis, outer_pairs, per_point,
-                 plane_coords, scaled_rows, unit_tensor)
+from .g2 import (UNIT_PROFILE, SectionData, antisymmetrise, frame_table, lifted_basis, outer_pairs,
+                 per_point, plane_coords, scaled_rows, unit_tensor)
 from .numerics import Profile, row_norms
 
 __all__ = [
@@ -83,6 +88,7 @@ _GF = (
 _GG = np.array([[gk @ gl for gl in _G] for gk in _G])  # _GG[k, l] = gamma^k gamma^l
 _GAMMA_OP = _G[0] @ _G[1]  # = gamma(nu^3)gamma(nu^4) on S_-
 _P_MINUS = _CTX.projectors()[1]
+_J_MINUS = np.array([[0.0, -1.0], [1.0, 0.0]])  # J_- = -Gamma on (s_3, s_4) components, as a right factor
 
 
 def gamma_f_matrix(k: int) -> np.ndarray:
@@ -96,10 +102,17 @@ class SpinorFrame:
 
     s: np.ndarray  # (4, 8) rows s_1..s_4
 
-    def components(self, spinor: np.ndarray) -> np.ndarray:
-        """Coefficients of an S_- spinor (8,), or of a stack (..., 8), against
-        (s_1, .., s_4)."""
-        return np.asarray(spinor, dtype=float) @ self.s.T
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """T[k, l, j, m] = 1/4 s_j . gamma^k gamma^l s_m, built once per frame and read-only."""
+        out = 0.25 * np.einsum("ja,klab,mb->kljm", self.s, _GG, self.s)
+        out.flags.writeable = False
+        return out
+
+    def connection(self, gamma: np.ndarray) -> np.ndarray:
+        """The spin connection in s-components, [..., i, j, m] = s_j . omega_i s_m, as
+        (2, 4, 4), or (..., 2, 4, 4) for a stack of ``gamma``; see ``spin_connection_ops``."""
+        return frame_table(gamma, self._table)
 
 
 def spinor_frames(s1=None) -> SpinorFrame:
@@ -112,8 +125,7 @@ def spinor_frames(s1=None) -> SpinorFrame:
     """
     if s1 is None:
         return _default_spinor_frames()
-    s1 = np.asarray(s1, dtype=float)
-    s1 = _P_MINUS @ s1
+    s1 = _P_MINUS @ np.asarray(s1, dtype=float)
     # keep the part where Gamma acts as j_L (left multiplication by e^1 e^2):
     # j_L^T Gamma is an involution on S_-, and (1 + j_L^T Gamma)/2 projects
     # onto its +1 eigenspace V_+
@@ -123,10 +135,7 @@ def spinor_frames(s1=None) -> SpinorFrame:
     if nrm < 1e-12:
         raise DomainError("gauge spinor has no component in V_+")
     s1 = plus / nrm
-    s2 = 0.25 * (_GF[0] @ s1)
-    s3 = 0.25 * (_GF[1] @ s1)
-    s4 = 0.25 * (_GF[2] @ s1)
-    return SpinorFrame(s=np.vstack([s1, s2, s3, s4]))
+    return SpinorFrame(s=np.vstack([s1, *(0.25 * (gf @ s1) for gf in _GF)]))
 
 
 @lru_cache(maxsize=1)
@@ -139,8 +148,7 @@ def _default_spinor_frames() -> SpinorFrame:
 @lru_cache(maxsize=1)
 def _jl_matrix() -> np.ndarray:
     """Left multiplication by the unit imaginary quaternion e^1 e^2."""
-    jl = oct_mul(_CTX.embed[0], _CTX.embed[1])
-    return left_mult_matrix(jl)
+    return left_mult_matrix(oct_mul(_CTX.embed[0], _CTX.embed[1]))
 
 
 def spin_connection_ops(gamma: np.ndarray) -> np.ndarray:
@@ -150,9 +158,7 @@ def spin_connection_ops(gamma: np.ndarray) -> np.ndarray:
     In the frame trivialisation a spinor field s(u) differentiates as
     nabla_{e_i} s = d s(e_i) + omega_i s.
     """
-    g = np.asarray(gamma, dtype=float)[..., :2, :4, :4]
-    lead = g.shape[:-2]
-    return 0.25 * (g.reshape(lead + (16,)) @ _GG.reshape(16, 64)).reshape(lead + (8, 8))
+    return 0.25 * frame_table(gamma, _GG)
 
 
 def nabla_gamma_ops(gamma: np.ndarray) -> np.ndarray:
@@ -171,15 +177,9 @@ def lemma_residual(gamma: np.ndarray, spinor: np.ndarray, bundle_sign: int) -> f
     """
     if bundle_sign not in (+1, -1):
         raise DomainError("bundle_sign must be +1 or -1")
-    omegas = spin_connection_ops(gamma)
-    ngs = nabla_gamma_ops(gamma)
-    jl = _jl_matrix()
-    total = 0.0
-    for i in range(2):
-        lhs = omegas[i] @ spinor
-        rhs = -0.5 * bundle_sign * (jl @ (ngs[i] @ spinor))
-        total += float(np.linalg.norm(lhs - rhs))
-    return total
+    lhs = spin_connection_ops(gamma) @ spinor
+    rhs = -0.5 * bundle_sign * (nabla_gamma_ops(gamma) @ spinor) @ _jl_matrix().T
+    return float(np.sum(np.linalg.norm(lhs - rhs, axis=-1)))
 
 
 # -- the Cayley form --------------------------------------------------------------
@@ -222,13 +222,13 @@ def tangent_basis_v_plus(
     """
     t = np.asarray(t, dtype=float)
     fdim = t.ndim - 1
-    s = frame.s
-    omegas = per_point(spin_connection_ops(point.gamma), fdim, 3)
-    a, b = (per_point(x, fdim)[..., None] for x in (sec.a, sec.b))
-    fiber_spinor = t[..., 0, None] * s[0] + t[..., 1, None] * s[1] + a * s[2] + b * s[3]
-    da, db = (per_point(x, fdim, 1)[..., None] for x in (sec.da, sec.db))
-    vert_oct = da * s[2] + db * s[3] + (omegas @ fiber_spinor[..., None, :, None])[..., 0]
-    return lifted_basis(frame.components(vert_oct), CAYLEY_SLOTS, 8)
+    conn = per_point(frame.connection(point.gamma), fdim, 3)
+    # in s-components: (0, 0, da_i, db_i) + omega_i (t_1, t_2, a, b)
+    psi = per_point(np.stack([sec.a, sec.b], axis=-1), fdim, 1)
+    fiber = np.concatenate(np.broadcast_arrays(t, psi), axis=-1)
+    vert = (conn @ fiber[..., None, :, None])[..., 0]
+    vert[..., 2:] += per_point(np.stack([sec.da, sec.db], axis=-1), fdim, 2)
+    return lifted_basis(vert, CAYLEY_SLOTS, 8)
 
 
 # summand pair p of eta has head vector p and the cross product of the other
@@ -312,15 +312,8 @@ def dbar_vminus_residual(gamma: np.ndarray, frame: SpinorFrame, sec: SectionData
     The complex structure on V_- is J_- = -Gamma; the V_- part of the spin
     connection supplies the frame-correction terms away from normal centres.
     """
-    s = frame.s
-    omegas = spin_connection_ops(gamma)
-    a, b = (np.asarray(x, dtype=float)[..., None] for x in (sec.a, sec.b))
-    psi_oct = a * s[2] + b * s[3]
-    da, db = (np.asarray(x, dtype=float)[..., None] for x in (sec.da, sec.db))
-    full = da * s[2] + db * s[3] + (omegas @ psi_oct[..., None, :, None])[..., 0]
-    comps = frame.components(full)
-    # V_- parts of the two derivatives
-    grads = comps[..., 2, None] * s[2] + comps[..., 3, None] * s[3]
-    j_minus = -_GAMMA_OP
-    comps = frame.components(grads[..., 0, :] + grads[..., 1, :] @ j_minus.T)
-    return comps[..., 2][()], comps[..., 3][()]
+    # the V_- parts of (0, 0, da_i, db_i) + omega_i (0, 0, a, b) in s-components
+    psi = np.stack(np.broadcast_arrays(0.0, 0.0, sec.a, sec.b), axis=-1)
+    grads = (frame.connection(gamma) @ psi[..., None, :, None])[..., 2:, 0] + np.stack([sec.da, sec.db], axis=-1)
+    comps = grads[..., 0, :] + grads[..., 1, :] @ _J_MINUS
+    return comps[..., 0][()], comps[..., 1][()]

@@ -56,7 +56,7 @@ def _parse_params(blob: str) -> dict:
         return params
     for item in blob.split(","):
         if not item:
-            continue
+            raise ConfigError(f"empty parameter in {blob!r}")
         if "=" not in item:
             raise ConfigError(f"malformed parameter {item!r} (expected key=value)")
         key, val = item.split("=", 1)

@@ -405,6 +405,36 @@ def spin_connection_ops_loop(gamma: np.ndarray) -> np.ndarray:
     return out
 
 
+def spinor_route_basis_v_plus(point, frame, sec, t) -> np.ndarray:
+    """``spin7.tangent_basis_v_plus`` through the 8-dimensional spinors, as it was computed
+    before the s-component table: the (..., 2, 8, 8) operators omega_i on the fibre spinor,
+    and the result projected back on (s_1, .., s_4)."""
+    t = np.asarray(t, dtype=float)
+    fdim = t.ndim - 1
+    s = frame.s
+    omegas = g2.per_point(spin7.spin_connection_ops(point.gamma), fdim, 3)
+    a, b = (g2.per_point(x, fdim)[..., None] for x in (sec.a, sec.b))
+    fiber_spinor = t[..., 0, None] * s[0] + t[..., 1, None] * s[1] + a * s[2] + b * s[3]
+    da, db = (g2.per_point(x, fdim, 1)[..., None] for x in (sec.da, sec.db))
+    vert_oct = da * s[2] + db * s[3] + (omegas @ fiber_spinor[..., None, :, None])[..., 0]
+    return g2.lifted_basis(vert_oct @ s.T, spin7.CAYLEY_SLOTS, 8)
+
+
+def spinor_route_dbar_vminus(gamma, frame, sec):
+    """``spin7.dbar_vminus_residual`` through the 8-dimensional spinors, as it was computed
+    before the s-component table, with J_- = -Gamma as an (8, 8) operator."""
+    s = frame.s
+    omegas = spin7.spin_connection_ops(gamma)
+    a, b = (np.asarray(x, dtype=float)[..., None] for x in (sec.a, sec.b))
+    psi_oct = a * s[2] + b * s[3]
+    da, db = (np.asarray(x, dtype=float)[..., None] for x in (sec.da, sec.db))
+    comps = (da * s[2] + db * s[3] + (omegas @ psi_oct[..., None, :, None])[..., 0]) @ s.T
+    grads = comps[..., 2, None] * s[2] + comps[..., 3, None] * s[3]
+    j_minus = -spin7._GAMMA_OP
+    comps = (grads[..., 0, :] + grads[..., 1, :] @ j_minus.T) @ s.T
+    return comps[..., 2], comps[..., 3]
+
+
 def nabla_gamma_ops_loop(gamma: np.ndarray) -> np.ndarray:
     g = standard_pinor_context().gammas
     out = np.zeros((2, 8, 8))

@@ -168,6 +168,26 @@ def test_lifted_residuals_equal_the_dense_ones_with_unit_fibre_vectors(seed):
     assert all(np.ndim(x) == 0 for x in one)
 
 
+# g2 slot k goes to spin7 slot _G2_SLOTS[k] with the sign _G2_SIGNS[k], so that the Cayley
+# form on R (+) R^7 is e^0 ^ phi - psi (Harvey and Lawson, Acta Math. 148 (1982), Ch. IV;
+# the minus sign on psi is the orientation of the negative spinor bundle)
+_G2_SLOTS = (1, 2, 4, 7, 3, 5, 6)
+_G2_SIGNS = (1, 1, 1, 1, 1, -1, 1)
+
+
+def test_cayley_table_is_e0_wedge_phi_minus_psi():
+    # exact on the +-1 tensors: each of the 14 Phi entries is tied to one of the 7 + 7
+    # phi, psi entries, so a sign flip in any table fails, also where no lifted basis reaches
+    carry = np.zeros((8, 7))
+    carry[_G2_SLOTS, range(7)] = _G2_SIGNS
+    phi = np.einsum("ai,bj,ck,ijk->abc", carry, carry, carry, g2.unit_tensor(g2.PHI_TABLE, 7))
+    psi = np.einsum("ai,bj,ck,dl,ijkl->abcd", carry, carry, carry, carry, g2.unit_tensor(g2.PSI_TABLE, 7))
+    # (e^0 ^ phi)(v_0, .., v_3) = sum_p (-1)^p e^0(v_p) phi(the other three)
+    e0_phi = np.multiply.outer(np.eye(8)[0], phi)
+    wedge = sum((-1) ** p * np.moveaxis(e0_phi, 0, p) for p in range(4))
+    assert np.array_equal(g2.unit_tensor(spin7.PHI_TABLE, 8), wedge - psi)
+
+
 def test_spin_connection_ops_match_loops():
     rng = rng_for(25)
     for _ in range(10):

@@ -252,6 +252,39 @@ def test_table_flags_end_in_a_verdict_or_one_config_error(name, samples, seed):
     assert line.endswith(" -> PASS\n" if code == 0 else " -> FAIL\n")
 
 
+# an empty item of a key=value list, leading, trailing or between two commas, is
+# one config error, given by a flag or by a --config key; the list without it runs
+EMPTY_ITEMS = [
+    ("spin7-cayley", "profile", "u=2,", "u=2"),
+    ("spin7-cayley", "profile", ",u=2,v=0.5", "u=2,v=0.5"),
+    ("g2-associative", "profile", "u=2,,v=0.5", "u=2,v=0.5"),
+    ("stenzel-lagrangian", "profile", "vp=2,", "vp=2"),
+    ("spin7-cayley", "section", "const:re=0.4,", "const:re=0.4"),
+    ("spin7-cayley", "section", "const:re=0.4,,", "const:re=0.4"),
+    ("spin7-cayley", "section", "const:,re=0.4", "const:re=0.4"),
+    ("g2-associative", "section", "sinphi:C=1,,D=0", "sinphi:C=1,D=0"),
+    ("g2-coassociative", "section", "const:c=2,", "const:c=2"),
+    ("stenzel-lagrangian", "mu", "0.3e1,", "0.3e1"),
+]
+
+
+@pytest.mark.parametrize("suite, key, spec, whole", EMPTY_ITEMS)
+def test_an_empty_item_is_one_config_error(suite, key, spec, whole):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "suite.cfg")
+        for value in (whole, spec):
+            with open(config, "w") as fh:
+                fh.write(f"samples=1\n{key}={value}\n")
+            for argv in (["verify", suite, "--samples=1", f"--{key}={value}"], ["verify", suite, "--config", config]):
+                code, _, err = _run(argv)
+                if value == whole:
+                    assert code in (0, 1) and err == "", argv
+                else:
+                    assert code == 2, argv
+                    _assert_config_error_line(err)
+                    assert key == "mu" or "empty parameter" in err, err
+
+
 # a value that each flag of a command accepts, None for a flag that takes none;
 # CFG stands for a config file and OUT for a writable path
 WHOLE_FLAGS = {

@@ -17,7 +17,7 @@ from twistcal.spin7 import (
     spinor_frames,
     tangent_basis_v_plus,
 )
-from twistcal.submanifold import adapted_frame, get_chart, rotate_frame_field, with_normal_frame
+from twistcal.submanifold import adapted_frame, chart_names, get_chart, rotate_frame_field, with_normal_frame
 
 from conftest import (
     cayley_model_form,
@@ -26,6 +26,8 @@ from conftest import (
     cross3,
     multivector_of,
     rng_for,
+    spinor_route_basis_v_plus,
+    spinor_route_dbar_vminus,
 )
 
 _CTX = standard_pinor_context()
@@ -144,10 +146,10 @@ def test_nabla_gamma_interchanges_eigenbundles():
         ngs = nabla_gamma_ops(point.gamma)
         for i in range(2):
             for a in range(2):  # V_+ basis
-                comps = sf.components(ngs[i] @ sf.s[a])
+                comps = ngs[i] @ sf.s[a] @ sf.s.T
                 assert np.max(np.abs(comps[:2])) < 1e-6
             for a in range(2, 4):  # V_- basis
-                comps = sf.components(ngs[i] @ sf.s[a])
+                comps = ngs[i] @ sf.s[a] @ sf.s.T
                 assert np.max(np.abs(comps[2:])) < 1e-6
 
 
@@ -171,6 +173,61 @@ def test_totally_geodesic_normal_centre_has_flat_spin_data():
     point = adapted_frame(with_normal_frame(chart, u0), u0)
     assert np.max(np.abs(spin_connection_ops(point.gamma))) < 1e-6
     assert np.max(np.abs(nabla_gamma_ops(point.gamma))) < 1e-6
+
+
+# -- the spin connection in (s_1, .., s_4) components ---------------------------------------
+
+# twists of every kind that varies over the chart, and a constant one
+SPINOR_ROUTE_TWISTS = (
+    make_section_family("const", re=0.4, im=-0.7),
+    make_section_family("sinphi", C=1.0, D=0.3),
+    make_section_family("equatorial-hol", coeffs=[0.3, -0.5j, 0.2 + 0.1j]),
+    make_section_family("veronese-strip", coeffs={-1: 0.4 + 0.2j, 2: -0.3j}),
+)
+
+
+@pytest.mark.parametrize("name", chart_names())
+def test_s_components_equal_the_8_dimensional_route_bit_for_bit(name):
+    chart = get_chart(name)
+    frames = adapted_frame(chart, chart.sample(rng_for(31), 1000))
+    sf = spinor_frames()
+    fibers = np.array([[0.4, -1.1], [1.3, 0.2], [-0.6, 0.9]])
+    # on the default frame omega_i s_m has no component outside span(s), exactly
+    conn = sf.connection(frames.gamma)
+    assert np.array_equal(spin_connection_ops(frames.gamma) @ sf.s.T, sf.s.T @ conn)
+    for family in SPINOR_ROUTE_TWISTS:
+        sec = g2.section_data(family, frames)
+        assert np.array_equal(tangent_basis_v_plus(frames, sf, sec, fibers),
+                              spinor_route_basis_v_plus(frames, sf, sec, fibers))
+        for new, old in zip(dbar_vminus_residual(frames.gamma, sf, sec),
+                            spinor_route_dbar_vminus(frames.gamma, sf, sec)):
+            assert np.array_equal(new, old)
+        for i in range(3):
+            point, sec_i = frames[i], g2.section_data(family, frames[i])
+            assert np.array_equal(tangent_basis_v_plus(point, sf, sec_i, fibers[i]),
+                                  spinor_route_basis_v_plus(point, sf, sec_i, fibers[i]))
+            assert dbar_vminus_residual(point.gamma, sf, sec_i) == spinor_route_dbar_vminus(point.gamma, sf, sec_i)
+
+
+def test_connection_is_s_omega_s_transpose_in_every_gauge():
+    chart = get_chart("veronese")
+    rng = rng_for(32)
+    gamma = adapted_frame(chart, chart.sample(rng, 50)).gamma
+    omegas = spin_connection_ops(gamma)
+    scale = np.max(np.abs(omegas))
+    for _ in range(5):
+        sf = spinor_frames(rng.standard_normal(8))
+        conn = sf.connection(gamma)
+        assert conn.shape == (50, 2, 4, 4)
+        assert np.max(np.abs(conn - sf.s @ omegas @ sf.s.T)) <= 1e-15 * scale
+        # omega_i s_m = sum_j conn[i, j, m] s_j: nothing leaks out of S_-
+        assert np.max(np.abs(omegas @ sf.s.T - sf.s.T @ conn)) <= 1e-15 * scale
+        # J_- = -Gamma is the same right factor on (s_3, s_4) components in every gauge
+        j_minus = sf.s[2:] @ -spin7._GAMMA_OP @ sf.s[2:].T
+        assert np.max(np.abs(j_minus.T - spin7._J_MINUS)) <= 1e-15
+        # the frame's table is built once and read-only
+        assert sf._table is sf._table and not sf._table.flags.writeable
+    assert spinor_frames()._table is spinor_frames()._table
 
 
 # -- Cayley model form ----------------------------------------------------------------
@@ -282,7 +339,7 @@ def test_tangent_basis_matches_independent_fd_of_coefficients():
         db = (gp.imag - gm.imag) / (2 * h)
         fiber = t[0] * sf.s[0] + t[1] * sf.s[1] + sec.a * sf.s[2] + sec.b * sf.s[3]
         vert = da * sf.s[2] + db * sf.s[3] + omegas[i] @ fiber
-        assert np.max(np.abs(e[4:] - sf.components(vert))) < 1e-5
+        assert np.max(np.abs(e[4:] - vert @ sf.s.T)) < 1e-5
 
 
 def test_cayley_zero_section_minimal_bases():
@@ -434,9 +491,9 @@ def test_dbar_vminus_matches_fd_of_covariant_derivative():
             full = da[0] * sf.s[2] + da[1] * sf.s[3] + omegas[i] @ (
                 sec.a * sf.s[2] + sec.b * sf.s[3]
             )
-            comps = sf.components(full)
+            comps = full @ sf.s.T
             grads.append(comps[2] * sf.s[2] + comps[3] * sf.s[3])
         total = grads[0] + (-spin7._GAMMA_OP) @ grads[1]
-        comps = sf.components(total)
+        comps = total @ sf.s.T
         assert c3 == pytest.approx(comps[2], abs=1e-6)
         assert c4 == pytest.approx(comps[3], abs=1e-6)
