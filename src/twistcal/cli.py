@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, TwistcalError
 from .numerics import in_blocks
 from .report import SuiteConfig, check_samples, check_seed, emit
-from .suites import run_suite, suite_names
+from .suites import SUITES, run_suite, suite_names
 
 # Each verify key, as a config-file line and as a flag: the keyword arguments
 # of its flag, from which the file reader takes the type (str by default).
@@ -131,14 +131,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     flags = {key: getattr(args, key) for key in _CONFIG_KEYS if getattr(args, key) is not None}
-    values = {"suite": args.suite}
-    # mu is the Stenzel suite's spelling of section: it is resolved within each
-    # source, so that a flag overrides a file line of either spelling
+    values, suite = {"suite": args.suite}, SUITES.get(args.suite)
+    # mu is a suite's spelling of section, resolved within each source so that a flag
+    # overrides a file line of either spelling; run_suite names an unknown suite
     for source, given in ((args.config, _read_config_file(args.config) if args.config else {}),
                           ("command line", flags)):
         if "mu" in given:
-            if args.suite != "stenzel-lagrangian":
-                raise ConfigError(f"{source}: mu only applies to the stenzel-lagrangian suite")
+            if suite and not suite.takes_mu:
+                takers = " and ".join(name for name, known in SUITES.items() if known.takes_mu)
+                raise ConfigError(f"{source}: mu only applies to the {takers} suite")
             if "section" in given:
                 raise ConfigError(f"{source}: the twist is given more than once, as mu and as section")
             given["section"] = given.pop("mu")

@@ -8,6 +8,9 @@ and some criterion are both at or above it, and MIXED when one side is below
 it and the other not.  A MIXED point contradicts the equivalence under test
 or shows that a side's numerical error has reached the tolerance.
 
+Each suite is declared once, as a :class:`Suite` record in ``SUITES``; other
+code reads its fields by name and compares no suite name.
+
 ``run_suite`` parses a job once, before any arithmetic, and reports its first
 bad input in this order: the config's own values, the suite, the chart, a
 ``--fiber`` that does not apply, the profile, the twist, the fibre tuples and
@@ -22,7 +25,9 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +40,7 @@ from .g2 import UNIT_PROFILE
 from .numerics import Profile, in_blocks, strict_arithmetic
 from .stenzel import DEFAULT_PROFILE, constant_mu
 
-__all__ = ["run_suite", "suite_names", "parse_section_spec", "parse_profile_spec"]
+__all__ = ["SUITES", "Suite", "run_suite", "suite_names", "parse_section_spec", "parse_profile_spec"]
 
 
 def _parse_number(text: str, what: str) -> float:
@@ -69,7 +74,7 @@ def _parse_params(blob: str) -> dict:
 
 def parse_section_spec(spec: str):
     """The kind and the parameters of "kind" or "kind:key=value,key=value"."""
-    spec = (spec or "zero").strip()
+    spec = (spec or "").strip() or "zero"
     kind, _, blob = spec.partition(":")
     return kind, _parse_params(blob)
 
@@ -81,14 +86,14 @@ def parse_mu_spec(config: SuiteConfig, chart: ImmersionChart) -> np.ndarray:
     """The (q,) coefficients of mu on ``chart`` from ``config.section``: "<coeff>e<index>" for
     coeff * e^index; "zero" or any number equal to zero ("0", "0.0", "-0") for the zero form.
     The pattern is tried first, because "0.3e1" is also a float literal."""
-    spec, q = (config.section or "zero").strip(), chart.q
+    spec, q = (config.section or "").strip() or "zero", chart.q
     match = _MU_PATTERN.match(spec)
     if not match:
         try:
             value = float(spec)
         except ValueError:
             value = math.nan
-        if spec in ("zero", "") or value == 0.0:
+        if spec == "zero" or value == 0.0:
             return constant_mu(np.zeros(q))
         if math.isfinite(value):
             raise ConfigError(f"mu spec {spec!r} needs an index, e.g. 1.5e1")
@@ -103,30 +108,34 @@ def parse_mu_spec(config: SuiteConfig, chart: ImmersionChart) -> np.ndarray:
     return constant_mu(coeffs)
 
 
+@dataclass(frozen=True)
+class ProfileGrammar:
+    """A suite's ``--profile`` spellings: presets by name, two constant keys, the noun of its positivity error."""
+    presets: dict
+    keys: tuple
+    noun: str
+
+
+_STENZEL_PROFILES = ProfileGrammar({"unit": DEFAULT_PROFILE}, ("vp", "vpp"), "derivatives")
+_LINEAR = Profile(lambda r: 1.0 + r, lambda r: 1.0 + 2.0 * r)
+_WEIGHT_PROFILES = ProfileGrammar({"unit": UNIT_PROFILE, "linear": _LINEAR}, ("u", "v"), "weights u, v")
+
+
 def parse_profile_spec(spec: str, suite: str):
-    """The metric profile that ``suite`` reads, from a preset or constants.
-
-    stenzel-lagrangian: "unit" -> the default positive Stenzel derivatives,
-                        "vp=..,vpp=.." -> constants
-    the other suites:   "unit" -> u = v = 1, "linear" -> u = 1 + r,
-                        v = 1 + 2r, "u=..,v=.." -> constants
-
-    A key or preset that the suite does not read is rejected, not ignored.
-    """
-    spec = (spec or "unit").strip()
-    stenzel_suite = suite == "stenzel-lagrangian"
-    if spec == "unit":
-        return DEFAULT_PROFILE if stenzel_suite else UNIT_PROFILE
-    if spec == "linear":
-        if stenzel_suite:
-            raise ConfigError(f"profile 'linear' does not apply to {suite}; use unit or vp=..,vpp=..")
-        return Profile(lambda r: 1.0 + r, lambda r: 1.0 + 2.0 * r)
-    keys, what = (("vp", "vpp"), "derivatives") if stenzel_suite else (("u", "v"), "weights u, v")
+    """The metric profile that ``suite`` reads, from a preset or constants for its two keys (an absent
+    one reads 1).  A key or preset that the suite does not read is rejected, not ignored."""
+    grammar = SUITES[suite].profile
+    spec = (spec or "").strip() or "unit"
+    if spec in grammar.presets:
+        return grammar.presets[spec]
+    if any(spec in other.profile.presets for other in SUITES.values()):
+        raise ConfigError(f"profile {spec!r} does not apply to {suite}; "
+                          f"use {' or '.join(grammar.presets)} or {'=..,'.join(grammar.keys)}=..")
     params = _parse_params(spec)
-    check_keys(f"{suite} profile", params, keys)
-    values = [params.get(key, 1.0) for key in keys]
+    check_keys(f"{suite} profile", params, grammar.keys)
+    values = [params.get(key, 1.0) for key in grammar.keys]
     if any(x <= 0 for x in values):
-        raise ConfigError(f"profile {what} must be positive")
+        raise ConfigError(f"profile {grammar.noun} must be positive")
     return Profile(*values)
 
 
@@ -134,7 +143,7 @@ def _parse_fiber_list(spec: str, width: int, default):
     """Semicolon-separated fibre tuples, e.g. "-2;0;1.5" or "1,0;0,1", as an
     (F, width) array."""
     if not spec:
-        return np.array(default, dtype=float).reshape(-1, width)
+        return np.array(default, dtype=float)
     out = []
     for chunk in spec.split(";"):
         vals = [_parse_number(x, "fiber entry") for x in chunk.split(",")]
@@ -283,46 +292,56 @@ def _spin7(frames, bs_profile, family, fibers):
     return {"cayley": cayley, "calibration_gap": gap}, criteria
 
 
-# Each suite's runner, twist parser (taking config and chart), fibre-tuple width and
-# the tuples it runs without a --fiber; width 0: it samples its fibres, takes no --fiber.
-_SUITES = {
-    "stenzel-lagrangian": (_run_stenzel, parse_mu_spec, 0, ()),
-    "g2-associative": (partial(_run_pairs, columns=_g2_associative), _section_family_for, 1, (-2.0, 0.0, 1.5)),
-    "g2-coassociative": (partial(_run_pairs, columns=_g2_coassociative), _eta_family_for, 2,
-                         ((0.7, -1.2), (1.5, 0.4), (0.3, 0.9))),
-    "spin7-cayley": (partial(_run_pairs, columns=_spin7), _section_family_for, 2,
-                     ((0.0, 0.0), (1.0, -2.0), (0.8, 0.5))),
+@dataclass(frozen=True)
+class Suite:
+    """What sets a registered suite apart."""
+    runner: Callable  # (config, chart, profile, twist, fibers) -> VerificationReport
+    parse_twist: Callable  # (config, chart) -> the twist
+    takes_mu: bool  # whether mu spells its twist
+    profile: ProfileGrammar
+    fiber_width: int = 0  # entries of a fibre tuple; 0: it samples its fibres and takes no --fiber
+    default_fibers: tuple = ()  # the tuples it runs without a --fiber
+
+
+SUITES = {
+    "stenzel-lagrangian": Suite(_run_stenzel, parse_mu_spec, True, _STENZEL_PROFILES),
+    "g2-associative": Suite(partial(_run_pairs, columns=_g2_associative), _section_family_for, False,
+                            _WEIGHT_PROFILES, 1, ((-2.0,), (0.0,), (1.5,))),
+    "g2-coassociative": Suite(partial(_run_pairs, columns=_g2_coassociative), _eta_family_for, False,
+                              _WEIGHT_PROFILES, 2, ((0.7, -1.2), (1.5, 0.4), (0.3, 0.9))),
+    "spin7-cayley": Suite(partial(_run_pairs, columns=_spin7), _section_family_for, False,
+                          _WEIGHT_PROFILES, 2, ((0.0, 0.0), (1.0, -2.0), (0.8, 0.5))),
 }
 
 
 def suite_names() -> list[str]:
-    return sorted(_SUITES)
+    return sorted(SUITES)
 
 
 def _parse_job(config: SuiteConfig):
     """(chart, profile, twist, fibers) of a job, parsed in the order of the
     module docstring; ``fibers`` is None for a suite that samples its own."""
     config.validate()
-    if config.suite not in _SUITES:
+    suite = SUITES.get(config.suite)
+    if suite is None:
         raise ConfigError(f"unknown suite {config.suite!r}; have {suite_names()}")
-    _, parse_twist, width, default = _SUITES[config.suite]
     try:
         chart = get_chart(config.chart)
     except TwistcalError as exc:
         raise ConfigError(str(exc)) from None
-    if config.fiber and not width:
+    if config.fiber and not suite.fiber_width:
         raise ConfigError(f"fiber does not apply to the {config.suite} suite, "
                           "which samples its fibre coordinates")
     profile = parse_profile_spec(config.profile, config.suite)
-    twist = parse_twist(config, chart)
-    fibers = _parse_fiber_list(config.fiber, width, default) if width else None
-    check_samples(config.samples, len(fibers) if width else 1)
+    twist = suite.parse_twist(config, chart)
+    fibers = _parse_fiber_list(config.fiber, suite.fiber_width, suite.default_fibers) if suite.fiber_width else None
+    check_samples(config.samples, 1 if fibers is None else len(fibers))
     return chart, profile, twist, fibers
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run a registered suite; deterministic for a fixed config and seed."""
-    inputs, runner = _parse_job(config), _SUITES[config.suite][0]
+    inputs, runner = _parse_job(config), SUITES[config.suite].runner
     with strict_arithmetic(f"suite {config.suite!r}") as log:
         report = runner(config, *inputs)
         # a row reads only its own sample and fibre, so the first non-finite row is the

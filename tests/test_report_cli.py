@@ -25,11 +25,13 @@ from twistcal.stenzel import DEFAULT_PROFILE, lagrangian_columns
 from twistcal.submanifold import get_chart
 from twistcal.suites import (
     MAX_COEFF_INDEX,
+    SUITES,
     _parse_job,
     parse_mu_spec,
     parse_profile_spec,
     parse_section_spec,
     run_suite,
+    suite_names,
 )
 
 from conftest import stenzel_job_inputs
@@ -174,6 +176,42 @@ def test_profile_spec_parsing():
         parse_profile_spec("u=2,v=0.5,vp=3,vpp=4", "stenzel-lagrangian")
     with pytest.raises(ConfigError, match=r"allowed: \['u', 'v'\]"):
         parse_profile_spec("u=2,v=0.5,vp=3,vpp=4", "spin7-cayley")
+
+
+@pytest.mark.parametrize("suite", suite_names())
+def test_a_blank_spec_reads_as_an_empty_one(suite):
+    # each spec parser strips before it defaults, so " " is no spec of its own:
+    # it was the Stenzel profile vp=1,vpp=1 and the section kind ''
+    jobs = [SuiteConfig(suite, section=spec, profile=spec, samples=2) for spec in (" ", "")]
+    (chart, blank_profile, blank_twist, _), (_, profile, twist, _) = map(_parse_job, jobs)
+    assert blank_profile is profile is SUITES[suite].profile.presets["unit"]
+    u = chart.sample(np.random.default_rng(0), 3)
+
+    def values(tw):  # a mu is its coefficient array, a section family has values at chart points
+        return tw if isinstance(tw, np.ndarray) else tw.value(u)
+
+    np.testing.assert_array_equal(values(blank_twist), values(twist))
+    blank, empty = map(run_suite, jobs)
+    assert (blank.verdict, blank.aggregates) == (empty.verdict, empty.aggregates)
+
+
+@pytest.mark.parametrize("name", suite_names())
+def test_each_suite_behaves_as_its_record_declares(name, capsys):
+    suite = SUITES[name]
+    assert all(len(fiber) == suite.fiber_width for fiber in suite.default_fibers)
+    argv = ["verify", name, "--samples", "2"]
+    fiber = ",".join(["0.5"] * max(suite.fiber_width, 1))
+    assert (main(argv + ["--fiber=" + fiber]) != 2) == bool(suite.fiber_width)
+    for preset, profile in suite.profile.presets.items():
+        assert parse_profile_spec(preset, name) is profile
+    capsys.readouterr()
+    for key in {key for other in SUITES.values() for key in other.profile.keys} - set(suite.profile.keys):
+        assert main(argv + ["--profile", f"{key}=1"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: unknown {name} profile keys ['{key}']")
+    assert (main(argv + ["--mu", "0"]) != 2) == suite.takes_mu
+    report = run_suite(SuiteConfig(name, samples=2))
+    chart = get_chart(SuiteConfig(name).chart)
+    assert report.t.shape == (2 * max(len(suite.default_fibers), 1), suite.fiber_width or chart.n - chart.q)
 
 
 # -- suite orchestration ---------------------------------------------------------------
@@ -348,14 +386,14 @@ def _count_runner_calls(monkeypatch, suite):
     """A list that gains one entry at each call of ``suite``'s runner."""
     import twistcal.suites as suites
 
-    runner, *rest = suites._SUITES[suite]
+    record = suites.SUITES[suite]
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return runner(*args)
+        return record.runner(*args)
 
-    monkeypatch.setitem(suites._SUITES, suite, (counted, *rest))
+    monkeypatch.setitem(suites.SUITES, suite, dataclasses.replace(record, runner=counted))
     return calls
 
 
@@ -474,6 +512,7 @@ def test_cli_rejects_removed_tolerance_knobs(tmp_path):
 _VERIFY = ["verify", "stenzel-lagrangian", "--chart", "equatorial", "--mu", "0", "--samples", "2"]
 _CAYLEY = ["verify", "spin7-cayley", "--chart", "equatorial", "--samples", "2"]
 _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--samples", "2"]
+_MU_FILE = "MU_FILE"  # stands for a config file whose one line is mu=1e1
 
 
 @pytest.mark.parametrize(
@@ -540,9 +579,16 @@ _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--sa
         (_CAYLEY + ["--section", "equatorial-hol:c1re=1,c1re=2"], "parameter 'c1re' is given more than once"),
         (_CAYLEY + ["--section", "const:re=1, re=2"], "parameter 're' is given more than once"),
         (_CAYLEY + ["--profile", "u=1,u=2"], "parameter 'u' is given more than once"),
+        # a mu, from either source, does not hide that the suite is unknown
+        (["verify", "bogus", "--mu", "1e1"], "unknown suite 'bogus'"),
+        (["verify", "bogus", "--config", _MU_FILE], "unknown suite 'bogus'"),
     ],
 )
-def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys):
+def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys, tmp_path):
+    if _MU_FILE in argv:
+        mu_file = tmp_path / "mu.cfg"
+        mu_file.write_text("mu=1e1\n")
+        argv = [str(mu_file) if arg == _MU_FILE else arg for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
