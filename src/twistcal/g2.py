@@ -131,11 +131,10 @@ def antisymmetrise(table, dim: int, u: float, v: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def unit_tensor(table, dim: int, on_pairs: bool = False) -> np.ndarray:
+def unit_tensor(table, dim: int) -> np.ndarray:
     """The unit-weight dense tensor of a signed index table, built once per
-    table and read-only; ``on_pairs`` keeps its first two slots at the pairs a < b only."""
+    table and read-only."""
     out = antisymmetrise(table, dim, 1.0, 1.0)
-    out = out[np.triu_indices(dim, 1)] if on_pairs else out
     out.flags.writeable = False
     return out
 
@@ -284,7 +283,7 @@ def lifted_associative_residual(plane, profile: Profile = UNIT_PROFILE, fiber=(0
     ``plane`` (..., 2, 7): |D chi| with chi = v psi_1(k_1, E_1 ^ E_2, .), E D-scaled."""
     vecs, d = scaled_rows(plane, profile, _fibre_radius(fiber))
     (slot,) = ASSOCIATIVE_SLOTS
-    psi = unit_tensor(PSI_TABLE, 7, on_pairs=True)[:, slot]
+    psi = unit_tensor(PSI_TABLE, 7)[PAIRS][:, slot]
     return (d[..., slot] * row_norms(d * (plane_coords(vecs, PAIRS) @ psi)))[()]
 
 
@@ -294,7 +293,7 @@ def lifted_coassociative_residual(plane, profile: Profile = UNIT_PROFILE, fiber=
     v^2 phi_1(E_i, k_2, k_3), E D-scaled."""
     vecs, d = scaled_rows(plane, profile, _fibre_radius(fiber))
     s, t = COASSOCIATIVE_SLOTS
-    planes, line = unit_tensor(PHI_TABLE, 7, on_pairs=True)[:, [s, t]], unit_tensor(PHI_TABLE, 7)[:, s, t]
+    planes, line = unit_tensor(PHI_TABLE, 7)[PAIRS][:, [s, t]], unit_tensor(PHI_TABLE, 7)[:, s, t]
     w = d[..., s, None]
     values = np.concatenate([w * (plane_coords(vecs, PAIRS) @ planes), w * w * (vecs @ line)], axis=-1)
     return np.max(np.abs(values), axis=-1)[()]

@@ -278,14 +278,12 @@ def calibration_gap(e1, e2, f1, f2, profile: Profile = UNIT_PROFILE, fiber_r=0.0
 
 
 @lru_cache(maxsize=None)
-def cayley_kernel(on_pairs: bool = False) -> np.ndarray:
+def cayley_kernel() -> np.ndarray:
     """K[8 a + b, 8 i + j] = eta_1(e_a, e_b, s_1, s_2)[i, j], read-only: _eta_rows
-    on the 64 basis pairs, built once; its entries are exact, in {-2, 0, 2}.
-    ``on_pairs`` keeps its 15 x 28 block from BASE_PAIRS to the pairs i < j."""
+    on the 64 basis pairs, built once; its entries are exact, in {-2, 0, 2}."""
     eye = np.eye(8)
     rows = np.broadcast_arrays(eye[:, None], eye[None, :], *(eye[i] for i in CAYLEY_SLOTS))
     out = _eta_rows(np.stack(rows, axis=2).reshape(64, 4, 8), np.ones((64, 8))).reshape(64, 64)
-    out = out.reshape(8, 8, 8, 8)[BASE_PAIRS][:, _I, _J] if on_pairs else out
     out.flags.writeable = False
     return out
 
@@ -297,9 +295,9 @@ def lifted_cayley_residuals(plane, profile: Profile = UNIT_PROFILE, fiber_r=0.0)
     Phi = v^2 c . Phi_1(., ., s_1, s_2) and vol = v^2 |c|."""
     vecs, d = scaled_rows(plane, profile, fiber_r)
     s, t = CAYLEY_SLOTS
-    eta_table, phi = cayley_kernel(on_pairs=True), unit_tensor(PHI_TABLE, 8)[(*BASE_PAIRS, s, t)]
+    eta_table, phi = cayley_kernel().reshape(8, 8, 8, 8)[BASE_PAIRS], unit_tensor(PHI_TABLE, 8)[(*BASE_PAIRS, s, t)]
     c = plane_coords(vecs, BASE_PAIRS)
-    eta = row_norms(d[..., _I] * d[..., _J] * (c @ eta_table))
+    eta = row_norms(d[..., _I] * d[..., _J] * (c @ eta_table[:, _I, _J]))
     gap = np.abs(np.abs(c @ phi) - np.sqrt(np.sum(c * c, axis=-1)))
     w = d[..., s] ** 2
     return (w * eta)[()], (w * gap)[()]

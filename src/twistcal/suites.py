@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -73,20 +73,19 @@ def _parse_params(blob: str) -> dict:
 
 
 def parse_section_spec(spec: str):
-    """The kind and the parameters of "kind" or "kind:key=value,key=value"."""
-    spec = (spec or "").strip() or "zero"
-    kind, _, blob = spec.partition(":")
+    """The kind and the parameters of "kind" or "kind:key=value,key=value"; "" is "zero"."""
+    kind, _, blob = (spec or "zero").partition(":")
     return kind, _parse_params(blob)
 
 
 _MU_PATTERN = re.compile(r"^([0-9eE.+-]*?)e(\d+)$")
 
 
-def parse_mu_spec(config: SuiteConfig, chart: ImmersionChart) -> np.ndarray:
-    """The (q,) coefficients of mu on ``chart`` from ``config.section``: "<coeff>e<index>" for
-    coeff * e^index; "zero" or any number equal to zero ("0", "0.0", "-0") for the zero form.
+def parse_mu_spec(spec: str, chart: ImmersionChart) -> np.ndarray:
+    """The (q,) coefficients of mu on ``chart``: "<coeff>e<index>" for coeff * e^index;
+    "zero", "" or any number equal to zero ("0", "0.0", "-0") for the zero form.
     The pattern is tried first, because "0.3e1" is also a float literal."""
-    spec, q = (config.section or "").strip() or "zero", chart.q
+    spec, q = spec or "zero", chart.q
     match = _MU_PATTERN.match(spec)
     if not match:
         try:
@@ -123,9 +122,9 @@ _WEIGHT_PROFILES = ProfileGrammar({"unit": UNIT_PROFILE, "linear": _LINEAR}, ("u
 
 def parse_profile_spec(spec: str, suite: str):
     """The metric profile that ``suite`` reads, from a preset or constants for its two keys (an absent
-    one reads 1).  A key or preset that the suite does not read is rejected, not ignored."""
+    one reads 1); "" is "unit".  A key or preset that the suite does not read is rejected, not ignored."""
     grammar = SUITES[suite].profile
-    spec = (spec or "").strip() or "unit"
+    spec = spec or "unit"
     if spec in grammar.presets:
         return grammar.presets[spec]
     if any(spec in other.profile.presets for other in SUITES.values()):
@@ -141,7 +140,7 @@ def parse_profile_spec(spec: str, suite: str):
 
 def _parse_fiber_list(spec: str, width: int, default):
     """Semicolon-separated fibre tuples, e.g. "-2;0;1.5" or "1,0;0,1", as an
-    (F, width) array."""
+    (F, width) array; "" is ``default``."""
     if not spec:
         return np.array(default, dtype=float)
     out = []
@@ -177,10 +176,10 @@ _COEFF_KEYS = {"equatorial-hol": (r"c(\d+)(re|im)", " (expected c<i>re or c<i>im
                "veronese-strip": (r"k(-?\d+)(re|im)", "")}
 
 
-def _section_family_for(config: SuiteConfig, chart: ImmersionChart):
+def _section_family_for(spec: str, chart: ImmersionChart):
     """The section family of a --section spec, alike on every chart; each equatorial-hol
     or veronese-strip key adds its value to the real or imaginary part of one of the ``coeffs``."""
-    kind, params = parse_section_spec(config.section)
+    kind, params = parse_section_spec(spec)
     if kind not in _COEFF_KEYS:
         return make_section_family(kind, **params)
     pattern, expected = _COEFF_KEYS[kind]
@@ -199,8 +198,8 @@ def _section_family_for(config: SuiteConfig, chart: ImmersionChart):
     return make_section_family(kind, coeffs=[coeffs.get(i, 0.0) for i in range(degree + 1)])
 
 
-def _eta_family_for(config: SuiteConfig, chart: ImmersionChart):
-    kind, params = parse_section_spec(config.section)
+def _eta_family_for(spec: str, chart: ImmersionChart):
+    kind, params = parse_section_spec(spec)
     eta = make_eta_family(kind, **params)
     axis = params.get("axis", 1)
     if kind == "coord" and axis > chart.q:
@@ -296,7 +295,7 @@ def _spin7(frames, bs_profile, family, fibers):
 class Suite:
     """What sets a registered suite apart."""
     runner: Callable  # (config, chart, profile, twist, fibers) -> VerificationReport
-    parse_twist: Callable  # (config, chart) -> the twist
+    parse_twist: Callable  # (spec, chart) -> the twist
     takes_mu: bool  # whether mu spells its twist
     profile: ProfileGrammar
     fiber_width: int = 0  # entries of a fibre tuple; 0: it samples its fibres and takes no --fiber
@@ -319,8 +318,9 @@ def suite_names() -> list[str]:
 
 
 def _parse_job(config: SuiteConfig):
-    """(chart, profile, twist, fibers) of a job, parsed in the order of the
-    module docstring; ``fibers`` is None for a suite that samples its own."""
+    """(config, chart, profile, twist, fibers) of a job, parsed in the order of the module docstring;
+    ``fibers`` is None for a suite that samples its own.  Each spec is read stripped, so a blank
+    one is the empty one, the suite's default; ``config`` echoes it as "", any other as given."""
     config.validate()
     suite = SUITES.get(config.suite)
     if suite is None:
@@ -329,21 +329,23 @@ def _parse_job(config: SuiteConfig):
         chart = get_chart(config.chart)
     except TwistcalError as exc:
         raise ConfigError(str(exc)) from None
-    if config.fiber and not suite.fiber_width:
+    specs = {key: (getattr(config, key) or "").strip() for key in ("section", "profile", "fiber")}
+    config = replace(config, **{key: "" for key, spec in specs.items() if not spec})
+    if specs["fiber"] and not suite.fiber_width:
         raise ConfigError(f"fiber does not apply to the {config.suite} suite, "
                           "which samples its fibre coordinates")
-    profile = parse_profile_spec(config.profile, config.suite)
-    twist = suite.parse_twist(config, chart)
-    fibers = _parse_fiber_list(config.fiber, suite.fiber_width, suite.default_fibers) if suite.fiber_width else None
+    profile = parse_profile_spec(specs["profile"], config.suite)
+    twist = suite.parse_twist(specs["section"], chart)
+    fibers = _parse_fiber_list(specs["fiber"], suite.fiber_width, suite.default_fibers) if suite.fiber_width else None
     check_samples(config.samples, 1 if fibers is None else len(fibers))
-    return chart, profile, twist, fibers
+    return config, chart, profile, twist, fibers
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run a registered suite; deterministic for a fixed config and seed."""
-    inputs, runner = _parse_job(config), SUITES[config.suite].runner
+    job, runner = _parse_job(config), SUITES[config.suite].runner
     with strict_arithmetic(f"suite {config.suite!r}") as log:
-        report = runner(config, *inputs)
+        report = runner(*job)
         # a row reads only its own sample and fibre, so the first non-finite row is the
         # first broken one; an overflow that no value reads leaves none
         found = log.first and _first_nonfinite(report)

@@ -571,7 +571,7 @@ def pointwise_omega_max(chart, mu_coeffs, u, t, profile=DEFAULT_PROFILE):
 def stenzel_job_inputs(config):
     """(chart, profile, mu, samples, fibers) of a Stenzel suite config, drawn
     as ``suites._run_stenzel`` draws them."""
-    chart, profile, mu, _ = suites._parse_job(config)
+    _, chart, profile, mu, _ = suites._parse_job(config)
     rng = np.random.default_rng(config.seed)
     samples = chart.sample(rng, config.samples)
     fibers = suites._sample_fibers(rng, config.samples, chart.n - chart.q)
@@ -752,7 +752,7 @@ def forms_job_inputs(config):
     """(chart, profile, twist, fibers, samples, frames) of a g2-* or spin7-cayley
     config: the samples drawn as ``suites._run_pairs`` draws them, and their
     adapted frames as one stack."""
-    chart, profile, twist, fibers = suites._parse_job(config)
+    _, chart, profile, twist, fibers = suites._parse_job(config)
     samples = chart.sample(np.random.default_rng(config.seed), config.samples)
     return chart, profile, twist, fibers, samples, adapted_frame(chart, samples)
 

@@ -142,12 +142,12 @@ def test_mu_spec_parsing():
     equatorial = get_chart("equatorial")  # q = 2
 
     def mu(spec):
-        return parse_mu_spec(SuiteConfig("stenzel-lagrangian", section=spec), equatorial)
+        return parse_mu_spec(spec, equatorial)
 
     assert np.allclose(mu("0.3e1"), [0.3, 0.0])
     assert np.allclose(mu("0"), 0.0)
     # any spelling of a finite zero is the zero form
-    for zero in ("0.0", "-0", "+0.0", "00", "zero", "", " "):
+    for zero in ("0.0", "-0", "+0.0", "00", "zero", ""):
         np.testing.assert_array_equal(mu(zero), [0.0, 0.0])
     # the <coeff>e<index> pattern wins over the float reading of "0.3e1"
     assert np.allclose(mu("-2e2"), [0.0, -2.0])
@@ -180,10 +180,12 @@ def test_profile_spec_parsing():
 
 @pytest.mark.parametrize("suite", suite_names())
 def test_a_blank_spec_reads_as_an_empty_one(suite):
-    # each spec parser strips before it defaults, so " " is no spec of its own:
-    # it was the Stenzel profile vp=1,vpp=1 and the section kind ''
-    jobs = [SuiteConfig(suite, section=spec, profile=spec, samples=2) for spec in (" ", "")]
-    (chart, blank_profile, blank_twist, _), (_, profile, twist, _) = map(_parse_job, jobs)
+    # _parse_job strips each spec before any parser reads it, so " " is no spec of its
+    # own: it was the Stenzel profile vp=1,vpp=1, the section kind '', the fibre entry ''
+    # and, on the Stenzel suite, a --fiber that does not apply
+    jobs = [SuiteConfig(suite, section=spec, profile=spec, fiber=spec, samples=2) for spec in (" ", "")]
+    (blank_config, chart, blank_profile, blank_twist, _), (config, _, profile, twist, _) = map(_parse_job, jobs)
+    assert blank_config == config
     assert blank_profile is profile is SUITES[suite].profile.presets["unit"]
     u = chart.sample(np.random.default_rng(0), 3)
 
@@ -192,7 +194,7 @@ def test_a_blank_spec_reads_as_an_empty_one(suite):
 
     np.testing.assert_array_equal(values(blank_twist), values(twist))
     blank, empty = map(run_suite, jobs)
-    assert (blank.verdict, blank.aggregates) == (empty.verdict, empty.aggregates)
+    assert emit(blank, "json") == emit(empty, "json")
 
 
 @pytest.mark.parametrize("name", suite_names())
@@ -495,6 +497,59 @@ def test_cli_fiber_list_may_start_with_minus(tmp_path):
     assert split == out.read_bytes()
     raw = json.loads(split)
     assert [p["t"] for p in raw["points"]] == [[-2.0], [0.0], [1.5]] * 2
+
+
+def _near(reference, tol=1e-12):
+    """A pinned maximum: within ``tol`` of ``reference``, relative to it."""
+    return lambda value: abs(value - reference) <= tol * reference
+
+
+_CONSTANT_WEIGHTS = "--profile u=2,v=0.5"
+
+
+@pytest.mark.parametrize(
+    "job, verdict, pins",
+    [
+        # the D-scaling of the lifted residuals, at constant weights and at the linear
+        # profile, whose weights read each row's fibre radius; the spinor-frame criterion
+        (f"spin7-cayley --chart equatorial --section const:re=0.4 {_CONSTANT_WEIGHTS}", "FAIL",
+         {"residual.cayley.max": _near(0.5898729656826857), "residual.calibration_gap.max": _near(0.01081495944000821),
+          "criterion.dbar_vminus.max": _near(0.5898729656826857)}),
+        (f"g2-associative --chart equatorial --section sinphi:C=1,D=0 {_CONSTANT_WEIGHTS}", "FAIL",
+         {"residual.associative.max": _near(5.431259315594848)}),
+        (f"g2-coassociative --chart veronese --section coord:axis=1 {_CONSTANT_WEIGHTS}", "FAIL",
+         {"residual.coassociative.max": _near(0.9870052140349421)}),
+        ("spin7-cayley --chart equatorial --section const:re=0.4 --profile linear", "FAIL",
+         {"residual.cayley.max": _near(23842.311836532113), "residual.calibration_gap.max": _near(136.09161919789517)}),
+        ("g2-associative --chart equatorial --section sinphi:C=1,D=0 --profile linear", "FAIL",
+         {"residual.associative.max": _near(4082.7026937872483)}),
+        ("g2-coassociative --chart veronese --section coord:axis=1 --profile linear", "FAIL",
+         {"residual.coassociative.max": _near(5453.661230863881)}),
+        ("spin7-cayley --chart veronese --section const:re=0.4,im=-0.7", "FAIL",
+         {"criterion.dbar_vminus.max": _near(1.8390130384231975)}),
+        # the exact supremum over the unit normals of the positive Veronese surface
+        ("g2-coassociative --chart veronese --section coord:axis=1", "FAIL",
+         {"criterion.neg_superminimal.max": lambda value: abs(value - 2 / np.sqrt(3)) <= 1e-12}),
+        ("g2-coassociative --chart equatorial --section coord:axis=2 --samples 20", "FAIL",
+         {"criterion.parallel_e.max": lambda value: value > 1}),
+        # a true PASS at round-off, and the closed-form cross-check of a twisted FAIL
+        ("stenzel-lagrangian --chart veronese --mu 0 --profile vp=2,vpp=0.5 --seed 0", "PASS",
+         {"residual.omega_max.max": lambda value: value <= 1e-11}),
+        ("stenzel-lagrangian --chart equatorial --mu 0.3e1 --samples 20", "FAIL",
+         {"diagnostic.closed_form_gap.max": lambda value: value <= 1e-9}),
+    ],
+    ids=["cayley", "associative", "coassociative", "cayley-linear", "associative-linear", "coassociative-linear",
+         "dbar-vminus-veronese", "neg-superminimal", "parallel-e", "stenzel-pass", "stenzel-closed-form"],
+)
+def test_the_pinned_maxima_of_the_installed_package_step(job, verdict, pins, tmp_path):
+    # the jobs and tolerances of the CI step, run in-process; a later flag overrides
+    # the default --samples 5 and --seed 7
+    out = tmp_path / "r.json"
+    assert main(["verify", *"--samples 5 --seed 7".split(), *job.split(), "--out", str(out)]) == (verdict != "PASS")
+    report = json.loads(out.read_bytes())
+    assert report["verdict"] == verdict
+    for key, holds in pins.items():
+        assert holds(report["aggregates"][key]), (key, report["aggregates"][key])
 
 
 def test_cli_rejects_removed_tolerance_knobs(tmp_path):
@@ -863,7 +918,7 @@ def test_equatorial_hol_reads_every_coefficient():
     assert run_suite(config).aggregates != zero.aggregates
     expected = make_section_family("equatorial-hol", coeffs=[0, 0, 0, 0, 1])
     u = np.array([0.3, -0.4])
-    assert _parse_job(config)[2].value(u) == expected.value(u)
+    assert _parse_job(config)[3].value(u) == expected.value(u)
 
 
 @pytest.mark.parametrize(
