@@ -1,5 +1,7 @@
 """Worked geometries: the equatorial 2-sphere and the Veronese surface in S^4,
 holomorphic section families over them, and the cross-chart consistency checks.
+The twist grammar lives here alone: each section and eta kind is one ``TwistKind`` of
+``_KINDS``, read by the factories and the spec readers ``section_family``/``eta_family``.
 
 Registered chart names: ``equatorial``, ``veronese``, ``veronese-hat`` and
 ``veronese-antipodal`` (the composition with the antipodal map of S^4, whose
@@ -15,6 +17,7 @@ import functools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
@@ -24,7 +27,7 @@ import numpy as np
 from . import g2
 from .errors import ConfigError, DomainError
 from .numerics import strict_arithmetic
-from .report import check_keys
+from .report import _parse_params, check_keys
 from .submanifold import (
     ImmersionChart,
     adapted_frame,
@@ -39,6 +42,8 @@ __all__ = [
     "SectionFamily",
     "make_section_family",
     "make_eta_family",
+    "section_family",
+    "eta_family",
     "pde_residual",
     "boundedness_scan",
     "frame_change_check",
@@ -214,92 +219,134 @@ class SectionFamily:
         return (values[..., 0] + 1j * values[..., 1])[()] if self.rank_two else values
 
 
-def _kind_params(what: str, kinds: dict, kind: str, params: dict) -> dict:
-    """``params`` over the defaults of ``kinds[kind]``; an unknown kind or
-    key, or a missing key whose default is None, raises ConfigError."""
+# The cap on |i| of a coefficient key: the dense equatorial-hol list grows with
+# it, and past it neither family is finite on its sample box (z^i (|z|^2 + 1)
+# overflows double precision at the corner |z| = 2.5 sqrt(2) from i = 560 on,
+# tan(phi/2)^k at phi = pi - 0.35 from |k| = 410).
+MAX_COEFF_INDEX = 559
+
+
+@dataclass(frozen=True)
+class TwistKind:
+    """A kind's factory ``keys`` with defaults (None: required) and ``build(q, **params)``, which
+    checks its limits (q is None when unknown) and returns its evaluator of (N, q) rows; a kind spelled
+    by coefficient keys has their ``pattern`` (groups i and re/im), a ``hint`` for an unknown key, and
+    ``dense`` if ``build`` takes [c_0, ..., c_degree], not {i: c_i}."""
+
+    keys: dict
+    build: Callable
+    pattern: str = ""
+    hint: str = ""
+    dense: bool = False
+
+
+def _constant(value):
+    return lambda u: np.full(u.shape[:-1] + np.shape(value), value)
+
+
+def _horner(coeffs, u):
+    # G = H(z)(z conj(z) + 1), z = u1 + i u2, by Horner's rule for H in real pairs
+    x, y = u[..., 0], u[..., 1]
+    hr = hi = np.zeros_like(x)
+    for c in reversed(coeffs):
+        hr, hi = hr * x - hi * y + c.real, hr * y + hi * x + c.imag
+    return np.stack([hr, hi], axis=-1) * (x * x + y * y + 1.0)[..., None]
+
+
+def _strip(terms, u):
+    # G = sin(phi) sum_k c_k exp(ikw), c_k exp(ikw) = c_k (cos k theta + i sin k theta) tan(phi/2)^k
+    phi, theta = u[..., 0], u[..., 1]
+    t = np.tan(phi / 2.0)
+    a = b = np.zeros_like(phi)
+    for k, c in terms.items():
+        ck, sk, tk = np.cos(k * theta), np.sin(k * theta), t**k
+        a = a + (c.real * ck - c.imag * sk) * tk
+        b = b + (c.real * sk + c.imag * ck) * tk
+    return np.stack([a, b], axis=-1) * np.sin(phi)[..., None]
+
+
+def _coord(q, axis):
+    if not (float(axis).is_integer() and axis >= 1):
+        raise ConfigError(f"coord axis must be an integer index >= 1, got {axis:g}")
+    if q is not None and axis > q:
+        raise ConfigError(f"coord axis must be an integer in 1..{q}, got {axis:g}")
+    return lambda u: u[..., int(axis) - 1]
+
+
+_KINDS = {
+    "section": {  # the complex coefficient G = a + ib of a rank-two twist
+        "zero": TwistKind({}, lambda q: _constant((0.0, 0.0))),
+        "const": TwistKind({"re": 0.0, "im": 0.0}, lambda q, re, im: _constant((float(re), float(im)))),
+        "equatorial-hol": TwistKind({"coeffs": None}, lambda q, coeffs: functools.partial(
+            _horner, [complex(c) for c in coeffs]), r"c(\d+)(re|im)", " (expected c<i>re or c<i>im)", True),
+        # w = theta - i log tan(phi/2); sinphi is c_0 = C + iD alone
+        "veronese-strip": TwistKind({"coeffs": None}, lambda q, coeffs: functools.partial(
+            _strip, {int(k): complex(c) for k, c in coeffs.items()}), r"k(-?\d+)(re|im)"),
+        "sinphi": TwistKind({"C": 0.0, "D": 0.0}, lambda q, C, D: functools.partial(_strip, {0: complex(C, D)})),
+    },
+    "eta": {  # the real coefficient gamma of a rank-one twist; coord is gamma = u_axis
+        "zero": TwistKind({}, lambda q: _constant(0.0)),
+        "const": TwistKind({"c": 0.0}, lambda q, c: _constant(float(c))),
+        "coord": TwistKind({"axis": 1}, _coord),
+    },
+}
+
+
+def _family(what: str, kind: str, params: dict, q=None) -> SectionFamily:
+    """The ``what`` ("section" or "eta") family of ``kind`` at ``params`` over its defaults."""
+    kinds = _KINDS[what]
     if kind not in kinds:
         raise ConfigError(f"unknown {what} kind {kind!r}")
-    check_keys(f"{kind} {what}", params, kinds[kind])
-    params = {**kinds[kind], **params}
+    check_keys(f"{kind} {what}", params, kinds[kind].keys)
+    params = {**kinds[kind].keys, **params}
     missing = sorted(k for k, v in params.items() if v is None)
     if missing:
         raise ConfigError(f"{kind} {what} needs keys {missing}")
-    return params
-
-
-# each section kind's keys and their defaults; None marks a required key
-_SECTION_KINDS = {"zero": {}, "const": {"re": 0.0, "im": 0.0}, "sinphi": {"C": 0.0, "D": 0.0},
-                  "equatorial-hol": {"coeffs": None}, "veronese-strip": {"coeffs": None}}
+    return SectionFamily(kinds[kind].build(q, **params), rank_two=what == "section")
 
 
 def make_section_family(kind: str, **params) -> SectionFamily:
-    """Factory for the section families used by the verification suites.
-
-    kinds:
-      zero                         G = 0
-      const(re, im)                G = re + i*im (constant coefficients)
-      equatorial-hol(coeffs)       G = H(z)(z conj(z) + 1), H polynomial with
-                                   complex coefficients, z = u1 + i u2
-      veronese-strip(coeffs)       G = sin(phi) * sum_k c_k exp(i k w) with
-                                   w = theta - i log tan(phi/2)
-      sinphi(C, D)                 shorthand: veronese-strip with c_0 = C + iD
-    """
-    params = _kind_params("section", _SECTION_KINDS, kind, params)
-    if kind == "zero":
-        ev = lambda u: np.zeros(u.shape[:-1] + (2,))
-    elif kind == "const":
-        c = (float(params["re"]), float(params["im"]))
-        ev = lambda u: np.full(u.shape[:-1] + (2,), c)
-    elif kind == "equatorial-hol":
-        coeffs = [complex(c) for c in params["coeffs"]]
-
-        def ev(u):
-            # Horner's rule for H(x + iy) in real pairs
-            x, y = u[..., 0], u[..., 1]
-            hr = hi = np.zeros_like(x)
-            for c in reversed(coeffs):
-                hr, hi = hr * x - hi * y + c.real, hr * y + hi * x + c.imag
-            return np.stack([hr, hi], axis=-1) * (x * x + y * y + 1.0)[..., None]
-
-    else:
-        if kind == "sinphi":
-            terms = {0: complex(params["C"], params["D"])}
-        else:
-            terms = {int(k): complex(c) for k, c in params["coeffs"].items()}
-
-        def ev(u):
-            # c_k exp(ikw) = c_k (cos k theta + i sin k theta) tan(phi/2)^k
-            phi, theta = u[..., 0], u[..., 1]
-            t = np.tan(phi / 2.0)
-            a = b = np.zeros_like(phi)
-            for k, c in terms.items():
-                ck, sk, tk = np.cos(k * theta), np.sin(k * theta), t**k
-                a = a + (c.real * ck - c.imag * sk) * tk
-                b = b + (c.real * sk + c.imag * ck) * tk
-            return np.stack([a, b], axis=-1) * np.sin(phi)[..., None]
-
-    return SectionFamily(ev)
-
-
-_ETA_KINDS = {"zero": {}, "const": {"c": 0.0}, "coord": {"axis": 1}}
+    """The family of a kind of ``_KINDS["section"]``: zero, const, equatorial-hol, veronese-strip, sinphi."""
+    return _family("section", kind, params)
 
 
 def make_eta_family(kind: str, **params) -> SectionFamily:
-    """The real coefficient gamma of a rank-one twist.  kinds: zero
-    (gamma = 0), const(c) and coord(axis) with gamma = u_axis, for an
-    integer axis >= 1 (the caller, which knows q, checks axis <= q)."""
-    params = _kind_params("eta", _ETA_KINDS, kind, params)
-    if kind == "zero":
-        ev = lambda u: np.zeros(u.shape[:-1])
-    elif kind == "const":
-        c = float(params["c"])
-        ev = lambda u: np.full(u.shape[:-1], c)
-    else:
-        if not (float(params["axis"]).is_integer() and params["axis"] >= 1):
-            raise ConfigError(f"coord axis must be an integer index >= 1, got {params['axis']:g}")
-        axis = int(params["axis"]) - 1
-        ev = lambda u: u[..., axis]
-    return SectionFamily(ev, rank_two=False)
+    """The family of a kind of ``_KINDS["eta"]``: zero, const or coord (eta_family also checks axis <= q)."""
+    return _family("eta", kind, params)
+
+
+def _spec_family(what: str, spec: str, q: int) -> SectionFamily:
+    """The family of "kind" or "kind:key=value,..." ("" is "zero"), where a coefficient key adds its
+    value to one part of one c_i, and two spellings of one part (c1re, c01re) are a key given twice."""
+    kind, _, blob = (spec or "zero").partition(":")
+    params, entry = _parse_params(blob), _KINDS[what].get(kind)
+    if entry and entry.pattern:
+        spelled, parts = {}, {}
+        for key, val in params.items():
+            m = re.fullmatch(entry.pattern, key)
+            if not m:
+                raise ConfigError(f"unknown {kind} key {key!r}{entry.hint}")
+            if abs(float(m.group(1))) > MAX_COEFF_INDEX:  # int() refuses more than 4300 digits
+                raise ConfigError(f"{kind} key {key!r}: |index| exceeds the cap {MAX_COEFF_INDEX}")
+            index, part = int(m.group(1)), m.group(2)
+            if spelled.setdefault((index, part), key) != key:
+                raise ConfigError(f"{kind} coefficient {key[0]}{index}{part} is given more than once, "
+                                  f"as {spelled[index, part]!r} and {key!r}")
+            parts.setdefault(index, [0.0, 0.0])[part == "im"] += val
+        coeffs = {i: complex(*p) for i, p in parts.items()}
+        degree = max([i for i, c in coeffs.items() if c != 0], default=0)
+        params = {"coeffs": [coeffs.get(i, 0.0) for i in range(degree + 1)] if entry.dense else coeffs}
+    return _family(what, kind, params, q)
+
+
+def section_family(spec: str, q: int) -> SectionFamily:
+    """The section family of a --section spec on a base of dimension q, alike on every chart."""
+    return _spec_family("section", spec, q)
+
+
+def eta_family(spec: str, q: int) -> SectionFamily:
+    """The rank-one twist of a --section spec on a base of dimension q."""
+    return _spec_family("eta", spec, q)
 
 
 # -- holomorphicity PDE ------------------------------------------------------

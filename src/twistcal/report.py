@@ -69,6 +69,33 @@ def check_keys(what: str, params: dict, allowed) -> None:
         raise ConfigError(f"unknown {what} keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
+def _parse_number(text: str, what: str) -> float:
+    """A finite float, or a ConfigError naming ``what``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{what} needs a number, got {text.strip()!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {text.strip()!r}")
+    return value
+
+
+def _parse_params(blob: str) -> dict:
+    """"key=value,key=value" with finite numeric values; a key may appear once."""
+    params = {}
+    for item in blob.split(",") if blob else ():
+        if not item:
+            raise ConfigError(f"empty parameter in {blob!r}")
+        if "=" not in item:
+            raise ConfigError(f"malformed parameter {item!r} (expected key=value)")
+        key, val = item.split("=", 1)
+        key = key.strip()
+        if key in params:
+            raise ConfigError(f"parameter {key!r} is given more than once")
+        params[key] = _parse_number(val, f"parameter {key!r}")
+    return params
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str

@@ -9,7 +9,8 @@ it and the other not.  A MIXED point contradicts the equivalence under test
 or shows that a side's numerical error has reached the tolerance.
 
 Each suite is declared once, as a :class:`Suite` record in ``SUITES``; other
-code reads its fields by name and compares no suite name.
+code reads its fields by name and compares no suite name.  The section and eta
+grammar lives in ``examples``; this module reads only the mu spec of a twist.
 
 ``run_suite`` parses a job once, before any arithmetic, and reports its first
 bad input in this order: the config's own values, the suite, the chart, a
@@ -33,59 +34,24 @@ import numpy as np
 
 from . import g2, spin7, stenzel
 from .errors import ConfigError, TwistcalError
-from .examples import make_eta_family, make_section_family
-from .report import SuiteConfig, VerificationReport, check_keys, check_samples
-from .submanifold import ImmersionChart, adapted_frame, get_chart, superminimal_residual, trace_residual
+from .examples import eta_family, section_family
+from .report import SuiteConfig, VerificationReport, check_keys, check_samples, _parse_number, _parse_params
+from .submanifold import adapted_frame, get_chart, superminimal_residual, trace_residual
 from .g2 import UNIT_PROFILE
 from .numerics import Profile, in_blocks, strict_arithmetic
 from .stenzel import DEFAULT_PROFILE, constant_mu
 
-__all__ = ["SUITES", "Suite", "run_suite", "suite_names", "parse_section_spec", "parse_profile_spec"]
-
-
-def _parse_number(text: str, what: str) -> float:
-    """A finite float, or a ConfigError naming ``what``."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{what} needs a number, got {text.strip()!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{what} must be finite, got {text.strip()!r}")
-    return value
-
-
-def _parse_params(blob: str) -> dict:
-    """"key=value,key=value" with finite numeric values; a key may appear once."""
-    params = {}
-    if not blob:
-        return params
-    for item in blob.split(","):
-        if not item:
-            raise ConfigError(f"empty parameter in {blob!r}")
-        if "=" not in item:
-            raise ConfigError(f"malformed parameter {item!r} (expected key=value)")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        if key in params:
-            raise ConfigError(f"parameter {key!r} is given more than once")
-        params[key] = _parse_number(val, f"parameter {key!r}")
-    return params
-
-
-def parse_section_spec(spec: str):
-    """The kind and the parameters of "kind" or "kind:key=value,key=value"; "" is "zero"."""
-    kind, _, blob = (spec or "zero").partition(":")
-    return kind, _parse_params(blob)
+__all__ = ["SUITES", "Suite", "run_suite", "suite_names", "parse_profile_spec"]
 
 
 _MU_PATTERN = re.compile(r"^([0-9eE.+-]*?)e(\d+)$")
 
 
-def parse_mu_spec(spec: str, chart: ImmersionChart) -> np.ndarray:
-    """The (q,) coefficients of mu on ``chart``: "<coeff>e<index>" for coeff * e^index;
+def parse_mu_spec(spec: str, q: int) -> np.ndarray:
+    """The (q,) coefficients of mu on a base of dimension q: "<coeff>e<index>" for coeff * e^index;
     "zero", "" or any number equal to zero ("0", "0.0", "-0") for the zero form.
     The pattern is tried first, because "0.3e1" is also a float literal."""
-    spec, q = spec or "zero", chart.q
+    spec = spec or "zero"
     match = _MU_PATTERN.match(spec)
     if not match:
         try:
@@ -165,46 +131,6 @@ def _sample_fibers(rng, count, width):
     dirs = rng.standard_normal(size=(count, width))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return mags[:, None] * dirs
-
-
-# The largest |index| of an equatorial-hol or veronese-strip key: the dense
-# equatorial-hol coefficient list grows with it, and past it neither family is
-# finite on its sample box (z^i (|z|^2 + 1) overflows double precision at the
-# corner |z| = 2.5 sqrt(2) from i = 560 on, tan(phi/2)^k at phi = pi - 0.35 from |k| = 410).
-MAX_COEFF_INDEX = 559
-_COEFF_KEYS = {"equatorial-hol": (r"c(\d+)(re|im)", " (expected c<i>re or c<i>im)"),
-               "veronese-strip": (r"k(-?\d+)(re|im)", "")}
-
-
-def _section_family_for(spec: str, chart: ImmersionChart):
-    """The section family of a --section spec, alike on every chart; each equatorial-hol
-    or veronese-strip key adds its value to the real or imaginary part of one of the ``coeffs``."""
-    kind, params = parse_section_spec(spec)
-    if kind not in _COEFF_KEYS:
-        return make_section_family(kind, **params)
-    pattern, expected = _COEFF_KEYS[kind]
-    parts: dict = {}
-    for key, val in params.items():
-        m = re.fullmatch(pattern, key)
-        if not m:
-            raise ConfigError(f"unknown {kind} key {key!r}{expected}")
-        if abs(float(m.group(1))) > MAX_COEFF_INDEX:
-            raise ConfigError(f"{kind} key {key!r}: |index| exceeds the cap {MAX_COEFF_INDEX}")
-        parts.setdefault(int(m.group(1)), [0.0, 0.0])[m.group(2) == "im"] += val
-    coeffs = {k: complex(*part) for k, part in parts.items()}
-    if kind == "veronese-strip":
-        return make_section_family(kind, coeffs=coeffs)
-    degree = max([k for k, c in coeffs.items() if c != 0], default=0)
-    return make_section_family(kind, coeffs=[coeffs.get(i, 0.0) for i in range(degree + 1)])
-
-
-def _eta_family_for(spec: str, chart: ImmersionChart):
-    kind, params = parse_section_spec(spec)
-    eta = make_eta_family(kind, **params)
-    axis = params.get("axis", 1)
-    if kind == "coord" and axis > chart.q:
-        raise ConfigError(f"coord axis must be an integer in 1..{chart.q}, got {axis:g}")
-    return eta
 
 
 # -- suite runners -------------------------------------------------------------
@@ -295,7 +221,7 @@ def _spin7(frames, bs_profile, family, fibers):
 class Suite:
     """What sets a registered suite apart."""
     runner: Callable  # (config, chart, profile, twist, fibers) -> VerificationReport
-    parse_twist: Callable  # (spec, chart) -> the twist
+    parse_twist: Callable  # (spec, q) -> the twist on a base of dimension q
     takes_mu: bool  # whether mu spells its twist
     profile: ProfileGrammar
     fiber_width: int = 0  # entries of a fibre tuple; 0: it samples its fibres and takes no --fiber
@@ -304,11 +230,11 @@ class Suite:
 
 SUITES = {
     "stenzel-lagrangian": Suite(_run_stenzel, parse_mu_spec, True, _STENZEL_PROFILES),
-    "g2-associative": Suite(partial(_run_pairs, columns=_g2_associative), _section_family_for, False,
+    "g2-associative": Suite(partial(_run_pairs, columns=_g2_associative), section_family, False,
                             _WEIGHT_PROFILES, 1, ((-2.0,), (0.0,), (1.5,))),
-    "g2-coassociative": Suite(partial(_run_pairs, columns=_g2_coassociative), _eta_family_for, False,
+    "g2-coassociative": Suite(partial(_run_pairs, columns=_g2_coassociative), eta_family, False,
                               _WEIGHT_PROFILES, 2, ((0.7, -1.2), (1.5, 0.4), (0.3, 0.9))),
-    "spin7-cayley": Suite(partial(_run_pairs, columns=_spin7), _section_family_for, False,
+    "spin7-cayley": Suite(partial(_run_pairs, columns=_spin7), section_family, False,
                           _WEIGHT_PROFILES, 2, ((0.0, 0.0), (1.0, -2.0), (0.8, 0.5))),
 }
 
@@ -335,7 +261,7 @@ def _parse_job(config: SuiteConfig):
         raise ConfigError(f"fiber does not apply to the {config.suite} suite, "
                           "which samples its fibre coordinates")
     profile = parse_profile_spec(specs["profile"], config.suite)
-    twist = suite.parse_twist(specs["section"], chart)
+    twist = suite.parse_twist(specs["section"], chart.q)
     fibers = _parse_fiber_list(specs["fiber"], suite.fiber_width, suite.default_fibers) if suite.fiber_width else None
     check_samples(config.samples, 1 if fibers is None else len(fibers))
     return config, chart, profile, twist, fibers

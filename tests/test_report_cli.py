@@ -19,17 +19,15 @@ from twistcal.report import (
     emit,
     parse_report,
 )
-from twistcal.examples import make_section_family
+from twistcal.examples import MAX_COEFF_INDEX, make_section_family, section_family
 from twistcal.numerics import Profile, strict_arithmetic
 from twistcal.stenzel import DEFAULT_PROFILE, lagrangian_columns
 from twistcal.submanifold import get_chart
 from twistcal.suites import (
-    MAX_COEFF_INDEX,
     SUITES,
     _parse_job,
     parse_mu_spec,
     parse_profile_spec,
-    parse_section_spec,
     run_suite,
     suite_names,
 )
@@ -132,17 +130,15 @@ def test_config_validation():
 
 
 def test_section_spec_parsing():
-    kind, params = parse_section_spec("sinphi:C=1,D=-0.5")
-    assert kind == "sinphi"
-    assert params == {"C": 1.0, "D": -0.5}
-    assert parse_section_spec("")[0] == "zero"
+    u = get_chart("veronese").sample(np.random.default_rng(0), 4)
+    np.testing.assert_array_equal(section_family("sinphi:C=1,D=-0.5", 2).value(u),
+                                  make_section_family("sinphi", C=1.0, D=-0.5).value(u))
+    np.testing.assert_array_equal(section_family("", 2).value(u), 0.0)
 
 
 def test_mu_spec_parsing():
-    equatorial = get_chart("equatorial")  # q = 2
-
     def mu(spec):
-        return parse_mu_spec(spec, equatorial)
+        return parse_mu_spec(spec, get_chart("equatorial").q)  # q = 2
 
     assert np.allclose(mu("0.3e1"), [0.3, 0.0])
     assert np.allclose(mu("0"), 0.0)
@@ -637,6 +633,19 @@ _MU_FILE = "MU_FILE"  # stands for a config file whose one line is mu=1e1
         # a mu, from either source, does not hide that the suite is unknown
         (["verify", "bogus", "--mu", "1e1"], "unknown suite 'bogus'"),
         (["verify", "bogus", "--config", _MU_FILE], "unknown suite 'bogus'"),
+        # two spellings of one coefficient are one key given twice, not a sum
+        (["verify", "g2-associative", "--chart", "equatorial", "--section", "equatorial-hol:c1re=1,c01re=2",
+          "--samples", "3", "--seed", "1"],
+         "equatorial-hol coefficient c1re is given more than once, as 'c1re' and 'c01re'\n"),
+        (["verify", "g2-associative", "--chart", "veronese", "--section", "veronese-strip:k0re=1,k-0re=1",
+          "--samples", "3", "--seed", "1"],
+         "veronese-strip coefficient k0re is given more than once, as 'k0re' and 'k-0re'\n"),
+        (_CAYLEY + ["--section", "veronese-strip:x1re=1"], "unknown veronese-strip key 'x1re'"),
+        (_CAYLEY + ["--section", "const:c=1"], "unknown const section keys ['c']; allowed: ['im', 're']"),
+        (_COASSOC + ["--section", "coord:axis=1,axis=2"], "parameter 'axis' is given more than once"),
+        # a key named like a factory argument is an unknown key, not a clash with it
+        (_CAYLEY + ["--section", "const:kind=1"], "unknown const section keys ['kind']; allowed: ['im', 're']"),
+        (_COASSOC + ["--section", "coord:kind=1"], "unknown coord eta keys ['kind']; allowed: ['axis']"),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys, tmp_path):

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from twistcal.cli import _build_parser, main
-from twistcal.suites import MAX_COEFF_INDEX
+from twistcal.examples import MAX_COEFF_INDEX
 
 SUITES = ["stenzel-lagrangian", "g2-associative", "g2-coassociative", "spin7-cayley"]
 CHARTS = ["equatorial", "veronese", "veronese-hat", "veronese-antipodal"]
