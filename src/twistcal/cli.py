@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, TwistcalError
 from .numerics import in_blocks
-from .report import SuiteConfig, check_samples, check_seed, emit
+from .report import FORMATS, SuiteConfig, check_samples, check_seed, emit
 from .suites import SUITES, run_suite, suite_names
 
 # Each verify key, as a config-file line and as a flag: the keyword arguments
@@ -38,7 +38,7 @@ _CONFIG_KEYS = {
     "tol_verdict": {"type": float},
     "profile": {},
     "fiber": {"help": "semicolon-separated fibre tuples, e.g. -2;0;1.5"},
-    "format": {"choices": ("json", "csv")},
+    "format": {"choices": FORMATS},
     "out": {"help": "write the report here instead of stdout"},
 }
 

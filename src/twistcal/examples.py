@@ -268,9 +268,15 @@ def _strip(terms, u):
 def _coord(q, axis):
     if not (float(axis).is_integer() and axis >= 1):
         raise ConfigError(f"coord axis must be an integer index >= 1, got {axis:g}")
-    if q is not None and axis > q:
-        raise ConfigError(f"coord axis must be an integer in 1..{q}, got {axis:g}")
-    return lambda u: u[..., int(axis) - 1]
+
+    def gamma(u):  # the rows' width is q, which the factory does not know
+        if axis > u.shape[-1]:
+            raise ConfigError(f"coord axis must be an integer in 1..{u.shape[-1]}, got {axis:g}")
+        return u[..., int(axis) - 1]
+
+    if q is not None:  # a spec is checked before the job runs
+        gamma(np.empty((0, q)))
+    return gamma
 
 
 _KINDS = {
@@ -311,7 +317,7 @@ def make_section_family(kind: str, **params) -> SectionFamily:
 
 
 def make_eta_family(kind: str, **params) -> SectionFamily:
-    """The family of a kind of ``_KINDS["eta"]``: zero, const or coord (eta_family also checks axis <= q)."""
+    """The family of a kind of ``_KINDS["eta"]``: zero, const or coord (axis <= q is checked at evaluation)."""
     return _family("eta", kind, params)
 
 

@@ -24,7 +24,10 @@ __all__ = [
     "parse_report",
     "SEPARATION",
     "MAX_ROWS",
+    "FORMATS",
 ]
+
+FORMATS = ("json", "csv")  # what emit writes
 
 # The largest accepted --tol-verdict: a wider PASS band would swallow clear
 # failures.
@@ -116,8 +119,8 @@ class SuiteConfig:
         if self.tol_verdict > SEPARATION:
             raise ConfigError(f"tol_verdict must be at most the FAIL separation {SEPARATION!r}, "
                               f"got {self.tol_verdict!r}")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError("format must be json or csv")
+        if self.fmt not in FORMATS:
+            raise ConfigError(f"format must be {' or '.join(FORMATS)}")
         if "\0" in self.out:  # open() would refuse it only after the suite has run
             raise ConfigError(f"out path {self.out!r} holds a NUL byte")
         return self
@@ -153,10 +156,12 @@ class VerificationReport:
     provenance: dict
 
     @staticmethod
-    def build(config: SuiteConfig, u, t, residuals: dict, criteria: dict) -> "VerificationReport":
+    def build(config: SuiteConfig, u, t, residuals: dict, criteria: dict,
+              diagnostics: dict | None = None) -> "VerificationReport":
         """Classify the rows (PASS when the largest residual and the largest
         criterion are below ``tol_verdict``, FAIL when both are at or above
-        it, else MIXED), aggregate each column, take the verdict."""
+        it, else MIXED), aggregate each column, take the verdict; the
+        ``diagnostics`` scalars join the aggregates under their own names."""
         u = np.asarray(u, dtype=float)
         residuals = {k: np.asarray(residuals[k], dtype=float) for k in sorted(residuals)}
         criteria = {k: np.asarray(criteria[k], dtype=float) for k in sorted(criteria)}
@@ -172,6 +177,7 @@ class VerificationReport:
             for name, col in columns.items():
                 aggregates[f"{kind}.{name}.max"] = float(col.max())
                 aggregates[f"{kind}.{name}.median"] = _median(col)
+        aggregates.update(diagnostics or {})
         echo = config.echo()
         return VerificationReport(
             suite=config.suite,

@@ -15,11 +15,12 @@ grammar lives in ``examples``; this module reads only the mu spec of a twist.
 ``run_suite`` parses a job once, before any arithmetic, and reports its first
 bad input in this order: the config's own values, the suite, the chart, a
 ``--fiber`` that does not apply, the profile, the twist, the fibre tuples and
-the row cap.  The runners only compute.  Each draws all its samples (and the
-Stenzel suite its fibres) from one generator, then evaluates frames, tangent
-bases and residuals over blocks of samples (``numerics.in_blocks``): a row
-reads only its own sample and fibre, so the joined columns are those of one
-pass over the whole job.
+the row cap.  The runners only compute, and return their columns.  Each draws
+all its samples (and the Stenzel suite its fibres) from one generator, then
+evaluates frames, tangent bases and residuals over blocks of samples
+(``numerics.in_blocks``): a row reads only its own sample and fibre, so the
+joined columns are those of one pass over the whole job.  ``run_suite`` scans
+them for non-finite values once and builds the report.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def _sample_fibers(rng, count, width):
 # -- suite runners -------------------------------------------------------------
 
 
-def _run_stenzel(config: SuiteConfig, chart, st_profile, mu, _) -> VerificationReport:
+def _run_stenzel(config: SuiteConfig, chart, st_profile, mu, _):
     """The Lagrangian residual and the twist criterion at every sample, with
     two cross-checks.  ``diagnostic.closed_form_gap.max`` holds the mixed
     block omega(E_i, F_j), a contraction of the tangents with the Stenzel
@@ -161,27 +162,22 @@ def _run_stenzel(config: SuiteConfig, chart, st_profile, mu, _) -> VerificationR
         return {"omega_max": omega_max}, {"mu_norm": mu_norm}, {"gap": gap, "bracket": bracket}
 
     residuals, criteria, checks = in_blocks(columns, config.samples)
-    report = VerificationReport.build(config, samples, fibers, residuals, criteria)
-    report.aggregates["diagnostic.closed_form_gap.max"] = float(np.max(checks["gap"]))
-    report.aggregates["diagnostic.bracket_factor.min"] = float(np.min(checks["bracket"]))
-    return report
+    diagnostics = {"diagnostic.closed_form_gap.max": float(np.max(checks["gap"])),
+                   "diagnostic.bracket_factor.min": float(np.min(checks["bracket"]))}
+    return samples, fibers, residuals, criteria, diagnostics
 
 
-def _run_pairs(config: SuiteConfig, chart, profile, twist, fibers, columns) -> VerificationReport:
-    """The report with one row per (sample, fibre) pair, samples outermost;
+def _run_pairs(config: SuiteConfig, chart, profile, twist, fibers, columns):
+    """The columns of one row per (sample, fibre) pair, samples outermost;
     ``columns(frames, profile, twist, fibers)`` gives the (P, F) residual and
     (P,) criterion columns of the adapted frames of a block of samples."""
     samples = chart.sample(np.random.default_rng(config.seed), config.samples)
     residuals, criteria = in_blocks(
         lambda rows: columns(adapted_frame(chart, samples[rows]), profile, twist, fibers),
         config.samples, len(fibers))
-    return VerificationReport.build(
-        config,
-        np.repeat(samples, len(fibers), axis=0),
-        np.tile(fibers, (len(samples), 1)),
-        {k: np.reshape(v, -1) for k, v in residuals.items()},
-        {k: np.repeat(v, len(fibers)) for k, v in criteria.items()},
-    )
+    return (np.repeat(samples, len(fibers), axis=0), np.tile(fibers, (len(samples), 1)),
+            {k: np.reshape(v, -1) for k, v in residuals.items()},
+            {k: np.repeat(v, len(fibers)) for k, v in criteria.items()}, {})
 
 
 def _g2_associative(frames, bs_profile, family, fibers):
@@ -220,7 +216,7 @@ def _spin7(frames, bs_profile, family, fibers):
 @dataclass(frozen=True)
 class Suite:
     """What sets a registered suite apart."""
-    runner: Callable  # (config, chart, profile, twist, fibers) -> VerificationReport
+    runner: Callable  # (config, chart, profile, twist, fibers) -> (u, t, residuals, criteria, diagnostics)
     parse_twist: Callable  # (spec, q) -> the twist on a base of dimension q
     takes_mu: bool  # whether mu spells its twist
     profile: ProfileGrammar
@@ -269,43 +265,30 @@ def _parse_job(config: SuiteConfig):
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run a registered suite; deterministic for a fixed config and seed."""
-    job, runner = _parse_job(config), SUITES[config.suite].runner
+    config, *inputs = _parse_job(config)
     with strict_arithmetic(f"suite {config.suite!r}") as log:
-        report = runner(*job)
-        # a row reads only its own sample and fibre, so the first non-finite row is the
-        # first broken one; an overflow that no value reads leaves none
-        found = log.first and _first_nonfinite(report)
-        if found:
-            i, key, value = found
-            log.where = (f"; the first row it makes non-finite is u={report.u[i].tolist()}, "
-                         f"t={report.t[i].tolist()} ({key}={value})")
-    _check_finite(report)
+        u, t, residuals, criteria, diagnostics = SUITES[config.suite].runner(config, *inputs)
+        _check_finite(log, u, t, residuals, criteria)
+        report = VerificationReport.build(config, u, t, residuals, criteria, diagnostics)
     return report
 
 
-def _first_nonfinite(report: VerificationReport):
-    """(row, key, value) of the first non-finite residual or criterion, or None."""
-    items = [*report.residuals.items(), *report.criteria.items()]
-    finite = np.isfinite(np.array([col for _, col in items], dtype=float))
+def _check_finite(log, u, t, residuals: dict, criteria: dict):
+    """One isfinite over the residual, then the criterion columns, each in sorted key order, as a
+    report keeps them.  A row reads only its own sample and fibre, so the first row with a non-finite
+    value is the first broken one: after a logged overflow it becomes ``log.where`` (an overflow
+    that no value reads leaves none), and otherwise it is a numerical breakdown."""
+    res_keys, crit_keys = sorted(residuals), sorted(criteria)
+    values = np.array([*map(residuals.get, res_keys), *map(criteria.get, crit_keys)], dtype=float)
+    finite = np.isfinite(values)
     if finite.all():
-        return None
-    i = int(np.argmin(finite.all(axis=0)))
-    key, value = next((k, col[i].item()) for k, col in items if not np.isfinite(col[i]))
-    return i, key, value
-
-
-def _check_finite(report: VerificationReport):
-    """One isfinite over the residual and criterion columns; a failure names
-    the first row with a non-finite value."""
-    found = _first_nonfinite(report)
-    if found is None:
         return
-    i, key, value = found
-
-    def row(columns):
-        return {k: col[i].item() for k, col in columns.items()}
-
-    raise TwistcalError(
-        f"numerical breakdown at u={report.u[i].tolist()}, t={report.t[i].tolist()}: "
-        f"{key}={value}; residuals={row(report.residuals)}, criteria={row(report.criteria)}"
-    )
+    i = int(np.argmin(finite.all(axis=0)))
+    row = values[:, i].tolist()
+    key, value = next((k, v) for k, v in zip(res_keys + crit_keys, row) if not math.isfinite(v))
+    at = f"u={u[i].tolist()}, t={t[i].tolist()}"
+    if log.first:
+        log.where = f"; the first row it makes non-finite is {at} ({key}={value})"
+        return
+    raise TwistcalError(f"numerical breakdown at {at}: {key}={value}; residuals={dict(zip(res_keys, row))}, "
+                        f"criteria={dict(zip(crit_keys, row[len(res_keys):]))}")

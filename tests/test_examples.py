@@ -7,6 +7,7 @@ from twistcal.errors import ConfigError, DomainError
 from twistcal.examples import (
     boundedness_scan,
     equatorial_chart,
+    eta_family,
     frame_change_check,
     golden_residuals,
     golden_table,
@@ -50,6 +51,17 @@ def test_factories_reject_unknown_kinds_and_keys(factory, kind, params, message)
     with pytest.raises(ConfigError) as info:
         factory(kind, **params)
     assert str(info.value) == message
+
+
+def test_a_coord_axis_above_the_base_dimension_is_a_config_error_at_evaluation():
+    # the factory does not know q; the (N, q) rows it is evaluated on do, and
+    # the message is the one the spec reader gives before a job runs
+    family = make_eta_family("coord", axis=3)
+    for evaluate in (lambda: family.value(np.zeros((2, 2))), lambda: eta_family("coord:axis=3", 2)):
+        with pytest.raises(ConfigError) as info:
+            evaluate()
+        assert str(info.value) == "coord axis must be an integer in 1..2, got 3"
+    assert np.all(family.value(np.ones((2, 3))) == 1.0)
 
 
 def test_factory_defaults_and_the_zero_eta():

@@ -462,13 +462,11 @@ def test_cli_installed_entry_point_runs():
 
 
 def test_numerical_breakdown_is_diagnosed():
-    from twistcal.errors import TwistcalError
     from twistcal.suites import _check_finite
 
-    cfg = SuiteConfig(suite="s", samples=1)
-    report = VerificationReport.build(cfg, [[0.1]], [[0.2]], {"r": [float("nan")]}, {})
-    with pytest.raises(TwistcalError, match="numerical breakdown"):
-        _check_finite(report)
+    with pytest.raises(TwistcalError, match=r"^numerical breakdown at u=\[0.1\], t=\[0.2\]: r=nan; "):
+        with strict_arithmetic("job") as log:
+            _check_finite(log, np.array([[0.1]]), np.array([[0.2]]), {"r": np.array([np.nan])}, {})
 
 
 def test_stenzel_suite_reports_closed_form_diagnostics():
@@ -533,9 +531,13 @@ _CONSTANT_WEIGHTS = "--profile u=2,v=0.5"
          {"residual.omega_max.max": lambda value: value <= 1e-11}),
         ("stenzel-lagrangian --chart equatorial --mu 0.3e1 --samples 20", "FAIL",
          {"diagnostic.closed_form_gap.max": lambda value: value <= 1e-9}),
+        ("stenzel-lagrangian --chart equatorial --mu 0.3e1", "FAIL",
+         {"diagnostic.closed_form_gap.max": lambda value: value <= 1e-9,
+          "diagnostic.bracket_factor.min": _near(15.041974606298089)}),
     ],
     ids=["cayley", "associative", "coassociative", "cayley-linear", "associative-linear", "coassociative-linear",
-         "dbar-vminus-veronese", "neg-superminimal", "parallel-e", "stenzel-pass", "stenzel-closed-form"],
+         "dbar-vminus-veronese", "neg-superminimal", "parallel-e", "stenzel-pass", "stenzel-closed-form",
+         "stenzel-bracket"],
 )
 def test_the_pinned_maxima_of_the_installed_package_step(job, verdict, pins, tmp_path):
     # the jobs and tolerances of the CI step, run in-process; a later flag overrides
@@ -733,6 +735,69 @@ def test_overflowing_input_exits_1_and_names_the_first_broken_row(argv, suite, o
     assert t == (fibers[0].tolist() if fiber is None else fiber)
 
 
+@pytest.mark.parametrize(
+    "job, line",
+    [
+        # cayley is non-finite in this row too: the residuals are read in sorted order
+        ("spin7-cayley --chart equatorial --section const:re=1e200 --profile linear",
+         "suite 'spin7-cayley': overflow encountered in multiply; the first row it makes non-finite is "
+         "u=[0.6848084366072715, -1.1510664311806484], t=[0.0, 0.0] (calibration_gap=nan)"),
+        ("g2-associative --chart equatorial --section const:re=1e200 --profile linear",
+         "suite 'g2-associative': overflow encountered in multiply; the first row it makes non-finite is "
+         "u=[0.6848084366072715, -1.1510664311806484], t=[-2.0] (associative=nan)"),
+        ("g2-coassociative --chart veronese --section const:c=1e200 --profile linear",
+         "suite 'g2-coassociative': overflow encountered in multiply; the first row it makes non-finite is "
+         "u=[1.9052009763822215, 1.8562692163587053], t=[0.7, -1.2] (coassociative=nan)"),
+        ("stenzel-lagrangian --chart equatorial --mu 1e300e1",
+         "suite 'stenzel-lagrangian': overflow encountered in matmul; the first row it makes non-finite is "
+         "u=[0.6848084366072715, -1.1510664311806484], t=[-1.1942747407042567, -0.5882316399444842] "
+         "(omega_max=nan)"),
+    ],
+    ids=["cayley", "associative", "coassociative", "stenzel"],
+)
+def test_an_overflowing_twist_names_the_first_non_finite_value_of_its_row(job, line, capsys):
+    assert main(["verify", *job.split(), "--samples", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"diagnostic failure: {line}; an input is too large for double precision\n"
+
+
+def test_a_breakdown_names_a_residual_before_a_criterion_of_its_row(monkeypatch):
+    # mu_norm sorts before omega_max, but the residuals are read first
+    import twistcal.stenzel as stenzel
+
+    original = stenzel.lagrangian_columns
+
+    def broken(*args):
+        omega_max, mu_norm, *rest = original(*args)
+        omega_max, mu_norm = np.array(omega_max), np.array(mu_norm)
+        omega_max[1] = mu_norm[1] = np.nan
+        return omega_max, mu_norm, *rest
+
+    monkeypatch.setattr(stenzel, "lagrangian_columns", broken)
+    config = SuiteConfig("stenzel-lagrangian", "equatorial", "0.3e1", samples=3, seed=7)
+    _, _, _, samples, fibers = stenzel_job_inputs(config)
+    with pytest.raises(TwistcalError) as info:
+        run_suite(config)
+    assert str(info.value) == (
+        f"numerical breakdown at u={samples[1].tolist()}, t={fibers[1].tolist()}: omega_max=nan; "
+        "residuals={'omega_max': nan}, criteria={'mu_norm': nan}")
+
+
+def test_an_overflow_in_building_the_report_is_logged(monkeypatch):
+    # the columns are finite, but the median of two values near the largest double is not
+    import twistcal.suites as suites
+
+    def runner(*_):
+        return np.zeros((2, 2)), np.zeros((2, 1)), {"r": np.full(2, 1.7e308)}, {"c": np.zeros(2)}, {}
+
+    monkeypatch.setitem(suites.SUITES, "g2-associative", dataclasses.replace(suites.SUITES["g2-associative"],
+                                                                             runner=runner))
+    with pytest.raises(TwistcalError, match=r"^suite 'g2-associative': overflow encountered in scalar add; "
+                                            "an input is too large for double precision$"):
+        run_suite(SuiteConfig("g2-associative", samples=2))
+
+
 def test_an_overflow_names_the_first_row_whose_own_arithmetic_overflows(capsys):
     # at this twist some fibre radii overflow the Stenzel pairing and some do
     # not; the named row is the first whose own evaluation overflows
@@ -788,6 +853,12 @@ def test_a_lost_imaginary_part_still_raises_at_once():
             np.zeros(1)[:] = np.array([1j])
             ran.append(True)
     assert ran == []
+
+
+def test_an_unknown_report_format_is_a_config_error():
+    with pytest.raises(ConfigError) as info:
+        SuiteConfig(suite="spin7-cayley", fmt="xml").validate()
+    assert str(info.value) == "format must be json or csv"
 
 
 def test_config_validation_requires_finite_values():
