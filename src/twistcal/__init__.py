@@ -4,7 +4,7 @@ The package namespace holds the verifier API only: charts and adapted
 frames, suite configuration, the runner and the report.  The geometry lives
 in the submodules:
 
-* :mod:`twistcal.octonion`    - quaternion and octonion arrays, the pinor model
+* :mod:`twistcal.octonion`    - octonion arrays from g2's phi, the pinor model
 * :mod:`twistcal.submanifold` - frames, connection coefficients, shape
   operators and classification of immersed spheres
 * :mod:`twistcal.stenzel`     - the cotangent-bundle Kaehler model and the

@@ -145,6 +145,8 @@ def _cmd_verify(args) -> int:
             given["section"] = given.pop("mu")
         values.update(given)
     config = SuiteConfig(fmt=values.pop("format", "json"), **values)
+    if args.timestamp and config.fmt != "json":
+        raise ConfigError(f"--timestamp applies only to the json format, not {config.fmt}")
     report = run_suite(config)
     if args.timestamp:
         report.provenance["timestamp"] = datetime.now(timezone.utc).isoformat()

@@ -24,8 +24,10 @@ dual ``psi`` exactly as in
 
 In the orthonormal coframe of the 7-metric with u^2 on the horizontal block
 and v^2 on the vertical block, phi and psi have their unit-weight
-coefficients, so (with the orientation below) psi is the Hodge dual of phi at
-every profile exactly when it is at u = v = 1.
+coefficients, so psi is the Hodge dual of phi at every profile because it is
+at u = v = 1: ``PSI_TABLE`` is derived by ``hodge_star`` from ``PHI_TABLE``, the
+package's one hand-written sign table.  :mod:`twistcal.spin7` builds the Cayley
+form and :mod:`twistcal.octonion` the octonion product from phi as well.
 
 Every monomial with h horizontal indices carries the weight u^h v^(k-h), so
 the form at weights (u, v) is the unit-weight form pulled back by
@@ -102,16 +104,25 @@ def nabla_f_coeffs(gamma: np.ndarray) -> np.ndarray:
     return frame_table(gamma, _NABLA_F)
 
 
+def parity(perm) -> int:
+    """The sign, 1 or -1, of a permutation of 0, .., n - 1."""
+    return -1 if sum(p > q for p, q in itertools.combinations(perm, 2)) & 1 else 1
+
+
+def hodge_star(table, dim: int):
+    """The Hodge dual of a form given as a signed index table, on oriented orthonormal
+    R^dim: e^I goes to sign(I, I^c) e^(I^c), I^c the increasing complement of I."""
+    rests = [tuple(i for i in range(dim) if i not in idx) for idx, _ in table]
+    return tuple((rest, sign * parity(idx + rest)) for (idx, sign), rest in zip(table, rests))
+
+
 # The forms as signed index tables: rows (0-based indices, sign) of the
 # displayed monomials, each carrying u^h v^(k-h) for h indices below 4.
 PHI_TABLE = (
     ((4, 5, 6), 1), ((0, 1, 4), 1), ((2, 3, 4), -1), ((0, 2, 5), 1),
     ((1, 3, 5), 1), ((0, 3, 6), 1), ((1, 2, 6), -1),
 )
-PSI_TABLE = (
-    ((0, 1, 2, 3), 1), ((0, 1, 5, 6), -1), ((2, 3, 5, 6), 1), ((0, 2, 4, 6), 1),
-    ((1, 3, 4, 6), 1), ((0, 3, 4, 5), -1), ((1, 2, 4, 5), 1),
-)
+PSI_TABLE = hodge_star(PHI_TABLE, 7)
 
 
 def antisymmetrise(table, dim: int, u: float, v: float) -> np.ndarray:
@@ -120,13 +131,13 @@ def antisymmetrise(table, dim: int, u: float, v: float) -> np.ndarray:
     (e_{i_1+1}, .., e_{i_k+1})."""
     k = len(table[0][0])
     perms = list(itertools.permutations(range(k)))
-    odd = [sum(p > q for p, q in itertools.combinations(perm, 2)) & 1 for perm in perms]
+    signs = [parity(perm) for perm in perms]
     out = np.zeros((dim,) * k)
     for idx, sign in table:
         h = sum(i < 4 for i in idx)
         w = sign * u**h * v ** (k - h)
-        for perm, flip in zip(perms, odd):
-            out[tuple(idx[p] for p in perm)] = -w if flip else w
+        for perm, s in zip(perms, signs):
+            out[tuple(idx[p] for p in perm)] = s * w
     return out
 
 

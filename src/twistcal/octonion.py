@@ -1,11 +1,14 @@
-"""Quaternion and octonion arithmetic on coefficient arrays, and the pinor
-representation of 4-dimensional covectors on spinors.
+"""Octonion arithmetic on coefficient arrays, and the pinor representation of
+4-dimensional covectors on spinors.
 
 Basis order is (1, i, j, k, e, ie, je, ke): the quaternions occupy the first
-four slots and their e-multiples the last four.  Products use the
-Cayley-Dickson doubling
+four slots and their e-multiples the last four.  The product comes from the
+3-form phi of :mod:`twistcal.g2` (Baez, Bull. AMS 39 (2002), 4.1), with the
+imaginary unit a = 1, .., 7 at g2 slot ``SIGMA[a - 1]``:
 
-    (a, b)(c, d) = (ac - conj(d) b,  da + b conj(c)),    a, b, c, d in H.
+    xy = (x_0 y_0 - x . y,  x_0 y + y_0 x + x * y),  (x * y)_c = phi(e_a, e_b, e_c) x_a y_b
+
+over the imaginary parts x, y.  It is the Cayley-Dickson product of quaternion pairs.
 
 Pinor conventions
 -----------------
@@ -33,48 +36,37 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
+from .g2 import PHI_TABLE, unit_tensor
 
 __all__ = [
-    "quat_mul",
-    "quat_conj",
+    "SIGMA",
+    "structure_constants",
     "oct_mul",
     "left_mult_matrix",
     "PinorContext",
     "standard_pinor_context",
 ]
 
-
-def quat_mul(p, q):
-    """Hamilton product, broadcasting over leading axes of (..., 4) arrays."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    pw, px, py, pz = np.moveaxis(p, -1, 0)
-    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
-    return np.stack(
-        [
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw,
-        ],
-        axis=-1,
-    )
+SIGMA = (0, 1, 4, 3, 6, 5, 2)
 
 
-def quat_conj(p):
-    p = np.asarray(p, dtype=float)
-    return p * np.array([1.0, -1.0, -1.0, -1.0])
+def structure_constants(phi_table) -> np.ndarray:
+    """M[a, b, c] = <e_a e_b, e_c> over the basis (1, i, .., ke), from the signed
+    index table of phi: 1 is the unit, each imaginary unit squares to -1, and the
+    imaginary block is phi at the slots SIGMA."""
+    m = np.zeros((8, 8, 8))
+    m[0] = m[:, 0] = np.eye(8)
+    m[range(1, 8), range(1, 8), 0] = -1.0
+    m[1:, 1:, 1:] = unit_tensor(phi_table, 7)[np.ix_(SIGMA, SIGMA, SIGMA)]
+    return m
+
+
+_STRUCTURE = structure_constants(PHI_TABLE)
 
 
 def oct_mul(x, y):
-    """Octonion product on (..., 8) coefficient arrays (Cayley-Dickson)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    a, b = x[..., :4], x[..., 4:]
-    c, d = y[..., :4], y[..., 4:]
-    first = quat_mul(a, c) - quat_mul(quat_conj(d), b)
-    second = quat_mul(d, a) + quat_mul(b, quat_conj(c))
-    return np.concatenate([first, second], axis=-1)
+    """Octonion product on (..., 8) coefficient arrays, broadcasting over the leading axes."""
+    return np.einsum("...a,...b,abc->...c", np.asarray(x, dtype=float), np.asarray(y, dtype=float), _STRUCTURE)
 
 
 def left_mult_matrix(x) -> np.ndarray:

@@ -28,8 +28,9 @@ are u^2 on the horizontal and v^2 on the vertical block, and the 4-form
                      + (e_14 + e_23)(s_14 + s_23)]
           + v^4 s_1234
 
-is the calibration.  The Cayley test evaluates, termwise, the octonion-free
-characterisation: the 2-form-valued expression
+is the calibration, derived from ``g2.PHI_TABLE`` (``cayley_table``) as e^0 ^ phi - psi
+(Harvey and Lawson, Acta Math. 148 (1982), Ch. IV).  The Cayley test evaluates, termwise,
+the octonion-free characterisation: the 2-form-valued expression
 
     eta(u,v,w,y) = u^b ^ X(v,w,y)^b + v^b ^ X(w,u,y)^b + w^b ^ X(u,v,y)^b
                    + y^b ^ X(v,u,w)^b + u . X(v,w,y) . Phi + v . X(w,u,y) . Phi
@@ -50,16 +51,18 @@ with eta and Phi restricted to the unit fibre slots s_1, s_2 (``lifted_cayley_re
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import g2
 from .errors import DomainError
 from .octonion import left_mult_matrix, oct_mul, standard_pinor_context
 from .submanifold import AdaptedFramePoint
-from .g2 import (UNIT_PROFILE, SectionData, antisymmetrise, frame_table, lifted_basis, outer_pairs,
-                 per_point, plane_coords, scaled_rows, unit_tensor)
+from .g2 import (UNIT_PROFILE, SectionData, antisymmetrise, frame_table, hodge_star, lifted_basis,
+                 outer_pairs, parity, per_point, plane_coords, scaled_rows, unit_tensor)
 from .numerics import Profile, row_norms
 
 __all__ = [
@@ -184,13 +187,22 @@ def lemma_residual(gamma: np.ndarray, spinor: np.ndarray, bundle_sign: int) -> f
 
 # -- the Cayley form --------------------------------------------------------------
 
-# Phi as a signed index table (0-based indices, sign); see g2.antisymmetrise
-PHI_TABLE = (
-    ((0, 1, 2, 3), 1), ((4, 5, 6, 7), 1),
-    ((0, 1, 4, 5), -1), ((0, 1, 6, 7), -1), ((2, 3, 4, 5), -1), ((2, 3, 6, 7), -1),
-    ((0, 2, 4, 6), -1), ((0, 2, 5, 7), 1), ((1, 3, 4, 6), 1), ((1, 3, 5, 7), -1),
-    ((0, 3, 4, 7), -1), ((0, 3, 5, 6), -1), ((1, 2, 4, 7), -1), ((1, 2, 5, 6), -1),
-)
+G2_SLOTS = (1, 2, 4, 7, 3, 5, 6)
+G2_SIGNS = (1, 1, 1, 1, 1, -1, 1)
+
+
+def cayley_table(phi):
+    """Phi = theta + *theta with theta = e^0 ^ phi, as a signed index table of R^8, from the table
+    of g2's phi: e^0 is slot 0, and g2 slot k is slot G2_SLOTS[k] with the sign G2_SIGNS[k].  This
+    map reverses the orientation of R^7, so *theta is -psi and Phi = e^0 ^ phi - psi."""
+    theta = []
+    for idx, sign in phi:
+        image = [G2_SLOTS[i] for i in idx]
+        theta.append(((0, *sorted(image)), sign * parity(np.argsort(image)) * math.prod(G2_SIGNS[i] for i in idx)))
+    return tuple(theta) + hodge_star(theta, 8)
+
+
+PHI_TABLE = cayley_table(g2.PHI_TABLE)
 
 
 def phi_form(u: float, v: float) -> np.ndarray:

@@ -25,7 +25,7 @@ from twistcal import __version__, g2, spin7, suites
 from twistcal.errors import DomainError
 from twistcal.exterior import InnerSpace, Multivector, contract, form_inner, wedge
 from twistcal.numerics import directional_derivative
-from twistcal.octonion import oct_mul, standard_pinor_context
+from twistcal.octonion import standard_pinor_context
 from twistcal.report import SuiteConfig
 from twistcal.stenzel import DEFAULT_PROFILE, lagrangian_samples, omega_value
 from twistcal.submanifold import (
@@ -445,9 +445,64 @@ def nabla_gamma_ops_loop(gamma: np.ndarray) -> np.ndarray:
     return out
 
 
+# -- literal sign tables and the Cayley-Dickson product ---------------------------------
+# psi, the Cayley form Phi and the octonion product written out by hand; the library
+# derives all three from g2.PHI_TABLE, and the tests compare them with these.
+
+LITERAL_G2_PSI_TABLE = (
+    ((0, 1, 2, 3), 1), ((0, 1, 5, 6), -1), ((2, 3, 5, 6), 1), ((0, 2, 4, 6), 1),
+    ((1, 3, 4, 6), 1), ((0, 3, 4, 5), -1), ((1, 2, 4, 5), 1),
+)
+LITERAL_SPIN7_PHI_TABLE = (
+    ((0, 1, 2, 3), 1), ((4, 5, 6, 7), 1),
+    ((0, 1, 4, 5), -1), ((0, 1, 6, 7), -1), ((2, 3, 4, 5), -1), ((2, 3, 6, 7), -1),
+    ((0, 2, 4, 6), -1), ((0, 2, 5, 7), 1), ((1, 3, 4, 6), 1), ((1, 3, 5, 7), -1),
+    ((0, 3, 4, 7), -1), ((0, 3, 5, 6), -1), ((1, 2, 4, 7), -1), ((1, 2, 5, 6), -1),
+)
+
+
+def quat_mul(p, q):
+    """Hamilton product, broadcasting over leading axes of (..., 4) arrays."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    pw, px, py, pz = np.moveaxis(p, -1, 0)
+    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
+    return np.stack(
+        [
+            pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw,
+        ],
+        axis=-1,
+    )
+
+
+def quat_conj(p):
+    p = np.asarray(p, dtype=float)
+    return p * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def cayley_dickson_mul(x, y):
+    """Octonion product on (..., 8) coefficient arrays by Cayley-Dickson doubling,
+    (a, b)(c, d) = (ac - conj(d) b, da + b conj(c)) for quaternions a, b, c, d."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    a, b = x[..., :4], x[..., 4:]
+    c, d = y[..., :4], y[..., 4:]
+    first = quat_mul(a, c) - quat_mul(quat_conj(d), b)
+    second = quat_mul(d, a) + quat_mul(b, quat_conj(c))
+    return np.concatenate([first, second], axis=-1)
+
+
+def cayley_dickson_left_mult(x) -> np.ndarray:
+    """Matrix of s -> x s on coefficient columns, by Cayley-Dickson doubling."""
+    return cayley_dickson_mul(np.asarray(x, dtype=float)[None, :], np.eye(8)).T
+
+
 # -- octonion model oracles ------------------------------------------------------------
-# The model calibrations of Im O and O built from octonion products of (8,)
-# coefficient arrays, independent of the displayed forms.
+# The model calibrations of Im O and O built from Cayley-Dickson products of (8,)
+# coefficient arrays, independent of the displayed forms and of g2.PHI_TABLE.
 
 
 def oct_conj(x) -> np.ndarray:
@@ -460,7 +515,7 @@ def cross2(u, v) -> np.ndarray:
     for x in (u, v):
         if abs(x[0]) > 1e-12 * (1.0 + np.linalg.norm(x)):
             raise DomainError("cross2 expects imaginary octonions")
-    out = oct_mul(u, v)
+    out = cayley_dickson_mul(u, v)
     out[0] = 0.0
     return out
 
@@ -472,8 +527,8 @@ def cross3(u, v, w) -> np.ndarray:
     <X(u, v, w), y> has value +1 on the oriented quaternion 4-plane
     (1, i, j, k).
     """
-    cv = oct_conj(v)
-    return 0.5 * (oct_mul(w, oct_mul(cv, u)) - oct_mul(u, oct_mul(cv, w)))
+    cv, mul = oct_conj(v), cayley_dickson_mul
+    return 0.5 * (mul(w, mul(cv, u)) - mul(u, mul(cv, w)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -711,7 +766,7 @@ def _pointwise_weights(profile, r: float, dim: int) -> np.ndarray:
 def pointwise_associative(e1, e2, f1, profile, fiber) -> float:
     t1, a, b = fiber
     d = _pointwise_weights(profile, float(np.sqrt(2.0 * (t1 * t1 + a * a + b * b))), 7)
-    one_form = (d * f1) @ g2.unit_tensor(g2.PSI_TABLE, 7).reshape(7, -1)
+    one_form = (d * f1) @ g2.unit_tensor(LITERAL_G2_PSI_TABLE, 7).reshape(7, -1)
     one_form = (d * e1) @ one_form.reshape(7, -1)
     one_form = (d * e2) @ one_form.reshape(7, -1)
     return float(np.linalg.norm(d * one_form))
@@ -728,7 +783,7 @@ def pointwise_coassociative(e1, e2, f2, f3, profile, fiber) -> float:
 def pointwise_cayley(e1, e2, f1, f2, profile, r: float) -> float:
     d = _pointwise_weights(profile, r, 8)
     vecs = d * np.array([e1, e2, f1, f2])
-    phi = g2.unit_tensor(spin7.PHI_TABLE, 8)
+    phi = g2.unit_tensor(LITERAL_SPIN7_PHI_TABLE, 8)
     heads = ((1, 2, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2))
     cross = np.array(
         [vecs[c] @ (vecs[b] @ (vecs[a] @ phi.reshape(8, -1)).reshape(8, -1)).reshape(8, 8) for a, b, c in heads]
@@ -741,7 +796,7 @@ def pointwise_cayley(e1, e2, f1, f2, profile, r: float) -> float:
 def pointwise_calibration_gap(e1, e2, f1, f2, profile, r: float) -> float:
     d = _pointwise_weights(profile, r, 8)
     vecs = d * np.array([e1, e2, f1, f2])
-    val = g2.unit_tensor(spin7.PHI_TABLE, 8)
+    val = g2.unit_tensor(LITERAL_SPIN7_PHI_TABLE, 8)
     for w in vecs:
         val = w @ val.reshape(8, -1)
     vol = float(np.sqrt(max(np.linalg.det(vecs @ vecs.T), 0.0)))

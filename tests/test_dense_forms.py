@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    LITERAL_G2_PSI_TABLE,
+    LITERAL_SPIN7_PHI_TABLE,
     bitmask_associative_residual,
     bitmask_calibration_gap,
     bitmask_cayley_eta,
@@ -25,6 +27,7 @@ from twistcal import g2, spin7
 from twistcal.errors import GradeError
 from twistcal.exterior import dense_tensor
 from twistcal.numerics import Profile
+from twistcal.octonion import structure_constants
 
 # (library form, bitmask oracle form, dimension of the total space, degree)
 FORMS = {
@@ -168,18 +171,37 @@ def test_lifted_residuals_equal_the_dense_ones_with_unit_fibre_vectors(seed):
     assert all(np.ndim(x) == 0 for x in one)
 
 
-# g2 slot k goes to spin7 slot _G2_SLOTS[k] with the sign _G2_SIGNS[k], so that the Cayley
-# form on R (+) R^7 is e^0 ^ phi - psi (Harvey and Lawson, Acta Math. 148 (1982), Ch. IV;
-# the minus sign on psi is the orientation of the negative spinor bundle)
-_G2_SLOTS = (1, 2, 4, 7, 3, 5, 6)
-_G2_SIGNS = (1, 1, 1, 1, 1, -1, 1)
+def test_derived_tables_are_the_literal_tables():
+    # psi and Phi are derived from phi; as exact +-1 tables they give the literal forms'
+    # bytes at every weight, -0.0 included
+    rng = rng_for(26)
+    weights = [(1.0, 1.0), (0.0, 1.0), *rng.uniform(0.2, 3.0, size=(3, 2))]
+    for table, literal, dim in ((g2.PSI_TABLE, LITERAL_G2_PSI_TABLE, 7),
+                                (spin7.PHI_TABLE, LITERAL_SPIN7_PHI_TABLE, 8)):
+        assert sorted(table) == sorted(literal)
+        assert g2.unit_tensor(table, dim).tobytes() == g2.antisymmetrise(literal, dim, 1.0, 1.0).tobytes()
+        for u, v in weights:
+            assert g2.antisymmetrise(table, dim, u, v).tobytes() == g2.antisymmetrise(literal, dim, u, v).tobytes()
+
+
+def test_each_phi_sign_moves_psi_phi_and_the_octonion_product():
+    # phi is the one hand-written sign table: flipping any one of its 7 signs must reach
+    # every structure derived from it
+    moved = {"psi": 0, "cayley": 0, "octonion": 0}
+    for k in range(7):
+        phi = tuple((idx, -sign if row == k else sign) for row, (idx, sign) in enumerate(g2.PHI_TABLE))
+        psi = g2.hodge_star(phi, 7)
+        moved["psi"] += sorted(psi) != sorted(g2.PSI_TABLE)
+        moved["cayley"] += sorted(spin7.cayley_table(phi)) != sorted(spin7.PHI_TABLE)
+        moved["octonion"] += not np.array_equal(structure_constants(phi), structure_constants(g2.PHI_TABLE))
+    assert moved == {"psi": 7, "cayley": 7, "octonion": 7}
 
 
 def test_cayley_table_is_e0_wedge_phi_minus_psi():
     # exact on the +-1 tensors: each of the 14 Phi entries is tied to one of the 7 + 7
     # phi, psi entries, so a sign flip in any table fails, also where no lifted basis reaches
     carry = np.zeros((8, 7))
-    carry[_G2_SLOTS, range(7)] = _G2_SIGNS
+    carry[spin7.G2_SLOTS, range(7)] = spin7.G2_SIGNS
     phi = np.einsum("ai,bj,ck,ijk->abc", carry, carry, carry, g2.unit_tensor(g2.PHI_TABLE, 7))
     psi = np.einsum("ai,bj,ck,dl,ijkl->abcd", carry, carry, carry, carry, g2.unit_tensor(g2.PSI_TABLE, 7))
     # (e^0 ^ phi)(v_0, .., v_3) = sum_p (-1)^p e^0(v_p) phi(the other three)

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from twistcal.errors import DomainError
-from twistcal.octonion import left_mult_matrix, oct_mul, standard_pinor_context
+from twistcal import g2, spin7
+from twistcal.octonion import SIGMA, left_mult_matrix, oct_mul, standard_pinor_context, structure_constants
 
 from conftest import (
     associative_model_form,
+    cayley_dickson_left_mult,
+    cayley_dickson_mul,
     cayley_model_form,
     comass_estimate,
     cross2,
@@ -54,6 +57,28 @@ def test_unit_and_quaternion_table():
     assert close(oct_mul(K, I), J)
     assert close(oct_mul(I, I), -ONE)
     assert close(oct_mul(E, E), -ONE)
+
+
+def test_structure_constants_are_phi_and_the_cayley_dickson_table():
+    # bit for bit, -0.0 included: <e_a e_b, e_c> by Cayley-Dickson doubling, and its
+    # imaginary block is phi at the slots SIGMA with no sign change
+    eye = np.eye(8)
+    table = cayley_dickson_mul(eye[:, None], eye[None, :])
+    assert structure_constants(g2.PHI_TABLE).tobytes() == table.tobytes()
+    assert oct_mul(eye[:, None], eye[None, :]).tobytes() == table.tobytes()
+    phi = g2.unit_tensor(g2.PHI_TABLE, 7)
+    assert np.array_equal(table[1:, 1:, 1:], phi[np.ix_(SIGMA, SIGMA, SIGMA)])
+
+
+def test_pinor_matrices_keep_the_cayley_dickson_bytes():
+    # spin7's _GF, _GG, j_L and default spinor frame are built from these matrices alone
+    ctx = standard_pinor_context()
+    for row, gamma in zip(ctx.embed, ctx.gammas):
+        assert gamma.tobytes() == cayley_dickson_left_mult(row).tobytes()
+    jl = cayley_dickson_left_mult(cayley_dickson_mul(ctx.embed[0], ctx.embed[1]))
+    assert spin7._jl_matrix().tobytes() == jl.tobytes()
+    c = rng_for(27).standard_normal(4)
+    assert ctx.gamma_covector(c).tobytes() == cayley_dickson_left_mult(c @ ctx.embed).tobytes()
 
 
 def test_composition_norm_many_pairs():

@@ -565,7 +565,8 @@ def test_cli_rejects_removed_tolerance_knobs(tmp_path):
 _VERIFY = ["verify", "stenzel-lagrangian", "--chart", "equatorial", "--mu", "0", "--samples", "2"]
 _CAYLEY = ["verify", "spin7-cayley", "--chart", "equatorial", "--samples", "2"]
 _COASSOC = ["verify", "g2-coassociative", "--chart", "veronese-antipodal", "--samples", "2"]
-_MU_FILE = "MU_FILE"  # stands for a config file whose one line is mu=1e1
+# each stands for a config file of the one line given here
+_CONFIG_FILES = {"MU_FILE": "mu=1e1\n", "CSV_FILE": "format=csv\n"}
 
 
 @pytest.mark.parametrize(
@@ -634,7 +635,7 @@ _MU_FILE = "MU_FILE"  # stands for a config file whose one line is mu=1e1
         (_CAYLEY + ["--profile", "u=1,u=2"], "parameter 'u' is given more than once"),
         # a mu, from either source, does not hide that the suite is unknown
         (["verify", "bogus", "--mu", "1e1"], "unknown suite 'bogus'"),
-        (["verify", "bogus", "--config", _MU_FILE], "unknown suite 'bogus'"),
+        (["verify", "bogus", "--config", "MU_FILE"], "unknown suite 'bogus'"),
         # two spellings of one coefficient are one key given twice, not a sum
         (["verify", "g2-associative", "--chart", "equatorial", "--section", "equatorial-hol:c1re=1,c01re=2",
           "--samples", "3", "--seed", "1"],
@@ -648,13 +649,17 @@ _MU_FILE = "MU_FILE"  # stands for a config file whose one line is mu=1e1
         # a key named like a factory argument is an unknown key, not a clash with it
         (_CAYLEY + ["--section", "const:kind=1"], "unknown const section keys ['kind']; allowed: ['im', 're']"),
         (_COASSOC + ["--section", "coord:kind=1"], "unknown coord eta keys ['kind']; allowed: ['axis']"),
+        # a flag that nothing reads is rejected, not ignored: a csv report has no provenance block
+        (["verify", "g2-associative", "--samples", "2", "--format", "csv", "--timestamp"],
+         "--timestamp applies only to the json format, not csv\n"),
+        (["verify", "g2-associative", "--samples", "2", "--config", "CSV_FILE", "--timestamp"],
+         "--timestamp applies only to the json format, not csv\n"),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, message, capsys, tmp_path):
-    if _MU_FILE in argv:
-        mu_file = tmp_path / "mu.cfg"
-        mu_file.write_text("mu=1e1\n")
-        argv = [str(mu_file) if arg == _MU_FILE else arg for arg in argv]
+    for name, text in _CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in _CONFIG_FILES else arg for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
