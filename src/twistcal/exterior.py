@@ -188,14 +188,6 @@ class Multivector:
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool(np.max(np.abs(self.coeffs), initial=0.0) <= tol)
 
-    def norm(self) -> float:
-        """Euclidean norm; grades are mutually orthogonal."""
-        total = 0.0
-        for k in self.grades():
-            part = self.grade(k)
-            total += form_inner(part, part)
-        return float(np.sqrt(max(total, 0.0)))
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Multivector"):
@@ -210,19 +202,10 @@ class Multivector:
         self._check(other)
         return Multivector(self.space, self.coeffs - other.coeffs)
 
-    def __neg__(self):
-        return Multivector(self.space, -self.coeffs)
-
     def __mul__(self, scalar):
         return Multivector(self.space, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return Multivector(self.space, self.coeffs / float(scalar))
-
-    def __xor__(self, other):
-        return wedge(self, other)
 
     def allclose(self, other, tol: float = 1e-12) -> bool:
         self._check(other)

@@ -11,7 +11,10 @@ are vertical lifts of the anti-self-dual trivialisation
 
     f^1 = e^1^e^2 - nu^3^nu^4,
     f^2 = e^1^nu^3 + e^2^nu^4,
-    f^3 = e^1^nu^4 - e^2^nu^3.
+    f^3 = e^1^nu^4 - e^2^nu^3,
+
+declared once, as ``ASD_FORMS``.  The connection table is their su(2)_- bracket,
+``_NABLA_F[a, b, k, m] = 1/2 [f^k, f^m]_ba`` for a > b and 0 otherwise.
 
 The basis covectors are treated as orthonormal for form assembly; the fibre
 profile weights u, v (both positive) sit inside the 3-form ``phi`` and its
@@ -83,15 +86,23 @@ def frame_table(gamma: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (g.reshape(lead + (16,)) @ table.reshape(16, -1)).reshape(lead + table.shape[2:])
 
 
-# N[j, k, m] = sum_ab Gamma[j, a, b] _NABLA_F[a, b, k, m], antisymmetric in k, m
-_NABLA_F = np.zeros((4, 4, 3, 3))
-for _k, _m, _a, _b, _sign in (
-    (0, 1, 3, 0, 1.0), (0, 1, 2, 1, -1.0),
-    (0, 2, 2, 0, -1.0), (0, 2, 3, 1, -1.0),
-    (1, 2, 1, 0, 1.0), (1, 2, 3, 2, -1.0),
-):
-    _NABLA_F[_a, _b, _k, _m] = _sign
-    _NABLA_F[_a, _b, _m, _k] = -_sign
+# F[k, a, b] = f^k(e_a, e_b) over (e_1, e_2, nu_3, nu_4): the one encoding of Lambda^2_-
+ASD_FORMS = np.zeros((3, 4, 4))
+for _k, _a, _b, _sign in ((0, 0, 1, 1.0), (0, 2, 3, -1.0),   # f^1 = e^12 - nu^34
+                          (1, 0, 2, 1.0), (1, 1, 3, 1.0),    # f^2 = e^1 nu^3 + e^2 nu^4
+                          (2, 0, 3, 1.0), (2, 1, 2, -1.0)):  # f^3 = e^1 nu^4 - e^2 nu^3
+    ASD_FORMS[_k, _a, _b], ASD_FORMS[_k, _b, _a] = _sign, -_sign
+
+
+def asd_connection(forms: np.ndarray) -> np.ndarray:
+    """T[a, b, k, m] = 1/2 [f^k, f^m]_ba for a > b, else 0, of ASD ``forms`` (3, 4, 4): as matrices
+    nabla_{e_j} f^k = [f^k, Gamma_j], and ``frame_table`` contracts all 16 Gamma_jab, whose lower
+    triangle holds each pair once.  T is antisymmetric in (k, m), so nabla f^k has no f^k part."""
+    half = 0.5 * (np.einsum("kbc,mca->abkm", forms, forms) - np.einsum("mbc,kca->abkm", forms, forms))
+    return np.tril(np.ones((4, 4)), -1)[..., None, None] * half + 0.0
+
+
+_NABLA_F = asd_connection(ASD_FORMS)
 
 
 def nabla_f_coeffs(gamma: np.ndarray) -> np.ndarray:
@@ -199,6 +210,15 @@ def lifted_basis(vert: np.ndarray, fibre_dirs, dim: int) -> np.ndarray:
     return out
 
 
+def _asd_twisted_basis(point: AdaptedFramePoint, coeffs, dcoeffs, slots, fdim: int) -> np.ndarray:
+    """Rows E_i = e_i + sum_k (c_k nabla_{e_i} f^k + dc_k(e_i)) summed in k order, then the unit
+    fibre rows at ``slots``; each c_k broadcasts against P + F (fdim = len(F)), dcoeffs is (P, 2, 3)."""
+    n = per_point(nabla_f_coeffs(point.gamma), fdim, 3)
+    c1, c2, c3 = (c[..., None, None] for c in coeffs)
+    vert = c1 * n[..., 0, :] + c2 * n[..., 1, :] + c3 * n[..., 2, :]
+    return lifted_basis(vert + per_point(dcoeffs, fdim, 2), slots, 7)
+
+
 def tangent_basis_e_sigma(point: AdaptedFramePoint, sec: SectionData, t1) -> np.ndarray:
     """Tangent basis (E_1, E_2, F_1) of the rank-one bundle twisted by sigma,
     as the rows of a (..., 3, 7) array.
@@ -209,11 +229,9 @@ def tangent_basis_e_sigma(point: AdaptedFramePoint, sec: SectionData, t1) -> np.
     """
     t1 = np.asarray(t1, dtype=float)
     fdim = t1.ndim
-    n = per_point(nabla_f_coeffs(point.gamma), fdim, 3)
-    a, b = (per_point(x, fdim)[..., None, None] for x in (sec.a, sec.b))
-    vert = t1[..., None, None] * n[..., 0, :] + a * n[..., 1, :] + b * n[..., 2, :]
     deriv = np.stack([np.zeros_like(sec.da), sec.da, sec.db], axis=-1)
-    return lifted_basis(vert + per_point(deriv, fdim, 2), ASSOCIATIVE_SLOTS, 7)
+    return _asd_twisted_basis(point, (t1, per_point(sec.a, fdim), per_point(sec.b, fdim)), deriv,
+                              ASSOCIATIVE_SLOTS, fdim)
 
 
 def tangent_basis_eta_f(point: AdaptedFramePoint, gamma_val, dgamma, t) -> np.ndarray:
@@ -223,13 +241,9 @@ def tangent_basis_eta_f(point: AdaptedFramePoint, gamma_val, dgamma, t) -> np.nd
     are those of the point (P,) followed by F."""
     t = np.asarray(t, dtype=float)
     fdim = t.ndim - 1
-    n = per_point(nabla_f_coeffs(point.gamma), fdim, 3)
-    g = per_point(gamma_val, fdim)[..., None, None]
-    t2, t3 = t[..., 0, None, None], t[..., 1, None, None]
-    vert = t2 * n[..., 1, :] + t3 * n[..., 2, :] + g * n[..., 0, :]
-    dgamma = np.asarray(dgamma, dtype=float)
     deriv = np.stack([dgamma, np.zeros_like(dgamma), np.zeros_like(dgamma)], axis=-1)
-    return lifted_basis(vert + per_point(deriv, fdim, 2), COASSOCIATIVE_SLOTS, 7)
+    return _asd_twisted_basis(point, (per_point(gamma_val, fdim), t[..., 0], t[..., 1]), deriv,
+                              COASSOCIATIVE_SLOTS, fdim)
 
 
 def fibre_radius(*parts) -> np.ndarray:
@@ -314,11 +328,11 @@ def dbar_f_residual(gamma: np.ndarray, sec: SectionData):
     """Components of the antiholomorphic derivative of sigma over F, per
     leading index of ``gamma`` and ``sec``.
 
-    (a_1 - b_2 - p a + q b,  a_2 + b_1 - q a - p b) with
-    p = Gamma^1_{22} - Gamma^3_{24} and q = Gamma^3_{14} - Gamma^1_{12}.
+    (a_1 - b_2 - p a + q b,  a_2 + b_1 - q a - p b) with p the f^3 part of
+    nabla_{e_2} f^2 and q the f^2 part of nabla_{e_1} f^3.
     """
-    p = gamma[..., 1, 1, 0] - gamma[..., 1, 3, 2]
-    q = gamma[..., 0, 3, 2] - gamma[..., 0, 1, 0]
+    n = nabla_f_coeffs(gamma)
+    p, q = n[..., 1, 1, 2], n[..., 0, 2, 1]
     r2 = sec.da[..., 0] - sec.db[..., 1] - p * sec.a + q * sec.b
     r3 = sec.da[..., 1] + sec.db[..., 0] - q * sec.a - p * sec.b
     return r2, r3

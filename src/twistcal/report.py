@@ -39,9 +39,9 @@ SEPARATION = 1e-3
 # numerics.BLOCK rows, so at the cap its report takes most of its memory, and
 # emit, which joins the JSON text once and encodes it once, sets the peak.
 # Peak RSS at the cap read 127 MB for stenzel-lagrangian (100,000 rows), 126 MB
-# for spin7-cayley, 121 MB for g2-coassociative and 112 MB for g2-associative
-# (99,999 rows each), and 41 MB for table veronese; CI fails the first two above
-# 210 MB and the table above 100 MB.  ru_maxrss of a fresh process per job,
+# for spin7-cayley, 123 MB for g2-coassociative and 116 MB for g2-associative
+# (99,999 rows each), and 41 MB for table veronese; CI fails each verify suite
+# above 210 MB and the table above 100 MB.  ru_maxrss of a fresh process per job,
 # writing --out, two runs each (2-vCPU Xeon, numpy 2.4.6).
 MAX_ROWS = 100_000
 

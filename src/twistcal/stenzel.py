@@ -32,7 +32,9 @@ coefficient matrix is the real rank-one update
 a = v' I + beta w w^T, beta = v' / cosh^2 sqrt y + 4 v''.  So the verify
 path pairs the tangent rows V = R + i I (without slot 0) as
 omega = -Im(V a V^H) = M^T - M with M = I a R^T: real matrix products on the
-real and imaginary parts of the rows, with no complex coefficient matrix.
+real and imaginary parts of the rows, with no complex coefficient matrix.  Of the
+path's numpy loops only the float64 ``cosh`` and ``sinh`` (``_cosh_sinhc``, ``mixed_pairing_closed_form``)
+change its bytes between numpy's X86_V4 (AVX-512) dispatch level and X86_V3, where both use libm.
 """
 
 from __future__ import annotations

@@ -460,6 +460,24 @@ LITERAL_SPIN7_PHI_TABLE = (
     ((0, 3, 4, 7), -1), ((0, 3, 5, 6), -1), ((1, 2, 4, 7), -1), ((1, 2, 5, 6), -1),
 )
 
+# The connection on Lambda^2_- written out by hand: N[j, k, m] = sum_ab Gamma[j, a, b]
+# LITERAL_NABLA_F[a, b, k, m] over a > b, antisymmetric in (k, m), and the p, q of dbar_F
+# as Gamma-index formulas.  The library derives both from g2.ASD_FORMS.
+LITERAL_NABLA_F = np.zeros((4, 4, 3, 3))
+for _k, _m, _a, _b, _sign in (
+    (0, 1, 3, 0, 1.0), (0, 1, 2, 1, -1.0),
+    (0, 2, 2, 0, -1.0), (0, 2, 3, 1, -1.0),
+    (1, 2, 1, 0, 1.0), (1, 2, 3, 2, -1.0),
+):
+    LITERAL_NABLA_F[_a, _b, _k, _m] = _sign
+    LITERAL_NABLA_F[_a, _b, _m, _k] = -_sign
+
+
+def dbar_f_pq(gamma):
+    """p = Gamma^1_{22} - Gamma^3_{24} and q = Gamma^3_{14} - Gamma^1_{12} of dbar_F, per
+    leading index of ``gamma`` (..., 2, 4, 4)."""
+    return gamma[..., 1, 1, 0] - gamma[..., 1, 3, 2], gamma[..., 0, 3, 2] - gamma[..., 0, 1, 0]
+
 
 def quat_mul(p, q):
     """Hamilton product, broadcasting over leading axes of (..., 4) arrays."""
@@ -739,8 +757,7 @@ def pointwise_basis_v_plus(point, frame, sec, t):
 
 
 def pointwise_dbar_f(gamma, sec):
-    p = gamma[1, 1, 0] - gamma[1, 3, 2]
-    q = gamma[0, 3, 2] - gamma[0, 1, 0]
+    p, q = dbar_f_pq(gamma)
     r2 = sec.da[0] - sec.db[1] - p * sec.a + q * sec.b
     r3 = sec.da[1] + sec.db[0] - q * sec.a - p * sec.b
     return float(r2), float(r3)

@@ -20,10 +20,12 @@ from twistcal.g2 import (
     tangent_basis_eta_f,
 )
 from twistcal.numerics import Profile
-from twistcal.submanifold import adapted_frame, get_chart, rotate_frame_field, with_normal_frame
+from twistcal.submanifold import adapted_frame, chart_names, get_chart, rotate_frame_field, with_normal_frame
 
 from conftest import (
+    LITERAL_NABLA_F,
     comass_estimate,
+    dbar_f_pq,
     g2_vertical_fd_oracle,
     multivector_of,
     nabla_f_fd_oracle,
@@ -158,6 +160,36 @@ def test_nabla_f_vanishes_at_normal_centres_of_geodesic_base():
     u0 = np.array([0.9, 0.3])
     point = adapted_frame(with_normal_frame(chart, u0), u0)
     assert np.max(np.abs(nabla_f_coeffs(point.gamma))) < 1e-6
+
+
+def test_nabla_f_table_is_the_bracket_of_the_asd_forms():
+    # derived from g2.ASD_FORMS, the table has the hand-written table's bytes, -0.0
+    # included, and is antisymmetric in (k, m): nabla f^k has no f^k part
+    assert np.array_equal(g2.ASD_FORMS, -np.swapaxes(g2.ASD_FORMS, 1, 2))
+    assert g2._NABLA_F.tobytes() == LITERAL_NABLA_F.tobytes()
+    assert np.array_equal(g2._NABLA_F, -np.swapaxes(g2._NABLA_F, 2, 3))
+
+
+def test_each_asd_sign_moves_the_connection():
+    # ASD_FORMS is the one encoding of Lambda^2_-: flipping any one of its six terms
+    # must reach the connection table that both tangent bases and dbar_F read
+    terms = np.argwhere(np.triu(g2.ASD_FORMS) != 0)
+    moved = 0
+    for k, a, b in terms:
+        forms = g2.ASD_FORMS.copy()
+        forms[k, [a, b], [b, a]] *= -1.0
+        moved += not np.array_equal(g2.asd_connection(forms), g2._NABLA_F)
+    assert (len(terms), moved) == (6, 6)
+
+
+@pytest.mark.parametrize("chart_name", chart_names())
+def test_dbar_f_pq_are_the_gamma_index_formulas(chart_name):
+    # dbar_F reads p, q off the connection table, bit for bit the hand formulas
+    chart = get_chart(chart_name)
+    gamma = adapted_frame(chart, chart.sample(rng_for(27), 500)).gamma
+    coeffs, (p, q) = nabla_f_coeffs(gamma), dbar_f_pq(gamma)
+    assert coeffs[..., 1, 1, 2].tobytes() == p.tobytes()
+    assert coeffs[..., 0, 2, 1].tobytes() == q.tobytes()
 
 
 # -- tangent bases ----------------------------------------------------------------------
